@@ -91,7 +91,7 @@ def test_design_search_materializes_at_most_half(benchmark, artifact_dir,
     assert payload["materialized"] == len(cold.rows) == stats["frontier"]
     assert warm.sweep.cache_stats.misses == 0
     # No wall-clock gate here: the search's claim is the work economics
-    # (one batch request, frontier-only materialization), and with only
+    # (one pricing pass, frontier-only materialization), and with only
     # a few percent of the space ever reaching the scheduler, the warm
     # delta is too small to assert against shared-runner noise.  The
     # measured times still land in the artifact.

@@ -88,12 +88,6 @@ CHECKS: dict[str, list[Gate]] = {
         Gate("frontier_byte_identical", "exact"),
         Gate("warm_plan_cache.misses", "exact"),
     ],
-    "BENCH_pricing.json": [
-        Gate("rows_byte_identical", "exact"),
-        Gate("pairs", "exact"),
-        Gate("numpy", "exact"),
-        Gate("speedup", "min_ratio", 0.4),
-    ],
     "BENCH_scaling.json": [
         Gate("deterministic", "exact"),
         Gate("throttled_points", "exact"),

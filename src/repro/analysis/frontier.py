@@ -90,5 +90,5 @@ def design_frontier_table(report: dict) -> list[str]:
         f"{search['pruned']} pruned by targets, "
         f"{search['dominated']} dominated, "
         f"{search['materialized']} materialized "
-        f"({search['priced_pairs']} pairs batch-priced)")
+        f"({search['priced_pairs']} distinct layer-engine pairs priced)")
     return lines

@@ -55,10 +55,10 @@ output stays byte-identical to a cold full run::
 ``design`` closes the DSE loop (see ``docs/DESIGN.md``): declare a
 joint package-design space over the same axes (including partial
 Het(k) quadrant tokens like ``trunk:ws#4``), rank every candidate with
-one batch pricing request, prune against latency/energy targets, and
-materialize only the Pareto frontier into full sweep rows — the
-frontier report is byte-identical across workers and store
-temperature::
+a roofline proxy over its memoized layer costs, prune against
+latency/energy targets, and materialize only the Pareto frontier into
+full sweep rows — the frontier report is byte-identical across workers
+and store temperature::
 
     chiplet-npu design --dataflows os,ws --frequencies-ghz 1.0,2.0 \\
         --hetero none,trunk:ws#4 --target-pipe-ms 40
@@ -251,7 +251,7 @@ def _run_sweep(argv: list[str]) -> int:
         parser.error("--store and --store-url name two different plan "
                      "stores; pass one")
     if args.store_url is not None:
-        from .serve import is_store_url
+        from .core.planstore import is_store_url
         if not is_store_url(args.store_url):
             parser.error(f"--store-url must start with http:// or "
                          f"https://; got {args.store_url!r} "
@@ -264,7 +264,7 @@ def _run_sweep(argv: list[str]) -> int:
             if value:
                 parser.error(f"--dispatch executes remotely and cannot "
                              f"be combined with {flag}")
-        from .serve import is_store_url
+        from .core.planstore import is_store_url
         for url in args.dispatch.split(","):
             if url.strip() and not is_store_url(url.strip()):
                 parser.error(f"--dispatch workers must be http(s) "
@@ -410,12 +410,10 @@ def _run_sweep(argv: list[str]) -> int:
           f"{cache['entries']} entries, "
           f"{cache['store_hits']} served from store)")
     layer = summary["layer_cost_cache"]
-    seeded = layer.get("seeded", 0)
     print(f"layer-cost cache: {layer['hits']} hits / "
           f"{layer['misses']} misses "
           f"({100 * layer['hit_rate']:.1f}% hit rate, "
-          f"{layer['entries']} entries"
-          + (f", {seeded} seeded" if seeded else "") + ")")
+          f"{layer['entries']} entries)")
     if result.delta_skipped is not None:
         print(f"delta sweep: {result.delta_skipped} of "
               f"{len(result.rows)} scenario(s) spliced from the "
@@ -596,11 +594,11 @@ def _design_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiplet-npu design",
         description="Joint package-design search: enumerate a declared "
-                    "axis space, rank every candidate through one batch "
-                    "pricing request, prune against latency/energy "
-                    "targets, and materialize only the Pareto frontier "
-                    "into full sweep rows (deterministic report; see "
-                    "docs/DESIGN.md).")
+                    "axis space, rank every candidate with a roofline "
+                    "proxy over its memoized layer costs, prune against "
+                    "latency/energy targets, and materialize only the "
+                    "Pareto frontier into full sweep rows (deterministic "
+                    "report; see docs/DESIGN.md).")
     parser.add_argument("--tolerances", default="1.05",
                         help="comma-separated tolerance coefficients")
     parser.add_argument("--nop-gbps", default="none",
@@ -653,7 +651,7 @@ def _design_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the frontier "
                              "materialization sweep (1 = serial; the "
-                             "proxy phase is one batch and never forks)")
+                             "proxy phase never forks)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="directory of a shared disk-backed plan "
                              "store warm-starting the frontier "
@@ -681,7 +679,7 @@ def _run_design(argv: list[str]) -> int:
         parser.error("--store and --store-url name two different plan "
                      "stores; pass one")
     if args.store_url is not None:
-        from .serve import is_store_url
+        from .core.planstore import is_store_url
         if not is_store_url(args.store_url):
             parser.error(f"--store-url must start with http:// or "
                          f"https://; got {args.store_url!r} "

@@ -80,10 +80,6 @@ class CacheStats:
     #: how many of the hits were first served from an attached
     #: :class:`~repro.core.planstore.PlanStore` (0 when none is attached).
     store_hits: int = 0
-    #: entries pre-seeded by batch pricing (:mod:`repro.cost.batch`)
-    #: rather than computed on a first-touch miss; 0 for the plan cache,
-    #: which has no seeding path.
-    seeded: int = 0
 
     @property
     def lookups(self) -> int:
@@ -94,38 +90,43 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def to_dict(self) -> dict:
-        """Plain-dict form for reports (sorted, JSON-safe).
-
-        ``seeded`` appears only when nonzero, so plan-cache payloads —
-        and every artifact produced before batch seeding existed — stay
-        byte-stable.
-        """
-        out = {
+        """Plain-dict form for reports (sorted, JSON-safe)."""
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": self.entries,
             "store_hits": self.store_hits,
             "hit_rate": round(self.hit_rate, 4),
         }
-        if self.seeded:
-            out["seeded"] = self.seeded
-        return out
+
+    @classmethod
+    def from_dict(cls, payload: object) -> "CacheStats":
+        """Counters back from a :meth:`to_dict` payload (journal, wire).
+
+        Keys other than the four counters are ignored (the derived
+        ``hit_rate``; the pre-seeding counter older journals carry), and
+        a non-dict payload reads as all zeros.
+        """
+        if not isinstance(payload, dict):
+            payload = {}
+        return cls(hits=int(payload.get("hits", 0)),
+                   misses=int(payload.get("misses", 0)),
+                   entries=int(payload.get("entries", 0)),
+                   store_hits=int(payload.get("store_hits", 0)))
 
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         """Counter delta between two snapshots (entries from ``self``)."""
         return CacheStats(hits=self.hits - other.hits,
                           misses=self.misses - other.misses,
                           entries=self.entries,
-                          store_hits=self.store_hits - other.store_hits,
-                          seeded=self.seeded - other.seeded)
+                          store_hits=self.store_hits - other.store_hits)
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         """Order-independent merge of per-worker counters."""
         return CacheStats(hits=self.hits + other.hits,
                           misses=self.misses + other.misses,
                           entries=max(self.entries, other.entries),
-                          store_hits=self.store_hits + other.store_hits,
-                          seeded=self.seeded + other.seeded)
+                          store_hits=self.store_hits + other.store_hits)
 
 
 class PlanCache:

@@ -162,6 +162,13 @@ class PlanKeyMemo:
         return cached
 
 
+def is_store_url(store_path) -> bool:
+    """Whether a ``store_path``-style value names a memo server URL
+    (``http(s)://``) rather than a :class:`PlanStore` directory."""
+    return isinstance(store_path, str) \
+        and store_path.startswith(("http://", "https://"))
+
+
 class PlanStore(PlanKeyMemo):
     """A directory of atomic, content-addressed plan shards.
 

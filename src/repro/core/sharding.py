@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..cost import AcceleratorConfig, chain_energy_j, chain_latency_s, evaluate
-from ..cost.batch import price_chain, seed_pairs
 from ..workloads.graph import LayerGroup
 from ..workloads.layers import Layer
 from .plancache import MODE_BEST, get_plan_cache
@@ -144,7 +143,6 @@ def _instance_counts(instances: int, n: int) -> list[int]:
 
 
 def _plan_single(group: LayerGroup, accel: AcceleratorConfig) -> GroupPlan:
-    price_chain(group.layers, accel)
     per_instance = chain_latency_s(group.layers, accel)
     busy = per_instance * group.instances
     return GroupPlan(
@@ -162,7 +160,6 @@ def _plan_instances(group: LayerGroup, n: int,
                     accel: AcceleratorConfig) -> GroupPlan | None:
     if group.instances < 2 or n > group.instances:
         return None
-    price_chain(group.layers, accel)
     per_instance = chain_latency_s(group.layers, accel)
     counts = _instance_counts(group.instances, n)
     busy = tuple(c * per_instance for c in counts)
@@ -188,22 +185,14 @@ def _plan_rows(group: LayerGroup, n: int,
     # suffices to price <= 2 bands per layer and assemble the n chain
     # sums arithmetically, instead of pricing all n chains.  Summation
     # runs in the same (layer, then shard-index) order as pricing each
-    # chain would, so the resulting plan is bit-identical.  All band
-    # shapes are derived first and priced as one batch matrix; the
-    # evaluate() calls below are then memo hits.
-    shapes = []
+    # chain would, so the resulting plan is bit-identical.
+    bands = []
     for layer in group.layers:
         size = layer.out_h if layer.out_h > 1 else layer.out_w
         extra = size % n
-        big = split_plane(layer, n, 0) if extra else None
-        small = split_plane(layer, n, extra)
-        shapes.append((extra, big, small))
-    seed_pairs((band, accel) for _, big, small in shapes
-               for band in (big, small) if band is not None)
-    bands = [(extra,
-              evaluate(big, accel) if big is not None else None,
-              evaluate(small, accel))
-             for extra, big, small in shapes]
+        big = evaluate(split_plane(layer, n, 0), accel) if extra else None
+        small = evaluate(split_plane(layer, n, extra), accel)
+        bands.append((extra, big, small))
     busy = []
     energy = 0.0
     for idx in range(n):
@@ -231,7 +220,6 @@ def _plan_pipeline(group: LayerGroup, n: int,
     k = n // group.instances
     if k < 2 or k > len(group.layers):
         return None
-    price_chain(group.layers, accel)
     lats = [evaluate(layer, accel).latency_s for layer in group.layers]
     bounds = _balanced_segments(lats, k)
     seg_lat = []

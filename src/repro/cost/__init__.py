@@ -11,36 +11,18 @@ from .accelerator import (
     shidiannao_chiplet,
     simba_chiplet,
 )
-from .batch import (
-    HAVE_NUMPY,
-    PricingRequest,
-    builds_request,
-    price_batch,
-    price_chain,
-    seed_pairs,
-)
 from .dataflow import MappingAnalysis, map_layer
 from .energy import ENERGY_28NM, EnergyTable
 from .model import (
     LayerCost,
-    cached_cost,
     chain_cycles,
     chain_energy_j,
     chain_latency_s,
     clear_cache,
     evaluate,
-    seed_cache,
 )
 
 __all__ = [
-    "HAVE_NUMPY",
-    "PricingRequest",
-    "builds_request",
-    "price_batch",
-    "price_chain",
-    "seed_pairs",
-    "cached_cost",
-    "seed_cache",
     "DATAFLOW_STYLES",
     "OUTPUT_STATIONARY",
     "WEIGHT_STATIONARY",

@@ -1,13 +1,9 @@
 """Layer and group cost evaluation (latency, energy, utilization).
 
 ``evaluate(layer, accel)`` is the single entry point the rest of the system
-uses; results are memoized since the scheduler re-prices layers many times
-while sharding.  The memo is an explicit table (not ``functools.lru_cache``)
-so :mod:`repro.cost.batch` can *pre-seed* it with vectorized batch-pricing
-results — seeded entries are exactly equal to what ``evaluate`` would have
-computed, so callers cannot tell the difference except in the counters
-(``seeded`` tracks how many entries arrived via :func:`seed_cache`).
-Latency follows a roofline:
+uses; results are memoized process-wide (``functools.lru_cache``) since
+the scheduler re-prices layers many times while sharding.  Latency follows
+a roofline:
 
 ``cycles = max(compute_cycles, gb_words / gb_words_per_cycle)``
 
@@ -26,8 +22,9 @@ Table II argument:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 from ..workloads.layers import Layer
 from .accelerator import AcceleratorConfig
@@ -56,91 +53,12 @@ class LayerCost:
         return self.latency_s * 1e3
 
 
-class CacheInfo(NamedTuple):
-    """``functools.lru_cache``-shaped counter snapshot, plus ``seeded``."""
-
-    hits: int
-    misses: int
-    maxsize: int | None
-    currsize: int
-    #: entries that arrived via :func:`seed_cache` (batch pre-seeding)
-    #: rather than a first-touch ``evaluate`` miss.
-    seeded: int = 0
-
-
-#: the process-wide (layer, accel) -> LayerCost memo behind evaluate().
-_MEMO: dict[tuple[Layer, AcceleratorConfig], LayerCost] = {}
-_HITS = 0
-_MISSES = 0
-_SEEDED = 0
-
-
+@functools.lru_cache(maxsize=None)
 def evaluate(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
     """Price one layer on one engine (memoized process-wide)."""
-    global _HITS, _MISSES
-    cost = _MEMO.get((layer, accel))
-    if cost is not None:
-        _HITS += 1
-        return cost
-    _MISSES += 1
     if layer.kind.is_compute:
-        cost = _evaluate_compute(layer, accel)
-    else:
-        cost = _evaluate_vector(layer, accel)
-    _MEMO[(layer, accel)] = cost
-    return cost
-
-
-def cached_cost(layer: Layer,
-                accel: AcceleratorConfig) -> LayerCost | None:
-    """Peek the memo without touching the hit/miss counters.
-
-    Batch pricing uses this to skip pairs that are already resident
-    before building a matrix, so pre-seeding never re-prices work.
-    """
-    return _MEMO.get((layer, accel))
-
-
-def seed_cache(costs: Mapping[tuple[Layer, AcceleratorConfig],
-                              LayerCost]) -> int:
-    """Pre-populate the ``evaluate`` memo with batch-priced results.
-
-    Entries already resident are left untouched (they are identical by
-    the batch/scalar exact-equality contract — see
-    :mod:`repro.cost.batch`); returns how many entries were inserted.
-    Seeded insertions are counted separately from misses so sweep
-    reports can tell "priced by the batch matrix" from "priced by a
-    first-touch scalar call".
-    """
-    global _SEEDED
-    added = 0
-    for key, cost in costs.items():
-        if key not in _MEMO:
-            _MEMO[key] = cost
-            added += 1
-    _SEEDED += added
-    return added
-
-
-def _cache_info() -> CacheInfo:
-    """``evaluate.cache_info()``: lru_cache-compatible counter snapshot."""
-    return CacheInfo(hits=_HITS, misses=_MISSES, maxsize=None,
-                     currsize=len(_MEMO), seeded=_SEEDED)
-
-
-def _cache_clear() -> None:
-    """``evaluate.cache_clear()``: drop the memo and reset all counters."""
-    global _HITS, _MISSES, _SEEDED
-    _MEMO.clear()
-    _HITS = 0
-    _MISSES = 0
-    _SEEDED = 0
-
-
-# lru_cache-compatible surface: every existing caller (stats, benches,
-# tests) keeps working against the seedable explicit memo.
-evaluate.cache_info = _cache_info  # type: ignore[attr-defined]
-evaluate.cache_clear = _cache_clear  # type: ignore[attr-defined]
+        return _evaluate_compute(layer, accel)
+    return _evaluate_vector(layer, accel)
 
 
 def _evaluate_compute(layer: Layer, accel: AcceleratorConfig) -> LayerCost:

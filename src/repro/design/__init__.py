@@ -4,8 +4,8 @@ The sweep engine (:mod:`repro.sweep`) prices the designs a user spells
 out; this package *searches* them.  A :class:`DesignSpace` declares a
 joint (quadrant composition x NoP topology x frequency/tile/dataflow x
 DRAM) space with the sweep's own axis grammar, and a
-:class:`DesignSearch` ranks every candidate with one batch-priced
-closed-form proxy, prunes against latency/energy targets, keeps the
+:class:`DesignSearch` ranks every candidate with a closed-form proxy
+over its memoized layer costs, prunes against latency/energy targets, keeps the
 Pareto frontier, and materializes *only* the frontier into full sweep
 rows — PR 1's rank-then-materialize trunk-DSE idiom generalized from
 one quadrant to whole packages.

@@ -1,41 +1,40 @@
 """Rank-cheap / materialize-frontier package-design search.
 
-The search never runs the scheduler on a non-frontier candidate.  Every
-candidate package is priced through **one** batch
-:class:`~repro.cost.PricingRequest` (the whole space's distinct
-``(layer, accel)`` pairs, deduplicated), each candidate is scored with a
-closed-form per-stage roofline proxy over that matrix, target-violating
-candidates are pruned, and only the proxy-Pareto frontier is
-materialized into full sweep rows by the existing
+The search never runs the scheduler on a non-frontier candidate.  The
+whole space's distinct ``(layer, accel)`` pairs are enumerated once and
+priced through the memoized :func:`~repro.cost.evaluate`, each candidate
+is scored with a closed-form per-stage roofline proxy over those costs,
+target-violating candidates are pruned, and only the proxy-Pareto
+frontier is materialized into full sweep rows by the existing
 :class:`~repro.sweep.runner.ScenarioSweep` engine (plan-store warm
 starts included).  This is :func:`repro.core.dse.best_ranked`'s
 rank-then-materialize idiom lifted from trunk mappings to whole
 packages.
 
-Determinism: the proxy is a pure function of the batch matrix (whose
-numpy and scalar engines are exactly equal by contract), pruning and
-dominance are pure arithmetic, and materialized rows come from the
-sweep engine's pure ``run_scenario`` — so the frontier, and its report,
-are byte-identical across serial/parallel runs and across cold/warm
-plan stores.
+Determinism: the proxy is a pure function of the layer costs (one
+pricing path, the same one the scheduler uses), pruning and dominance
+are pure arithmetic, and materialized rows come from the sweep engine's
+pure ``run_scenario`` — so the frontier, and its report, are
+byte-identical across serial/parallel runs and across cold/warm plan
+stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from ..core.dse import best_ranked
 from ..core.placement import default_stage_quadrants
-from ..cost import builds_request, price_batch
+from ..cost import AcceleratorConfig, LayerCost, evaluate
 from ..sweep.runner import ScenarioSweep, SweepResult
 from ..sweep.scenario import Scenario, ScenarioBuild
+from ..workloads.layers import Layer
 from .pareto import pareto_indices
 from .space import DesignSpace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cost.batch import Pair
-    from ..cost.model import LayerCost
+#: one (layer, engine) pricing candidate.
+Pair = tuple[Layer, AcceleratorConfig]
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,29 @@ class DesignCandidate:
     pruned: bool
 
 
+def candidate_pairs(built: ScenarioBuild) -> list[Pair]:
+    """Every ``(layer, accel)`` pair one candidate prices.
+
+    The workload's layers on each distinct chiplet config (one for a
+    homogeneous package, one per overridden quadrant otherwise), plus
+    the trunk DSE's engines when the scenario sets ``het_ws_budget``.
+    """
+    accels = dict.fromkeys(chiplet.accel
+                           for chiplet in built.package.chiplets)
+    if built.scenario.het_ws_budget is not None:
+        accels.update(dict.fromkeys(built.scenario.trunk_accels()))
+    layers = built.workload.all_layers()
+    return [(layer, accel) for accel in accels for layer in layers]
+
+
 def proxy_objectives(built: ScenarioBuild,
-                     costs: Mapping["Pair", "LayerCost"],
+                     costs: Mapping[Pair, LayerCost],
                      ) -> tuple[float, float]:
     """Closed-form ``(pipe_ms, energy_j)`` bound for one candidate.
 
     Per stage (stages own their quadrants, Sec. IV): each chiplet of the
     stage's quadrants processes the stage's layer chains at its own
-    batch-priced rate, combined harmonically — perfect work spreading,
+    priced rate, combined harmonically — perfect work spreading,
     so homogeneous quadrants reduce to ``serial_latency / n_chiplets``.
     The pipe proxy is the slowest stage; the energy proxy charges each
     stage its cell-averaged chain energy.  NoP transfers, DRAM
@@ -142,7 +156,7 @@ class DesignSearchResult:
     candidates: list[DesignCandidate]
     frontier: list[DesignCandidate]
     rows: list[dict]
-    #: distinct (layer, accel) pairs the single batch request priced.
+    #: distinct (layer, accel) pairs the proxy phase priced.
     priced_pairs: int
     #: materialization result (None when the frontier is empty).
     sweep: SweepResult | None
@@ -189,23 +203,22 @@ class DesignSearch:
                  space: DesignSpace,
                  targets: DesignTargets | None = None,
                  workers: int = 1,
-                 store_path=None,
-                 engine: str = "auto"):
+                 store_path=None):
         self.space = space
         self.targets = targets or DesignTargets()
         #: process count for the frontier materialization sweep (the
-        #: proxy phase is one closed-form batch and never forks).
+        #: closed-form proxy phase never forks).
         self.workers = workers
         #: plan store (directory path or ``http(s)://`` memo-server URL)
         #: warm-starting the materialization, exactly as ``sweep`` mode.
         self.store_path = store_path
-        self.engine = engine
 
     def run(self) -> DesignSearchResult:
         scenarios = self.space.candidates()
         builds = [scenario.build() for scenario in scenarios]
-        request = builds_request(builds)
-        costs = price_batch(request, engine=self.engine)
+        pairs = dict.fromkeys(pair for built in builds
+                              for pair in candidate_pairs(built))
+        costs = {pair: evaluate(*pair) for pair in pairs}
         candidates = []
         for index, built in enumerate(builds):
             pipe_ms, energy_j = proxy_objectives(built, costs)
@@ -233,5 +246,5 @@ class DesignSearch:
             candidates=candidates,
             frontier=frontier,
             rows=rows,
-            priced_pairs=len(request),
+            priced_pairs=len(costs),
             sweep=sweep_result)

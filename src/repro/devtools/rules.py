@@ -1,5 +1,5 @@
 """Per-file AST rules: R1 determinism, R2 plan-key hygiene, R4 gated
-columns, R5 units naming, R6 numpy confinement.
+columns, R5 units naming.
 
 Each rule is a pure function ``(path, tree, ...) -> list[Diagnostic]``
 over one parsed module; rule *scoping* (which packages a rule applies
@@ -25,10 +25,6 @@ R2_ALLOWED_SUFFIXES = ("core/planstore.py", "core/plancache.py")
 
 #: packages whose row-dict builders the R4 gated-column rule parses.
 R4_PACKAGES = frozenset({"sweep"})
-
-#: the only module allowed to import numpy (R6): the vectorized batch
-#: pricing engine, which guards the import and falls back to stdlib.
-R6_ALLOWED_SUFFIXES = ("cost/batch.py",)
 
 #: variable names R4 treats as sweep row dicts.
 R4_ROW_NAMES = frozenset({"row", "out"})
@@ -356,40 +352,3 @@ def check_unit_suffixes(path: str, tree: ast.AST) -> list:
 def _is_numeric_annotation(annotation: ast.AST) -> bool:
     text = ast.unparse(annotation)
     return ("float" in text or "int" in text) and "str" not in text
-
-
-# ----------------------------------------------------------------------
-# R6: numpy confinement
-# ----------------------------------------------------------------------
-
-def check_numpy_confinement(path: str, tree: ast.AST) -> list:
-    """R6: no numpy import outside ``cost/batch.py``.
-
-    The deterministic scalar core stays stdlib-only — its results are
-    the repo's byte-stability reference, and numpy's float fast paths
-    (pairwise summation, SIMD reductions) must never silently replace
-    the scalar arithmetic.  The one sanctioned import site is the batch
-    pricing engine, which is locked to exact scalar equality by the
-    pricing fixtures and property tests.
-    """
-    if path.replace("\\", "/").endswith(R6_ALLOWED_SUFFIXES):
-        return []
-    diags: list = []
-    for node in ast.walk(tree):
-        offender = None
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".", 1)[0] == "numpy":
-                    offender = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.split(".", 1)[0] == "numpy":
-                offender = module
-        if offender is not None:
-            diags.append(Diagnostic(
-                "R6", path, node.lineno, node.col_offset,
-                f"numpy import ({offender}) outside "
-                f"{'|'.join(R6_ALLOWED_SUFFIXES)}; the scalar core is "
-                f"stdlib-only — route vectorized work through "
-                f"repro.cost.batch"))
-    return diags

@@ -23,11 +23,9 @@ from .rules import (
     R1_PACKAGES,
     R2_ALLOWED_SUFFIXES,
     R4_PACKAGES,
-    R6_ALLOWED_SUFFIXES,
     check_determinism,
     check_gated_columns,
     check_hash_hygiene,
-    check_numpy_confinement,
     check_unit_suffixes,
 )
 
@@ -49,9 +47,6 @@ RULES = {
           "are written behind only-when-set guards",
     "R5": "units naming: numeric fields/columns carry unit suffixes "
           "(_s/_ms/_ghz/_gbps/_j/_bytes/...), never bare quantity words",
-    "R6": "numpy confinement: numpy imports only inside "
-          f"{'|'.join(R6_ALLOWED_SUFFIXES)} — the deterministic scalar "
-          "core stays stdlib-only",
 }
 
 
@@ -108,7 +103,7 @@ def _package_of(path: pathlib.Path, root: pathlib.Path) -> str | None:
 
 def lint_file(path: pathlib.Path, root: pathlib.Path,
               frozen_columns: frozenset) -> list:
-    """Run the per-file rules (R1/R2/R4/R5/R6) on one module."""
+    """Run the per-file rules (R1/R2/R4/R5) on one module."""
     try:
         rel = str(path.resolve().relative_to(root))
     except ValueError:
@@ -129,7 +124,6 @@ def lint_file(path: pathlib.Path, root: pathlib.Path,
     if package is None or package in R4_PACKAGES:
         diags += check_gated_columns(rel, tree, frozen_columns)
     diags += check_unit_suffixes(rel, tree)
-    diags += check_numpy_confinement(rel, tree)
     suppressions = scan_pragmas(src)
     return [d for d in diags
             if not suppressions.is_suppressed(d.rule, d.line)]
@@ -192,7 +186,7 @@ def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="chiplet-npu lint",
         description="repro-lint: the repo's determinism-contract static "
-                    "analysis (rules R1-R6, see docs/LINT.md).")
+                    "analysis (rules R1-R5, see docs/LINT.md).")
     parser.add_argument("paths", nargs="*",
                         help="files to lint (default: the whole "
                              "src/repro tree plus the R3 axis check)")

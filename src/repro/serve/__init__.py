@@ -18,7 +18,8 @@ The serving layer promotes the PR 2 directory-shared
   order-independent merge (``chiplet-npu sweep --dispatch``).
 """
 
-from .client import RemoteStoreClient, is_store_url
+from ..core.planstore import is_store_url
+from .client import RemoteStoreClient
 from .dispatch import dispatch_sweep, shard_round_robin
 from .protocol import (
     PROTOCOL_VERSION,

@@ -35,18 +35,12 @@ import urllib.error
 import urllib.request
 from typing import TYPE_CHECKING, Optional
 
-from ..core.planstore import SCHEMA_VERSION, PlanKeyMemo
+from ..core.planstore import SCHEMA_VERSION, PlanKeyMemo, is_store_url
 from ..sweep.resilience import Clock, RealClock, RetryPolicy
 from .protocol import PROTOCOL_VERSION, ServeProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.sharding import GroupPlan
-
-
-def is_store_url(store_path) -> bool:
-    """Whether a ``store_path``-style value names a memo server URL."""
-    return isinstance(store_path, str) \
-        and store_path.startswith(("http://", "https://"))
 
 
 class RemoteStoreClient(PlanKeyMemo):

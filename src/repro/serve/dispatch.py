@@ -51,15 +51,6 @@ def shard_round_robin(scenarios: Sequence[Scenario],
             if scenarios[i::shards]]
 
 
-def _wire_stats(payload: dict) -> CacheStats:
-    """A worker's CacheStats wire dict back into counters."""
-    return CacheStats(hits=int(payload.get("hits", 0)),
-                      misses=int(payload.get("misses", 0)),
-                      entries=int(payload.get("entries", 0)),
-                      store_hits=int(payload.get("store_hits", 0)),
-                      seeded=int(payload.get("seeded", 0)))
-
-
 def _post_shard(url: str, shard: list[Scenario],
                 retry: RetryPolicy | None, clock: Clock | None,
                 timeout_s: float) -> list[SweepItem]:
@@ -81,8 +72,8 @@ def _post_shard(url: str, shard: list[Scenario],
         items.append(SweepOutcome(
             key=outcome["key"],
             row=outcome["row"],
-            plan_cache=_wire_stats(outcome.get("plan_cache", {})),
-            layer_cache=_wire_stats(outcome.get("layer_cache", {}))))
+            plan_cache=CacheStats.from_dict(outcome.get("plan_cache")),
+            layer_cache=CacheStats.from_dict(outcome.get("layer_cache"))))
     for failure in response.get("failures", []):
         items.append(SweepFailure(
             key=str(failure.get("key", "")),

@@ -57,6 +57,10 @@ from .protocol import (
     error_body,
 )
 
+#: how often the serve loop checks for ``close()``; socketserver's 0.5 s
+#: default would make every shutdown wait up to half a second.
+_POLL_INTERVAL_S = 0.05
+
 
 @dataclass(frozen=True)
 class GCPolicy:
@@ -160,7 +164,7 @@ class MemoServer:
 
     def serve_forever(self) -> None:
         """Block serving requests (the ``chiplet-npu serve`` loop)."""
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def start(self) -> "MemoServer":
         """Serve on a daemon thread (tests, CI smoke, embedded use)."""
@@ -431,9 +435,9 @@ class MemoServer:
                 "key": scenario.key,
                 "row": row,
                 "plan_cache":
-                    _stats_dict(plan_cache_stats() - plan_before),
+                    (plan_cache_stats() - plan_before).to_dict(),
                 "layer_cache":
-                    _stats_dict(layer_cost_cache_stats() - layer_before),
+                    (layer_cost_cache_stats() - layer_before).to_dict(),
             })
         get_plan_cache().flush_to_store()
         # The flush above writes shards to the backing directory without
@@ -459,13 +463,6 @@ class MemoServer:
 
 class _BadRequest(ValueError):
     """Raised by route handlers on malformed payloads (HTTP 400)."""
-
-
-def _stats_dict(stats) -> dict:
-    """Explicit CacheStats wire form (no gating — this is not a row)."""
-    return {"hits": stats.hits, "misses": stats.misses,
-            "entries": stats.entries, "store_hits": stats.store_hits,
-            "seeded": stats.seeded}
 
 
 def _make_handler(server: MemoServer):

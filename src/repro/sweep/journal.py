@@ -51,17 +51,6 @@ _FAILURE_PREFIX = "failure-"
 _SUFFIX = ".json"
 
 
-def _stats_from(payload: object) -> CacheStats:
-    """Rebuild a :class:`CacheStats` from its ``to_dict`` payload."""
-    if not isinstance(payload, dict):
-        return CacheStats(hits=0, misses=0, entries=0, store_hits=0)
-    return CacheStats(hits=int(payload.get("hits", 0)),
-                      misses=int(payload.get("misses", 0)),
-                      entries=int(payload.get("entries", 0)),
-                      store_hits=int(payload.get("store_hits", 0)),
-                      seeded=int(payload.get("seeded", 0)))
-
-
 class SweepJournal:
     """A directory of per-outcome checkpoint records for one sweep grid."""
 
@@ -166,8 +155,8 @@ class SweepJournal:
             outcomes[key] = SweepOutcome(
                 key=key,
                 row=row,
-                plan_cache=_stats_from(payload.get("plan_cache")),
-                layer_cache=_stats_from(payload.get("layer_cache")),
+                plan_cache=CacheStats.from_dict(payload.get("plan_cache")),
+                layer_cache=CacheStats.from_dict(payload.get("layer_cache")),
                 fingerprint=(fingerprint
                              if isinstance(fingerprint, str) else None),
             )

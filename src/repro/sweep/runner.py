@@ -51,9 +51,7 @@ from typing import Iterable, Iterator, Union
 
 from ..core.dse import TrunkDSE
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
-from ..core.planstore import PlanStore, content_digest
-from ..cost import nvdla_chiplet, shidiannao_chiplet
-from ..cost.batch import scenario_pairs, seed_pairs
+from ..core.planstore import PlanStore, content_digest, is_store_url
 from ..cost.model import evaluate
 from ..workloads.pipeline import STAGE_TR
 from .faults import FaultPlan
@@ -102,7 +100,7 @@ def layer_cost_cache_stats() -> CacheStats:
     """
     info = evaluate.cache_info()
     return CacheStats(hits=info.hits, misses=info.misses,
-                      entries=info.currsize, seeded=info.seeded)
+                      entries=info.currsize)
 
 
 def run_scenario(scenario: Scenario) -> dict:
@@ -114,12 +112,6 @@ def run_scenario(scenario: Scenario) -> dict:
     package-construction path experiments and the CLI share.
     """
     built = scenario.build()
-    # Pre-seed the evaluate memo from one batch-priced matrix (the
-    # workload's layers crossed with the package's distinct chiplet
-    # configs, plus the trunk-DSE candidates): the schedulers' inner
-    # loops below then hit the memo instead of calling the mapper.
-    # Idempotent and exact, so warm re-runs and row bytes are unchanged.
-    seed_pairs(scenario_pairs(scenario, built))
     schedule = built.schedule()
     summary = schedule.summary()
     row = {"key": scenario.key, **scenario.to_dict()}
@@ -185,11 +177,7 @@ def _trunk_columns(scenario: Scenario, workload, ws_budget: int,
     key = (scenario.workload, ws_budget, l_cstr_s, chiplets,
            trunk_ghz, trunk_tile, scenario.plan_context)
     if key not in _TRUNK_MEMO:
-        freq = None if trunk_ghz is None else trunk_ghz * 1e9
-        os_accel = shidiannao_chiplet().with_overrides(
-            frequency_hz=freq, native_tile=trunk_tile)
-        ws_accel = nvdla_chiplet().with_overrides(
-            frequency_hz=freq, native_tile=trunk_tile)
+        os_accel, ws_accel = scenario.trunk_accels()
         best = TrunkDSE(stage=workload.stage(STAGE_TR),
                         os_accel=os_accel,
                         ws_accel=ws_accel,
@@ -262,10 +250,10 @@ def _open_store(store_path):
     ``http(s)://`` values open a
     :class:`~repro.serve.client.RemoteStoreClient` against a memo
     server; anything else is a disk-backed :class:`PlanStore`
-    directory.  (The serve import is lazy — it pulls in this module for
-    the ``/sweep`` route, so a top-level import would cycle.)
+    directory.  (The serve import is lazy: disk-store sweeps never load
+    the serving layer, and it imports this module for the ``/sweep``
+    route, so a top-level import would cycle.)
     """
-    from ..serve.client import is_store_url
     if is_store_url(store_path):
         from ..serve.client import RemoteStoreClient
         return RemoteStoreClient(store_path)
@@ -278,7 +266,6 @@ def _same_store(store_path, attached_path) -> bool:
     URL stores compare as normalized strings, directory stores as
     paths — never across kinds.
     """
-    from ..serve.client import is_store_url
     if is_store_url(store_path):
         return (isinstance(attached_path, str)
                 and store_path.rstrip("/") == attached_path)
@@ -515,13 +502,12 @@ class ScenarioSweep:
         journal_dir = self.journal_path or self.resume_from
         if journal_dir is not None:
             journal = SweepJournal(journal_dir)
-        if faults is not None and self.store_path is not None:
-            from ..serve.client import is_store_url
-            if not is_store_url(self.store_path):
-                # corrupt-shard faults doctor local shard files; a URL
-                # store has no local files (server-side corruption is
-                # covered by the serving tests instead).
-                faults.corrupt_store(self.store_path)
+        if (faults is not None and self.store_path is not None
+                and not is_store_url(self.store_path)):
+            # corrupt-shard faults doctor local shard files; a URL store
+            # has no local files (server-side corruption is covered by
+            # the serving tests instead).
+            faults.corrupt_store(self.store_path)
         remaining = self.scenarios
         if self.resume_from is not None:
             replayed = SweepJournal(self.resume_from).load()
@@ -766,7 +752,6 @@ class ScenarioSweep:
         Probed from the parent with a fresh load so the parallel path —
         where only workers ever read the store — reports shard loss too.
         """
-        from ..serve.client import is_store_url
         if self.store_path is None:
             return []
         if is_store_url(self.store_path):

@@ -44,7 +44,12 @@ from ..arch import (
     simba_package,
     workload_dram_bytes,
 )
-from ..cost import AcceleratorConfig, simba_chiplet
+from ..cost import (
+    AcceleratorConfig,
+    nvdla_chiplet,
+    shidiannao_chiplet,
+    simba_chiplet,
+)
 from ..cost.accelerator import DATAFLOW_STYLES as _STYLES
 from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import PipelineConfig, build_perception_workload
@@ -333,6 +338,19 @@ class Scenario:
             if trunk.native_tile is not None:
                 tile = trunk.native_tile
         return freq, tile
+
+    def trunk_accels(self) -> tuple[AcceleratorConfig, AcceleratorConfig]:
+        """The trunk DSE's ``(os, ws)`` candidate engines.
+
+        ShiDianNao (OS) and NVDLA (WS) presets at the trunk quadrant's
+        effective clock and tile (:meth:`trunk_hw`).
+        """
+        ghz, tile = self.trunk_hw()
+        freq = None if ghz is None else ghz * 1e9
+        return (shidiannao_chiplet().with_overrides(frequency_hz=freq,
+                                                    native_tile=tile),
+                nvdla_chiplet().with_overrides(frequency_hz=freq,
+                                               native_tile=tile))
 
     def accel(self) -> AcceleratorConfig:
         """The chiplet config this scenario's axes describe.

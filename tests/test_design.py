@@ -23,7 +23,7 @@ from repro.design import (
     dominates,
     pareto_indices,
 )
-from repro.sweep import ScenarioSweep, scenario_grid
+from repro.sweep import Scenario, ScenarioSweep, scenario_grid
 
 
 def _cold():
@@ -185,6 +185,21 @@ class TestDesignSearch:
         assert stats["materialized"] == stats["frontier"] == \
             len(result.rows) == len(result.frontier)
         assert stats["priced_pairs"] > 0
+
+    def test_priced_pairs_count_each_distinct_pair_once(self):
+        # Candidates differing only in tolerance build the same workload
+        # and package: the space prices one candidate's pairs, once.
+        _cold()
+        layers = set(Scenario().build().workload.all_layers())
+        one = DesignSearch(DesignSpace.from_axis_texts(
+            {"tolerance": "1.05"})).run()
+        two = DesignSearch(DesignSpace.from_axis_texts(
+            {"tolerance": "1.05,1.2"})).run()
+        assert one.priced_pairs == two.priced_pairs == len(layers)
+        # A trunk-DSE budget adds the DSE's two candidate engines.
+        het = DesignSearch(DesignSpace.from_axis_texts(
+            {"het_ws_budget": "2"})).run()
+        assert het.priced_pairs == 3 * len(layers)
 
     def test_proxy_is_an_optimistic_bound(self, small_space):
         # The contract target pruning rides on: the proxy never exceeds

@@ -1,11 +1,10 @@
-"""Batch pricing (repro.cost.batch) and delta-sweeps: exactness locks.
+"""Layer pricing and delta-sweeps: exactness locks.
 
-Two contracts from the ISSUE are locked here:
+Two contracts are locked here:
 
-* ``price_batch()`` — on **both** engines — returns ``LayerCost``
-  records exactly equal to scalar ``evaluate()``: field-for-field on
-  randomized layers/accels (hypothesis), and byte-for-byte against the
-  frozen fixture ``tests/data/frozen_pricing.json``.
+* ``evaluate()`` prices every layer kind on every dataflow, clock and
+  tile override byte-for-byte like the frozen fixture
+  ``tests/data/frozen_pricing.json``.
 * ``ScenarioSweep.run_delta()`` re-prices only the scenarios whose
   content fingerprint moved — zero for an unchanged grid — and its
   merged output is byte-identical to a cold full run.
@@ -18,23 +17,15 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cost import (
-    HAVE_NUMPY,
-    PricingRequest,
     clear_cache,
     evaluate,
     eyeriss_chiplet,
     monolithic,
     nvdla_chiplet,
-    price_batch,
-    price_chain,
-    seed_pairs,
     shidiannao_chiplet,
 )
-from repro.cost.batch import scenario_pairs
 from repro.sweep.journal import SweepJournal
 from repro.sweep.runner import ScenarioSweep, scenario_fingerprint
 from repro.sweep.scenario import scenario_grid
@@ -106,161 +97,21 @@ def fixture_doc(costs) -> str:
     return json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n"
 
 
-def engines():
-    """The engines under test (numpy only where available)."""
-    return ("scalar", "numpy") if HAVE_NUMPY else ("scalar",)
-
-
 # ----------------------------------------------------------------------
-# Frozen fixture: byte-for-byte against both engines and the scalar path
+# Frozen fixture: byte-for-byte against evaluate()
 # ----------------------------------------------------------------------
 
 class TestFrozenFixture:
     def test_fixture_exists(self):
         assert FIXTURE.is_file(), (
-            "regenerate via fixture_doc() over scalar evaluate() — see "
-            "docs/PRICING.md")
+            "regenerate via fixture_doc() over evaluate() after a "
+            "deliberate cost-model change")
 
     def test_scalar_evaluate_matches_fixture(self):
         clear_cache()
         costs = [evaluate(layer, accel)
                  for _, layer, accel in fixture_pairs()]
         assert fixture_doc(costs) == FIXTURE.read_text()
-
-    @pytest.mark.parametrize("engine", engines())
-    def test_price_batch_matches_fixture(self, engine):
-        pairs = [(layer, accel) for _, layer, accel in fixture_pairs()]
-        priced = price_batch(pairs, engine=engine)
-        costs = [priced[pair] for pair in pairs]
-        assert fixture_doc(costs) == FIXTURE.read_text()
-
-
-# ----------------------------------------------------------------------
-# Property tests: batch == scalar, field for field, both engines
-# ----------------------------------------------------------------------
-
-dims = st.integers(min_value=1, max_value=48)
-planes = st.integers(min_value=1, max_value=220)
-kernels = st.sampled_from([1, 3, 5, 7])
-strides = st.sampled_from([1, 2])
-
-
-@st.composite
-def any_layer(draw):
-    kind = draw(st.sampled_from(
-        ["conv", "dwconv", "deconv", "dense", "matmul",
-         "softmax", "pool", "eltwise", "concat", "move"]))
-    hw = (draw(planes), draw(planes))
-    k = draw(dims) * draw(st.sampled_from([1, 4, 16]))
-    if kind == "conv":
-        return conv("L", hw, k, draw(dims), r=draw(kernels),
-                    stride=draw(strides))
-    if kind == "dwconv":
-        return dwconv("L", hw, k, r=draw(kernels), stride=draw(strides))
-    if kind == "deconv":
-        return deconv("L", hw, k, draw(dims), r=draw(kernels))
-    if kind == "dense":
-        return dense("L", hw, k, draw(dims) * 4)
-    if kind == "matmul":
-        return matmul("L", hw, k, draw(dims) * 4)
-    if kind == "softmax":
-        return softmax("L", hw, k)
-    if kind == "pool":
-        return pool("L", hw, k, r=draw(kernels), stride=draw(strides))
-    if kind == "eltwise":
-        return eltwise("L", hw, k)
-    if kind == "concat":
-        return concat("L", hw, k)
-    return move("L", hw, k)
-
-
-@st.composite
-def any_accel(draw):
-    base = draw(st.sampled_from([
-        shidiannao_chiplet(), nvdla_chiplet(), eyeriss_chiplet(),
-        monolithic(9216),
-    ]))
-    freq = draw(st.sampled_from([None, 0.5e9, 1.5e9, 2.4e9]))
-    tile = draw(st.sampled_from([None, (8, 32), (32, 8), (4, 64)]))
-    if freq is None and tile is None:
-        return base
-    return base.with_overrides(frequency_hz=freq, native_tile=tile)
-
-
-class TestBatchEqualsScalar:
-    @given(layer=any_layer(), accel=any_accel())
-    @settings(max_examples=150, deadline=None)
-    def test_single_pair_both_engines(self, layer, accel):
-        expected = evaluate(layer, accel)
-        for engine in engines():
-            got = price_batch([(layer, accel)], engine=engine)[
-                (layer, accel)]
-            # Dataclass equality compares every field with ==; the
-            # asdict comparison reports *which* field diverged on
-            # failure (and catches a -0.0 vs 0.0 flip via repr).
-            assert cost_dict(got) == cost_dict(expected)
-            assert repr(cost_dict(got)) == repr(cost_dict(expected))
-            assert got == expected
-
-    @given(layers=st.lists(any_layer(), min_size=1, max_size=12),
-           accels=st.lists(any_accel(), min_size=1, max_size=3))
-    @settings(max_examples=40, deadline=None)
-    def test_matrix_both_engines(self, layers, accels):
-        pairs = [(layer, accel) for accel in accels for layer in layers]
-        expected = {pair: evaluate(*pair) for pair in pairs}
-        for engine in engines():
-            priced = price_batch(pairs, engine=engine)
-            assert set(priced) == set(expected)
-            for pair, got in priced.items():
-                assert cost_dict(got) == cost_dict(expected[pair])
-
-
-# ----------------------------------------------------------------------
-# Request extraction and memo seeding
-# ----------------------------------------------------------------------
-
-class TestRequestAndSeeding:
-    def test_request_dedupes_in_first_seen_order(self):
-        layer_a, layer_b = conv("a", (8, 8), 16, 8), conv("b", (8, 8), 16, 8)
-        accel = shidiannao_chiplet()
-        request = PricingRequest.from_pairs(
-            [(layer_a, accel), (layer_b, accel), (layer_a, accel)])
-        assert request.pairs == ((layer_a, accel), (layer_b, accel))
-        assert len(request) == 2
-
-    def test_from_scenarios_collects_distinct_pairs(self):
-        grid = scenario_grid(tolerances=[1.05, 1.2])
-        request = PricingRequest.from_scenarios(grid)
-        # Both scenarios build the same workload/package, so the pair
-        # set is exactly one scenario's worth, fully deduplicated.
-        single = scenario_pairs(grid[0])
-        assert request.pairs == tuple(dict.fromkeys(single))
-        assert len(set(request.pairs)) == len(request)
-
-    def test_seed_pairs_turns_evaluate_into_hits(self):
-        clear_cache()
-        layers = fixture_layers()
-        accel = nvdla_chiplet()
-        inserted = seed_pairs((layer, accel) for layer in layers)
-        assert inserted == len(layers)
-        info = evaluate.cache_info()
-        assert info.seeded == len(layers)
-        assert info.misses == 0
-        for layer in layers:
-            assert evaluate(layer, accel) == price_batch(
-                [(layer, accel)], engine="scalar")[(layer, accel)]
-        info = evaluate.cache_info()
-        assert info.hits == len(layers)
-        assert info.misses == 0
-        # Idempotent: nothing left to seed.
-        assert seed_pairs((layer, accel) for layer in layers) == 0
-        assert price_chain(layers, accel) == 0
-        clear_cache()
-
-    def test_engine_validation(self):
-        pair = (conv("v", (8, 8), 16, 8), shidiannao_chiplet())
-        with pytest.raises(ValueError, match="unknown pricing engine"):
-            price_batch([pair], engine="cuda")
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Self-tests for repro-lint (rules R1-R6, pragmas, CLI, repo cleanliness).
+"""Self-tests for repro-lint (rules R1-R5, pragmas, CLI, repo cleanliness).
 
 The per-rule behavior is locked by good/bad fixture pairs under
 ``tests/data/lint/``; the R3 axis-coherence check is additionally proven
@@ -52,7 +52,7 @@ class TestRepoClean:
         assert checked >= 60  # every module under src/repro
 
     def test_rule_registry(self):
-        assert set(RULES) == {"R1", "R2", "R3", "R4", "R5", "R6"}
+        assert set(RULES) == {"R1", "R2", "R3", "R4", "R5"}
 
     def test_frozen_columns_loaded(self):
         frozen = load_frozen_columns(ROOT)
@@ -72,7 +72,6 @@ class TestRuleFixtures:
     @pytest.mark.parametrize("name,rule", [
         ("r1_bad.py", "R1"), ("r2_bad.py", "R2"),
         ("r4_bad.py", "R4"), ("r5_bad.py", "R5"),
-        ("r6_bad.py", "R6"),
     ])
     def test_bad_fixture_flags_only_its_rule(self, name, rule):
         diags = lint_fixture(name)
@@ -87,7 +86,6 @@ class TestRuleFixtures:
 
     @pytest.mark.parametrize("name", [
         "r1_good.py", "r2_good.py", "r4_good.py", "r5_good.py",
-        "r6_good.py",
     ])
     def test_good_fixture_clean(self, name):
         assert lint_fixture(name) == []
@@ -108,19 +106,6 @@ class TestRuleFixtures:
         messages = "\n".join(d.message for d in lint_fixture("r5_bad.py"))
         assert "'latency'" in messages and "'energy'" in messages
         assert "_ms" in messages and "_j" in messages
-
-    def test_r6_catches_every_import_form(self):
-        diags = lint_fixture("r6_bad.py")
-        messages = "\n".join(d.message for d in diags)
-        # plain import, dotted-submodule import, and from-import
-        assert len(diags) == 3
-        assert "numpy.linalg" in messages
-        assert "cost/batch.py" in messages
-
-    def test_r6_sanctioned_module_is_exempt(self):
-        batch = ROOT / "src" / "repro" / "cost" / "batch.py"
-        diags, _ = run_lint([str(batch)], root=ROOT)
-        assert not [d for d in diags if d.rule == "R6"]
 
 
 # ----------------------------------------------------------------------

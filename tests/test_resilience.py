@@ -276,6 +276,24 @@ class TestJournal:
                                  resume_from=journal_dir).run()
         assert replayed.rows_json() == reference.rows_json()
 
+    def test_records_with_a_retired_counter_still_replay(self, grid,
+                                                         reference,
+                                                         tmp_path):
+        # Journals from before the layer-cost memo lost its pre-seeding
+        # path carry a "seeded" counter under the same schema version.
+        journal_dir = tmp_path / "journal"
+        ScenarioSweep(list(grid), journal_path=journal_dir).run()
+        for record in journal_dir.glob("outcome-*.json"):
+            payload = json.loads(record.read_text())
+            payload["layer_cache"]["seeded"] = 7
+            record.write_text(json.dumps(payload, sort_keys=True))
+        journal = SweepJournal(journal_dir)
+        assert len(journal.load()) == len(grid)
+        assert journal.skipped_files == []
+        resumed = ScenarioSweep(list(grid),
+                                resume_from=journal_dir).run()
+        assert resumed.rows_json() == reference.rows_json()
+
     def test_corrupt_and_stale_records_degrade_to_repricing(
             self, grid, reference, tmp_path):
         journal_dir = tmp_path / "journal"
@@ -350,7 +368,7 @@ class TestParallelRecovery:
     def test_hung_worker_trips_the_watchdog(self, grid, reference):
         result = ScenarioSweep(
             list(grid), workers=2, chunksize=2,
-            retry=RetryPolicy(chunk_timeout_s=5.0),
+            retry=RetryPolicy(chunk_timeout_s=1.0),
             faults=FaultPlan.parse("hang:0"),
             clock=NullClock()).run()
         assert result.rows_json() == reference.rows_json()
