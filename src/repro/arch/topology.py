@@ -73,6 +73,28 @@ def min_hop_map(mesh_w: int, mesh_h: int,
     return [dist[x * mesh_h:(x + 1) * mesh_h] for x in range(mesh_w)]
 
 
+def _relax_ring(ring: list[int]) -> None:
+    """Ring distance transform of ``ring`` in place.
+
+    Relaxes ``ring[i] = min(ring[i], ring[i -/+ 1] + 1)`` forward, then
+    backward, for two laps each around the cycle.  A shortest route on a
+    ring runs one way and is shorter than one lap, so two laps in each
+    direction reach every cell from every other: afterwards ``ring[i]``
+    is ``min_j(ring[j] + ring_distance(i, j))`` over the input values.
+    """
+    n = len(ring)
+    for order in (range(n), range(n - 1, -1, -1)):
+        run = ring[order[-1]]  # the wrap neighbour of the lap's first cell
+        for _ in range(2):
+            for i in order:
+                run += 1
+                d = ring[i]
+                if d < run:
+                    run = d
+                else:
+                    ring[i] = run
+
+
 @dataclass(frozen=True)
 class NoPTopology:
     """Hop geometry of the package's Network-on-Package grid."""
@@ -139,24 +161,30 @@ class NoPTopology:
         """Min hops from every grid cell to the nearest source.
 
         Indexed ``[x][y]``.  The mesh path is the seed's two-pass L1
-        distance transform (bit-identical maps); the torus path uses the
-        closed-form wraparound distance, exact for per-axis XY routing.
-        Empty source sets yield the mesh's unreachable sentinel
-        (``width + height``) everywhere, mirroring the transform.
+        distance transform (bit-identical maps).  The torus path is a
+        separable ring transform: sources start at 0 and every other
+        cell at ``width + height``, then every x ring and after it every
+        y ring is relaxed for two laps each way (:func:`_relax_ring`).
+        It is exact because a ring's hop count is its cycle-graph
+        distance and XY-routed hops add per axis, so the x pass leaves
+        each cell's nearest wraparound x distance to a source in its row
+        and the y pass minimizes that plus the y distance over the
+        column.  Both paths are O(cells) regardless of the source count.
+        Empty source sets yield the unreachable sentinel
+        (``width + height``) everywhere.
         """
         if not self.wraparound:
             return min_hop_map(self.width, self.height, sources)
         w, h = self.width, self.height
-        if not sources:
-            return [[w + h] * h for _ in range(w)]
-        out = []
-        for x in range(w):
-            col = []
-            for y in range(h):
-                cell = (x, y)
-                col.append(min(self.hops(cell, s) for s in sources))
-            out.append(col)
-        return out
+        rows = [[w + h] * w for _ in range(h)]  # indexed [y][x]
+        for x, y in sources:
+            rows[y][x] = 0
+        for ring in rows:
+            _relax_ring(ring)
+        cols = [list(col) for col in zip(*rows)]  # indexed [x][y]
+        for ring in cols:
+            _relax_ring(ring)
+        return cols
 
 
 def parse_topology(token: str) -> "tuple[str, tuple[int, int] | None]":

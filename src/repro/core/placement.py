@@ -72,10 +72,10 @@ def place(workload: PerceptionWorkload,
             # The anchor term of the score is fixed for the whole group
             # and the peer term is a running minimum over the chiplets
             # chosen so far, so precompute the former (one multi-source
-            # BFS over the mesh) and update the latter incrementally:
-            # O(cells + n * free) per group instead of
-            # O(n * free * (anchors + chosen)).  Scores (and the cid
-            # tie-break) are identical to scoring from scratch.
+            # hop map, O(cells) on mesh and torus alike) and update the
+            # latter incrementally: O(cells + n * free) per group
+            # instead of O(n * free * (anchors + chosen)).  Scores (and
+            # the cid tie-break) are identical to scoring from scratch.
             inf = float("inf")
             anchor_d: dict[int, float]
             if anchors:

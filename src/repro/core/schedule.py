@@ -208,12 +208,13 @@ class Schedule:
         dst_ids = self.chiplets_of(dst)
         per_src = payload / max(1, len(src_ids))
         # One distance map from the destination set prices every source
-        # chiplet's nearest-hop count in O(mesh cells), replacing the
-        # former O(src * dst) pairwise minimum (same hop values by
-        # construction).  The map comes from the package topology, so
-        # torus wraparound shortens routes here without touching the
-        # pricing code.  Several edges often share a destination set,
-        # so the map is memoized per destination tuple.
+        # chiplet's nearest-hop count in O(grid cells) on both mesh and
+        # torus, replacing the former O(src * dst) pairwise minimum
+        # (same hop values by construction).  The map comes from the
+        # package topology, so torus wraparound shortens routes here
+        # without touching the pricing code.  Several edges often share
+        # a destination set, so the map is memoized per destination
+        # tuple.
         hop_map = self._hop_map_memo.get(dst_ids)
         if hop_map is None:
             hop_map = self.package.topology.min_hop_map(

@@ -8,7 +8,11 @@ keying), and the Fig. 9-style acceptance claim: at equal package size a
 torus yields strictly lower mean NoP hop counts at no pipe-latency cost.
 """
 
+import pathlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import (
     TOPOLOGY_KINDS,
@@ -21,6 +25,22 @@ from repro.arch import (
 )
 from repro.core.throughput import match_throughput
 from repro.sweep import Scenario, ScenarioSweep, run_scenario, scenario_grid
+
+TORUS_ROWS = pathlib.Path(__file__).parent / "data" / "frozen_torus_rows.json"
+
+
+@st.composite
+def hop_map_cases(draw):
+    """Kind, grid dims and 0 to all cells as sources, with repeats."""
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    w, h = draw(st.one_of(
+        st.tuples(st.integers(1, 25), st.integers(1, 9)),
+        st.sampled_from([(12, 6), (24, 6)])))  # the multi-module grids
+    cells = [(x, y) for x in range(w) for y in range(h)]
+    sources = draw(st.one_of(
+        st.lists(st.sampled_from(cells), max_size=2 * len(cells)),
+        st.permutations(cells)))
+    return kind, w, h, sources
 
 
 class TestTopologyGeometry:
@@ -54,17 +74,21 @@ class TestTopologyGeometry:
         sources = [(0, 0), (7, 3), (11, 5)]
         assert topo.min_hop_map(sources) == min_hop_map(12, 6, sources)
 
-    def test_torus_min_hop_map_is_closed_form_minimum(self):
-        topo = NoPTopology("torus", 6, 6)
+    @settings(max_examples=150, deadline=None)
+    @given(case=hop_map_cases())
+    @example(case=("torus", 6, 6, [(0, 0), (4, 5)]))
+    def test_min_hop_map_is_closed_form_minimum(self, case):
+        kind, w, h, sources = case
+        topo = NoPTopology(kind, w, h)
+        want = [[min((topo.hops((x, y), s) for s in sources), default=w + h)
+                 for y in range(h)] for x in range(w)]
+        assert topo.min_hop_map(sources) == want
+
+    def test_torus_wraparound_shortens_hop_map(self):
+        # (5,0) reaches (0,0) in one x-wrap hop where the open mesh
+        # needs five.
         sources = [(0, 0), (4, 5)]
-        hop_map = topo.min_hop_map(sources)
-        for x in range(6):
-            for y in range(6):
-                want = min(topo.hops((x, y), s) for s in sources)
-                assert hop_map[x][y] == want
-        # wraparound visibly shortens routes: (5,0) reaches (0,0) in one
-        # x-wrap hop where the open mesh needs five.
-        assert hop_map[5][0] == 1
+        assert NoPTopology("torus", 6, 6).min_hop_map(sources)[5][0] == 1
         assert min_hop_map(6, 6, sources)[5][0] == 5
 
     def test_empty_sources_yield_unreachable_sentinel(self):
@@ -243,6 +267,14 @@ class TestTopologyAxis:
                        "used_chiplets", "shard_steps"):
             assert mesh[metric] == base[metric]
         assert "nop_avg_hops" in mesh  # the comparison column
+
+    def test_torus_rows_match_frozen_fixture(self):
+        # The only fixture that pins torus row values (hop counts, NoP
+        # latency and energy) rather than keys: reproduced byte for byte.
+        grid = scenario_grid(npus=(1, 2, 4), topologies=("torus",),
+                             het_ws_budgets=(None, 4))
+        assert (ScenarioSweep(grid).run().rows_json() + "\n"
+                == TORUS_ROWS.read_text())
 
     def test_grid_expands_topology_innermost(self):
         grid = scenario_grid(tolerances=(1.0, 1.05),
