@@ -95,14 +95,6 @@ CHECKS: dict[str, list[Gate]] = {
         Gate("grid_scenarios", "exact"),
         Gate("report_over_single", "max_ratio", 2.5),
     ],
-    "BENCH_serving.json": [
-        Gate("rows_byte_identical", "exact"),
-        Gate("warm_remote_plan_cache.misses", "exact"),
-        Gate("grid_scenarios", "exact"),
-        # the warm runs are tens of milliseconds, so the ratio is the
-        # noisiest tracked metric; the band is correspondingly wide.
-        Gate("remote_over_disk", "max_ratio", 4.0),
-    ],
 }
 
 

@@ -72,19 +72,6 @@ scaling table/figure::
     chiplet-npu report scaling --npus 1,2,4 --dram-gbps none,6,2
     chiplet-npu report scaling --json --output results/scaling_report.json
 
-``serve`` runs the networked plan-memo server (see ``docs/SERVING.md``):
-a plan-store directory behind HTTP speaking the
-get/put/batch_get/batch_put/stats/compact protocol, with a deterministic
-size/age-bounded GC policy and per-request-class p50/p99 latency
-accounting.  ``sweep --store-url`` attaches it interchangeably with
-``--store``; ``sweep --dispatch`` shards the grid across remote
-``/sweep`` workers and merges byte-identically to a serial run::
-
-    chiplet-npu serve --store results/planstore --port 8023
-    chiplet-npu sweep --npus 1,2,4 --store-url http://127.0.0.1:8023
-    chiplet-npu sweep --npus 1,2,4 \\
-        --dispatch http://10.0.0.1:8023,http://10.0.0.2:8023
-
 ``lint`` runs repro-lint, the repo's determinism-contract static
 analysis (rules R1-R5, see ``docs/LINT.md``), over the ``src/repro``
 tree (or explicit files) and exits non-zero on any finding::
@@ -154,18 +141,6 @@ def _sweep_parser() -> argparse.ArgumentParser:
                         help="directory of a shared disk-backed plan "
                              "store: workers warm-start from it and flush "
                              "newly computed plans back")
-    parser.add_argument("--store-url", default=None, metavar="URL",
-                        help="URL of a chiplet-npu memo server (see "
-                             "'chiplet-npu serve'): like --store, but "
-                             "warm-starts from and flushes to the "
-                             "networked plan store; the report adds the "
-                             "server's p50/p99 latency per request class")
-    parser.add_argument("--dispatch", default=None, metavar="URLS",
-                        help="comma-separated memo-server worker URLs: "
-                             "shard the grid round-robin across them, "
-                             "price each shard remotely (/sweep), and "
-                             "merge rows byte-identically to a serial "
-                             "run")
     parser.add_argument("--stream", action="store_true",
                         help="print each scenario's row as it finishes "
                              "(completion order) before the merged report")
@@ -247,30 +222,6 @@ def _run_sweep(argv: list[str]) -> int:
         # completion order would interleave spliced and re-priced rows
         # misleadingly.  Keep the two modes apart.
         parser.error("--delta-from cannot be combined with --stream")
-    if args.store is not None and args.store_url is not None:
-        parser.error("--store and --store-url name two different plan "
-                     "stores; pass one")
-    if args.store_url is not None:
-        from .core.planstore import is_store_url
-        if not is_store_url(args.store_url):
-            parser.error(f"--store-url must start with http:// or "
-                         f"https://; got {args.store_url!r} "
-                         f"(for a directory store, use --store)")
-    if args.dispatch is not None:
-        for flag, value in (("--stream", args.stream),
-                            ("--delta-from", args.delta_from),
-                            ("--journal", args.journal),
-                            ("--inject-faults", args.inject_faults)):
-            if value:
-                parser.error(f"--dispatch executes remotely and cannot "
-                             f"be combined with {flag}")
-        from .core.planstore import is_store_url
-        for url in args.dispatch.split(","):
-            if url.strip() and not is_store_url(url.strip()):
-                parser.error(f"--dispatch workers must be http(s) "
-                             f"URLs; got {url.strip()!r}")
-    store_path = args.store_url if args.store_url is not None \
-        else args.store
     try:
         grid = scenario_grid(**_grid_kwargs(args))
         retry = (RetryPolicy(max_attempts=args.retries)
@@ -278,7 +229,7 @@ def _run_sweep(argv: list[str]) -> int:
         faults = (FaultPlan.parse(args.inject_faults)
                   if args.inject_faults else None)
         sweep = ScenarioSweep(grid, workers=args.workers,
-                              store_path=store_path,
+                              store_path=args.store,
                               strict=not args.keep_going,
                               retry=retry,
                               journal_path=args.journal,
@@ -288,13 +239,7 @@ def _run_sweep(argv: list[str]) -> int:
         # str(KeyError) wraps the message in repr quotes; unwrap it.
         parser.error(exc.args[0] if exc.args else str(exc))
     try:
-        if args.dispatch is not None:
-            from .serve import dispatch_sweep
-            urls = [u.strip() for u in args.dispatch.split(",")
-                    if u.strip()]
-            result = dispatch_sweep(grid, urls, retry=retry,
-                                    strict=not args.keep_going)
-        elif args.stream:
+        if args.stream:
             # Stream rows in completion order, then merge canonically —
             # the merged artifact is byte-identical to the batch path.
             outcomes = []
@@ -423,98 +368,12 @@ def _run_sweep(argv: list[str]) -> int:
         names = ", ".join(rec["file"] for rec in result.store_skipped)
         print(f"plan store: skipped {len(result.store_skipped)} "
               f"corrupt/stale shard(s): {names}")
-    server_urls = [u for u in ([args.store_url] if args.store_url else [])
-                   + ([u.strip() for u in args.dispatch.split(",")
-                       if u.strip()] if args.dispatch else [])]
-    for url in dict.fromkeys(server_urls):
-        # TPU-paper style serving report: the server's own per-request
-        # latency percentiles (measured server-side, so they cover every
-        # client hammering it, not just this sweep).
-        from .serve import RemoteStoreClient, render_latency_report
-        try:
-            stats = RemoteStoreClient(url).stats()
-        except Exception as exc:
-            print(f"memo server {url}: stats unavailable ({exc})")
-            continue
-        print(f"memo server {url}: {stats.get('entries', '?')} entries, "
-              f"generation {stats.get('generation', '?')}")
-        print(render_latency_report(stats.get("requests", {})))
     if result.failures:
         print(f"quarantined {len(result.failures)} scenario(s):")
         for failure in result.failures:
             print(f"  {failure.key}: {failure.error} after "
                   f"{failure.attempts} attempt(s)")
     return exit_status
-
-
-def _serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chiplet-npu serve",
-        description="Serve a plan-store directory as an always-warm "
-                    "networked memo server (get/put/batch/stats/compact "
-                    "over HTTP, plus /sweep shard pricing for "
-                    "--dispatch; see docs/SERVING.md).")
-    parser.add_argument("--store", required=True, metavar="DIR",
-                        help="plan-store directory to serve (created if "
-                             "missing; corrupt/stale shards are skipped "
-                             "into the /stats manifest, never fatal)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="bind port (default 0 = auto-assign; the "
-                             "chosen URL is printed on startup)")
-    parser.add_argument("--max-entries", type=int, default=None,
-                        metavar="N",
-                        help="GC size bound: keep at most N records "
-                             "(evict oldest put-generation first, ties "
-                             "in key order)")
-    parser.add_argument("--max-age-puts", type=int, default=None,
-                        metavar="N",
-                        help="GC age bound: evict records not re-put "
-                             "within N put generations (the server's "
-                             "logical clock, not wall time)")
-    parser.add_argument("--compact-after-shards", type=int, default=64,
-                        metavar="N",
-                        help="compact the backing store once it holds N "
-                             "shard files (default 64)")
-    parser.add_argument("--latency-log", default=None, metavar="FILE",
-                        help="append one deterministic-format JSON line "
-                             "per request (request_class, duration_ms)")
-    return parser
-
-
-def _run_serve(argv: list[str]) -> int:
-    from .serve import GCPolicy, MemoServer
-    from .sweep.runner import _attach_store
-
-    parser = _serve_parser()
-    args = parser.parse_args(argv)
-    try:
-        policy = GCPolicy(
-            max_entries=args.max_entries,
-            max_age_puts=args.max_age_puts,
-            compact_after_shards=args.compact_after_shards)
-        server = MemoServer(args.store, host=args.host, port=args.port,
-                            gc_policy=policy,
-                            latency_log=args.latency_log)
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    # Warm this process's plan cache from the served directory so
-    # /sweep shard pricing reuses (and re-feeds) the same plans the
-    # memo routes serve.
-    _attach_store(args.store)
-    print(f"serving plan store {args.store} on {server.url}", flush=True)
-    if server.load_skipped:
-        names = ", ".join(rec["file"] for rec in server.load_skipped)
-        print(f"skipped {len(server.load_skipped)} corrupt/stale "
-              f"shard(s) at startup: {names}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
 
 
 def _scaling_parser() -> argparse.ArgumentParser:
@@ -656,10 +515,6 @@ def _design_parser() -> argparse.ArgumentParser:
                         help="directory of a shared disk-backed plan "
                              "store warm-starting the frontier "
                              "materialization (plans flush back)")
-    parser.add_argument("--store-url", default=None, metavar="URL",
-                        help="URL of a chiplet-npu memo server (see "
-                             "'chiplet-npu serve'): like --store, over "
-                             "the network")
     parser.add_argument("--json", action="store_true",
                         help="emit the deterministic frontier JSON "
                              "document instead of the table")
@@ -675,17 +530,6 @@ def _run_design(argv: list[str]) -> int:
 
     parser = _design_parser()
     args = parser.parse_args(argv)
-    if args.store is not None and args.store_url is not None:
-        parser.error("--store and --store-url name two different plan "
-                     "stores; pass one")
-    if args.store_url is not None:
-        from .core.planstore import is_store_url
-        if not is_store_url(args.store_url):
-            parser.error(f"--store-url must start with http:// or "
-                         f"https://; got {args.store_url!r} "
-                         f"(for a directory store, use --store)")
-    store_path = args.store_url if args.store_url is not None \
-        else args.store
     axis_texts = {
         "tolerance": args.tolerances,
         "nop_gbps": args.nop_gbps,
@@ -710,7 +554,7 @@ def _run_design(argv: list[str]) -> int:
                                 energy_j=args.max_energy_j)
         result = DesignSearch(space, targets=targets,
                               workers=args.workers,
-                              store_path=store_path).run()
+                              store_path=args.store).run()
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0] if exc.args else str(exc))
 
@@ -761,11 +605,6 @@ def main(argv: list[str] | None = None) -> int:
         # (and file arguments) belong to the lint parser.
         from .devtools.runner import main as lint_main
         return lint_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # Same pre-dispatch as `sweep`: serve flags belong to the serve
-        # parser (and the command blocks, so it never mixes with the
-        # experiment runner).
-        return _run_serve(argv[1:])
     if argv and argv[0] == "design":
         # Same pre-dispatch as `sweep`: design flags belong to the
         # design parser.
@@ -778,15 +617,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(ALL_EXPERIMENTS) + ["all", "design", "lint",
-                                           "report", "serve", "sweep"],
+                                           "report", "sweep"],
         help="paper artifact to regenerate ('report' writes a full "
              "markdown reproduction report; 'sweep' runs a scenario "
              "grid, see 'chiplet-npu sweep --help'; 'design' searches a "
              "declared design space for its Pareto frontier, see "
-             "'chiplet-npu design --help'; 'serve' runs the networked "
-             "plan-memo server, see 'chiplet-npu serve --help'; 'lint' "
-             "runs the repro-lint static analysis, see 'chiplet-npu "
-             "lint --help')")
+             "'chiplet-npu design --help'; 'lint' runs the repro-lint "
+             "static analysis, see 'chiplet-npu lint --help')")
     parser.add_argument(
         "--json", action="store_true",
         help="emit structured JSON instead of tables")
@@ -822,9 +659,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:
             extra += ["--output", args.output]
         return lint_main(extra + rest)
-    if args.experiment == "serve":
-        # Serve has no shared flags; any trailing flags are its own.
-        return _run_serve(rest)
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
 

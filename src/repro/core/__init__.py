@@ -12,12 +12,11 @@ from .placement import default_stage_quadrants, place
 from .plancache import (
     CacheStats,
     PlanCache,
-    PlanStoreLike,
     clear_plan_cache,
     get_plan_cache,
     plan_cache_stats,
 )
-from .planstore import SCHEMA_VERSION, PlanKeyMemo, PlanStore, plan_key_hash
+from .planstore import SCHEMA_VERSION, PlanStore, plan_key_hash
 from .schedule import GroupSchedule, NoPEdge, Schedule, TraceStep
 from .sharding import (
     MODE_INSTANCES,
@@ -44,12 +43,10 @@ __all__ = [
     "schedule_heterogeneous",
     "CacheStats",
     "PlanCache",
-    "PlanStoreLike",
     "clear_plan_cache",
     "get_plan_cache",
     "plan_cache_stats",
     "SCHEMA_VERSION",
-    "PlanKeyMemo",
     "PlanStore",
     "plan_key_hash",
     "default_stage_quadrants",

@@ -28,46 +28,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..cost import AcceleratorConfig
     from ..workloads.graph import LayerGroup
+    from .planstore import PlanStore
     from .sharding import GroupPlan
 
 #: cache key mode for "best plan over all shard modes" (plan_group output)
 MODE_BEST = "best"
-
-
-@runtime_checkable
-class PlanStoreLike(Protocol):
-    """The store surface :class:`PlanCache` layers underneath itself.
-
-    :class:`~repro.core.planstore.PlanStore` (disk shards) and
-    :class:`~repro.serve.client.RemoteStoreClient` (networked memo
-    server) both satisfy it, so ``attach_store`` accepts either
-    interchangeably: same warm-start, same dirty-entry flush, same
-    content-hash keying, same hit accounting.
-    """
-
-    @property
-    def path(self) -> object:
-        """Attach identity: a directory path (disk) or a URL (remote)."""
-        ...
-
-    def load(self) -> dict[str, Optional["GroupPlan"]]:
-        """Every currently stored entry, keyed by content hash."""
-        ...
-
-    def flush(self, entries: dict[str, Optional["GroupPlan"]]) -> object:
-        """Persist newly computed ``entries``; return value is opaque."""
-        ...
-
-    def key_hash(self, group: "LayerGroup", n: int,
-                 accel: "AcceleratorConfig", mode: str,
-                 context: str | None = None) -> str:
-        """Content hash of one plan-cache key (memoized per instance)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -101,7 +71,7 @@ class CacheStats:
 
     @classmethod
     def from_dict(cls, payload: object) -> "CacheStats":
-        """Counters back from a :meth:`to_dict` payload (journal, wire).
+        """Counters back from a :meth:`to_dict` payload (the journal).
 
         Keys other than the four counters are ignored (the derived
         ``hit_rate``; the pre-seeding counter older journals carry), and
@@ -151,7 +121,7 @@ class PlanCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._store: Optional[PlanStoreLike] = None
+        self._store: Optional["PlanStore"] = None
         #: content-hash -> plan entries loaded from the attached store
         self._loaded: dict = {}
         #: entries computed since the last flush, keyed by content hash
@@ -191,11 +161,11 @@ class PlanCache:
         return canonical
 
     @property
-    def store(self) -> Optional[PlanStoreLike]:
+    def store(self) -> Optional["PlanStore"]:
         """The attached plan store, if any."""
         return self._store
 
-    def attach_store(self, store: PlanStoreLike) -> int:
+    def attach_store(self, store: "PlanStore") -> int:
         """Warm-start from ``store`` and stage future misses for flushing.
 
         Returns the number of entries loaded from disk.  Existing
@@ -210,7 +180,7 @@ class PlanCache:
             self._dirty = {}
         return len(entries)
 
-    def detach_store(self) -> Optional[PlanStoreLike]:
+    def detach_store(self) -> Optional["PlanStore"]:
         """Drop the store layer (unflushed entries are discarded)."""
         with self._lock:
             store, self._store = self._store, None

@@ -1,9 +1,10 @@
 """Disk-backed, versioned plan store shared across sweep processes.
 
 The process-wide :class:`~repro.core.plancache.PlanCache` makes a single
-process fast; this module makes the *fleet* fast.  A :class:`PlanStore` is a
-directory of immutable shard files that any number of concurrent sweep
-workers (or successive runs) can read and extend without locks:
+process fast; this module carries its plans across processes and runs.  A
+:class:`PlanStore` is a directory of immutable shard files that any number
+of concurrent sweep workers (or successive runs) can read and extend
+without locks:
 
 * **Keys are content hashes.**  ``plan_key_hash`` canonicalizes the frozen
   ``(group, n_chiplets, accel, mode)`` lookup tuple — via the same
@@ -120,30 +121,35 @@ def plan_key_hash(group: "LayerGroup", n: int, accel: "AcceleratorConfig",
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class PlanKeyMemo:
-    """Memoized :func:`plan_key_hash` for one store or client instance.
+class PlanStore:
+    """A directory of atomic, content-addressed plan shards.
 
-    Keys hash the serialized ``(group, n, accel, mode, context)`` tuple;
-    the memo keeps one canonical JSON fragment per group/accel object so
-    repeated lookups of the same structural key hash the payload once.
-    Both the disk-backed :class:`PlanStore` and the networked
-    :class:`~repro.serve.client.RemoteStoreClient` front their lookups
-    with one of these — hashing itself stays confined to this module per
-    repro-lint rule R2, so the wire protocol and the disk layout can
-    never disagree about a key.
+    Safe for concurrent use by independent processes: loads only see
+    complete shards, flushes never overwrite foreign data, and no file is
+    ever modified in place.  One instance additionally memoizes key hashes
+    per ``(group, n, accel, mode, context)`` tuple, and one canonical JSON
+    fragment per group/accel object, so repeated lookups of the same
+    structural key hash the payload once.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, path: str | pathlib.Path,
+                 schema_version: int = SCHEMA_VERSION) -> None:
+        self.path = pathlib.Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.schema_version = schema_version
+        #: files ignored by the last load(): list of (path, reason) pairs,
+        #: reason in {"corrupt", "schema"}.
+        self.skipped_files: list[tuple[pathlib.Path, str]] = []
         self._hash_memo: dict = {}
-        # Fragment memos: a group/accel serializes once per memo
-        # instance, not once per (n, mode) key that references it.
+        # Fragment memos: a group/accel serializes once per store, not
+        # once per (n, mode) key that references it.
         self._group_fragments: dict = {}
         self._accel_fragments: dict = {}
 
     def key_hash(self, group: "LayerGroup", n: int,
                  accel: "AcceleratorConfig", mode: str,
                  context: str | None = None) -> str:
-        """Memoized :func:`plan_key_hash` for this instance."""
+        """Memoized :func:`plan_key_hash` for this store."""
         memo_key = (group, n, accel, mode, context)
         cached = self._hash_memo.get(memo_key)
         if cached is None:
@@ -161,34 +167,6 @@ class PlanKeyMemo:
             self._hash_memo[memo_key] = cached
         return cached
 
-
-def is_store_url(store_path) -> bool:
-    """Whether a ``store_path``-style value names a memo server URL
-    (``http(s)://``) rather than a :class:`PlanStore` directory."""
-    return isinstance(store_path, str) \
-        and store_path.startswith(("http://", "https://"))
-
-
-class PlanStore(PlanKeyMemo):
-    """A directory of atomic, content-addressed plan shards.
-
-    Safe for concurrent use by independent processes: loads only see
-    complete shards, flushes never overwrite foreign data, and no file is
-    ever modified in place.  One instance additionally memoizes key hashes
-    per ``(group, n, accel, mode)`` tuple (see :class:`PlanKeyMemo`) so
-    repeated lookups of the same structural key hash the payload once.
-    """
-
-    def __init__(self, path: str | pathlib.Path,
-                 schema_version: int = SCHEMA_VERSION) -> None:
-        super().__init__()
-        self.path = pathlib.Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.schema_version = schema_version
-        #: files ignored by the last load(): list of (path, reason) pairs,
-        #: reason in {"corrupt", "schema"}.
-        self.skipped_files: list[tuple[pathlib.Path, str]] = []
-
     def shard_files(self) -> list[pathlib.Path]:
         """All shard files currently in the store, sorted by name."""
         return sorted(self.path.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}"))
@@ -205,32 +183,6 @@ class PlanStore(PlanKeyMemo):
                     self.skipped_files, key=lambda pair: pair[0].name)]
 
     # ------------------------------------------------------------------
-
-    def load_records(self) -> dict[str, Optional[dict]]:
-        """Read every valid shard into a raw ``key hash -> record`` table.
-
-        Values are the JSON plan records exactly as persisted (``None``
-        for memoized-infeasible probes) with no ``GroupPlan``
-        deserialization — the shape the memo server traffics in.  The
-        same tolerance contract as :meth:`load` applies: corrupted files
-        and foreign-schema shards are skipped into
-        :attr:`skipped_files`, never fatal.
-        """
-        records: dict[str, Optional[dict]] = {}
-        self.skipped_files = []
-        for shard in self.shard_files():
-            try:
-                payload = json.loads(shard.read_text())
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                self.skipped_files.append((shard, "corrupt"))
-                continue
-            if (not isinstance(payload, dict)
-                    or payload.get("schema") != self.schema_version
-                    or not isinstance(payload.get("entries"), dict)):
-                self.skipped_files.append((shard, "schema"))
-                continue
-            records.update(payload["entries"])
-        return records
 
     def load(self) -> dict[str, Optional["GroupPlan"]]:
         """Read every valid shard into a ``key hash -> plan`` table.
@@ -271,25 +223,12 @@ class PlanStore(PlanKeyMemo):
         of the same entries from different workers are idempotent.
         """
         from ..io.serialize import plan_to_record
-        return self.flush_records({
-            key: None if plan is None else plan_to_record(plan)
-            for key, plan in entries.items()
-        })
-
-    def flush_records(self, records: dict[str, Optional[dict]],
-                      ) -> pathlib.Path | None:
-        """Atomically persist raw JSON ``records`` as one new shard.
-
-        The raw-record twin of :meth:`flush` (same digest-named shard,
-        same temp-file + ``os.replace`` dance) for callers — the memo
-        server — that hold wire records rather than ``GroupPlan``
-        objects.
-        """
-        if not records:
+        if not entries:
             return None
         payload = {
             "schema": self.schema_version,
-            "entries": dict(records),
+            "entries": {key: None if plan is None else plan_to_record(plan)
+                        for key, plan in entries.items()},
         }
         text = json.dumps(payload, sort_keys=True)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -209,8 +209,8 @@ class DesignSearch:
         #: process count for the frontier materialization sweep (the
         #: closed-form proxy phase never forks).
         self.workers = workers
-        #: plan store (directory path or ``http(s)://`` memo-server URL)
-        #: warm-starting the materialization, exactly as ``sweep`` mode.
+        #: plan-store directory warm-starting the materialization,
+        #: exactly as ``sweep`` mode.
         self.store_path = store_path
 
     def run(self) -> DesignSearchResult:

@@ -22,10 +22,6 @@ module is the policy layer the runner consults when that happens:
   address or timestamp), and the attempts spent.  Strict merges raise
   :class:`SweepQuarantineError` carrying those records; ``strict=False``
   merges return them as the partial result's ``failures`` manifest.
-
-These retry/timeout/backoff semantics are the wire contract the future
-networked memo server inherits: a remote worker that re-dispatches a
-shard must land on the same schedule this module computes locally.
 """
 
 from __future__ import annotations

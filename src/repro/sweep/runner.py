@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Union
 
 from ..core.dse import TrunkDSE
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
-from ..core.planstore import PlanStore, content_digest, is_store_url
+from ..core.planstore import PlanStore, content_digest
 from ..cost.model import evaluate
 from ..workloads.pipeline import STAGE_TR
 from .faults import FaultPlan
@@ -244,55 +244,24 @@ class SweepOutcome:
 SweepItem = Union[SweepOutcome, SweepFailure]
 
 
-def _open_store(store_path):
-    """A :class:`~repro.core.plancache.PlanStoreLike` for a store spec.
-
-    ``http(s)://`` values open a
-    :class:`~repro.serve.client.RemoteStoreClient` against a memo
-    server; anything else is a disk-backed :class:`PlanStore`
-    directory.  (The serve import is lazy: disk-store sweeps never load
-    the serving layer, and it imports this module for the ``/sweep``
-    route, so a top-level import would cycle.)
-    """
-    if is_store_url(store_path):
-        from ..serve.client import RemoteStoreClient
-        return RemoteStoreClient(store_path)
-    return PlanStore(store_path)
-
-
-def _same_store(store_path, attached_path) -> bool:
-    """Whether a store spec names the already-attached store.
-
-    URL stores compare as normalized strings, directory stores as
-    paths — never across kinds.
-    """
-    if is_store_url(store_path):
-        return (isinstance(attached_path, str)
-                and store_path.rstrip("/") == attached_path)
-    if isinstance(attached_path, str):
-        return False
-    return pathlib.Path(store_path) == attached_path
-
-
 def _attach_store(store_path) -> bool:
-    """Attach a plan store (directory or server URL) to this process's
-    plan cache.
+    """Attach a plan-store directory to this process's plan cache.
 
-    Idempotent for the same directory/URL; refuses to silently serve
-    (and flush) a different store than the one requested.
+    Idempotent for the same directory; refuses to silently serve (and
+    flush) a different store than the one requested.
     """
     cache = get_plan_cache()
     if store_path is None:
         return False
     attached = cache.store
     if attached is not None:
-        if _same_store(store_path, attached.path):
+        if pathlib.Path(store_path) == attached.path:
             return False
         raise RuntimeError(
             f"plan cache is already attached to store {attached.path}; "
             f"cannot attach {store_path} (detach the first store or run "
             f"the sweeps sequentially)")
-    cache.attach_store(_open_store(store_path))
+    cache.attach_store(PlanStore(store_path))
     return True
 
 
@@ -446,10 +415,8 @@ class ScenarioSweep:
     workers: int = 1
     #: scenarios shipped per worker task (streaming granularity).
     chunksize: int = field(default=1)
-    #: optional shared plan store: a directory (disk-backed
-    #: :class:`PlanStore`) or an ``http(s)://`` memo-server URL
-    #: (:class:`~repro.serve.client.RemoteStoreClient`); workers
-    #: warm-start from it and flush newly computed plans back.
+    #: optional shared plan-store directory (:class:`PlanStore`);
+    #: workers warm-start from it and flush newly computed plans back.
     store_path: str | pathlib.Path | None = None
     #: strict merges raise on any quarantined scenario; ``strict=False``
     #: returns a partial result carrying the failures manifest instead.
@@ -477,6 +444,12 @@ class ScenarioSweep:
         keys = [s.key for s in self.scenarios]
         if len(set(keys)) != len(keys):
             raise ValueError("scenario keys must be unique")
+        if isinstance(self.store_path, str) \
+                and self.store_path.startswith(("http://", "https://")):
+            raise ValueError(
+                f"plan stores are directories; got the URL "
+                f"{self.store_path!r} (the networked memo server was "
+                f"removed)")
         if self.retry is None:
             self.retry = RetryPolicy()
         if self.clock is None:
@@ -502,11 +475,7 @@ class ScenarioSweep:
         journal_dir = self.journal_path or self.resume_from
         if journal_dir is not None:
             journal = SweepJournal(journal_dir)
-        if (faults is not None and self.store_path is not None
-                and not is_store_url(self.store_path)):
-            # corrupt-shard faults doctor local shard files; a URL store
-            # has no local files (server-side corruption is covered by
-            # the serving tests instead).
+        if faults is not None and self.store_path is not None:
             faults.corrupt_store(self.store_path)
         remaining = self.scenarios
         if self.resume_from is not None:
@@ -754,19 +723,6 @@ class ScenarioSweep:
         """
         if self.store_path is None:
             return []
-        if is_store_url(self.store_path):
-            # The server probed its own shards at load time; ask it for
-            # the manifest instead of touching its disk.  An unreachable
-            # server degrades to "no manifest" — the sweep itself
-            # already succeeded or failed on its own connections.
-            from ..serve.client import RemoteStoreClient
-            try:
-                return RemoteStoreClient(self.store_path,
-                                         retry=self.retry,
-                                         clock=self.clock,
-                                         ).skipped_manifest()
-            except Exception:
-                return []
         probe = PlanStore(self.store_path)
         probe.load()
         return probe.skipped_manifest()

@@ -30,7 +30,6 @@ dataflow/frequency/tile choices, DRAM-contention scenarios).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -257,34 +256,6 @@ class Scenario:
         if self.hetero is not None:
             out["hetero"] = self.hetero
         return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Scenario":
-        """Rebuild a scenario from its :meth:`to_dict` payload.
-
-        The inverse the serving layer's ``/sweep`` route uses to price
-        shards shipped as JSON: ``to_dict`` keys map 1:1 onto
-        constructor kwargs (absent axes stay at their defaults), and
-        ``__post_init__`` re-canonicalizes, so the round-tripped
-        scenario has the same ``key`` — and prices to the same row — as
-        the original.  Unknown keys fail fast rather than silently
-        dropping an axis a newer client swept.
-        """
-        if not isinstance(payload, dict):
-            raise TypeError(
-                f"scenario payload must be an object, got "
-                f"{type(payload).__name__}")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - fields)
-        if unknown:
-            raise ValueError(
-                f"unknown scenario axes {unknown}; this side speaks "
-                f"axes {sorted(fields)}")
-        kwargs = dict(payload)
-        tile = kwargs.get("native_tile")
-        if tile is not None:
-            kwargs["native_tile"] = tuple(tile)
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # Hardware materialization

@@ -217,6 +217,13 @@ class TestSweepCli:
         assert second["summary"]["plan_cache"]["store_hits"] > 0
         assert second["rows"] == first["rows"]
 
+    def test_sweep_rejects_url_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit):
+            main(["sweep", "--store", "http://127.0.0.1:1"])
+        assert "plan stores are directories" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDesignCli:
     def test_design_table_output(self, capsys):
@@ -252,12 +259,6 @@ class TestDesignCli:
         with pytest.raises(SystemExit):
             main(["design", "--axis", "topology=ring"])
         assert "topology" in capsys.readouterr().err
-
-    def test_design_rejects_two_stores(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["design", "--store", "x",
-                  "--store-url", "http://127.0.0.1:1"])
-        assert "two different plan stores" in capsys.readouterr().err
 
 
 class TestResilienceCli:

@@ -228,9 +228,15 @@ class TestStoreBackedSweep:
         assert second.cache_stats.misses == 0
         assert second.rows_json() == first.rows_json()
 
-    def test_disk_store_sweep_loads_neither_numpy_nor_serve(self,
-                                                             tmp_path):
-        # A fresh interpreter: this test process may already hold both.
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_url_store_path_fails_fast(self, grid, scheme):
+        # Plan stores are directories; a URL would otherwise become a
+        # local directory named "http:" once the sweep ran.
+        with pytest.raises(ValueError, match="directories"):
+            ScenarioSweep(grid, store_path=f"{scheme}://127.0.0.1:1")
+
+    def test_disk_store_sweep_does_not_load_numpy(self, tmp_path):
+        # A fresh interpreter: this test process may already hold it.
         import pathlib
         import subprocess
         import sys
@@ -243,14 +249,13 @@ class TestStoreBackedSweep:
             "from repro.sweep.scenario import scenario_grid\n"
             "grid = scenario_grid(tolerances=(1.0, 1.05))\n"
             "ScenarioSweep(grid, store_path=sys.argv[1]).run()\n"
-            "print(json.dumps(sorted(m for m in ('numpy', 'repro.serve')\n"
-            "                        if m in sys.modules)))\n")
+            "print(json.dumps('numpy' in sys.modules))\n")
         src = pathlib.Path(repro.__file__).resolve().parents[1]
         out = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "store")],
             cwd=src, capture_output=True, text=True, timeout=120,
             check=True)
-        assert json.loads(out.stdout.splitlines()[-1]) == []
+        assert json.loads(out.stdout.splitlines()[-1]) is False
 
     def test_serial_run_detaches_the_global_cache(self, grid, tmp_path):
         from repro.core import get_plan_cache
