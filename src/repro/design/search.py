@@ -1,15 +1,16 @@
 """Rank-cheap / materialize-frontier package-design search.
 
-The search never runs the scheduler on a non-frontier candidate.  The
-whole space's distinct ``(layer, accel)`` pairs are enumerated once and
-priced through the memoized :func:`~repro.cost.evaluate`, each candidate
-is scored with a closed-form per-stage roofline proxy over those costs,
-target-violating candidates are pruned, and only the proxy-Pareto
-frontier is materialized into full sweep rows by the existing
-:class:`~repro.sweep.runner.ScenarioSweep` engine (plan-store warm
-starts included).  This is :func:`repro.core.dse.best_ranked`'s
-rank-then-materialize idiom lifted from trunk mappings to whole
-packages.
+The search never runs the scheduler on a non-frontier candidate.  Each
+workload variant of the space is built once, its distinct
+``(layer, accel)`` pairs over its candidates' engines are priced through
+the memoized :func:`~repro.cost.evaluate`, and each stage's serial chain
+is summed once per engine.  Each candidate is scored with a closed-form
+per-stage roofline proxy over those sums, target-violating candidates
+are pruned, and only the proxy-Pareto frontier is materialized into full
+sweep rows by the existing :class:`~repro.sweep.runner.ScenarioSweep`
+engine (plan-store warm starts included).  This is
+:func:`repro.core.dse.best_ranked`'s rank-then-materialize idiom lifted
+from trunk mappings to whole packages.
 
 Determinism: the proxy is a pure function of the layer costs (one
 pricing path, the same one the scheduler uses), pruning and dominance
@@ -22,19 +23,24 @@ stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
+from ..arch import MCMPackage
 from ..core.dse import best_ranked
 from ..core.placement import default_stage_quadrants
 from ..cost import AcceleratorConfig, LayerCost, evaluate
-from ..sweep.runner import ScenarioSweep, SweepResult
-from ..sweep.scenario import Scenario, ScenarioBuild
+from ..sweep import scenario as scenario_module
+from ..sweep.runner import ScenarioSweep, SweepResult, check_execution
+from ..sweep.scenario import Scenario, workload_variant
+from ..workloads.graph import PerceptionWorkload
 from ..workloads.layers import Layer
 from .pareto import pareto_indices
 from .space import DesignSpace
 
 #: one (layer, engine) pricing candidate.
 Pair = tuple[Layer, AcceleratorConfig]
+#: stage name -> engine -> the stage's serial ``(latency_s, energy_j)``.
+StageChains = dict[str, dict[AcceleratorConfig, tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -79,46 +85,29 @@ class DesignCandidate:
     pruned: bool
 
 
-def candidate_pairs(built: ScenarioBuild) -> list[Pair]:
-    """Every ``(layer, accel)`` pair one candidate prices.
+def package_engines(package: MCMPackage) -> dict[int, AcceleratorConfig]:
+    """The package's chiplet configs, keyed by object identity.
 
-    The workload's layers on each distinct chiplet config (one for a
-    homogeneous package, one per overridden quadrant otherwise), plus
-    the trunk DSE's engines when the scenario sets ``het_ws_budget``.
+    Chiplets of one engine share one config object, so this has a
+    handful of entries.  Looking configs up per object instead of per
+    cell saves comparing equal-but-distinct configs field by field.
     """
-    accels = dict.fromkeys(chiplet.accel
-                           for chiplet in built.package.chiplets)
-    if built.scenario.het_ws_budget is not None:
-        accels.update(dict.fromkeys(built.scenario.trunk_accels()))
-    layers = built.workload.all_layers()
-    return [(layer, accel) for accel in accels for layer in layers]
+    return {id(chiplet.accel): chiplet.accel for chiplet in package.chiplets}
 
 
-def proxy_objectives(built: ScenarioBuild,
-                     costs: Mapping[Pair, LayerCost],
-                     ) -> tuple[float, float]:
-    """Closed-form ``(pipe_ms, energy_j)`` bound for one candidate.
+def stage_chains(workload: PerceptionWorkload,
+                 accels: Collection[AcceleratorConfig],
+                 costs: Mapping[Pair, LayerCost]) -> StageChains:
+    """Each stage's serial ``(latency_s, energy_j)`` on each engine.
 
-    Per stage (stages own their quadrants, Sec. IV): each chiplet of the
-    stage's quadrants processes the stage's layer chains at its own
-    priced rate, combined harmonically — perfect work spreading,
-    so homogeneous quadrants reduce to ``serial_latency / n_chiplets``.
-    The pipe proxy is the slowest stage; the energy proxy charges each
-    stage its cell-averaged chain energy.  NoP transfers, DRAM
-    contention, and sharding overheads are deliberately absent: the
-    proxy is an *optimistic* bound used only to rank and prune, never a
-    reported metric — frontier candidates get real rows from the sweep
-    engine.
+    A stage's serial chain runs every group's layers back to back, once
+    per group instance.  It depends only on the workload variant and the
+    engine, so one search sums it once per (variant, stage, engine).
     """
-    stage_quadrants = default_stage_quadrants(built.workload, built.package)
-    pipe_s = 0.0
-    energy_j = 0.0
-    for stage in built.workload.stages:
-        cells = [cell for q in stage_quadrants[stage.name]
-                 for cell in built.package.quadrant(q)]
-        latency_of: dict = {}
-        energy_of: dict = {}
-        for accel in dict.fromkeys(cell.accel for cell in cells):
+    chains: StageChains = {}
+    for stage in workload.stages:
+        serial_of: dict[AcceleratorConfig, tuple[float, float]] = {}
+        for accel in accels:
             serial_s = 0.0
             serial_j = 0.0
             for group in stage.groups:
@@ -128,11 +117,40 @@ def proxy_objectives(built: ScenarioBuild,
                               for layer in group.layers)
                 serial_s += group.instances * chain_s
                 serial_j += group.instances * chain_j
-            latency_of[accel] = serial_s
-            energy_of[accel] = serial_j
-        rate = sum(1.0 / latency_of[cell.accel] for cell in cells)
+            serial_of[accel] = (serial_s, serial_j)
+        chains[stage.name] = serial_of
+    return chains
+
+
+def proxy_objectives(workload: PerceptionWorkload,
+                     package: MCMPackage,
+                     chains: StageChains) -> tuple[float, float]:
+    """Closed-form ``(pipe_ms, energy_j)`` bound for one candidate.
+
+    Per stage (stages own their quadrants, Sec. IV): each chiplet of the
+    stage's quadrants processes the stage's serial chain
+    (:func:`stage_chains`) at its own engine's rate, combined
+    harmonically — perfect work spreading, so homogeneous quadrants
+    reduce to ``serial_latency / n_chiplets``.  The pipe proxy is the
+    slowest stage; the energy proxy charges each stage its cell-averaged
+    chain energy.  NoP transfers, DRAM contention, and sharding
+    overheads are deliberately absent: the proxy is an *optimistic*
+    bound used only to rank and prune, never a reported metric —
+    frontier candidates get real rows from the sweep engine.
+    """
+    stage_quadrants = default_stage_quadrants(workload, package)
+    engines = package_engines(package)
+    pipe_s = 0.0
+    energy_j = 0.0
+    for stage in workload.stages:
+        serial_of = {key: chains[stage.name][accel]
+                     for key, accel in engines.items()}
+        serial = [serial_of[id(cell.accel)]
+                  for q in stage_quadrants[stage.name]
+                  for cell in package.quadrant(q)]
+        rate = sum(1.0 / serial_s for serial_s, _ in serial)
         stage_s = 1.0 / rate
-        stage_j = sum(energy_of[cell.accel] for cell in cells) / len(cells)
+        stage_j = sum(serial_j for _, serial_j in serial) / len(serial)
         if stage_s > pipe_s:
             pipe_s = stage_s
         energy_j += stage_j
@@ -204,6 +222,9 @@ class DesignSearch:
                  targets: DesignTargets | None = None,
                  workers: int = 1,
                  store_path=None):
+        # Checked here, not when the frontier sweep starts: a space whose
+        # frontier comes out empty must reject the same settings.
+        check_execution(workers, store_path)
         self.space = space
         self.targets = targets or DesignTargets()
         #: process count for the frontier materialization sweep (the
@@ -215,16 +236,47 @@ class DesignSearch:
 
     def run(self) -> DesignSearchResult:
         scenarios = self.space.candidates()
-        builds = [scenario.build() for scenario in scenarios]
-        pairs = dict.fromkeys(pair for built in builds
-                              for pair in candidate_pairs(built))
+        packages = [scenario.package() for scenario in scenarios]
+        # Per-variant tables, local to this call: the workload (built
+        # once, never mutated), the chiplet engines its candidates place,
+        # and the engines its pricing covers (those plus the trunk DSE's).
+        workloads: dict[str, PerceptionWorkload] = {}
+        chiplet_accels: dict[str, dict] = {}
+        priced_accels: dict[str, dict] = {}
+        for scenario, package in zip(scenarios, packages):
+            variant = scenario.workload
+            if variant not in workloads:
+                # Resolved through the module at call time, like
+                # Scenario.build(), so a wrapper there sees every build.
+                config = workload_variant(variant)
+                workloads[variant] = \
+                    scenario_module.build_perception_workload(config)
+                chiplet_accels[variant] = {}
+                priced_accels[variant] = {}
+            accels = dict.fromkeys(package_engines(package).values())
+            chiplet_accels[variant].update(accels)
+            priced_accels[variant].update(accels)
+            if scenario.het_ws_budget is not None:
+                priced_accels[variant].update(
+                    dict.fromkeys(scenario.trunk_accels()))
+        pairs = dict.fromkeys(
+            (layer, accel)
+            for variant, workload in workloads.items()
+            for accel in priced_accels[variant]
+            for layer in workload.all_layers())
         costs = {pair: evaluate(*pair) for pair in pairs}
+        chains = {variant: stage_chains(workload, chiplet_accels[variant],
+                                        costs)
+                  for variant, workload in workloads.items()}
         candidates = []
-        for index, built in enumerate(builds):
-            pipe_ms, energy_j = proxy_objectives(built, costs)
+        for index, (scenario, package) in enumerate(zip(scenarios,
+                                                        packages)):
+            variant = scenario.workload
+            pipe_ms, energy_j = proxy_objectives(
+                workloads[variant], package, chains[variant])
             candidates.append(DesignCandidate(
                 index=index,
-                scenario=built.scenario,
+                scenario=scenario,
                 proxy_pipe_ms=pipe_ms,
                 proxy_energy_j=energy_j,
                 pruned=not self.targets.admits(pipe_ms, energy_j)))

@@ -244,6 +244,21 @@ class SweepOutcome:
 SweepItem = Union[SweepOutcome, SweepFailure]
 
 
+def check_execution(workers: int, store_path) -> None:
+    """Reject a worker count below one and a URL given as a plan store.
+
+    Shared by :class:`ScenarioSweep` and the design search, which checks
+    its materialization settings before it prices anything.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if isinstance(store_path, str) \
+            and store_path.startswith(("http://", "https://")):
+        raise ValueError(
+            f"plan stores are directories; got the URL {store_path!r} "
+            f"(the networked memo server was removed)")
+
+
 def _attach_store(store_path) -> bool:
     """Attach a plan-store directory to this process's plan cache.
 
@@ -437,19 +452,12 @@ class ScenarioSweep:
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise ValueError("sweep needs at least one scenario")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_execution(self.workers, self.store_path)
         if self.chunksize < 1:
             raise ValueError("chunksize must be >= 1")
         keys = [s.key for s in self.scenarios]
         if len(set(keys)) != len(keys):
             raise ValueError("scenario keys must be unique")
-        if isinstance(self.store_path, str) \
-                and self.store_path.startswith(("http://", "https://")):
-            raise ValueError(
-                f"plan stores are directories; got the URL "
-                f"{self.store_path!r} (the networked memo server was "
-                f"removed)")
         if self.retry is None:
             self.retry = RetryPolicy()
         if self.clock is None:

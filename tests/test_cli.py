@@ -260,6 +260,19 @@ class TestDesignCli:
             main(["design", "--axis", "topology=ring"])
         assert "topology" in capsys.readouterr().err
 
+    def test_design_rejects_zero_workers_with_empty_frontier(self, capsys):
+        # A target that prunes everything leaves nothing to materialize;
+        # the bad worker count must still be a usage error.
+        with pytest.raises(SystemExit):
+            main(["design", "--workers", "0", "--target-pipe-ms", "0.001"])
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_design_rejects_store_url_with_empty_frontier(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["design", "--store", "http://x",
+                  "--target-pipe-ms", "0.001"])
+        assert "plan stores are directories" in capsys.readouterr().err
+
 
 class TestResilienceCli:
     def test_injected_fault_retries_transparently(self, capsys):

@@ -10,6 +10,7 @@ report's byte-identity across store temperature and worker counts.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -24,6 +25,15 @@ from repro.design import (
     pareto_indices,
 )
 from repro.sweep import Scenario, ScenarioSweep, scenario_grid
+
+FROZEN_PROXIES = (pathlib.Path(__file__).parent / "data"
+                  / "frozen_design_proxies.json")
+
+#: ``sum()`` over floats is compensated from Python 3.12 on, so the
+#: unrounded proxies differ in their last bits between interpreters; the
+#: fixture holds one candidate list per summation.
+SUMMATION = ("compensated_sum" if sum([1e16, 1.0, -1e16]) == 1.0
+             else "plain_sum")
 
 
 def _cold():
@@ -276,3 +286,68 @@ class TestDesignSearch:
         for entry in report["frontier"]:
             has_hetero = entry["scenario"]["hetero"] is not None
             assert ("package_composition" in entry) == has_hetero
+
+    def test_one_workload_build_per_variant_and_frontier_row(
+            self, monkeypatch):
+        # Ranking builds each workload variant once; materialization
+        # builds once per frontier row.  Nothing carries over between
+        # runs, so a second cold run builds exactly as often.
+        import repro.sweep.scenario as scenario_module
+        build = scenario_module.build_perception_workload
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "build_perception_workload",
+                            counting)
+        space = DesignSpace.from_axis_texts({
+            "workload": "default,lores",
+            "npus": "1,2",
+            "dataflow": "os,ws",
+        })
+        variants = 2
+        for _ in range(2):
+            _cold()
+            calls.clear()
+            result = DesignSearch(space).run()
+            assert len(result.candidates) == 8
+            assert len(calls) == variants + len(result.frontier)
+
+
+class TestFrozenProxies:
+    """Bit-identity lock on the proxy phase.
+
+    Every candidate's unrounded proxy objectives (as ``repr``) and
+    pruning verdict, the priced-pair count and the full report of a
+    32-candidate space spanning workload variants, package sizes,
+    topologies, partial Het(k) quadrants and trunk-DSE budgets.
+    """
+
+    def test_proxies_match_frozen_fixture(self):
+        _cold()
+        space = DesignSpace.from_axis_texts({
+            "workload": "default,lores",
+            "npus": "1,2",
+            "topology": "mesh,torus",
+            "hetero": "none,trunk:ws#4",
+            "het_ws_budget": "none,2",
+        })
+        result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
+        assert result.priced_pairs == 684
+        frozen = FROZEN_PROXIES.read_text()
+        candidates = json.loads(frozen)["candidates"]
+        assert set(candidates) == {"compensated_sum", "plain_sum"}
+        # The other interpreter's list cannot be recomputed here; it is
+        # carried over, and the whole document is compared byte for byte.
+        candidates[SUMMATION] = [
+            {"key": c.scenario.key,
+             "proxy_pipe_ms": repr(c.proxy_pipe_ms),
+             "proxy_energy_j": repr(c.proxy_energy_j),
+             "pruned": c.pruned}
+            for c in result.candidates]
+        doc = {"candidates": candidates,
+               "priced_pairs": result.priced_pairs,
+               "report": result.report()}
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == frozen
