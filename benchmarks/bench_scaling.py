@@ -5,7 +5,10 @@ the DRAM axis is accounting-only (identical group plans) and the package
 sizes share most of their ``(group, n, accel)`` plan keys — so the whole
 3-point npus report must cost less than **2x** one cold scenario at the
 largest package size.  Without the shared plan cache the report would
-cost ~``len(grid)``x; this locks the amortization claim per-PR.
+cost ~``len(grid)``x; this locks the amortization claim per-PR.  The
+work count behind it is gated exactly: the report's cold plan-cache
+misses equal those of a cold sweep over its npus-only scenarios, so the
+DRAM axis re-plans nothing.
 
 Also asserts the report artifact invariants: deterministic bytes across
 two runs and at least one DRAM-throttled point in the default grid.
@@ -18,10 +21,16 @@ import json
 import os
 import time
 
-from repro.core import clear_plan_cache
+from repro.core import clear_plan_cache, plan_cache_stats
 from repro.cost import clear_cache
 from repro.experiments import scaling
-from repro.sweep import Scenario, clear_trunk_memo, run_scenario
+from repro.sweep import (
+    Scenario,
+    ScenarioSweep,
+    clear_trunk_memo,
+    run_scenario,
+    scenario_grid,
+)
 
 NPUS = (1, 2, 4)
 DRAM_GBPS = (None, 6.0, 2.0)
@@ -44,8 +53,19 @@ def _timed(fn):
     return best, result
 
 
+def _cold_plan_misses(fn) -> int:
+    """Plan-cache misses of one run from empty process-wide memos."""
+    _cold_process_state()
+    fn()
+    return plan_cache_stats().misses
+
+
 def test_scaling_report_reuses_sweep_plans(benchmark, artifact_dir):
     single_s, _ = _timed(lambda: run_scenario(Scenario(npus=max(NPUS))))
+    report_misses = _cold_plan_misses(
+        lambda: scaling.run(npus=NPUS, dram_gbps=DRAM_GBPS))
+    npus_only_misses = _cold_plan_misses(
+        lambda: ScenarioSweep(scenario_grid(npus=NPUS)).run())
     report_s, report = _timed(
         lambda: scaling.run(npus=NPUS, dram_gbps=DRAM_GBPS))
     benchmark.pedantic(
@@ -68,6 +88,8 @@ def test_scaling_report_reuses_sweep_plans(benchmark, artifact_dir):
         "deterministic": deterministic,
         "throttled_points": len(report["throttled_points"]),
         "dram_wall": report["dram_wall"],
+        "report_plan_misses": report_misses,
+        "npus_only_plan_misses": npus_only_misses,
     }
     (artifact_dir / "BENCH_scaling.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -76,6 +98,10 @@ def test_scaling_report_reuses_sweep_plans(benchmark, artifact_dir):
     assert deterministic
     assert payload["throttled_points"] > 0, report
     assert report["dram_wall"], report
+    # Exact work count: the DRAM axis is accounting-only, so the
+    # 9-scenario report plans exactly what its npus-only column does.
+    assert report_misses == npus_only_misses > 0, (
+        report_misses, npus_only_misses)
     # The wall-clock ratio is asserted strictly by default; CI shared
     # runners set SWEEP_BENCH_STRICT=0 (load noise), the measured ratio
     # still lands in the artifact.

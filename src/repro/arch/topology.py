@@ -21,12 +21,12 @@ nearest-hop map placement and schedule pricing share.  The mesh map
 delegates to the same two-pass L1 distance transform the seed used, so
 default-topology results are bit-identical to the seed model.
 
-Plan keying: group plans are currently topology-independent (sharding
-prices compute only), but the plan cache and store key conservatively via
-:attr:`NoPTopology.plan_context` — ``None`` for any mesh (the seed
-geometry class, keeping every existing key byte-stable) and the kind
-token otherwise, so torus-planned entries can never be served to a mesh
-run (or vice versa) even once planning becomes NoP-aware.
+Plan keying: group plans do not depend on the topology.  Sharding picks
+each plan from compute cost alone and the NoP is priced only once the
+plan is fixed (placement and ``Schedule``); the paper's Fig. 9 puts NoP
+costs two orders of magnitude below compute.  So the plan cache and
+store keys carry no topology, and mesh and torus scenarios share every
+plan.
 """
 
 from __future__ import annotations
@@ -124,20 +124,6 @@ class NoPTopology:
     def token(self) -> str:
         """Canonical axis token for this topology (``torus-8x8`` form)."""
         return f"{self.kind}-{self.width}x{self.height}"
-
-    @property
-    def plan_context(self) -> "str | None":
-        """Plan-cache/store keying context for this topology.
-
-        ``None`` for any mesh — the seed geometry class, so every plan
-        key (and PlanStore content hash) produced before topologies
-        existed stays byte-stable.  Any other kind returns its token
-        kind, so e.g. torus-planned store entries are never served to a
-        mesh sweep even though today's sharding plans are
-        topology-independent: the keying is conservative so NoP-aware
-        planning can land without a store schema bump.
-        """
-        return None if self.kind == "mesh" else self.kind
 
     # ------------------------------------------------------------------
     # Hop geometry

@@ -82,19 +82,12 @@ class TrunkDSE:
                  ws_accel: AcceleratorConfig | None = None,
                  l_cstr_s: float = 0.0937,
                  chiplets: int = 9,
-                 allow_sharding: bool = False,
-                 plan_context: str | None = None):
+                 allow_sharding: bool = False):
         self.stage = stage or build_trunks()
         self.os_accel = os_accel or shidiannao_chiplet()
         self.ws_accel = ws_accel or nvdla_chiplet()
         self.l_cstr_s = l_cstr_s
         self.chiplets = chiplets
-        #: plan-cache/store keying context (the package's non-mesh NoP
-        #: topology kind).  The DSE itself is topology-agnostic, but the
-        #: context keeps its plans scoped exactly like the matcher's, so
-        #: e.g. a torus sweep never flushes store shards a mesh sweep
-        #: could be served from.
-        self.plan_context = plan_context
         #: the paper maps trunk models whole (Fig. 8): a model's chiplet
         #: count is bounded by its independent instances.  Set
         #: ``allow_sharding=True`` for the free-form ablation.
@@ -114,8 +107,7 @@ class TrunkDSE:
         if key not in self._plan_view:
             group = self.stage.group(group_name)
             accel = self.os_accel if style == "os" else self.ws_accel
-            self._plan_view[key] = plan_group(group, n, accel,
-                                              self.plan_context)
+            self._plan_view[key] = plan_group(group, n, accel)
         return self._plan_view[key]
 
     def _partitions(self):

@@ -8,16 +8,16 @@ brute-forcing Table I.  Until PR 1 each of those kept (at best) a private
 cache, so a design-space sweep re-computed identical plans once per caller.
 
 :class:`PlanCache` is the single shared table.  Keys are
-``(group, n, accel, mode, context)`` — all frozen dataclasses or strings,
-so hashing is structural: two scenarios that price the same group on the
+``(group, n, accel, mode)`` — all frozen dataclasses or strings, so
+hashing is structural: two scenarios that price the same group on the
 same accelerator hit the same entry even across independent
 ``ThroughputMatcher``/``TrunkDSE`` instances.  ``mode`` distinguishes the
 "best over all shard modes" entry produced by ``plan_group`` (``"best"``)
-from any future mode-pinned lookups; ``context`` scopes entries to a
-planning context — the package's non-mesh NoP topology kind and/or its
-per-quadrant hetero composition (``Scenario.plan_context`` composes
-both; ``None`` for the seed homogeneous mesh) — so plans computed under
-one topology or package composition are never served to another.
+from any future mode-pinned lookups.  The key holds nothing about the
+package around the chiplets: a plan prices compute only, and the NoP is
+priced after the plan is fixed, so mesh and torus scenarios — and a
+heterogeneous package's untouched quadrants — share entries.  An
+overridden quadrant keys by its own accelerator config.
 
 The cache also keeps hit/miss counters.  Sweep reports surface them next to
 ``Schedule.summary()`` metrics so cache-effectiveness regressions in the
@@ -207,24 +207,18 @@ class PlanCache:
             accel: "AcceleratorConfig",
             mode: str,
             compute: Callable[[], Optional["GroupPlan"]],
-            context: str | None = None,
     ) -> Optional["GroupPlan"]:
-        """Return the cached plan for the key, computing it on first use.
-
-        ``context`` scopes the key to a planning context (the package's
-        non-mesh NoP topology kind); ``None`` — the seed mesh — keeps the
-        key (and any store content hash) identical to pre-context runs.
-        """
+        """Return the cached plan for the key, computing it on first use."""
         with self._lock:
             group = self._canonical(group)
             accel = self._canonical(accel)
-            key = (group, n, accel, mode, context)
+            key = (group, n, accel, mode)
             if key in self._table:
                 self._hits += 1
                 return self._table[key]
             store = self._store
         # Hash outside the lock (pure CPU); only needed with a store.
-        key_hash = (store.key_hash(group, n, accel, mode, context)
+        key_hash = (store.key_hash(group, n, accel, mode)
                     if store is not None else None)
         with self._lock:
             if key in self._table:  # raced with another thread

@@ -11,7 +11,11 @@ without locks:
   ``group_to_dict``/``accel_to_dict`` views ``repro.io.serialize`` uses for
   artifacts — into sorted JSON and takes its SHA-256.  Two processes that
   price the same group on the same accelerator produce the same key, no
-  matter how the objects were constructed.
+  matter how the objects were constructed.  The key holds no NoP
+  topology or package composition: a plan prices compute only, so every
+  topology shares one entry.  Entries that older stores wrote under a
+  topology or hetero context are never looked up; they stay harmless
+  orphans, which ``compact()`` keeps.
 * **Entries are exact.**  Values are ``plan_to_record`` dumps of the
   computed :class:`~repro.core.sharding.GroupPlan` (or ``null`` for
   infeasible probes, which the cache memoizes too).  JSON floats round-trip
@@ -67,21 +71,15 @@ def _accel_fragment(accel: "AcceleratorConfig") -> str:
 
 
 def _compose_key_text(group_json: str, n: int, accel_json: str,
-                      mode: str, context: str | None = None) -> str:
+                      mode: str) -> str:
     """The canonical key payload, composed from pre-serialized fragments.
 
     Equivalent to ``json.dumps({"accel": ..., "group": ..., "mode": ...,
     "n": ...}, sort_keys=True, separators=(",", ":"))`` — the field names
-    are already in sorted order here.  A non-``None`` planning context
-    (e.g. a non-mesh NoP topology kind) adds a ``"context"`` field; the
-    default omits it, so every hash minted before contexts existed stays
-    byte-identical and old store shards remain addressable.
+    are already in sorted order here.
     """
-    if context is None:
-        return (f'{{"accel":{accel_json},"group":{group_json},'
-                f'"mode":{json.dumps(mode)},"n":{n}}}')
-    return (f'{{"accel":{accel_json},"context":{json.dumps(context)},'
-            f'"group":{group_json},"mode":{json.dumps(mode)},"n":{n}}}')
+    return (f'{{"accel":{accel_json},"group":{group_json},'
+            f'"mode":{json.dumps(mode)},"n":{n}}}')
 
 
 def content_digest(payload) -> str:
@@ -98,7 +96,7 @@ def content_digest(payload) -> str:
 
 
 def plan_key_hash(group: "LayerGroup", n: int, accel: "AcceleratorConfig",
-                  mode: str, context: str | None = None) -> str:
+                  mode: str) -> str:
     """SHA-256 content hash of one plan-cache key.
 
     Canonical form: sorted-key JSON over the serialized group, the chiplet
@@ -106,18 +104,14 @@ def plan_key_hash(group: "LayerGroup", n: int, accel: "AcceleratorConfig",
     ``group_to_dict``/``accel_to_dict`` views artifacts use.  Layer
     ``tags`` are excluded (they are excluded from ``Layer`` equality too);
     everything cost-relevant — including ``weights_are_activations`` — is
-    part of the serialized views.  ``context`` scopes the key to a
-    planning context (today: the package's non-mesh NoP topology kind
-    and/or its per-quadrant hetero composition, as composed by
-    ``Scenario.plan_context``), so e.g. torus-planned entries never
-    collide with mesh entries, and heterogeneous-package entries never
-    collide with homogeneous ones.
+    part of the serialized views.  The package's NoP topology and the
+    other quadrants' hardware are not: a plan prices compute only.
     """
     # Imports inside the serialize helpers are lazy: repro.io.serialize
     # imports from repro.core, so a module-level import would cycle
     # during package initialization.
     text = _compose_key_text(_group_fragment(group), n,
-                             _accel_fragment(accel), mode, context)
+                             _accel_fragment(accel), mode)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -127,7 +121,7 @@ class PlanStore:
     Safe for concurrent use by independent processes: loads only see
     complete shards, flushes never overwrite foreign data, and no file is
     ever modified in place.  One instance additionally memoizes key hashes
-    per ``(group, n, accel, mode, context)`` tuple, and one canonical JSON
+    per ``(group, n, accel, mode)`` tuple, and one canonical JSON
     fragment per group/accel object, so repeated lookups of the same
     structural key hash the payload once.
     """
@@ -147,10 +141,9 @@ class PlanStore:
         self._accel_fragments: dict = {}
 
     def key_hash(self, group: "LayerGroup", n: int,
-                 accel: "AcceleratorConfig", mode: str,
-                 context: str | None = None) -> str:
+                 accel: "AcceleratorConfig", mode: str) -> str:
         """Memoized :func:`plan_key_hash` for this store."""
-        memo_key = (group, n, accel, mode, context)
+        memo_key = (group, n, accel, mode)
         cached = self._hash_memo.get(memo_key)
         if cached is None:
             group_json = self._group_fragments.get(group)
@@ -161,8 +154,7 @@ class PlanStore:
             if accel_json is None:
                 accel_json = _accel_fragment(accel)
                 self._accel_fragments[accel] = accel_json
-            text = _compose_key_text(group_json, n, accel_json, mode,
-                                     context)
+            text = _compose_key_text(group_json, n, accel_json, mode)
             cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
             self._hash_memo[memo_key] = cached
         return cached

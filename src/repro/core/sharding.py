@@ -257,30 +257,23 @@ def _compute_plan_group(group: LayerGroup, n: int,
 
 
 def plan_group(group: LayerGroup, n: int,
-               accel: AcceleratorConfig,
-               context: str | None = None) -> GroupPlan | None:
+               accel: AcceleratorConfig) -> GroupPlan | None:
     """Best plan for running ``group`` on exactly ``n`` chiplets.
 
     Returns None when no shard mode can use ``n`` chiplets.  Results are
     served from the process-wide :class:`~repro.core.plancache.PlanCache`,
     so every caller (matcher, DSE, sweeps) shares one memo table.
-    ``context`` scopes the cache/store key to a planning context (the
-    package's non-mesh NoP topology kind); today's plans are
-    topology-independent, but the conservative keying means entries can
-    never leak across topologies once planning becomes NoP-aware.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     return get_plan_cache().get_or_compute(
         group, n, accel, MODE_BEST,
-        lambda: _compute_plan_group(group, n, accel),
-        context=context)
+        lambda: _compute_plan_group(group, n, accel))
 
 
 def next_shard_step(group: LayerGroup, n: int, max_n: int,
                     accel: AcceleratorConfig,
-                    current: GroupPlan | None = None,
-                    context: str | None = None) -> GroupPlan | None:
+                    current: GroupPlan | None = None) -> GroupPlan | None:
     """Smallest n' > n (<= max_n) that strictly reduces pipe latency.
 
     This is the inner-loop move of Algorithm 1: one sharding step of the
@@ -295,7 +288,7 @@ def next_shard_step(group: LayerGroup, n: int, max_n: int,
     caller's responsibility.
     """
     if current is None:
-        current = plan_group(group, n, accel, context)
+        current = plan_group(group, n, accel)
     elif current.n_chiplets != n or current.group_name != group.name:
         raise ValueError(
             f"current plan is for {current.group_name!r} on "
@@ -303,7 +296,7 @@ def next_shard_step(group: LayerGroup, n: int, max_n: int,
     if current is None:
         return None
     for n_next in range(n + 1, max_n + 1):
-        plan = plan_group(group, n_next, accel, context)
+        plan = plan_group(group, n_next, accel)
         if plan is not None and plan.pipe_latency_s < current.pipe_latency_s:
             return plan
     return None

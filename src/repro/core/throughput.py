@@ -109,8 +109,7 @@ class ThroughputMatcher:
                  tolerance: float = 1.05,
                  colocate_threshold_s: float = 0.005,
                  dram: DramBudget | None = None,
-                 dram_bytes_per_frame: int = 0,
-                 plan_context: str | None = None):
+                 dram_bytes_per_frame: int = 0):
         if tolerance < 1.0:
             raise ValueError("tolerance must be >= 1.0")
         if dram_bytes_per_frame < 0:
@@ -119,15 +118,6 @@ class ThroughputMatcher:
         self.package = package or simba_package()
         self.tolerance = tolerance
         self.colocate_threshold_s = colocate_threshold_s
-        # Plan-cache/store keying context: None on the seed mesh (keys
-        # stay byte-stable), the topology kind otherwise — plans priced
-        # under one topology are never served to another.  An explicit
-        # ``plan_context`` widens the scope further (a Scenario passes
-        # its combined topology + per-quadrant-hetero context, so
-        # heterogeneous rows never share store shards with homogeneous
-        # ones); ``None`` keeps the topology-derived default.
-        self.plan_context = (plan_context if plan_context is not None
-                             else self.package.topology.plan_context)
         # DRAM is accounting-only: the sharding decisions are unchanged
         # (streaming more weights is not relieved by more chiplets), but
         # the returned Schedule's steady-state metrics are throttled by
@@ -196,8 +186,7 @@ class ThroughputMatcher:
             used = 0
             for idx, g in enumerate(stage.groups):
                 if g.name in colocated:
-                    plans[g.name] = plan_group(g, 1, accel,
-                                               self.plan_context)
+                    plans[g.name] = plan_group(g, 1, accel)
                     continue
                 n = 1
                 if si == 0 and g.instances > 1:
@@ -210,7 +199,7 @@ class ThroughputMatcher:
                                    and other.name not in plans)
                     avail = capacity[stage.name] - used - reserved
                     n = max(1, min(g.instances, avail))
-                plans[g.name] = plan_group(g, n, accel, self.plan_context)
+                plans[g.name] = plan_group(g, n, accel)
                 used += plans[g.name].n_chiplets
         state = _State(
             workload=self.workload,
@@ -233,8 +222,7 @@ class ThroughputMatcher:
         colocated: dict[str, str] = {}
         for stage in self.workload.stages:
             for g in stage.groups:
-                plan = plan_group(g, 1, accel_of[stage.name],
-                                  self.plan_context)
+                plan = plan_group(g, 1, accel_of[stage.name])
                 if plan.span_s >= self.colocate_threshold_s:
                     continue
                 consumers = [h for h in stage.groups
@@ -274,8 +262,7 @@ class ThroughputMatcher:
         current = state.plans[group.name]
         max_n = current.n_chiplets + state.budget_left(stage_name)
         plan = next_shard_step(group, current.n_chiplets, max_n,
-                               state.accel_of[stage_name], current=current,
-                               context=self.plan_context)
+                               state.accel_of[stage_name], current=current)
         if plan is None:
             return False
         state.plans[group.name] = plan

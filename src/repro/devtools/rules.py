@@ -154,8 +154,8 @@ def check_hash_hygiene(path: str, tree: ast.AST) -> list:
     """R2: no direct ``hashlib`` use outside the plan-store modules.
 
     Every plan key must be minted by ``plan_key_hash`` /
-    ``PlanStore.key_hash`` so no fast path can fork the shard-isolation
-    contract with a subtly different canonicalization.
+    ``PlanStore.key_hash`` so no fast path can mint a subtly different
+    canonicalization of the same key.
     """
     if path.replace("\\", "/").endswith(R2_ALLOWED_SUFFIXES):
         return []

@@ -6,6 +6,8 @@ points across worker processes and merges the results deterministically:
 * every scenario is priced by :func:`run_scenario`, a pure function of the
   scenario (the schedulers and cost model are deterministic), so the same
   grid produces identical rows whether it runs serially or on N workers;
+* a serial run, and each worker chunk, builds each distinct workload
+  variant once and hands the same object to all of its scenarios;
 * workers return :class:`SweepOutcome` records that are merged by scenario
   key, then emitted in the grid's canonical order — completion order never
   leaks into the output, which is what makes the serial, parallel, and
@@ -65,7 +67,7 @@ from .resilience import (
     WorkerCrashError,
     error_class,
 )
-from .scenario import Scenario
+from .scenario import Scenario, WorkloadTable
 
 #: summary metrics copied from Schedule.summary() into each sweep row.
 _SUMMARY_FIELDS = ("e2e_ms", "pipe_ms", "energy_j", "edp_j_ms",
@@ -103,15 +105,18 @@ def layer_cost_cache_stats() -> CacheStats:
                       entries=info.currsize)
 
 
-def run_scenario(scenario: Scenario) -> dict:
+def run_scenario(scenario: Scenario,
+                 workloads: WorkloadTable | None = None) -> dict:
     """Price one scenario: scheduler summary plus optional trunk DSE.
 
     Pure function of the scenario — this is the unit of work shipped to
     sweep workers, and the determinism contract of the whole engine.
     All hardware comes from :meth:`Scenario.build`, the one
-    package-construction path experiments and the CLI share.
+    package-construction path experiments and the CLI share;
+    ``workloads`` is the caller's table of built workloads, passed on to
+    it (``None`` builds this scenario's own).
     """
-    built = scenario.build()
+    built = scenario.build(workloads)
     schedule = built.schedule()
     summary = schedule.summary()
     row = {"key": scenario.key, **scenario.to_dict()}
@@ -168,22 +173,18 @@ def _trunk_columns(scenario: Scenario, workload, ws_budget: int,
     # (The scenario *dataflow* axis is not: the trunk DSE explores its
     # own OS/WS mixes regardless of the package-wide style.)  The trunk
     # quadrant's hardware is the *effective* one — a per-quadrant
-    # ``trunk`` override wins over the scenario-wide axes.  The plan
-    # context is part of the key too — the DSE's *columns* are
-    # topology-agnostic, but a torus or heterogeneous scenario must
-    # still price (and flush) its plans under its own context, never the
-    # homogeneous mesh one.
+    # ``trunk`` override wins over the scenario-wide axes.  The NoP
+    # topology is not: the DSE prices compute only.
     trunk_ghz, trunk_tile = scenario.trunk_hw()
     key = (scenario.workload, ws_budget, l_cstr_s, chiplets,
-           trunk_ghz, trunk_tile, scenario.plan_context)
+           trunk_ghz, trunk_tile)
     if key not in _TRUNK_MEMO:
         os_accel, ws_accel = scenario.trunk_accels()
         best = TrunkDSE(stage=workload.stage(STAGE_TR),
                         os_accel=os_accel,
                         ws_accel=ws_accel,
                         l_cstr_s=l_cstr_s,
-                        chiplets=chiplets,
-                        plan_context=scenario.plan_context).search(ws_budget)
+                        chiplets=chiplets).search(ws_budget)
         _TRUNK_MEMO[key] = {
             "trunk_label": best.label,
             "trunk_pipe_ms": best.pipe_ms,
@@ -200,19 +201,17 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     Materializes the scenario through :meth:`Scenario.build` and digests
     the same canonical views the plan store hashes — every workload
     group, every chiplet's accelerator config — plus the scenario's own
-    axis payload, its plan context, and the DRAM traffic the budget
-    would meter.  Two scenarios with equal fingerprints are priced from
-    identical inputs, so the pure :func:`run_scenario` produces
-    byte-identical rows for them; delta-sweeps rely on exactly that to
-    splice journaled rows instead of re-pricing (and a code change that
-    alters any serialized view changes the fingerprint, which safely
-    voids stale journals).
+    axis payload and the DRAM traffic the budget would meter.  Two
+    scenarios with equal fingerprints are priced from identical inputs,
+    so the pure :func:`run_scenario` produces byte-identical rows for
+    them; delta-sweeps rely on exactly that to splice journaled rows
+    instead of re-pricing (and a code change that alters any serialized
+    view changes the fingerprint, which safely voids stale journals).
     """
     from ..io.serialize import accel_to_dict, group_to_dict
     built = scenario.build()
     payload = {
         "scenario": scenario.to_dict(),
-        "context": scenario.plan_context,
         "groups": [group_to_dict(g) for g in built.workload.all_groups()],
         "chiplets": [accel_to_dict(c.accel)
                      for c in built.package.chiplets],
@@ -286,7 +285,8 @@ def _worker_init(store_path) -> None:
 
 
 def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
-             attempt: int = 1, clock: Clock | None = None) -> SweepOutcome:
+             attempt: int = 1, clock: Clock | None = None,
+             workloads: WorkloadTable | None = None) -> SweepOutcome:
     """Price one scenario and capture both memo layers' deltas.
 
     Any scripted fault for ``(scenario.key, attempt)`` fires first, so
@@ -301,7 +301,7 @@ def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
         faults.fire(scenario.key, attempt, clock)
     plan_before = plan_cache_stats()
     layer_before = layer_cost_cache_stats()
-    row = run_scenario(scenario)
+    row = run_scenario(scenario, workloads)
     # The counter delta is this scenario's; entries reflect the worker's
     # table after the run (CacheStats.__sub__ keeps the minuend's).
     outcome = SweepOutcome(
@@ -322,12 +322,15 @@ def _run_chunk(items: list[tuple[Scenario, int]],
     raising scenario costs neither its chunk-mates' finished work nor the
     worker process — the parent decides retry vs quarantine.  Entries are
     ``("ok", outcome)`` or ``("err", scenario, attempt, exception)``.
+    The chunk builds each distinct workload once and shares it.
     """
     entries: list[tuple] = []
+    workloads: WorkloadTable = {}
     for scenario, attempt in items:
         try:
             entries.append(("ok", _run_one(scenario, faults=faults,
-                                           attempt=attempt)))
+                                           attempt=attempt,
+                                           workloads=workloads)))
         except Exception as error:
             entries.append(("err", scenario, attempt, error))
     return entries
@@ -508,9 +511,11 @@ class ScenarioSweep:
                      faults: FaultPlan | None,
                      journal: SweepJournal | None) -> Iterator[SweepItem]:
         attached = _attach_store(self.store_path)
+        # One workload build per distinct variant for the whole run.
+        workloads: WorkloadTable = {}
         try:
             for scenario in scenarios:
-                item = self._price_with_retries(scenario, faults)
+                item = self._price_with_retries(scenario, faults, workloads)
                 self._checkpoint(journal, item)
                 yield item
         finally:
@@ -518,7 +523,8 @@ class ScenarioSweep:
                 get_plan_cache().detach_store()
 
     def _price_with_retries(self, scenario: Scenario,
-                            faults: FaultPlan | None) -> SweepItem:
+                            faults: FaultPlan | None,
+                            workloads: WorkloadTable) -> SweepItem:
         """One scenario through the retry loop (serial path)."""
         attempt = 1
         while True:
@@ -526,7 +532,7 @@ class ScenarioSweep:
                 self.clock.sleep(self.retry.backoff_s(scenario.key, attempt))
             try:
                 return _run_one(scenario, faults=faults, attempt=attempt,
-                                clock=self.clock)
+                                clock=self.clock, workloads=workloads)
             except Exception as error:
                 if (self.retry.is_retryable(error)
                         and attempt < self.retry.max_attempts):

@@ -70,6 +70,10 @@ WORKLOAD_VARIANTS: dict[str, PipelineConfig] = {
 }
 
 
+#: built workloads by config, owned by one caller for the span of a run.
+WorkloadTable = dict[PipelineConfig, PerceptionWorkload]
+
+
 def workload_variant(name: str) -> PipelineConfig:
     """The :class:`PipelineConfig` behind a variant name."""
     try:
@@ -111,19 +115,13 @@ class ScenarioBuild:
         return self.package.chiplets[0].accel
 
     def schedule(self) -> "Schedule":
-        """Run the throughput matcher on the materialized hardware.
-
-        The scenario's combined plan context (topology + hetero) scopes
-        every plan the matcher prices, so heterogeneous scenarios never
-        share plan-store shards with homogeneous ones.
-        """
+        """Run the throughput matcher on the materialized hardware."""
         from ..core.throughput import ThroughputMatcher
         return ThroughputMatcher(
             self.workload, self.package,
             tolerance=self.scenario.tolerance,
             dram=self.dram,
-            dram_bytes_per_frame=self.dram_bytes_per_frame,
-            plan_context=self.scenario.plan_context).run()
+            dram_bytes_per_frame=self.dram_bytes_per_frame).run()
 
 
 @dataclass(frozen=True)
@@ -261,30 +259,6 @@ class Scenario:
     # Hardware materialization
     # ------------------------------------------------------------------
 
-    @property
-    def plan_context(self) -> str | None:
-        """Plan-cache/store keying context implied by the hardware axes.
-
-        Composes the topology fragment (mirroring
-        :attr:`repro.arch.NoPTopology.plan_context`: ``None`` for the
-        unset axis or any explicit mesh, the kind token otherwise) with a
-        ``het:<token>`` fragment when per-quadrant overrides are set —
-        heterogeneous rows must never share a store shard with
-        homogeneous ones, even for the quadrants an override does not
-        touch.  Every planner a scenario drives — the throughput matcher
-        *and* the trunk DSE — must key its plans with this, so no store
-        shard ever crosses topologies or package compositions.  ``None``
-        (both axes unset) keeps every pre-existing key byte-stable.
-        """
-        parts = []
-        if self.topology is not None:
-            kind, _ = parse_topology(self.topology)
-            if kind != "mesh":
-                parts.append(kind)
-        if self.hetero is not None:
-            parts.append(f"het:{self.hetero}")
-        return "|".join(parts) if parts else None
-
     def quadrant_overrides(self) -> QuadrantOverrides | None:
         """The parsed per-quadrant override spec (None when unset)."""
         if self.hetero is None:
@@ -364,15 +338,24 @@ class Scenario:
             package = spec.apply(package)
         return package
 
-    def build(self) -> ScenarioBuild:
+    def build(self, workloads: WorkloadTable | None = None) -> ScenarioBuild:
         """Materialize the ``(workload, package, DramBudget)`` triple.
 
         The single construction path shared by the sweep runner, the
         experiments, and the CLI: at default axes it reproduces the PR 2
         hand-rolled ``simba_package(npus=..., nop=...)`` call exactly.
+
+        ``workloads`` is a caller-owned table of already-built workloads:
+        a config found there is reused, and a config built here is added
+        to it.  Scenarios built from one table share workload objects,
+        which is safe because nothing downstream mutates a workload.
         """
         config = workload_variant(self.workload)
-        workload = build_perception_workload(config)
+        if workloads is None:
+            workloads = {}
+        workload = workloads.get(config)
+        if workload is None:
+            workload = workloads[config] = build_perception_workload(config)
         package = self.package()
         dram = self.dram_budget()
         dram_bytes = (workload_dram_bytes(workload, config)

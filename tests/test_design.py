@@ -289,9 +289,9 @@ class TestDesignSearch:
 
     def test_one_workload_build_per_variant_and_frontier_row(
             self, monkeypatch):
-        # Ranking builds each workload variant once; materialization
-        # builds once per frontier row.  Nothing carries over between
-        # runs, so a second cold run builds exactly as often.
+        # Ranking builds each workload variant once; the frontier sweep
+        # builds once per variant on the frontier.  Nothing carries over
+        # between runs, so a second cold run builds exactly as often.
         import repro.sweep.scenario as scenario_module
         build = scenario_module.build_perception_workload
         calls = []
@@ -302,18 +302,24 @@ class TestDesignSearch:
 
         monkeypatch.setattr(scenario_module, "build_perception_workload",
                             counting)
+        # The proxy ignores the tolerance, so both tolerances of the
+        # best design tie on the frontier with one workload variant.
         space = DesignSpace.from_axis_texts({
             "workload": "default,lores",
             "npus": "1,2",
             "dataflow": "os,ws",
+            "tolerance": "1.0,1.05",
         })
         variants = 2
         for _ in range(2):
             _cold()
             calls.clear()
             result = DesignSearch(space).run()
-            assert len(result.candidates) == 8
-            assert len(calls) == variants + len(result.frontier)
+            assert len(result.candidates) == 16
+            frontier_variants = {c.scenario.workload
+                                 for c in result.frontier}
+            assert len(result.frontier) > len(frontier_variants)
+            assert len(calls) == variants + len(frontier_variants)
 
 
 class TestFrozenProxies:

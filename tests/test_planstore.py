@@ -155,9 +155,10 @@ class TestPlanStore:
         assert PlanStore(tmp_path / "store").load() == entries
 
 
-class TestHeteroStoreIsolation:
-    """Hetero rows get their own shards, warm-start cleanly, and never
-    disturb (or get served from) homogeneous/mesh shards."""
+class TestHeteroStoreSharing:
+    """Hetero scenarios are served the plans of every quadrant they leave
+    as it is from a homogeneous mesh store; an overridden quadrant keys
+    by its own accelerator config."""
 
     @staticmethod
     def _cold():
@@ -168,64 +169,45 @@ class TestHeteroStoreIsolation:
         clear_plan_cache()
         clear_trunk_memo()
 
-    def test_hetero_worker_sweep_warm_starts_and_isolates(self, tmp_path):
-        from repro.sweep import Scenario, ScenarioSweep, scenario_grid
-        store = tmp_path / "store"
-
-        # Seed the store with a homogeneous sweep and snapshot its shards.
+    def _against_mesh_store(self, store, grid):
+        from repro.sweep import Scenario, ScenarioSweep
         self._cold()
-        homog = ScenarioSweep([Scenario(tolerance=1.0)],
-                              store_path=store).run()
-        assert homog.cache_stats.misses > 0
-        baseline = {p.name: p.read_bytes()
-                    for p in store.glob("plans-*.json")}
-        assert baseline
-
-        # A hetero grid across worker processes is a full miss against
-        # the homogeneous shards: no entry may be served across the
-        # context boundary.
-        grid = scenario_grid(tolerances=(1.0,),
-                             heteros=("trunk:ws", "trunk:ws@1"))
+        ScenarioSweep([Scenario(tolerance=1.0)], store_path=store).run()
+        mesh_shards = {p.name: p.read_bytes()
+                       for p in store.glob("plans-*.json")}
         self._cold()
-        first = ScenarioSweep(grid, workers=2, store_path=store).run()
-        assert first.cache_stats.misses > 0
-        assert first.cache_stats.store_hits == 0
-
-        # Warm restart (fresh caches, same store): 0 misses, every
-        # first-touch lookup served from disk, rows byte-identical.
+        cold = ScenarioSweep(grid).run()
         self._cold()
-        second = ScenarioSweep(grid, workers=2, store_path=store).run()
-        assert second.cache_stats.misses == 0
-        assert second.cache_stats.store_hits > 0
-        assert second.rows_json() == first.rows_json()
-
-        # The homogeneous shards are untouched — hetero flushes add new
-        # shards, they never rewrite foreign ones.
-        for name, data in baseline.items():
+        warm = ScenarioSweep(grid, store_path=store).run()
+        assert warm.rows_json() == cold.rows_json()
+        # flushes add shards beside the mesh ones, never rewrite them
+        for name, data in mesh_shards.items():
             assert (store / name).read_bytes() == data
-        assert len(list(store.glob("plans-*.json"))) > len(baseline)
+        return warm
 
-        # ... and the homogeneous scenario still warm-starts from its
-        # own shards (the hetero rows did not pollute them).
-        self._cold()
-        rerun = ScenarioSweep([Scenario(tolerance=1.0)],
-                              store_path=store).run()
-        assert rerun.cache_stats.misses == 0
-        assert rerun.rows_json() == homog.rows_json()
+    def test_noop_override_runs_warm_from_mesh_store(self, tmp_path):
+        # trunk:os@2 spells out the seed trunk hardware: same plans.
+        from repro.sweep import Scenario
+        warm = self._against_mesh_store(
+            tmp_path / "store", [Scenario(tolerance=1.0, hetero="trunk:os@2")])
+        assert warm.cache_stats.misses == 0
+        assert warm.cache_stats.store_hits > 0
 
-    def test_hetero_never_shares_with_mesh_topology_shards(self, tmp_path):
+    def test_real_override_misses_only_its_trunk_groups(self, tmp_path):
+        # Only the trunk groups, now on WS chiplets, are planned again
+        # (9 probes across the 3 trunk models); every other quadrant's
+        # plan comes from the mesh shards.
         from repro.sweep import Scenario, ScenarioSweep
         store = tmp_path / "store"
+        grid = [Scenario(tolerance=1.0, hetero="trunk:ws")]
+        warm = self._against_mesh_store(store, grid)
+        assert warm.cache_stats.misses == 9
+        assert warm.cache_stats.store_hits == 27
+        # the flushed trunk plans then serve worker processes too
         self._cold()
-        ScenarioSweep([Scenario(tolerance=1.0, topology="torus")],
-                      store_path=store).run()
-        # A hetero scenario on the same grid geometry must not be served
-        # from torus shards (contexts differ), nor vice versa.
-        self._cold()
-        het = ScenarioSweep([Scenario(tolerance=1.0, hetero="trunk:ws")],
-                            store_path=store).run()
-        assert het.cache_stats.misses > 0
-        assert het.cache_stats.store_hits == 0
+        pooled = ScenarioSweep(grid, workers=2, store_path=store).run()
+        assert pooled.cache_stats.misses == 0
+        assert pooled.rows_json() == warm.rows_json()
 
 
 class TestCacheStoreLayering:

@@ -127,9 +127,9 @@ def count_repriced(monkeypatch, sweep, baseline):
     orig = runner_mod.run_scenario
     priced: list[str] = []
 
-    def counting(scenario):
+    def counting(scenario, *args, **kwargs):
         priced.append(scenario.key)
-        return orig(scenario)
+        return orig(scenario, *args, **kwargs)
 
     monkeypatch.setattr(runner_mod, "run_scenario", counting)
     result = sweep.run_delta(baseline)

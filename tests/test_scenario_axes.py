@@ -254,19 +254,28 @@ class TestHeteroAxis:
             assert plan_key_hash(wl.find_group(name), int(n), accel,
                                  MODE_BEST) == frozen
 
-    def test_any_set_override_changes_the_content_hash(self):
+    def test_override_changes_the_plan_key_exactly_with_the_accel(self):
+        # Plans key by the chiplet's own accelerator config, nothing
+        # else about the package: a quadrant an override leaves as it
+        # is keeps the frozen homogeneous hash.
         from repro.core.plancache import MODE_BEST
         from repro.core.planstore import plan_key_hash
-        from repro.cost import simba_chiplet
         from repro.workloads import build_perception_workload
         fixture = json.loads(HETERO_FIXTURE.read_text())
         group = build_perception_workload().find_group("S_FFN")
-        accel = simba_chiplet("os")
-        base = fixture["plan_key_hashes"]["S_FFN@2"]
-        for hetero in ("trunk:ws", "trunk:os@2", "fe:/8x8"):
-            ctx = Scenario(hetero=hetero).plan_context
-            assert ctx is not None
-            assert plan_key_hash(group, 2, accel, MODE_BEST, ctx) != base
+        base_hash = fixture["plan_key_hashes"]["S_FFN@2"]
+        homogeneous = Scenario().package().chiplets
+        assert {c.accel for c in homogeneous} == {simba_chiplet("os")}
+        changed = set()
+        for hetero in ("trunk:ws", "trunk:os@2", "fe:/8x8",
+                       "trunk:ws#4", "spatial:ws@1.2+temporal:@1.5"):
+            package = Scenario(hetero=hetero).package()
+            for chiplet, seed in zip(package.chiplets, homogeneous):
+                moved = chiplet.accel != seed.accel
+                changed.add(moved)
+                assert (plan_key_hash(group, 2, chiplet.accel, MODE_BEST)
+                        != base_hash) == moved, (hetero, chiplet)
+        assert changed == {True, False}
 
     def test_hetero_absent_from_default_key_and_row(self):
         assert "hetero" not in Scenario().key
@@ -284,17 +293,6 @@ class TestHeteroAxis:
             Scenario(hetero="trunk:xx")
         with pytest.raises(ValueError, match="unknown quadrant"):
             Scenario(hetero="bogus:ws")
-
-    def test_plan_context_composes_topology_and_hetero(self):
-        assert Scenario().plan_context is None
-        assert Scenario(topology="torus").plan_context == "torus"
-        assert Scenario(hetero="trunk:ws").plan_context == "het:trunk:ws"
-        assert Scenario(topology="torus", hetero="trunk:ws").plan_context \
-            == "torus|het:trunk:ws"
-        # an explicit mesh stays in the seed context class
-        assert Scenario(topology="mesh").plan_context is None
-        assert Scenario(topology="mesh", hetero="trunk:ws").plan_context \
-            == "het:trunk:ws"
 
     def test_build_materializes_the_mixed_package(self):
         built = Scenario(hetero="trunk:ws@1.2",

@@ -157,8 +157,7 @@ class TestHeterogeneousPackageInvariants:
         dram_bytes = 50_000_000 if dram is not None else 0
         schedule = ThroughputMatcher(
             workload, package,
-            dram=dram, dram_bytes_per_frame=dram_bytes,
-            plan_context=f"het:{spec.token}").run()
+            dram=dram, dram_bytes_per_frame=dram_bytes).run()
 
         # 1. Energy stays additive: the total is exactly the sum of its
         #    per-group compute, NoP, and DRAM components...
@@ -195,13 +194,3 @@ class TestHeterogeneousPackageInvariants:
         assert 0 < schedule.utilization <= 1
         for util in schedule.stage_utilization().values():
             assert 0 < util <= 1
-
-    @given(spec=quadrant_override_specs())
-    @settings(max_examples=10, deadline=None)
-    def test_noop_and_real_overrides_key_disjoint_contexts(self, spec):
-        # Any hetero spec (even one spelling out the defaults) scopes
-        # its plans away from the homogeneous context.
-        from repro.sweep import Scenario
-        scenario = Scenario(hetero=spec.token)
-        assert scenario.plan_context == f"het:{scenario.hetero}"
-        assert scenario.plan_context != Scenario().plan_context

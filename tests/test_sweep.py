@@ -1,6 +1,7 @@
 """Tests for the scenario-sweep engine (grid, runner, determinism)."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -307,3 +308,98 @@ class TestStoreBackedSweep:
         self._cold()
         warm = ScenarioSweep(grid, workers=1, store_path=store).run()
         assert warm.cache_stats.store_hits > 0
+
+
+class TestWorkloadSharing:
+    """A run builds each distinct workload once and shares the object."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # grid order alternates variants, so each 3-scenario chunk of a
+        # pooled run repeats one
+        return scenario_grid(tolerances=(1.0, 1.05, 1.1),
+                             workloads=("default", "lores"))
+
+    @staticmethod
+    def _on_build(monkeypatch, record):
+        import repro.sweep.scenario as scenario_module
+        build = scenario_module.build_perception_workload
+
+        def recording(*args, **kwargs):
+            workload = build(*args, **kwargs)
+            record(workload)
+            return workload
+
+        monkeypatch.setattr(scenario_module, "build_perception_workload",
+                            recording)
+
+    @staticmethod
+    def _cold():
+        from repro.core import clear_plan_cache
+        from repro.cost import clear_cache
+        from repro.sweep import clear_trunk_memo
+        clear_cache()
+        clear_plan_cache()
+        clear_trunk_memo()
+
+    def test_serial_sweep_builds_each_variant_once(self, grid, monkeypatch):
+        built = []
+        self._on_build(monkeypatch, built.append)
+        for _ in range(2):
+            self._cold()
+            built.clear()
+            ScenarioSweep(grid, workers=1).run()
+            assert len(built) == len({s.workload for s in grid}) == 2
+
+    def test_lone_run_scenario_builds_its_own_workload(self, monkeypatch):
+        built = []
+        self._on_build(monkeypatch, built.append)
+        run_scenario(Scenario(tolerance=1.0))
+        run_scenario(Scenario(tolerance=1.0))
+        assert len(built) == 2
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the build wrapper only when "
+                               "forked")
+    def test_pooled_chunks_build_each_variant_once(self, grid, monkeypatch,
+                                                  tmp_path):
+        # Forked workers inherit the wrapper; each build appends a line.
+        log = tmp_path / "builds.log"
+
+        def record(_workload):
+            with open(log, "a") as handle:
+                handle.write("build\n")
+
+        self._on_build(monkeypatch, record)
+        serial = ScenarioSweep(grid, workers=1).run()
+        log.unlink()
+        chunksize = 3
+        pooled = ScenarioSweep(grid, workers=2, chunksize=chunksize).run()
+        chunks = [grid[i:i + chunksize]
+                  for i in range(0, len(grid), chunksize)]
+        bound = sum(len({s.workload for s in chunk}) for chunk in chunks)
+        assert bound < len(grid)
+        assert 0 < len(log.read_text().splitlines()) <= bound
+        assert pooled.rows_json() == serial.rows_json()
+
+    def test_sweep_never_mutates_a_shared_workload(self, monkeypatch):
+        # Stands in for freezing Stage and PerceptionWorkload: the
+        # matcher, Schedule and the trunk DSE only read a workload, so
+        # its serialization after a sweep is the one it was built with.
+        from repro.io.serialize import workload_to_dict
+
+        def snapshot(workload):
+            return json.dumps(workload_to_dict(workload), sort_keys=True)
+
+        built = []
+        self._on_build(monkeypatch,
+                       lambda wl: built.append((wl, snapshot(wl))))
+        grid = scenario_grid(tolerances=(1.0, 1.05),
+                             workloads=("default", "lores"),
+                             het_ws_budgets=(None, 2),
+                             topologies=(None, "torus"))
+        self._cold()
+        ScenarioSweep(grid, workers=1).run()
+        assert len(built) == 2
+        for workload, before in built:
+            assert snapshot(workload) == before

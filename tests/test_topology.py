@@ -293,80 +293,32 @@ class TestTopologyPlanKeying:
         clear_plan_cache()
         clear_trunk_memo()
 
-    def test_plan_key_hash_scopes_by_context(self):
-        from repro.core.planstore import plan_key_hash
-        from repro.cost import simba_chiplet
-        from repro.workloads.trunks import build_trunks
-        group = build_trunks().groups[0]
-        accel = simba_chiplet("os")
-        default = plan_key_hash(group, 2, accel, "best")
-        torus = plan_key_hash(group, 2, accel, "best", context="torus")
-        assert default != torus
-        # explicit None context is the byte-stable seed hash
-        assert plan_key_hash(group, 2, accel, "best", context=None) == default
-
-    def test_mesh_store_never_serves_torus(self, tmp_path):
+    @pytest.mark.parametrize("extra", [{}, {"het_ws_budget": 2}],
+                             ids=["matcher", "trunk-dse"])
+    def test_torus_runs_warm_from_a_mesh_store(self, extra, tmp_path):
+        # Plans price compute only, so a torus scenario (and the trunk
+        # DSE it drives) is served every plan by the mesh shards.
         store = tmp_path / "store"
         self._cold()
-        mesh = ScenarioSweep([Scenario(tolerance=1.0)],
+        mesh = ScenarioSweep([Scenario(tolerance=1.0, **extra)],
                              store_path=store).run()
-        assert mesh.cache_stats.misses > 0
-        # torus must be a full miss against the mesh-warm store...
+        torus = [Scenario(tolerance=1.0, topology="torus", **extra)]
         self._cold()
-        torus = ScenarioSweep([Scenario(tolerance=1.0, topology="torus")],
-                              store_path=store).run()
-        assert torus.cache_stats.misses > 0
-        assert torus.cache_stats.store_hits == 0
-        # ... and once flushed, torus warm-starts exactly from its own
-        # shards while never having shared one with mesh.
+        cold = ScenarioSweep(torus).run()
         self._cold()
-        warm = ScenarioSweep([Scenario(tolerance=1.0, topology="torus")],
-                             store_path=store).run()
+        warm = ScenarioSweep(torus, store_path=store).run()
         assert warm.cache_stats.misses == 0
         assert warm.cache_stats.store_hits > 0
-        assert warm.rows_json() == torus.rows_json()
-
-    def test_torus_store_never_serves_mesh(self, tmp_path):
-        store = tmp_path / "store"
-        self._cold()
-        ScenarioSweep([Scenario(tolerance=1.0, topology="torus")],
-                      store_path=store).run()
-        self._cold()
-        mesh = ScenarioSweep([Scenario(tolerance=1.0)],
-                             store_path=store).run()
-        assert mesh.cache_stats.misses > 0
-        assert mesh.cache_stats.store_hits == 0
-
-    def test_trunk_dse_plans_scoped_by_topology(self, tmp_path):
-        # The trunk DSE prices its plans under the scenario's context
-        # too: a torus+het sweep must not flush shards a mesh+het sweep
-        # can be served from.
-        store = tmp_path / "store"
-        self._cold()
-        torus = ScenarioSweep(
-            [Scenario(tolerance=1.0, het_ws_budget=2, topology="torus")],
-            store_path=store).run()
-        assert torus.cache_stats.misses > 0
-        self._cold()
-        mesh = ScenarioSweep(
-            [Scenario(tolerance=1.0, het_ws_budget=2)],
-            store_path=store).run()
-        assert mesh.cache_stats.misses > 0
-        assert mesh.cache_stats.store_hits == 0
-        # the DSE itself is topology-agnostic: same trunk columns
-        assert (mesh.rows[0]["trunk_edp_j_ms"]
-                == torus.rows[0]["trunk_edp_j_ms"])
-
-    def test_scenario_plan_context(self):
-        assert Scenario().plan_context is None
-        assert Scenario(topology="mesh").plan_context is None
-        assert Scenario(topology="mesh-8x8").plan_context is None
-        assert Scenario(topology="torus").plan_context == "torus"
-        assert Scenario(topology="torus-8x8").plan_context == "torus"
+        assert warm.rows_json() == cold.rows_json()
+        # ... and the trunk DSE picks the same mapping on both.
+        trunk = [k for k in mesh.rows[0] if k.startswith("trunk_")]
+        assert bool(trunk) == bool(extra)
+        assert ([warm.rows[0][k] for k in trunk]
+                == [mesh.rows[0][k] for k in trunk])
 
     def test_explicit_mesh_shares_seed_plans(self, tmp_path):
-        # topology="mesh" is the seed geometry class: same plan context,
-        # so it warm-starts from a default-scenario store with 0 misses.
+        # topology="mesh" is the seed geometry: it warm-starts from a
+        # default-scenario store with 0 misses.
         store = tmp_path / "store"
         self._cold()
         ScenarioSweep([Scenario(tolerance=1.0)], store_path=store).run()
