@@ -54,9 +54,17 @@ class MCMPackage:
             raise ValueError(
                 f"{self.name}: {len(self.chiplets)} chiplets do not fill a "
                 f"{self.mesh_w}x{self.mesh_h} mesh")
-        ids = {c.chiplet_id for c in self.chiplets}
-        if ids != set(range(len(self.chiplets))):
-            raise ValueError(f"{self.name}: chiplet ids must be 0..N-1")
+        # chiplet(i) indexes the list and the hop table indexes cells by
+        # coordinates, so both must be exact.
+        if any(c.chiplet_id != i for i, c in enumerate(self.chiplets)):
+            raise ValueError(
+                f"{self.name}: chiplets must be listed by id 0..N-1")
+        cells = {(c.x, c.y) for c in self.chiplets
+                 if 0 <= c.x < self.mesh_w and 0 <= c.y < self.mesh_h}
+        if len(cells) != len(self.chiplets):
+            raise ValueError(
+                f"{self.name}: chiplet coordinates must cover the "
+                f"{self.mesh_w}x{self.mesh_h} grid exactly once")
 
     # ------------------------------------------------------------------
 

@@ -16,10 +16,12 @@ first-class object so the topology itself becomes a sweep axis:
   NPU tiling, quadrant-partitioned into 2x2 blocks.
 
 Everything hop-shaped routes through this object: ``hops(a, b)`` prices
-one route, :meth:`NoPTopology.min_hop_map` builds the multi-source
-nearest-hop map placement and schedule pricing share.  The mesh map
-delegates to the same two-pass L1 distance transform the seed used, so
-default-topology results are bit-identical to the seed model.
+one route, and :attr:`NoPTopology.hop_table` holds every route of the
+grid, one row per cell (``y * width + x``).  Placement and schedule pricing
+read nearest-hop distances from it (:meth:`NoPTopology.nearest_hops`):
+the elementwise minimum of the source cells' rows.  Each table entry is
+``hops()``, so mesh results are bit-identical to the seed's two-pass L1
+distance transform (:func:`min_hop_map`, kept as the reference).
 
 Plan keying: group plans do not depend on the topology.  Sharding picks
 each plan from compute cost alone and the NoP is priced only once the
@@ -31,6 +33,8 @@ plan.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 #: supported topology kinds, in canonical order.
@@ -41,9 +45,9 @@ def min_hop_map(mesh_w: int, mesh_h: int,
                 sources: list[tuple[int, int]]) -> list[list[int]]:
     """Min XY-routed hops from every open-mesh cell to the nearest source.
 
-    Two-pass L1 distance transform over the mesh — O(cells) regardless
-    of the source count, and identical to ``min(|dx| + |dy|)`` because
-    the mesh has no holes.  Indexed ``[x][y]``.
+    The seed's two-pass L1 distance transform over the mesh, identical
+    to ``min(|dx| + |dy|)`` because the mesh has no holes; kept as the
+    reference for :meth:`NoPTopology.min_hop_map`.  Indexed ``[x][y]``.
     """
     inf = mesh_w + mesh_h  # exceeds any reachable distance
     dist = [inf] * (mesh_w * mesh_h)  # flat, index x * mesh_h + y
@@ -71,28 +75,6 @@ def min_hop_map(mesh_w: int, mesh_h: int,
                 d = dist[i + 1] + 1
             dist[i] = d
     return [dist[x * mesh_h:(x + 1) * mesh_h] for x in range(mesh_w)]
-
-
-def _relax_ring(ring: list[int]) -> None:
-    """Ring distance transform of ``ring`` in place.
-
-    Relaxes ``ring[i] = min(ring[i], ring[i -/+ 1] + 1)`` forward, then
-    backward, for two laps each around the cycle.  A shortest route on a
-    ring runs one way and is shorter than one lap, so two laps in each
-    direction reach every cell from every other: afterwards ``ring[i]``
-    is ``min_j(ring[j] + ring_distance(i, j))`` over the input values.
-    """
-    n = len(ring)
-    for order in (range(n), range(n - 1, -1, -1)):
-        run = ring[order[-1]]  # the wrap neighbour of the lap's first cell
-        for _ in range(2):
-            for i in order:
-                run += 1
-                d = ring[i]
-                if d < run:
-                    run = d
-                else:
-                    ring[i] = run
 
 
 @dataclass(frozen=True)
@@ -142,35 +124,60 @@ class NoPTopology:
             dy = min(dy, self.height - dy)
         return dx + dy
 
+    def cell(self, x: int, y: int) -> int:
+        """Index of grid coordinate ``(x, y)`` in :attr:`hop_table`."""
+        return y * self.width + x
+
+    @property
+    def hop_table(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs hop counts: ``hop_table[i][j]`` is ``hops()`` between
+        cells ``i`` and ``j`` (see :meth:`cell`).
+
+        Built on first use and shared by equal topologies.
+        """
+        return _hop_table(self)
+
+    def nearest_hops(self, cells: Iterable[int]) -> tuple[int, ...]:
+        """Min hops from every cell to the nearest of ``cells``.
+
+        Indexed by cell like :attr:`hop_table`: the elementwise minimum
+        of the sources' rows.  No sources yields the unreachable
+        sentinel (``width + height``) everywhere.
+        """
+        table = self.hop_table
+        rows = [table[c] for c in cells]
+        if not rows:
+            return (self.width + self.height,) * len(table)
+        if len(rows) == 1:
+            return rows[0]
+        return tuple(map(min, *rows))
+
     def min_hop_map(self,
                     sources: list[tuple[int, int]]) -> list[list[int]]:
-        """Min hops from every grid cell to the nearest source.
+        """:meth:`nearest_hops` of grid coordinates, indexed ``[x][y]``."""
+        w = self.width
+        near = self.nearest_hops(self.cell(x, y) for x, y in sources)
+        return [list(near[x::w]) for x in range(w)]
 
-        Indexed ``[x][y]``.  The mesh path is the seed's two-pass L1
-        distance transform (bit-identical maps).  The torus path is a
-        separable ring transform: sources start at 0 and every other
-        cell at ``width + height``, then every x ring and after it every
-        y ring is relaxed for two laps each way (:func:`_relax_ring`).
-        It is exact because a ring's hop count is its cycle-graph
-        distance and XY-routed hops add per axis, so the x pass leaves
-        each cell's nearest wraparound x distance to a source in its row
-        and the y pass minimizes that plus the y distance over the
-        column.  Both paths are O(cells) regardless of the source count.
-        Empty source sets yield the unreachable sentinel
-        (``width + height``) everywhere.
-        """
-        if not self.wraparound:
-            return min_hop_map(self.width, self.height, sources)
-        w, h = self.width, self.height
-        rows = [[w + h] * w for _ in range(h)]  # indexed [y][x]
-        for x, y in sources:
-            rows[y][x] = 0
-        for ring in rows:
-            _relax_ring(ring)
-        cols = [list(col) for col in zip(*rows)]  # indexed [x][y]
-        for ring in cols:
-            _relax_ring(ring)
-        return cols
+
+@functools.lru_cache(maxsize=16)
+def _hop_table(topo: NoPTopology) -> tuple[tuple[int, ...], ...]:
+    """Build ``topo.hop_table`` separably from per-axis distances.
+
+    XY-routed hops add per axis, so the row of cell ``(x, y)`` is the
+    outer sum of the y axis's row ``y`` and the x axis's row ``x``: the
+    distance on a line, ``min(d, size - d)`` around a ring.  Rows and
+    entries both run in :meth:`NoPTopology.cell` order.
+    """
+    def axis(size: int) -> list[list[int]]:
+        rows = [[abs(a - b) for b in range(size)] for a in range(size)]
+        if topo.wraparound:
+            rows = [[min(d, size - d) for d in row] for row in rows]
+        return rows
+
+    dx, dy = axis(topo.width), axis(topo.height)
+    return tuple(tuple([a + b for a in dy[y] for b in dx[x]])
+                 for y in range(topo.height) for x in range(topo.width))
 
 
 def parse_topology(token: str) -> "tuple[str, tuple[int, int] | None]":

@@ -42,13 +42,11 @@ def place(workload: PerceptionWorkload,
     """Assign ``alloc[group]`` chiplet ids to every non-colocated group."""
     assignment: dict[str, tuple[int, ...]] = {}
     prev_stage_ids: list[int] = []
-    xs = [package.chiplet(c).x for c in range(len(package))]
-    ys = [package.chiplet(c).y for c in range(len(package))]
-    # All hop geometry routes through the package topology: the anchor
-    # distance map and the peer-distance term below are wraparound-aware
-    # on a torus and identical to the seed L1 math on the open mesh.
+    # All hop geometry is read from the package topology's hop table:
+    # wraparound-aware on a torus and the seed L1 math on the open mesh.
     topo = package.topology
-    peer_hops = topo.hops
+    table = topo.hop_table
+    cell = [topo.cell(c.x, c.y) for c in package.chiplets]
     for stage in workload.stages:
         cells = [c.chiplet_id
                  for q in stage_quadrants[stage.name]
@@ -71,17 +69,17 @@ def place(workload: PerceptionWorkload,
                 anchors = prev_stage_ids
             # The anchor term of the score is fixed for the whole group
             # and the peer term is a running minimum over the chiplets
-            # chosen so far, so precompute the former (one multi-source
-            # hop map, O(cells) on mesh and torus alike) and update the
-            # latter incrementally: O(cells + n * free) per group
-            # instead of O(n * free * (anchors + chosen)).  Scores (and
-            # the cid tie-break) are identical to scoring from scratch.
+            # chosen so far, so precompute the former (the elementwise
+            # minimum of the anchors' hop-table rows) and update the
+            # latter with one row lookup per chosen chiplet: O(cells *
+            # anchors + n * free) per group instead of O(n * free *
+            # (anchors + chosen)).  Scores (and the cid tie-break) are
+            # identical to scoring from scratch.
             inf = float("inf")
             anchor_d: dict[int, float]
             if anchors:
-                hop_map = topo.min_hop_map(
-                    [(xs[a], ys[a]) for a in anchors])
-                anchor_d = {cid: hop_map[xs[cid]][ys[cid]] for cid in free}
+                near = topo.nearest_hops([cell[a] for a in anchors])
+                anchor_d = {cid: near[cell[cid]] for cid in free}
             else:
                 anchor_d = {cid: 0.0 for cid in free}
             peer_d = {cid: inf for cid in free}
@@ -98,11 +96,11 @@ def place(workload: PerceptionWorkload,
             free.remove(best)
             chosen = [best]
             while len(chosen) < n:
-                last = (xs[best], ys[best])
+                last = table[cell[best]]
                 nxt = free[0]
                 nxt_score = None
                 for cid in free:
-                    d = peer_hops((xs[cid], ys[cid]), last)
+                    d = last[cell[cid]]
                     if d < peer_d[cid]:
                         peer_d[cid] = d
                     score = anchor_d[cid] + 0.5 * peer_d[cid]

@@ -207,19 +207,17 @@ class Schedule:
         src_ids = self.chiplets_of(src)
         dst_ids = self.chiplets_of(dst)
         per_src = payload / max(1, len(src_ids))
-        # One distance map from the destination set prices every source
-        # chiplet's nearest-hop count in O(grid cells) on both mesh and
-        # torus, replacing the former O(src * dst) pairwise minimum
-        # (same hop values by construction).  The map comes from the
-        # package topology, so torus wraparound shortens routes here
-        # without touching the pricing code.  Several edges often share
-        # a destination set, so the map is memoized per destination
-        # tuple.
-        hop_map = self._hop_map_memo.get(dst_ids)
-        if hop_map is None:
-            hop_map = self.package.topology.min_hop_map(
-                [(c.x, c.y) for c in map(self.package.chiplet, dst_ids)])
-            self._hop_map_memo[dst_ids] = hop_map
+        # One nearest-hop map from the destination set (the topology's
+        # hop-table rows, so torus wraparound shortens routes here too)
+        # prices every source chiplet; several edges often share a
+        # destination set, so the map is memoized per destination tuple.
+        topo = self.package.topology
+        near = self._hop_map_memo.get(dst_ids)
+        if near is None:
+            near = topo.nearest_hops(
+                [topo.cell(c.x, c.y)
+                 for c in map(self.package.chiplet, dst_ids)])
+            self._hop_map_memo[dst_ids] = near
         total_lat = 0.0
         total_energy = 0.0
         hop_sum = 0.0
@@ -227,7 +225,7 @@ class Schedule:
         by_hops: dict[int, NoPTransfer] = {}  # few distinct hop counts
         for sid in src_ids:
             chiplet = self.package.chiplet(sid)
-            hops = hop_map[chiplet.x][chiplet.y]
+            hops = near[topo.cell(chiplet.x, chiplet.y)]
             t = by_hops.get(hops)
             if t is None:
                 t = transfer_cost(int(per_src), hops, self.package.nop)

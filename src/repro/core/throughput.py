@@ -39,12 +39,17 @@ _MAX_STEPS = 1000
 
 @dataclass
 class _State:
-    """Mutable algorithm state shared by the phases."""
+    """Mutable algorithm state shared by the phases.
 
-    workload: PerceptionWorkload
-    package: MCMPackage
+    Allocatable plans change only through :meth:`set_plan`, which keeps
+    each stage's chiplet use, the chiplets left package-wide and every
+    allocatable group's effective pipe current, so the phases and each
+    trace step read them instead of rescanning the workload.
+    """
+
     stage_quadrants: dict[str, tuple[int, ...]]
     accel_of: dict[str, AcceleratorConfig]
+    #: starts with the colocated groups' fixed 1-chiplet plans only
     plans: dict[str, GroupPlan]
     colocated: dict[str, str]
     capacity: dict[str, int]
@@ -53,39 +58,35 @@ class _State:
 
     def __post_init__(self) -> None:
         # Colocated groups keep their 1-chiplet plans for the whole run,
-        # so each host's extra span is a constant: sum it once instead of
-        # rescanning the colocation map on every effective_pipe call
-        # (which record() issues for every group on every trace step).
+        # so each host's extra span is a constant.
         self._hosted_extra: dict[str, float] = {}
         for guest, host in self.colocated.items():
             self._hosted_extra[host] = (self._hosted_extra.get(host, 0.0)
                                         + self.plans[guest].span_s)
+        self._used = dict.fromkeys(self.capacity, 0)
+        self._left = sum(self.capacity.values())
+        self._pipe: dict[str, float] = {}
 
-    def stage_of(self, group_name: str) -> str:
-        return self.workload.find_group(group_name).stage
-
-    def used(self, stage_name: str) -> int:
-        return sum(
-            self.plans[g.name].n_chiplets
-            for g in self.workload.stage(stage_name).groups
-            if g.name not in self.colocated)
+    def set_plan(self, group: LayerGroup, plan: GroupPlan) -> None:
+        """Install an allocatable group's plan and update the totals."""
+        old = self.plans.get(group.name)
+        grown = plan.n_chiplets - (0 if old is None else old.n_chiplets)
+        self._used[group.stage] += grown
+        self._left -= grown
+        self.plans[group.name] = plan
+        pipe = plan.pipe_latency_s
+        extra = self._hosted_extra.get(group.name)
+        self._pipe[group.name] = pipe if extra is None else pipe + extra
 
     def budget_left(self, stage_name: str) -> int:
-        return self.capacity[stage_name] - self.used(stage_name)
-
-    def total_budget_left(self) -> int:
-        return sum(self.budget_left(s.name) for s in self.workload.stages)
+        return self.capacity[stage_name] - self._used[stage_name]
 
     def effective_pipe(self, group: LayerGroup) -> float:
         """Group pipe latency plus any colocated spans it hosts."""
-        pipe = self.plans[group.name].pipe_latency_s
-        extra = self._hosted_extra.get(group.name)
-        return pipe if extra is None else pipe + extra
+        return self._pipe[group.name]
 
     def global_pipe_s(self) -> float:
-        return max(self.effective_pipe(g)
-                   for s in self.workload.stages for g in s.groups
-                   if g.name not in self.colocated)
+        return max(self._pipe.values())
 
     def record(self, phase: str, action: str, group: str) -> None:
         self.step += 1
@@ -96,7 +97,7 @@ class _State:
             group=group,
             n_chiplets=self.plans[group].n_chiplets,
             pipe_latency_ms=self.global_pipe_s() * 1e3,
-            chiplets_remaining=self.total_budget_left(),
+            chiplets_remaining=self._left,
         ))
 
 
@@ -178,16 +179,21 @@ class ThroughputMatcher:
                 self.package.quadrant_capacity(q) for q in quads)
 
         colocated = self._find_colocated(accel_of)
-        plans: dict[str, GroupPlan] = {}
+        state = _State(
+            stage_quadrants=stage_quadrants,
+            accel_of=accel_of,
+            plans={g.name: plan_group(g, 1, accel_of[g.stage])
+                   for g in self.workload.all_groups()
+                   if g.name in colocated},
+            colocated=colocated,
+            capacity=capacity,
+            trace=[],
+        )
         for si, stage in enumerate(self.workload.stages):
             accel = accel_of[stage.name]
             allocatable = [g for g in stage.groups
                            if g.name not in colocated]
-            used = 0
-            for idx, g in enumerate(stage.groups):
-                if g.name in colocated:
-                    plans[g.name] = plan_group(g, 1, accel)
-                    continue
+            for g in allocatable:
                 n = 1
                 if si == 0 and g.instances > 1:
                     # The FE stage starts with one chiplet per concurrent
@@ -196,21 +202,10 @@ class ThroughputMatcher:
                     # stage's remaining groups of their first chiplet.
                     reserved = sum(1 for other in allocatable
                                    if other.name != g.name
-                                   and other.name not in plans)
-                    avail = capacity[stage.name] - used - reserved
+                                   and other.name not in state.plans)
+                    avail = state.budget_left(stage.name) - reserved
                     n = max(1, min(g.instances, avail))
-                plans[g.name] = plan_group(g, n, accel)
-                used += plans[g.name].n_chiplets
-        state = _State(
-            workload=self.workload,
-            package=self.package,
-            stage_quadrants=stage_quadrants,
-            accel_of=accel_of,
-            plans=plans,
-            colocated=colocated,
-            capacity=capacity,
-            trace=[],
-        )
+                state.set_plan(g, plan_group(g, n, accel))
         for stage in self.workload.stages:
             for g in stage.groups:
                 if g.name not in colocated:
@@ -265,7 +260,7 @@ class ThroughputMatcher:
                                state.accel_of[stage_name], current=current)
         if plan is None:
             return False
-        state.plans[group.name] = plan
+        state.set_plan(group, plan)
         state.record(phase, "shard", group.name)
         return True
 

@@ -1,8 +1,10 @@
 """Unit tests for the MCM package and NoP cost model."""
 
+import dataclasses
+
 import pytest
 
-from repro.arch import NoPConfig, simba_package, transfer_cost
+from repro.arch import MCMPackage, NoPConfig, simba_package, transfer_cost
 from repro.cost import nvdla_chiplet
 
 
@@ -49,6 +51,25 @@ class TestPackage:
     def test_replacement_rejects_off_mesh_coords(self):
         with pytest.raises(KeyError):
             simba_package().with_dataflow_at([(9, 9)], nvdla_chiplet())
+
+    def test_rejects_chiplets_out_of_id_order(self):
+        # chiplet(i) indexes the list: reversed, chiplet(0) would be 35.
+        chiplets = simba_package().chiplets[::-1]
+        with pytest.raises(ValueError, match="listed by id"):
+            MCMPackage("reversed", 6, 6, chiplets)
+
+    def test_rejects_stacked_coordinates(self):
+        chiplets = [dataclasses.replace(c, x=0, y=0)
+                    for c in simba_package().chiplets]
+        with pytest.raises(ValueError, match="exactly once"):
+            MCMPackage("stacked", 6, 6, chiplets)
+
+    def test_rejects_off_grid_coordinates(self):
+        # Flat hop-table cells would alias these onto other chiplets.
+        chiplets = [dataclasses.replace(c, x=c.x + 6)
+                    for c in simba_package().chiplets]
+        with pytest.raises(ValueError, match="exactly once"):
+            MCMPackage("shifted", 6, 6, chiplets)
 
 
 class TestNoP:

@@ -5,6 +5,8 @@ instance counts, shardability flags) and checks that Algorithm 1 always
 produces a *valid* schedule: budgets hold, no chiplet is double-booked,
 sharding never makes the pipeline slower than the unsharded mapping, and
 the accounting identities between plans and the busy map are preserved.
+Each trace step's pipe latency and remaining budget must also replay
+exactly from freshly priced plans.
 """
 
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from repro.arch import (
     simba_package,
     transfer_cost,
 )
-from repro.core import ThroughputMatcher
+from repro.core import ThroughputMatcher, clear_plan_cache
+from repro.core.sharding import plan_group
 from repro.workloads import dense
 from repro.workloads.graph import LayerGroup, PerceptionWorkload, Stage
 
@@ -100,7 +103,6 @@ class TestMatcherInvariants:
         # Unsharded reference: every group on one chiplet.  Colocated tiny
         # groups legally stack on a host chiplet, so the bound allows one
         # colocation threshold per hosted group.
-        from repro.core.sharding import plan_group
         accel = package.chiplets[0].accel
         unsharded = max(plan_group(g, 1, accel).pipe_latency_s
                         for g in workload.all_groups())
@@ -194,3 +196,50 @@ class TestHeterogeneousPackageInvariants:
         assert 0 < schedule.utilization <= 1
         for util in schedule.stage_utilization().values():
             assert 0 < util <= 1
+
+
+def replay_trace(schedule):
+    """Each trace step's ``(pipe_latency_ms, chiplets_remaining)``,
+    re-derived from plans priced afresh and capacities read from the
+    package: the allocation after each step, with colocated spans added
+    to their hosts in workload order as the matcher adds them."""
+    package = schedule.package
+    accel, capacity = {}, 0
+    for stage in schedule.workload.stages:
+        quads = schedule.stage_quadrants[stage.name]
+        accel[stage.name] = package.quadrant(quads[0])[0].accel
+        capacity += sum(package.quadrant_capacity(q) for q in quads)
+    groups = {g.name: g for g in schedule.workload.all_groups()}
+    extra: dict[str, float] = {}
+    for name, gs in schedule.groups.items():
+        if gs.host is not None:
+            span = plan_group(groups[name], 1, accel[groups[name].stage])
+            extra[gs.host] = extra.get(gs.host, 0.0) + span.span_s
+    # The matcher records its init steps after allocating every group.
+    alloc = {t.group: t.n_chiplets for t in schedule.trace
+             if t.phase == "init"}
+    out = []
+    for step in schedule.trace:
+        alloc[step.group] = step.n_chiplets
+        pipes = []
+        for name, n in alloc.items():
+            group = groups[name]
+            pipe = plan_group(group, n, accel[group.stage]).pipe_latency_s
+            pipes.append(pipe + extra[name] if name in extra else pipe)
+        out.append((max(pipes) * 1e3, capacity - sum(alloc.values())))
+    return out
+
+
+class TestTraceReplay:
+    @given(workload=small_workloads(),
+           spec=st.none() | quadrant_override_specs())
+    @settings(max_examples=25, deadline=None)
+    def test_trace_replays_from_scratch(self, workload, spec):
+        package = simba_package()
+        if spec is not None:
+            package = spec.apply(package)
+        schedule = ThroughputMatcher(workload, package).run()
+        clear_plan_cache()
+        assert replay_trace(schedule) == [
+            (t.pipe_latency_ms, t.chiplets_remaining)
+            for t in schedule.trace]

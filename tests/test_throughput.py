@@ -1,9 +1,38 @@
 """Integration tests for Algorithm 1 (throughput matching)."""
 
+import dataclasses
+import json
+import pathlib
+
 import pytest
 
 from repro.arch import simba_package
 from repro.core import ThroughputMatcher
+from repro.core.schedule import TraceStep
+from repro.sweep import Scenario
+
+TRACES = (pathlib.Path(__file__).parent / "data"
+          / "frozen_matcher_traces.json")
+
+#: scenarios whose full Algorithm-1 traces are frozen in TRACES.
+TRACE_SCENARIOS = (
+    [Scenario(tolerance=tol, npus=n, topology=topo)
+     for n in (1, 2, 4) for topo in ("mesh", "torus")
+     for tol in (1.0, 1.05)]
+    + [Scenario(hetero="trunk:ws"), Scenario(dram_gbps=2.0)])
+
+
+def trace_doc() -> dict:
+    """Every TraceStep field of each scenario's trace, floats as hex."""
+    traces = {}
+    for scenario in TRACE_SCENARIOS:
+        schedule = scenario.build().schedule()
+        traces[scenario.key] = [
+            [v.hex() if isinstance(v, float) else v
+             for v in dataclasses.astuple(step)]
+            for step in schedule.trace]
+    return {"fields": [f.name for f in dataclasses.fields(TraceStep)],
+            "traces": traces}
 
 
 class TestScheduleShape36:
@@ -96,3 +125,14 @@ class TestMatcherValidation:
         loose = ThroughputMatcher(tolerance=1.3,
                                   package=simba_package()).run()
         assert loose.pipe_latency_s <= tight.pipe_latency_s * 1.3 + 1e-9
+
+
+class TestFrozenTraces:
+    def test_traces_match_frozen_fixture(self):
+        # Per-step pipe latency and remaining budget, bit for bit: rows
+        # carry only the step count, so this is what locks the matcher's
+        # running state.
+        assert trace_doc() == json.loads(TRACES.read_text())
+
+    def test_fixture_covers_a_dram_throttled_scenario(self):
+        assert Scenario(dram_gbps=2.0).build().schedule().dram_throttled

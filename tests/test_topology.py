@@ -26,7 +26,9 @@ from repro.arch import (
 from repro.core.throughput import match_throughput
 from repro.sweep import Scenario, ScenarioSweep, run_scenario, scenario_grid
 
-TORUS_ROWS = pathlib.Path(__file__).parent / "data" / "frozen_torus_rows.json"
+DATA = pathlib.Path(__file__).parent / "data"
+TORUS_ROWS = DATA / "frozen_torus_rows.json"
+EXPLICIT_GRID_ROWS = DATA / "frozen_explicit_grid_rows.json"
 
 
 @st.composite
@@ -83,6 +85,16 @@ class TestTopologyGeometry:
         want = [[min((topo.hops((x, y), s) for s in sources), default=w + h)
                  for y in range(h)] for x in range(w)]
         assert topo.min_hop_map(sources) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(TOPOLOGY_KINDS), w=st.integers(1, 9),
+           h=st.integers(1, 9))
+    @example(kind="torus", w=7, h=3)
+    def test_hop_table_entries_are_hops(self, kind, w, h):
+        topo = NoPTopology(kind, w, h)
+        cells = [(x, y) for y in range(h) for x in range(w)]  # y * w + x
+        assert topo.hop_table == tuple(
+            tuple(topo.hops(a, b) for b in cells) for a in cells)
 
     def test_torus_wraparound_shortens_hop_map(self):
         # (5,0) reaches (0,0) in one x-wrap hop where the open mesh
@@ -275,6 +287,17 @@ class TestTopologyAxis:
                              het_ws_budgets=(None, 4))
         assert (ScenarioSweep(grid).run().rows_json() + "\n"
                 == TORUS_ROWS.read_text())
+
+    def test_explicit_grid_rows_match_frozen_fixture(self):
+        # Non-square grids whose height is not 6: a cell-index slip
+        # between ``y * width + x`` and ``x * height + y`` shows here
+        # while the ``6*npus x 6`` grids above may hide it.
+        grid = scenario_grid(tolerances=(1.0, 1.1),
+                             workloads=("default", "lores", "six-camera"),
+                             topologies=("mesh-12x10", "torus-10x4",
+                                         "torus-8x8", "mesh-4x6"))
+        assert (ScenarioSweep(grid).run().rows_json() + "\n"
+                == EXPLICIT_GRID_ROWS.read_text())
 
     def test_grid_expands_topology_innermost(self):
         grid = scenario_grid(tolerances=(1.0, 1.05),
