@@ -18,10 +18,12 @@ first-class object so the topology itself becomes a sweep axis:
 Everything hop-shaped routes through this object: ``hops(a, b)`` prices
 one route, and :attr:`NoPTopology.hop_table` holds every route of the
 grid, one row per cell (``y * width + x``).  Placement and schedule pricing
-read nearest-hop distances from it (:meth:`NoPTopology.nearest_hops`):
-the elementwise minimum of the source cells' rows.  Each table entry is
-``hops()``, so mesh results are bit-identical to the seed's two-pass L1
-distance transform (:func:`min_hop_map`, kept as the reference).
+read nearest-hop distances from it, and only for the cells they price:
+``nearest_hops(sources, targets)`` returns one entry per target cell, the
+minimum of that target's row read at the source cells (hops are
+symmetric).  Each table entry is ``hops()``, so mesh results are
+bit-identical to the seed's two-pass L1 distance transform
+(:func:`min_hop_map`, kept as the reference).
 
 Plan keying: group plans do not depend on the topology.  Sharding picks
 each plan from compute cost alone and the NoP is priced only once the
@@ -34,7 +36,7 @@ plan.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 #: supported topology kinds, in canonical order.
@@ -137,27 +139,28 @@ class NoPTopology:
         """
         return _hop_table(self)
 
-    def nearest_hops(self, cells: Iterable[int]) -> tuple[int, ...]:
-        """Min hops from every cell to the nearest of ``cells``.
+    def nearest_hops(self, sources: Sequence[int],
+                     targets: Sequence[int]) -> list[int]:
+        """Min hops from each of ``targets`` to the nearest of ``sources``.
 
-        Indexed by cell like :attr:`hop_table`: the elementwise minimum
-        of the sources' rows.  No sources yields the unreachable
-        sentinel (``width + height``) everywhere.
+        Cells are :attr:`hop_table` indices.  One entry per target, in
+        order: hops are symmetric, so each is the minimum of the target's
+        table row read at the source cells.  No sources yields the
+        unreachable sentinel (``width + height``) for every target.
         """
+        if not sources:
+            return [self.width + self.height] * len(targets)
         table = self.hop_table
-        rows = [table[c] for c in cells]
-        if not rows:
-            return (self.width + self.height,) * len(table)
-        if len(rows) == 1:
-            return rows[0]
-        return tuple(map(min, *rows))
+        return [min([table[t][s] for s in sources]) for t in targets]
 
     def min_hop_map(self,
                     sources: list[tuple[int, int]]) -> list[list[int]]:
-        """:meth:`nearest_hops` of grid coordinates, indexed ``[x][y]``."""
+        """:meth:`nearest_hops` of grid coordinates for every cell,
+        indexed ``[x][y]``."""
         w = self.width
-        near = self.nearest_hops(self.cell(x, y) for x, y in sources)
-        return [list(near[x::w]) for x in range(w)]
+        near = self.nearest_hops([self.cell(x, y) for x, y in sources],
+                                 range(w * self.height))
+        return [near[x::w] for x in range(w)]
 
 
 @functools.lru_cache(maxsize=16)

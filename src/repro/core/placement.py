@@ -69,17 +69,18 @@ def place(workload: PerceptionWorkload,
                 anchors = prev_stage_ids
             # The anchor term of the score is fixed for the whole group
             # and the peer term is a running minimum over the chiplets
-            # chosen so far, so precompute the former (the elementwise
-            # minimum of the anchors' hop-table rows) and update the
-            # latter with one row lookup per chosen chiplet: O(cells *
-            # anchors + n * free) per group instead of O(n * free *
-            # (anchors + chosen)).  Scores (and the cid tie-break) are
-            # identical to scoring from scratch.
+            # chosen so far, so precompute the former (each free cell's
+            # hops to its nearest anchor) and update the latter with one
+            # row lookup per chosen chiplet: O(free * anchors + n * free)
+            # per group instead of O(n * free * (anchors + chosen)).
+            # Scores (and the cid tie-break) are identical to scoring
+            # from scratch.
             inf = float("inf")
             anchor_d: dict[int, float]
             if anchors:
-                near = topo.nearest_hops([cell[a] for a in anchors])
-                anchor_d = {cid: near[cell[cid]] for cid in free}
+                near = topo.nearest_hops([cell[a] for a in anchors],
+                                         [cell[cid] for cid in free])
+                anchor_d = dict(zip(free, near))
             else:
                 anchor_d = {cid: 0.0 for cid in free}
             peer_d = {cid: inf for cid in free}

@@ -90,8 +90,6 @@ class Schedule:
     # same NoP edges and busy map several times per call without these.
     _edge_memo: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
-    _hop_map_memo: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
     _nop_edges_memo: list | None = field(default=None, init=False,
                                          repr=False, compare=False)
     _pipe_latency_memo: float | None = field(default=None, init=False,
@@ -207,25 +205,20 @@ class Schedule:
         src_ids = self.chiplets_of(src)
         dst_ids = self.chiplets_of(dst)
         per_src = payload / max(1, len(src_ids))
-        # One nearest-hop map from the destination set (the topology's
-        # hop-table rows, so torus wraparound shortens routes here too)
-        # prices every source chiplet; several edges often share a
-        # destination set, so the map is memoized per destination tuple.
+        # Each source chiplet's hops to its nearest destination chiplet,
+        # read from the topology's hop table (so torus wraparound
+        # shortens routes here too).
         topo = self.package.topology
-        near = self._hop_map_memo.get(dst_ids)
-        if near is None:
-            near = topo.nearest_hops(
-                [topo.cell(c.x, c.y)
-                 for c in map(self.package.chiplet, dst_ids)])
-            self._hop_map_memo[dst_ids] = near
+        chiplet = self.package.chiplet
+        near = topo.nearest_hops(
+            [topo.cell(c.x, c.y) for c in map(chiplet, dst_ids)],
+            [topo.cell(c.x, c.y) for c in map(chiplet, src_ids)])
         total_lat = 0.0
         total_energy = 0.0
         hop_sum = 0.0
         worst_hops = 0
         by_hops: dict[int, NoPTransfer] = {}  # few distinct hop counts
-        for sid in src_ids:
-            chiplet = self.package.chiplet(sid)
-            hops = near[topo.cell(chiplet.x, chiplet.y)]
+        for hops in near:
             t = by_hops.get(hops)
             if t is None:
                 t = transfer_cost(int(per_src), hops, self.package.nop)

@@ -24,9 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..cost import AcceleratorConfig, chain_energy_j, chain_latency_s, evaluate
+from ..cost import (
+    AcceleratorConfig,
+    chain_energy_j,
+    chain_latency_s,
+    evaluate,
+    evaluate_shape,
+)
 from ..workloads.graph import LayerGroup
-from ..workloads.layers import Layer
+from ..workloads.layers import Layer, LayerShape
 from .plancache import MODE_BEST, get_plan_cache
 
 #: shard mode identifiers
@@ -69,9 +75,30 @@ def split_plane(layer: Layer, n: int, index: int) -> Layer:
     if not 1 <= n <= layer.out_w:
         raise ValueError(
             f"{layer.name}: cannot split {layer.out_w} tokens {n} ways")
+    if not 0 <= index < n:
+        raise ValueError(f"shard index {index} out of range for n={n}")
     base, extra = divmod(layer.out_w, n)
     cols = base + (1 if index < extra else 0)
     return replace(layer, name=f"{layer.name}@c{index}/{n}", out_w=cols)
+
+
+def _band_shapes(layer: Layer,
+                 n: int) -> tuple[int, LayerShape, LayerShape]:
+    """Shapes of the ``n`` bands :func:`split_plane` cuts, without the bands.
+
+    Returns ``(extra, big, small)``: bands ``0..extra-1`` have shape
+    ``big``, one row (or token) more than the others' ``small``.
+    """
+    shape = layer.shape
+    if layer.out_h > 1:
+        base, extra = divmod(layer.out_h, n)
+        big = shape[:1] + (base + 1,) + shape[2:]
+        small = shape[:1] + (base,) + shape[2:]
+    else:
+        base, extra = divmod(layer.out_w, n)
+        big = shape[:2] + (base + 1,) + shape[3:]
+        small = shape[:2] + (base,) + shape[3:]
+    return extra, big, small
 
 
 def max_row_shards(group: LayerGroup) -> int:
@@ -185,14 +212,15 @@ def _plan_rows(group: LayerGroup, n: int,
     # suffices to price <= 2 bands per layer and assemble the n chain
     # sums arithmetically, instead of pricing all n chains.  Summation
     # runs in the same (layer, then shard-index) order as pricing each
-    # chain would, so the resulting plan is bit-identical.
+    # chain would, so the resulting plan is bit-identical.  A band's cost
+    # depends only on its shape, so bands are priced by shape: the bands
+    # of every layer with the same dimensions share one memo entry.
     bands = []
     for layer in group.layers:
-        size = layer.out_h if layer.out_h > 1 else layer.out_w
-        extra = size % n
-        big = evaluate(split_plane(layer, n, 0), accel) if extra else None
-        small = evaluate(split_plane(layer, n, extra), accel)
-        bands.append((extra, big, small))
+        extra, big, small = _band_shapes(layer, n)
+        bands.append((extra,
+                      evaluate_shape(big, accel) if extra else None,
+                      evaluate_shape(small, accel)))
     busy = []
     energy = 0.0
     for idx in range(n):

@@ -20,6 +20,7 @@ from .model import (
     chain_latency_s,
     clear_cache,
     evaluate,
+    evaluate_shape,
 )
 
 __all__ = [
@@ -42,4 +43,5 @@ __all__ = [
     "chain_latency_s",
     "clear_cache",
     "evaluate",
+    "evaluate_shape",
 ]

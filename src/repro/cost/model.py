@@ -2,8 +2,11 @@
 
 ``evaluate(layer, accel)`` is the single entry point the rest of the system
 uses; results are memoized process-wide (``functools.lru_cache``) since
-the scheduler re-prices layers many times while sharding.  Latency follows
-a roofline:
+the scheduler re-prices layers many times while sharding.  Row bands are
+priced by shape instead (``evaluate_shape(layer.shape, accel)``, a second
+memo): a band's cost depends only on its dimensions, so every band of the
+same shape shares one entry whatever layer it was cut from.  Latency
+follows a roofline:
 
 ``cycles = max(compute_cycles, gb_words / gb_words_per_cycle)``
 
@@ -26,7 +29,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..workloads.layers import Layer
+from ..workloads.layers import Layer, LayerShape
 from .accelerator import AcceleratorConfig
 from .dataflow import MappingAnalysis, map_layer
 from .energy import PJ_TO_J
@@ -56,6 +59,21 @@ class LayerCost:
 @functools.lru_cache(maxsize=None)
 def evaluate(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
     """Price one layer on one engine (memoized process-wide)."""
+    return _price(layer, accel)
+
+
+@functools.lru_cache(maxsize=None)
+def evaluate_shape(shape: LayerShape, accel: AcceleratorConfig) -> LayerCost:
+    """Price an unnamed layer of ``shape`` (:attr:`Layer.shape`).
+
+    Memoized process-wide by shape, so layers that differ only in name
+    share one entry.  Costs equal :func:`evaluate`'s on every field but
+    ``layer_name``, which is empty.
+    """
+    return _price(Layer("", *shape), accel)
+
+
+def _price(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
     if layer.kind.is_compute:
         return _evaluate_compute(layer, accel)
     return _evaluate_vector(layer, accel)
@@ -140,5 +158,6 @@ def chain_cycles(layers: Iterable[Layer],
 
 
 def clear_cache() -> None:
-    """Drop the memoized cost table (mainly for tests/ablations)."""
+    """Drop both memoized cost tables (mainly for tests/ablations)."""
     evaluate.cache_clear()
+    evaluate_shape.cache_clear()

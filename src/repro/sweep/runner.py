@@ -21,8 +21,9 @@ points across worker processes and merges the results deterministically:
   newly computed plans back after each scenario, so plan pricing amortizes
   across processes *and* runs;
 * each worker process owns its own process-wide
-  :class:`~repro.core.plancache.PlanCache` and layer-cost ``evaluate``
-  memo; per-scenario hit/miss deltas for both are summed into the sweep
+  :class:`~repro.core.plancache.PlanCache` and layer-cost memos
+  (``evaluate`` and ``evaluate_shape``, counted as one); per-scenario
+  hit/miss deltas for both layers are summed into the sweep
   report, so the effectiveness of both memo layers is visible in artifacts
   (the *split* between hits and misses depends on which worker priced
   which scenario first and is intentionally excluded from the
@@ -54,7 +55,7 @@ from typing import Iterable, Iterator, Union
 from ..core.dse import TrunkDSE
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
 from ..core.planstore import PlanStore, content_digest
-from ..cost.model import evaluate
+from ..cost.model import evaluate, evaluate_shape
 from ..workloads.pipeline import STAGE_TR
 from .faults import FaultPlan
 from .journal import SweepJournal
@@ -95,14 +96,17 @@ _TOPOLOGY_FIELDS = ("nop_avg_hops", "nop_max_hops")
 
 
 def layer_cost_cache_stats() -> CacheStats:
-    """This process's layer-cost ``evaluate`` lru_cache counters.
+    """This process's layer-cost lru_cache counters, summed over both
+    memos: ``evaluate`` (named layers) and ``evaluate_shape`` (row bands).
 
     Shaped as a :class:`CacheStats` so sweep reports can surface both memo
-    layers (group plans and layer costs) side by side.
+    layers (group plans and layer costs) side by side.  ``entries`` is
+    summed as well, unlike ``CacheStats.__add__``'s per-worker maximum.
     """
-    info = evaluate.cache_info()
-    return CacheStats(hits=info.hits, misses=info.misses,
-                      entries=info.currsize)
+    infos = [evaluate.cache_info(), evaluate_shape.cache_info()]
+    return CacheStats(hits=sum(i.hits for i in infos),
+                      misses=sum(i.misses for i in infos),
+                      entries=sum(i.currsize for i in infos))
 
 
 def run_scenario(scenario: Scenario,
@@ -228,7 +232,7 @@ class SweepOutcome:
     row: dict
     #: plan-cache counter delta attributable to this scenario
     plan_cache: CacheStats
-    #: layer-cost ``evaluate`` counter delta attributable to this scenario
+    #: layer-cost memo counter delta attributable to this scenario
     layer_cache: CacheStats
     #: :func:`scenario_fingerprint` of the priced scenario.  Computed
     #: parent-side at journal-checkpoint time (workers never pay for
@@ -346,7 +350,7 @@ class SweepResult:
     rows: list[dict]
     #: summed per-scenario plan-cache deltas across all workers.
     cache_stats: CacheStats
-    #: summed per-scenario layer-cost evaluate-cache deltas likewise.
+    #: summed per-scenario layer-cost memo deltas likewise.
     layer_cache_stats: CacheStats
     parallel: bool
     workers: int

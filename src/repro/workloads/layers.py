@@ -55,6 +55,11 @@ _COMPUTE_KINDS = frozenset(
 )
 
 
+#: :attr:`Layer.shape`: ``(kind, out_h, out_w, k, c, r, s, stride,
+#: weights_are_activations)``.
+LayerShape = tuple[LayerKind, int, int, int, int, int, int, int, bool]
+
+
 class ShardAxis(enum.Enum):
     """Axes along which the scheduler may shard a layer group (Sec. IV)."""
 
@@ -110,11 +115,24 @@ class Layer:
         # generated __eq__ compares; ``tags`` is excluded from both).
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.name, self.kind, self.out_h, self.out_w,
-                      self.k, self.c, self.r, self.s, self.stride,
-                      self.weights_are_activations))
+            h = hash((self.name, *self.shape))
             object.__setattr__(self, "_hash", h)
         return h
+
+    @property
+    def shape(self) -> LayerShape:
+        """Every field the cost model reads: all but ``name`` and ``tags``.
+
+        In declaration order, so ``Layer(name, *shape)`` rebuilds the
+        layer under any name.  Cached per instance like the hash.
+        """
+        shape = self.__dict__.get("_shape")
+        if shape is None:
+            shape = (self.kind, self.out_h, self.out_w, self.k, self.c,
+                     self.r, self.s, self.stride,
+                     self.weights_are_activations)
+            object.__setattr__(self, "_shape", shape)
+        return shape
 
     # ------------------------------------------------------------------
     # Derived sizes (fp16 words)

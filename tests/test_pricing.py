@@ -1,10 +1,13 @@
 """Layer pricing and delta-sweeps: exactness locks.
 
-Two contracts are locked here:
+Three contracts are locked here:
 
 * ``evaluate()`` prices every layer kind on every dataflow, clock and
   tile override byte-for-byte like the frozen fixture
   ``tests/data/frozen_pricing.json``.
+* ``evaluate_shape()``, which prices row bands by shape, matches
+  ``evaluate()`` of the band ``split_plane`` cuts on every field but
+  ``layer_name``.
 * ``ScenarioSweep.run_delta()`` re-prices only the scenarios whose
   content fingerprint moved — zero for an unchanged grid — and its
   merged output is byte-identical to a cold full run.
@@ -17,10 +20,14 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.sharding import _band_shapes, split_plane
 from repro.cost import (
     clear_cache,
     evaluate,
+    evaluate_shape,
     eyeriss_chiplet,
     monolithic,
     nvdla_chiplet,
@@ -30,6 +37,8 @@ from repro.sweep.journal import SweepJournal
 from repro.sweep.runner import ScenarioSweep, scenario_fingerprint
 from repro.sweep.scenario import scenario_grid
 from repro.workloads import (
+    Layer,
+    LayerKind,
     concat,
     conv,
     deconv,
@@ -112,6 +121,47 @@ class TestFrozenFixture:
         costs = [evaluate(layer, accel)
                  for _, layer, accel in fixture_pairs()]
         assert fixture_doc(costs) == FIXTURE.read_text()
+
+
+# ----------------------------------------------------------------------
+# Row bands priced by shape
+# ----------------------------------------------------------------------
+
+@st.composite
+def band_cases(draw):
+    """A layer of any kind on a 2D plane or a 1D token plane (any
+    stride, deconv included), a band count and a band index."""
+    kind = draw(st.sampled_from(LayerKind))
+    out_h = draw(st.one_of(st.just(1), st.integers(2, 120)))
+    r = draw(st.sampled_from([1, 3, 4, 5]))
+    layer = Layer(
+        "layer", kind, out_h, draw(st.integers(1, 200)),
+        k=draw(st.integers(1, 512)),
+        c=1 if kind is LayerKind.DWCONV else draw(st.integers(1, 512)),
+        r=r, s=draw(st.sampled_from([1, r])),
+        stride=draw(st.integers(1, 3)),
+        weights_are_activations=draw(st.booleans()))
+    size = out_h if out_h > 1 else layer.out_w
+    n = draw(st.integers(1, size))
+    return layer, n, draw(st.integers(0, n - 1))
+
+
+class TestBandShapes:
+    @settings(max_examples=300, deadline=None)
+    @given(case=band_cases(), labeled=st.sampled_from(fixture_accels()))
+    @example(case=(deconv("up", (56, 56), 32, 64, r=4, stride=2), 5, 4),
+             labeled=fixture_accels()[1])
+    @example(case=(dense("fc", (1, 197), 768, 768), 8, 0),
+             labeled=fixture_accels()[0])
+    def test_shape_memo_prices_like_the_split_band(self, case, labeled):
+        layer, n, index = case
+        accel = labeled[1]
+        band = split_plane(layer, n, index)
+        extra, big, small = _band_shapes(layer, n)
+        shape = big if index < extra else small
+        assert shape == band.shape
+        want = dataclasses.replace(evaluate(band, accel), layer_name="")
+        assert evaluate_shape(shape, accel) == want
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,14 @@ class TestSplitPlane:
         with pytest.raises(ValueError):
             split_plane(dense("d", (1, 4), 8, 8), 5, 0)
 
+    @pytest.mark.parametrize("index", [-1, 4, 7])
+    def test_rejects_band_index_out_of_range(self, index):
+        # 1D token planes reject it exactly like 2D row splits.
+        for layer in (conv("c", (8, 8), 4, 4), dense("t", (1, 8), 4, 4)):
+            with pytest.raises(ValueError, match=(
+                    rf"^shard index {index} out of range for n=4$")):
+                split_plane(layer, 4, index)
+
 
 class TestBalancedSegments:
     def test_two_way_split_balances(self):
@@ -187,13 +195,14 @@ class TestRowPlanFastPath:
         g = _group(layers=(dense("a", (40, 80), 64, 64),
                            dense("b", (40, 80), 64, 64)))
         counts = {"calls": 0}
-        real_evaluate = sharding_mod.evaluate
+        real_evaluate_shape = sharding_mod.evaluate_shape
 
-        def counting_evaluate(layer, accel):
+        def counting_evaluate_shape(shape, accel):
             counts["calls"] += 1
-            return real_evaluate(layer, accel)
+            return real_evaluate_shape(shape, accel)
 
-        monkeypatch.setattr(sharding_mod, "evaluate", counting_evaluate)
+        monkeypatch.setattr(sharding_mod, "evaluate_shape",
+                            counting_evaluate_shape)
         calls_per_n = {}
         for n in (4, 13, 37):
             counts["calls"] = 0

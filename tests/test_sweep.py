@@ -149,6 +149,29 @@ class TestScenarioSweep:
         assert layer["hits"] + layer["misses"] > 0
         assert layer["entries"] > 0
 
+    def test_cold_sweeps_price_every_layer_cost_again(self, grid):
+        # The layer-cost line counts both memos (named layers and row
+        # bands by shape); the resets must empty both, or the second
+        # "cold" sweep would be served bands from the first.
+        from repro.core import clear_plan_cache
+        from repro.cost import clear_cache, evaluate_shape
+        from repro.sweep import clear_trunk_memo
+
+        def cold_sweep():
+            clear_cache()
+            clear_plan_cache()
+            clear_trunk_memo()
+            bands_before = evaluate_shape.cache_info().misses
+            layer = ScenarioSweep(grid, workers=1).run().summary()[
+                "layer_cost_cache"]
+            return layer, evaluate_shape.cache_info().misses - bands_before
+
+        first, first_bands = cold_sweep()
+        second, second_bands = cold_sweep()
+        assert first_bands > 0
+        assert second_bands == first_bands
+        assert second["misses"] == first["misses"]
+
 
 class TestStreaming:
     @pytest.fixture(scope="class")

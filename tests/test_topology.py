@@ -45,6 +45,18 @@ def hop_map_cases(draw):
     return kind, w, h, sources
 
 
+@st.composite
+def nearest_hops_cases(draw):
+    """Kind, grid dims, and source and target cell lists (either may be
+    empty or repeat cells)."""
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = st.integers(0, w * h - 1)
+    sources = draw(st.lists(cells, max_size=2 * w * h))
+    targets = draw(st.lists(cells, max_size=2 * w * h))
+    return kind, w, h, sources, targets
+
+
 class TestTopologyGeometry:
     def test_mesh_hops_are_manhattan(self):
         topo = NoPTopology("mesh", 6, 6)
@@ -95,6 +107,19 @@ class TestTopologyGeometry:
         cells = [(x, y) for y in range(h) for x in range(w)]  # y * w + x
         assert topo.hop_table == tuple(
             tuple(topo.hops(a, b) for b in cells) for a in cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=nearest_hops_cases())
+    @example(case=("torus", 6, 6, [], [0, 35, 0]))
+    @example(case=("mesh", 4, 3, [5, 5, 0], [11, 5, 3]))
+    def test_nearest_hops_is_min_hops_to_a_source(self, case):
+        kind, w, h, sources, targets = case
+        topo = NoPTopology(kind, w, h)
+        coords = {topo.cell(x, y): (x, y)
+                  for x in range(w) for y in range(h)}
+        want = [min((topo.hops(coords[t], coords[s]) for s in sources),
+                    default=w + h) for t in targets]
+        assert topo.nearest_hops(sources, targets) == want
 
     def test_torus_wraparound_shortens_hop_map(self):
         # (5,0) reaches (0,0) in one x-wrap hop where the open mesh
