@@ -85,7 +85,8 @@ class QuadrantOverride:
             raise ValueError(
                 f"unknown dataflow {self.dataflow!r}; valid dataflows: "
                 f"{', '.join(DATAFLOW_STYLES)}")
-        if self.frequency_ghz is not None and self.frequency_ghz <= 0:
+        # written so that NaN fails it too
+        if self.frequency_ghz is not None and not self.frequency_ghz > 0:
             raise ValueError("quadrant frequency_ghz must be positive")
         if self.native_tile is not None:
             tile = self.native_tile

@@ -19,6 +19,15 @@ stage (Sec. IV-A), then repeatedly relieves bottlenecks by data sharding:
 
 Every decision is appended to :attr:`Schedule.trace`, which reproduces the
 step plot of Fig. 10.
+
+These phases are the *allocation*.  They read each stage's layer groups,
+accelerator and chiplet capacity, the tolerance and the colocation
+threshold, and nothing else: the NoP topology, link bandwidth, DRAM
+budget and chiplet coordinates are read only afterwards, by placement
+and the :class:`Schedule` (Sec. IV-D, Fig. 9).  So
+:meth:`ThroughputMatcher.run` takes an optional caller-owned
+:data:`AllocationTable`, and packages that differ only in what placement
+reads share one :class:`Allocation`.
 """
 
 from __future__ import annotations
@@ -47,7 +56,6 @@ class _State:
     trace step read them instead of rescanning the workload.
     """
 
-    stage_quadrants: dict[str, tuple[int, ...]]
     accel_of: dict[str, AcceleratorConfig]
     #: starts with the colocated groups' fixed 1-chiplet plans only
     plans: dict[str, GroupPlan]
@@ -101,6 +109,27 @@ class _State:
         ))
 
 
+@dataclass(frozen=True)
+class Allocation:
+    """Algorithm 1's result before placement.
+
+    Shared by every schedule served from one :data:`AllocationTable`
+    entry, so it is never mutated: each schedule copies the trace.
+    """
+
+    #: every group's plan, colocated groups' fixed 1-chiplet plans too
+    plans: dict[str, GroupPlan]
+    #: colocated group -> the group whose chiplet it rides on
+    colocated: dict[str, str]
+    base_latency_s: float
+    trace: tuple[TraceStep, ...]
+
+
+#: allocations by :meth:`ThroughputMatcher.run`'s key, owned by one caller
+#: for the span of a run.
+AllocationTable = dict[tuple, Allocation]
+
+
 class ThroughputMatcher:
     """Nested greedy throughput matching over an MCM package."""
 
@@ -111,7 +140,7 @@ class ThroughputMatcher:
                  colocate_threshold_s: float = 0.005,
                  dram: DramBudget | None = None,
                  dram_bytes_per_frame: int = 0):
-        if tolerance < 1.0:
+        if not tolerance >= 1.0:  # NaN fails too
             raise ValueError("tolerance must be >= 1.0")
         if dram_bytes_per_frame < 0:
             raise ValueError("dram_bytes_per_frame must be non-negative")
@@ -128,47 +157,17 @@ class ThroughputMatcher:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> Schedule:
-        state = self._initial_state()
-        base = self._base_latency(state)
-        target = self.tolerance * base
+    def run(self, allocations: AllocationTable | None = None) -> Schedule:
+        """Allocate chiplets to groups (Algorithm 1), then place them.
 
-        self._phase_match(state, target)
-        self._phase_global(state)
-        self._phase_absorb(state)
-
-        alloc = {name: plan.n_chiplets for name, plan in state.plans.items()
-                 if name not in state.colocated}
-        assignment = place(self.workload, self.package, alloc,
-                           state.stage_quadrants, state.colocated)
-        groups = {}
-        for stage in self.workload.stages:
-            for g in stage.groups:
-                if g.name in state.colocated:
-                    groups[g.name] = GroupSchedule(
-                        plan=state.plans[g.name], chiplet_ids=(),
-                        host=state.colocated[g.name])
-                else:
-                    groups[g.name] = GroupSchedule(
-                        plan=state.plans[g.name],
-                        chiplet_ids=assignment[g.name])
-        return Schedule(
-            package=self.package,
-            workload=self.workload,
-            stage_quadrants=state.stage_quadrants,
-            groups=groups,
-            tolerance=self.tolerance,
-            base_latency_s=base,
-            trace=state.trace,
-            dram=self.dram,
-            dram_bytes_per_frame=self.dram_bytes_per_frame,
-        )
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-
-    def _initial_state(self) -> _State:
+        ``allocations`` is the caller's table of earlier allocations: an
+        allocation found there is reused, and one computed here is added
+        to it (``None`` uses a table of this call's own).  The key is
+        exactly what the allocation reads, so the schedule is the same
+        either way.
+        """
+        if allocations is None:
+            allocations = {}
         stage_quadrants = default_stage_quadrants(self.workload, self.package)
         accel_of: dict[str, AcceleratorConfig] = {}
         capacity: dict[str, int] = {}
@@ -177,10 +176,66 @@ class ThroughputMatcher:
             accel_of[stage.name] = self.package.quadrant(quads[0])[0].accel
             capacity[stage.name] = sum(
                 self.package.quadrant_capacity(q) for q in quads)
+        # Everything the allocation reads, and nothing placement reads:
+        # an explicit grid changes a capacity and a quadrant override an
+        # accelerator, so both miss; a topology, NoP bandwidth or DRAM
+        # budget of its own does not.
+        key = (self.tolerance, self.colocate_threshold_s,
+               tuple((tuple(stage.groups), accel_of[stage.name],
+                      capacity[stage.name])
+                     for stage in self.workload.stages))
+        allocation = allocations.get(key)
+        if allocation is None:
+            allocation = allocations[key] = self._allocate(accel_of, capacity)
 
+        colocated = allocation.colocated
+        alloc = {name: plan.n_chiplets
+                 for name, plan in allocation.plans.items()
+                 if name not in colocated}
+        assignment = place(self.workload, self.package, alloc,
+                           stage_quadrants, colocated)
+        groups = {}
+        for stage in self.workload.stages:
+            for g in stage.groups:
+                if g.name in colocated:
+                    groups[g.name] = GroupSchedule(
+                        plan=allocation.plans[g.name], chiplet_ids=(),
+                        host=colocated[g.name])
+                else:
+                    groups[g.name] = GroupSchedule(
+                        plan=allocation.plans[g.name],
+                        chiplet_ids=assignment[g.name])
+        return Schedule(
+            package=self.package,
+            workload=self.workload,
+            stage_quadrants=stage_quadrants,
+            groups=groups,
+            tolerance=self.tolerance,
+            base_latency_s=allocation.base_latency_s,
+            trace=list(allocation.trace),
+            dram=self.dram,
+            dram_bytes_per_frame=self.dram_bytes_per_frame,
+        )
+
+    def _allocate(self, accel_of: dict[str, AcceleratorConfig],
+                  capacity: dict[str, int]) -> Allocation:
+        """Algorithm 1 proper: Lat_base, then the three phases."""
+        state = self._initial_state(accel_of, capacity)
+        base = self._base_latency(state)
+        self._phase_match(state, self.tolerance * base)
+        self._phase_global(state)
+        self._phase_absorb(state)
+        return Allocation(plans=state.plans, colocated=state.colocated,
+                          base_latency_s=base, trace=tuple(state.trace))
+
+    # ------------------------------------------------------------------
+    # Setup
+    # ------------------------------------------------------------------
+
+    def _initial_state(self, accel_of: dict[str, AcceleratorConfig],
+                       capacity: dict[str, int]) -> _State:
         colocated = self._find_colocated(accel_of)
         state = _State(
-            stage_quadrants=stage_quadrants,
             accel_of=accel_of,
             plans={g.name: plan_group(g, 1, accel_of[g.stage])
                    for g in self.workload.all_groups()

@@ -92,7 +92,7 @@ class AcceleratorConfig:
             raise ValueError(
                 f"{self.name}: pe_count {self.pe_count} smaller than native "
                 f"tile {self.native_tile}")
-        if self.frequency_hz <= 0:
+        if not self.frequency_hz > 0:  # NaN fails too
             raise ValueError("frequency must be positive")
         if self.gb_words_per_cycle <= 0:
             raise ValueError("global buffer bandwidth must be positive")

@@ -56,9 +56,10 @@ class DesignTargets:
     energy_j: float | None = None
 
     def __post_init__(self) -> None:
-        if self.pipe_ms is not None and self.pipe_ms <= 0:
+        # Written so that NaN fails the checks too.
+        if self.pipe_ms is not None and not self.pipe_ms > 0:
             raise ValueError("target pipe_ms must be positive")
-        if self.energy_j is not None and self.energy_j <= 0:
+        if self.energy_j is not None and not self.energy_j > 0:
             raise ValueError("target energy_j must be positive")
 
     def admits(self, pipe_ms: float, energy_j: float) -> bool:

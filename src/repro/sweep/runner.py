@@ -6,8 +6,11 @@ points across worker processes and merges the results deterministically:
 * every scenario is priced by :func:`run_scenario`, a pure function of the
   scenario (the schedulers and cost model are deterministic), so the same
   grid produces identical rows whether it runs serially or on N workers;
-* a serial run, and each worker chunk, builds each distinct workload
-  variant once and hands the same object to all of its scenarios;
+* a serial run, and each worker chunk, owns one :class:`RunTables`: it
+  builds each distinct workload variant once, runs Algorithm 1's
+  allocation once per distinct allocation input, and builds, schedules
+  and summarizes once per distinct hardware, so scenarios that differ
+  only in their Het(k) budget share one schedule;
 * workers return :class:`SweepOutcome` records that are merged by scenario
   key, then emitted in the grid's canonical order — completion order never
   leaks into the output, which is what makes the serial, parallel, and
@@ -55,7 +58,9 @@ from typing import Iterable, Iterator, Union
 from ..core.dse import TrunkDSE
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
 from ..core.planstore import PlanStore, content_digest
+from ..core.throughput import AllocationTable
 from ..cost.model import evaluate, evaluate_shape
+from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import STAGE_TR
 from .faults import FaultPlan
 from .journal import SweepJournal
@@ -109,35 +114,62 @@ def layer_cost_cache_stats() -> CacheStats:
                       entries=sum(i.currsize for i in infos))
 
 
+@dataclass(frozen=True)
+class _ScheduledRow:
+    """The part of a row one scenario's hardware prices."""
+
+    #: row fields from ``base_ms`` through ``shard_steps``, in row order
+    fields: dict
+    #: what :func:`_trunk_columns` needs besides the scenario
+    workload: PerceptionWorkload
+    base_latency_s: float
+    trunk_chiplets: int
+
+
+@dataclass
+class RunTables:
+    """What one serial run, or one worker chunk, builds once and shares.
+
+    Each table is owned by its run and dies with it; no process-wide memo
+    holds them, so every run starts cold.  A lone :func:`run_scenario`
+    call gets tables of its own.
+    """
+
+    #: built workloads by config (:meth:`Scenario.build`)
+    workloads: WorkloadTable = field(default_factory=dict)
+    #: Algorithm 1 allocations (:meth:`ThroughputMatcher.run`)
+    allocations: AllocationTable = field(default_factory=dict)
+    #: the schedule-derived part of rows, by scenario sans Het(k) budget
+    schedules: dict[Scenario, _ScheduledRow] = field(default_factory=dict)
+
+
 def run_scenario(scenario: Scenario,
-                 workloads: WorkloadTable | None = None) -> dict:
+                 tables: RunTables | None = None) -> dict:
     """Price one scenario: scheduler summary plus optional trunk DSE.
 
     Pure function of the scenario — this is the unit of work shipped to
     sweep workers, and the determinism contract of the whole engine.
     All hardware comes from :meth:`Scenario.build`, the one
     package-construction path experiments and the CLI share;
-    ``workloads`` is the caller's table of built workloads, passed on to
-    it (``None`` builds this scenario's own).
+    ``tables`` is the caller's :class:`RunTables` (``None`` prices this
+    scenario with tables of its own).
     """
-    built = scenario.build(workloads)
-    schedule = built.schedule()
-    summary = schedule.summary()
-    row = {"key": scenario.key, **scenario.to_dict()}
-    row["base_ms"] = schedule.base_latency_s * 1e3
-    for name in _SUMMARY_FIELDS:
-        row[name] = summary[name]
-    if scenario.dram_gbps is not None:
-        for name in _DRAM_FIELDS:
-            row[name] = summary[name]
-    if scenario.topology is not None:
-        for name in _TOPOLOGY_FIELDS:
-            row[name] = getattr(schedule, name)
+    if tables is None:
+        tables = RunTables()
+    # The Het(k) budget is the one axis neither Scenario.build() nor the
+    # matcher reads: it only adds the trunk-DSE columns below.  So
+    # scenarios that differ in it alone share their schedule.
+    hardware = scenario
+    if scenario.het_ws_budget is not None:
+        hardware = replace(scenario, het_ws_budget=None)
+    scheduled = tables.schedules.get(hardware)
+    if scheduled is None:
+        scheduled = tables.schedules[hardware] = _schedule_row(scenario,
+                                                               tables)
+    row = {"key": scenario.key, **scenario.to_dict(), **scheduled.fields}
     if scenario.hetero is not None:
-        from ..arch import package_composition
-        row["package_composition"] = package_composition(built.package)
-        row["stage_utilization"] = schedule.stage_utilization()
-    row["shard_steps"] = sum(t.action == "shard" for t in schedule.trace)
+        # The row's one mutable value: no two rows may share it.
+        row["stage_utilization"] = dict(row["stage_utilization"])
 
     if scenario.het_ws_budget is not None:
         # Mirror schedule_heterogeneous: the pipe constraint is the
@@ -145,14 +177,37 @@ def run_scenario(scenario: Scenario,
         # budget is the package's actual trunk-quadrant capacity.  The
         # constraint is the *compute* base latency — heterogeneous trunk
         # mapping cannot relieve a DRAM wall.
-        l_cstr = scenario.tolerance * schedule.base_latency_s
-        trunk_chiplets = sum(
-            built.package.quadrant_capacity(q)
-            for q in schedule.stage_quadrants[STAGE_TR])
-        row.update(_trunk_columns(scenario, built.workload,
+        l_cstr = scenario.tolerance * scheduled.base_latency_s
+        row.update(_trunk_columns(scenario, scheduled.workload,
                                   scenario.het_ws_budget,
-                                  l_cstr, trunk_chiplets))
+                                  l_cstr, scheduled.trunk_chiplets))
     return row
+
+
+def _schedule_row(scenario: Scenario, tables: RunTables) -> _ScheduledRow:
+    """Build, schedule and summarize one scenario's hardware."""
+    built = scenario.build(tables.workloads)
+    schedule = built.schedule(tables.allocations)
+    summary = schedule.summary()
+    fields = {"base_ms": schedule.base_latency_s * 1e3}
+    for name in _SUMMARY_FIELDS:
+        fields[name] = summary[name]
+    if scenario.dram_gbps is not None:
+        for name in _DRAM_FIELDS:
+            fields[name] = summary[name]
+    if scenario.topology is not None:
+        for name in _TOPOLOGY_FIELDS:
+            fields[name] = getattr(schedule, name)
+    if scenario.hetero is not None:
+        from ..arch import package_composition
+        fields["package_composition"] = package_composition(built.package)
+        fields["stage_utilization"] = schedule.stage_utilization()
+    fields["shard_steps"] = sum(t.action == "shard" for t in schedule.trace)
+    trunk_chiplets = sum(built.package.quadrant_capacity(q)
+                         for q in schedule.stage_quadrants[STAGE_TR])
+    return _ScheduledRow(fields=fields, workload=built.workload,
+                         base_latency_s=schedule.base_latency_s,
+                         trunk_chiplets=trunk_chiplets)
 
 
 #: per-process memo: the trunk DSE depends only on (workload variant,
@@ -290,7 +345,7 @@ def _worker_init(store_path) -> None:
 
 def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
              attempt: int = 1, clock: Clock | None = None,
-             workloads: WorkloadTable | None = None) -> SweepOutcome:
+             tables: RunTables | None = None) -> SweepOutcome:
     """Price one scenario and capture both memo layers' deltas.
 
     Any scripted fault for ``(scenario.key, attempt)`` fires first, so
@@ -305,7 +360,7 @@ def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
         faults.fire(scenario.key, attempt, clock)
     plan_before = plan_cache_stats()
     layer_before = layer_cost_cache_stats()
-    row = run_scenario(scenario, workloads)
+    row = run_scenario(scenario, tables)
     # The counter delta is this scenario's; entries reflect the worker's
     # table after the run (CacheStats.__sub__ keeps the minuend's).
     outcome = SweepOutcome(
@@ -326,15 +381,15 @@ def _run_chunk(items: list[tuple[Scenario, int]],
     raising scenario costs neither its chunk-mates' finished work nor the
     worker process — the parent decides retry vs quarantine.  Entries are
     ``("ok", outcome)`` or ``("err", scenario, attempt, exception)``.
-    The chunk builds each distinct workload once and shares it.
+    The chunk shares one :class:`RunTables` across its scenarios.
     """
     entries: list[tuple] = []
-    workloads: WorkloadTable = {}
+    tables = RunTables()
     for scenario, attempt in items:
         try:
             entries.append(("ok", _run_one(scenario, faults=faults,
                                            attempt=attempt,
-                                           workloads=workloads)))
+                                           tables=tables)))
         except Exception as error:
             entries.append(("err", scenario, attempt, error))
     return entries
@@ -515,11 +570,10 @@ class ScenarioSweep:
                      faults: FaultPlan | None,
                      journal: SweepJournal | None) -> Iterator[SweepItem]:
         attached = _attach_store(self.store_path)
-        # One workload build per distinct variant for the whole run.
-        workloads: WorkloadTable = {}
+        tables = RunTables()  # shared by the whole run
         try:
             for scenario in scenarios:
-                item = self._price_with_retries(scenario, faults, workloads)
+                item = self._price_with_retries(scenario, faults, tables)
                 self._checkpoint(journal, item)
                 yield item
         finally:
@@ -528,7 +582,7 @@ class ScenarioSweep:
 
     def _price_with_retries(self, scenario: Scenario,
                             faults: FaultPlan | None,
-                            workloads: WorkloadTable) -> SweepItem:
+                            tables: RunTables) -> SweepItem:
         """One scenario through the retry loop (serial path)."""
         attempt = 1
         while True:
@@ -536,7 +590,7 @@ class ScenarioSweep:
                 self.clock.sleep(self.retry.backoff_s(scenario.key, attempt))
             try:
                 return _run_one(scenario, faults=faults, attempt=attempt,
-                                clock=self.clock, workloads=workloads)
+                                clock=self.clock, tables=tables)
             except Exception as error:
                 if (self.retry.is_retryable(error)
                         and attempt < self.retry.max_attempts):

@@ -55,6 +55,7 @@ from ..workloads.pipeline import PipelineConfig, build_perception_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..core.schedule import Schedule
+    from ..core.throughput import AllocationTable
 
 #: named workload variants: the paper's fixed workload plus the scaling
 #: knobs of analysis.scaling, as reusable scenario axes.
@@ -114,14 +115,20 @@ class ScenarioBuild:
         """
         return self.package.chiplets[0].accel
 
-    def schedule(self) -> "Schedule":
-        """Run the throughput matcher on the materialized hardware."""
+    def schedule(self,
+                 allocations: "AllocationTable | None" = None) -> "Schedule":
+        """Run the throughput matcher on the materialized hardware.
+
+        ``allocations`` is the caller's table of Algorithm 1 allocations,
+        passed on to :meth:`~repro.core.ThroughputMatcher.run` (``None``
+        allocates this build's own).
+        """
         from ..core.throughput import ThroughputMatcher
         return ThroughputMatcher(
             self.workload, self.package,
             tolerance=self.scenario.tolerance,
             dram=self.dram,
-            dram_bytes_per_frame=self.dram_bytes_per_frame).run()
+            dram_bytes_per_frame=self.dram_bytes_per_frame).run(allocations)
 
 
 @dataclass(frozen=True)
@@ -164,11 +171,12 @@ class Scenario:
         # tolerance/npus/workload have no "default" sentinel: an explicit
         # None (e.g. a CLI axis of 'none') is a usage error, reported as
         # ValueError rather than a comparison TypeError.
-        if self.tolerance is None or self.tolerance < 1.0:
+        # Range checks are written so that NaN fails them too.
+        if self.tolerance is None or not self.tolerance >= 1.0:
             raise ValueError("tolerance must be a number >= 1.0")
         if self.npus is None or self.npus < 1:
             raise ValueError("npus must be an integer >= 1")
-        if self.nop_gbps is not None and self.nop_gbps <= 0:
+        if self.nop_gbps is not None and not self.nop_gbps > 0:
             raise ValueError("nop_gbps must be positive")
         if self.het_ws_budget is not None and self.het_ws_budget < 0:
             raise ValueError("het_ws_budget must be >= 0")
@@ -176,7 +184,7 @@ class Scenario:
             raise ValueError(
                 f"dataflow must be one of {', '.join(_STYLES)}; "
                 f"got {self.dataflow!r}")
-        if self.frequency_ghz is not None and self.frequency_ghz <= 0:
+        if self.frequency_ghz is not None and not self.frequency_ghz > 0:
             raise ValueError("frequency_ghz must be positive")
         if self.native_tile is not None:
             tile = self.native_tile
@@ -186,7 +194,7 @@ class Scenario:
                     f"native_tile must be two positive integers "
                     f"(rows, cols); got {tile!r}")
             object.__setattr__(self, "native_tile", tuple(tile))
-        if self.dram_gbps is not None and self.dram_gbps <= 0:
+        if self.dram_gbps is not None and not self.dram_gbps > 0:
             raise ValueError("dram_gbps must be positive")
         if self.topology is not None:
             # Canonicalize so "Torus" / "torus-8X8" key identically, and

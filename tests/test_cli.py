@@ -50,6 +50,18 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             main(["sweep", "--tolerances", "abc"])
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tolerances", "0.5", "tolerance must be a number >= 1.0"),
+        ("--tolerances", "nan", "tolerance must be a number >= 1.0"),
+        ("--hetero", "trunk:@nan", "quadrant frequency_ghz must be positive"),
+    ])
+    def test_sweep_rejects_out_of_range_value(self, flag, value, message,
+                                              capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", flag, value])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_sweep_rejects_invalid_workers(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--workers", "0"])
@@ -259,6 +271,19 @@ class TestDesignCli:
         with pytest.raises(SystemExit):
             main(["design", "--axis", "topology=ring"])
         assert "topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--target-pipe-ms", "0", "target pipe_ms must be positive"),
+        ("--target-pipe-ms", "nan", "target pipe_ms must be positive"),
+        ("--axis", "hetero=trunk:ws@nan",
+         "quadrant frequency_ghz must be positive"),
+    ])
+    def test_design_rejects_out_of_range_value(self, flag, value, message,
+                                               capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["design", flag, value])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_design_rejects_zero_workers_with_empty_frontier(self, capsys):
         # A target that prunes everything leaves nothing to materialize;

@@ -163,6 +163,10 @@ class TestDesignTargets:
             DesignTargets(pipe_ms=0.0)
         with pytest.raises(ValueError, match="energy_j"):
             DesignTargets(energy_j=-1.0)
+        with pytest.raises(ValueError, match="pipe_ms"):
+            DesignTargets(pipe_ms=float("nan"))
+        with pytest.raises(ValueError, match="energy_j"):
+            DesignTargets(energy_j=float("nan"))
 
     def test_admits(self):
         targets = DesignTargets(pipe_ms=50.0, energy_j=2.0)

@@ -66,6 +66,8 @@ class TestQuadrantOverrideParsing:
             QuadrantOverrides.parse("trunk:ws@fast")
         with pytest.raises(ValueError, match="must be positive"):
             QuadrantOverrides.parse("trunk:ws@0")
+        with pytest.raises(ValueError, match="must be positive"):
+            QuadrantOverrides.parse("trunk:ws@nan")
         with pytest.raises(ValueError, match="ROWSxCOLS"):
             QuadrantOverrides.parse("trunk:ws/8x")
         with pytest.raises(ValueError,

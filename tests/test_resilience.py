@@ -42,6 +42,18 @@ def reference(grid):
     return ScenarioSweep(list(grid)).run()
 
 
+@pytest.fixture(scope="module")
+def twin_grid():
+    """Het(k) budget innermost: neighbours share one schedule."""
+    return scenario_grid(tolerances=(1.0, 1.05), npus=(1, 2),
+                         het_ws_budgets=(None, 2))
+
+
+@pytest.fixture(scope="module")
+def twin_reference(twin_grid):
+    return ScenarioSweep(list(twin_grid)).run()
+
+
 # ----------------------------------------------------------------------
 # RetryPolicy: deterministic backoff
 # ----------------------------------------------------------------------
@@ -267,6 +279,21 @@ class TestJournal:
         # resume completed the journal for the next resume
         assert len(list(journal_dir.glob("outcome-*.json"))) == len(grid)
 
+    def test_resume_between_twins_is_byte_identical(self, twin_grid,
+                                                    twin_reference,
+                                                    tmp_path):
+        # Interrupted after the first twin of the second pair: the resumed
+        # run prices its twin without the schedule the first run shared.
+        journal_dir = tmp_path / "journal"
+        stream = ScenarioSweep(list(twin_grid),
+                               journal_path=journal_dir).run_iter()
+        for _ in range(3):
+            next(stream)
+        stream.close()
+        resumed = ScenarioSweep(list(twin_grid),
+                                resume_from=journal_dir).run()
+        assert resumed.rows_json() == twin_reference.rows_json()
+
     def test_fully_journaled_grid_replays_without_pricing(self, grid,
                                                           reference,
                                                           tmp_path):
@@ -351,6 +378,16 @@ class TestParallelRecovery:
                                faults=FaultPlan.parse("crash:1"),
                                clock=NullClock()).run()
         assert result.rows_json() == reference.rows_json()
+        assert result.complete
+
+    def test_worker_crash_amid_twin_chunks_recovers(self, twin_grid,
+                                                    twin_reference):
+        # Chunks of 2 hold twin pairs; crash:1 kills the first pair's
+        # worker at its second twin.
+        result = ScenarioSweep(list(twin_grid), workers=2, chunksize=2,
+                               faults=FaultPlan.parse("crash:1"),
+                               clock=NullClock()).run()
+        assert result.rows_json() == twin_reference.rows_json()
         assert result.complete
 
     def test_crash_always_quarantines_as_worker_crash(self, grid):

@@ -82,6 +82,18 @@ class TestScenarioValidation:
             Scenario(native_tile=(16, 0))
         with pytest.raises(ValueError, match="dram_gbps"):
             Scenario(dram_gbps=-1.0)
+        # NaN compares false both ways, so it must fail the checks too
+        nan = float("nan")
+        with pytest.raises(ValueError, match="tolerance"):
+            Scenario(tolerance=nan)
+        with pytest.raises(ValueError, match="nop_gbps"):
+            Scenario(nop_gbps=nan)
+        with pytest.raises(ValueError, match="frequency_ghz"):
+            Scenario(frequency_ghz=nan)
+        with pytest.raises(ValueError, match="dram_gbps"):
+            Scenario(dram_gbps=nan)
+        with pytest.raises(ValueError, match="quadrant frequency_ghz"):
+            Scenario(hetero="trunk:ws@nan")
 
     def test_native_tile_list_normalized_to_tuple(self):
         s = Scenario(native_tile=[8, 8])

@@ -1,5 +1,6 @@
 """Tests for the scenario-sweep engine (grid, runner, determinism)."""
 
+import dataclasses
 import json
 import multiprocessing
 
@@ -33,6 +34,10 @@ class TestScenario:
             Scenario(nop_gbps=-1.0)
         with pytest.raises(KeyError):
             Scenario(workload="no-such-variant")
+        for field in ("tolerance", "nop_gbps", "frequency_ghz",
+                      "dram_gbps"):
+            with pytest.raises(ValueError, match=field):
+                Scenario(**{field: float("nan")})
 
     def test_grid_expansion_is_row_major_and_duplicate_free(self):
         grid = scenario_grid(tolerances=(1.0, 1.1), npus=(1, 2))
@@ -426,3 +431,95 @@ class TestWorkloadSharing:
         assert len(built) == 2
         for workload, before in built:
             assert snapshot(workload) == before
+
+
+#: Het(k) twins (scenarios that differ only in ``het_ws_budget``) crossed
+#: with every axis that gates a row column or reaches placement.
+TWIN_GRID = scenario_grid(nop_gbps=(None, 25.0, 50.0),
+                          het_ws_budgets=(None, 2),
+                          dram_gbps=(None, 6.0),
+                          topologies=(None, "mesh", "torus", "torus-8x8"),
+                          heteros=(None, "trunk:ws"))
+
+
+class TestScheduleSharing:
+    """A run schedules each distinct hardware once and allocates each
+    distinct allocation input once."""
+
+    @staticmethod
+    def _count(monkeypatch) -> tuple[list, list]:
+        from repro.core.throughput import ThroughputMatcher
+        builds: list = []
+        allocations: list = []
+        build = Scenario.build
+        allocate = ThroughputMatcher._allocate
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(self.key)
+            return build(self, *args, **kwargs)
+
+        def counting_allocate(self, *args, **kwargs):
+            allocations.append(self.tolerance)
+            return allocate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "build", counting_build)
+        monkeypatch.setattr(ThroughputMatcher, "_allocate",
+                            counting_allocate)
+        return builds, allocations
+
+    def test_serial_rows_equal_lone_run_scenario_rows(self):
+        assert len(TWIN_GRID) == 96
+        rows = ScenarioSweep(TWIN_GRID, workers=1).run().rows
+        lone = [run_scenario(s) for s in TWIN_GRID]
+        # Unsorted dumps lock the key order as well as the bytes.
+        assert json.dumps(rows) == json.dumps(lone)
+
+    def test_serial_sweep_schedules_each_hardware_once(self, monkeypatch):
+        grid = scenario_grid(workloads=("default", "lores"),
+                             het_ws_budgets=(None, 2),
+                             topologies=(None, "torus"))
+        builds, allocations = self._count(monkeypatch)
+        ScenarioSweep(grid, workers=1).run()
+        # One build per workload x topology; the topology reaches only
+        # placement, so one allocation per workload.
+        assert len(builds) == 4
+        assert len(allocations) == 2
+
+    def test_lone_run_scenario_schedules_its_own(self, monkeypatch):
+        builds, allocations = self._count(monkeypatch)
+        run_scenario(Scenario())
+        run_scenario(Scenario(het_ws_budget=2))
+        assert len(builds) == len(allocations) == 2
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(het_ws_budget=2),
+        Scenario(tolerance=1.2, nop_gbps=25.0, npus=2, workload="lores",
+                 het_ws_budget=4, dataflow="ws", frequency_ghz=1.5,
+                 native_tile=(8, 8), dram_gbps=6.0, topology="torus",
+                 hetero="trunk:ws@1.2+temporal:@1.5"),
+        Scenario(het_ws_budget=0, topology="mesh-8x8",
+                 hetero="trunk:ws#4"),
+    ], ids=lambda s: s.key)
+    def test_build_ignores_the_het_budget(self, scenario):
+        # The schedule table keys by the scenario without its budget, so
+        # a build that read the budget would serve a twin the wrong row.
+        from repro.io.serialize import workload_to_dict
+        built = scenario.build()
+        bare = dataclasses.replace(scenario, het_ws_budget=None).build()
+        assert built.package == bare.package
+        assert built.dram == bare.dram
+        assert built.dram_bytes_per_frame == bare.dram_bytes_per_frame
+        assert json.dumps(workload_to_dict(built.workload),
+                          sort_keys=True) \
+            == json.dumps(workload_to_dict(bare.workload), sort_keys=True)
+
+    def test_twin_rows_share_no_mutable_value(self):
+        grid = scenario_grid(het_ws_budgets=(None, 2),
+                             heteros=(None, "trunk:ws"))
+        rows = ScenarioSweep(grid, workers=1).run().rows
+        bare, budgeted = (row for row in rows if "hetero" in row)
+        assert bare["stage_utilization"] == budgeted["stage_utilization"]
+        assert bare["stage_utilization"] is not budgeted["stage_utilization"]
+        mutable = [id(v) for row in rows for v in row.values()
+                   if isinstance(v, (dict, list))]
+        assert len(mutable) == len(set(mutable)) > 0

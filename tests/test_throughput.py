@@ -9,7 +9,7 @@ import pytest
 from repro.arch import simba_package
 from repro.core import ThroughputMatcher
 from repro.core.schedule import TraceStep
-from repro.sweep import Scenario
+from repro.sweep import Scenario, scenario_grid
 
 TRACES = (pathlib.Path(__file__).parent / "data"
           / "frozen_matcher_traces.json")
@@ -20,6 +20,27 @@ TRACE_SCENARIOS = (
      for n in (1, 2, 4) for topo in ("mesh", "torus")
      for tol in (1.0, 1.05)]
     + [Scenario(hetero="trunk:ws"), Scenario(dram_gbps=2.0)])
+
+
+#: axes that reach the allocation (tolerance, package size, the trunk
+#: quadrant's accelerator, an explicit grid's quadrant capacity) crossed
+#: with axes that reach only placement and the schedule (topology, DRAM).
+ALLOCATION_GRID = (
+    scenario_grid(tolerances=(1.0, 1.5), npus=(1, 2),
+                  topologies=(None, "torus"), heteros=(None, "trunk:ws"),
+                  dram_gbps=(None, 6.0))
+    + scenario_grid(tolerances=(1.0, 1.5), topologies=("mesh-8x8",)))
+
+
+def schedule_view(schedule) -> dict:
+    """What a schedule was allocated, placed and priced as."""
+    return {
+        "trace": [dataclasses.asdict(step) for step in schedule.trace],
+        "base_latency_s": schedule.base_latency_s,
+        "groups": {name: (gs.plan, gs.chiplet_ids, gs.host)
+                   for name, gs in schedule.groups.items()},
+        "summary": schedule.summary(),
+    }
 
 
 def trace_doc() -> dict:
@@ -118,6 +139,8 @@ class TestMatcherValidation:
     def test_tolerance_below_one_rejected(self):
         with pytest.raises(ValueError):
             ThroughputMatcher(tolerance=0.9)
+        with pytest.raises(ValueError):
+            ThroughputMatcher(tolerance=float("nan"))
 
     def test_custom_tolerance_loosens_target(self):
         tight = ThroughputMatcher(tolerance=1.0,
@@ -125,6 +148,32 @@ class TestMatcherValidation:
         loose = ThroughputMatcher(tolerance=1.3,
                                   package=simba_package()).run()
         assert loose.pipe_latency_s <= tight.pipe_latency_s * 1.3 + 1e-9
+
+
+class TestAllocationTable:
+    def test_table_served_schedules_equal_fresh_ones(self):
+        # Rows alone would not catch a key that drops the tolerance: it
+        # changes the trace but no row field.
+        table: dict = {}
+        workloads: dict = {}
+        for scenario in ALLOCATION_GRID:
+            built = scenario.build(workloads)
+            assert schedule_view(built.schedule(table)) \
+                == schedule_view(built.schedule()), scenario.key
+        # 2 tolerances x 2 package sizes x 2 trunk accelerators, plus the
+        # 8x8 grid's larger quadrants at each tolerance.
+        assert len(table) == 10 < len(ALLOCATION_GRID)
+
+    def test_schedules_served_one_allocation_own_their_traces(self):
+        table: dict = {}
+        mesh = Scenario(topology="mesh").build().schedule(table)
+        torus = Scenario(topology="torus").build().schedule(table)
+        (allocation,) = table.values()
+        assert mesh.trace == torus.trace == list(allocation.trace)
+        assert mesh.trace is not torus.trace
+        mesh.trace.append(mesh.trace[0])
+        assert len(torus.trace) == len(allocation.trace) \
+            == len(mesh.trace) - 1
 
 
 class TestFrozenTraces:
