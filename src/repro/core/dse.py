@@ -151,7 +151,11 @@ class TrunkDSE:
             plans[name] = plan
         pipe = max(p.pipe_latency_s for p in plans.values())
         e2e = max(p.span_s for p in plans.values())
-        energy = sum(p.energy_j for p in plans.values())
+        # A left fold, as in _rank: sum() of floats is compensated from
+        # Python 3.12 on.
+        energy = 0.0
+        for p in plans.values():
+            energy += p.energy_j
         # The paper's Table I computes the trunk EDP against the stage's
         # end-to-end latency (0.185 J x 91.2 ms = 16.9 for the OS column).
         return TrunkConfig(

@@ -19,6 +19,11 @@ priced after the plan is fixed, so mesh and torus scenarios — and a
 heterogeneous package's untouched quadrants — share entries.  An
 overridden quadrant keys by its own accelerator config.
 
+Beside the plans, the cache holds one cost table per interned
+``(group, accel)`` pair (:class:`~repro.core.sharding.GroupCosts`),
+built on the first plan miss for that pair: every chiplet count's plan
+reads it instead of pricing the group's chain again.
+
 The cache also keeps hit/miss counters.  Sweep reports surface them next to
 ``Schedule.summary()`` metrics so cache-effectiveness regressions in the
 hot path show up in benchmark artifacts, not just in wall time.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..cost import AcceleratorConfig
@@ -38,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 
 #: cache key mode for "best plan over all shard modes" (plan_group output)
 MODE_BEST = "best"
+
+_Costs = TypeVar("_Costs")
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,8 @@ class PlanCache:
         # makes repeat lookups with the same object O(1).
         self._intern: dict = {}
         self._intern_by_id: dict = {}
+        #: (canonical group, canonical accel) -> cost table
+        self._costs: dict = {}
 
     def __len__(self) -> int:
         return len(self._table)
@@ -238,6 +247,26 @@ class PlanCache:
                 self._dirty[key_hash] = plan
         return plan
 
+    def group_costs(
+            self,
+            group: "LayerGroup",
+            accel: "AcceleratorConfig",
+            build: Callable[["LayerGroup", "AcceleratorConfig"], _Costs],
+    ) -> _Costs:
+        """The ``(group, accel)`` cost table, built by ``build`` on first use.
+
+        Keyed by the interned pair, so structurally-equal groups share
+        one table; :meth:`clear` drops them with the plans.
+        """
+        with self._lock:
+            key = (self._canonical(group), self._canonical(accel))
+            costs = self._costs.get(key)
+        if costs is None:
+            costs = build(*key)
+            with self._lock:
+                costs = self._costs.setdefault(key, costs)
+        return costs
+
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses,
@@ -245,7 +274,7 @@ class PlanCache:
                               store_hits=self._store_hits)
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters.
+        """Drop all entries and cost tables and reset the counters.
 
         An attached store stays attached with its loaded entries intact
         (they mirror immutable disk state); staged-but-unflushed entries
@@ -254,6 +283,7 @@ class PlanCache:
         with self._lock:
             self._table.clear()
             self._dirty.clear()
+            self._costs.clear()
             self._intern.clear()
             self._intern_by_id.clear()
             self._hits = 0

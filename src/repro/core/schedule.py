@@ -276,13 +276,23 @@ class Schedule:
         self._nop_edges_memo = edges
         return edges
 
+    # Float totals below are left folds, not ``sum()``: from Python 3.12
+    # on ``sum()`` of floats is compensated, and rows must carry the same
+    # bits on every interpreter.
+
     @property
     def nop_latency_s(self) -> float:
-        return sum(e.latency_s for e in self.nop_edges())
+        total = 0.0
+        for e in self.nop_edges():
+            total += e.latency_s
+        return total
 
     @property
     def nop_energy_j(self) -> float:
-        return sum(e.energy_j for e in self.nop_edges())
+        total = 0.0
+        for e in self.nop_edges():
+            total += e.energy_j
+        return total
 
     @property
     def nop_avg_hops(self) -> float:
@@ -296,7 +306,10 @@ class Schedule:
         edges = self.nop_edges()
         if not edges:
             return 0.0
-        return sum(e.hops for e in edges) / len(edges)
+        total = 0.0
+        for e in edges:
+            total += e.hops
+        return total / len(edges)
 
     @property
     def nop_max_hops(self) -> int:
@@ -349,7 +362,10 @@ class Schedule:
 
     @property
     def compute_energy_j(self) -> float:
-        return sum(gs.plan.energy_j for gs in self.groups.values())
+        total = 0.0
+        for gs in self.groups.values():
+            total += gs.plan.energy_j
+        return total
 
     @property
     def energy_j(self) -> float:
@@ -370,8 +386,9 @@ class Schedule:
         mis-reports utilization whenever the mix is not uniform.
         """
         window = self.pipe_latency_s
-        pe_cycles = sum(c.accel.pe_count * c.accel.frequency_hz * window
-                        for c in self.package.chiplets)
+        pe_cycles = 0.0
+        for c in self.package.chiplets:
+            pe_cycles += c.accel.pe_count * c.accel.frequency_hz * window
         return self.workload.total_macs / pe_cycles
 
     def stage_utilization(self) -> dict[str, float]:
@@ -389,10 +406,11 @@ class Schedule:
         window = self.pipe_latency_s
         out: dict[str, float] = {}
         for stage in self.workload.stages:
-            chiplets = [c for q in self.stage_quadrants[stage.name]
-                        for c in self.package.quadrant(q)]
-            pe_cycles = sum(c.accel.pe_count * c.accel.frequency_hz * window
-                            for c in chiplets)
+            pe_cycles = 0.0
+            for q in self.stage_quadrants[stage.name]:
+                for c in self.package.quadrant(q):
+                    pe_cycles += (c.accel.pe_count * c.accel.frequency_hz
+                                  * window)
             out[stage.name] = stage.total_macs / pe_cycles
         return out
 

@@ -17,20 +17,21 @@ mirror the paper's moves:
 
 ``plan_group`` evaluates the best mode for a given chiplet count and
 returns a :class:`GroupPlan` with per-chiplet busy times (pipe-latency
-contributions), the single-frame span, and energy.
+contributions), the single-frame span, and energy.  Every count it tries
+reads one :class:`GroupCosts` table per (group, accelerator), priced on
+the first plan miss for that pair and held by the plan cache.
+
+Every float sum here is an explicit left fold (an inline loop, never
+``sum()``): from Python 3.12 on ``sum()`` of floats is compensated, and
+plans must carry the same bits on every interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
-from ..cost import (
-    AcceleratorConfig,
-    chain_energy_j,
-    chain_latency_s,
-    evaluate,
-    evaluate_shape,
-)
+from ..cost import AcceleratorConfig, evaluate, evaluate_shape
 from ..workloads.graph import LayerGroup
 from ..workloads.layers import Layer, LayerShape
 from .plancache import MODE_BEST, get_plan_cache
@@ -62,6 +63,56 @@ class GroupPlan:
     def pipe_latency_s(self) -> float:
         """The group's contribution to steady-state pipeline latency."""
         return max(self.per_chiplet_busy)
+
+
+@dataclass(frozen=True)
+class GroupCosts:
+    """One group's layer chain priced once on one accelerator.
+
+    :class:`~repro.core.plancache.PlanCache` builds it on the first plan
+    miss for a ``(group, accel)`` pair and serves it to every later miss,
+    so each chiplet count's plan reads these instead of pricing the chain
+    again.
+    """
+
+    group: LayerGroup
+    accel: AcceleratorConfig
+    #: each layer's latency, in chain order
+    latencies: tuple[float, ...]
+    #: one instance's serial chain, folded like ``chain_latency_s`` and
+    #: ``chain_energy_j``: the same values in the same order
+    chain_latency_s: float
+    chain_energy_j: float
+    #: the first layer of each distinct :attr:`Layer.shape`, in chain
+    #: order, and each layer's index into it
+    shape_layers: tuple[Layer, ...]
+    shape_of: tuple[int, ...]
+    max_row_shards: int
+
+    @classmethod
+    def price(cls, group: LayerGroup,
+              accel: AcceleratorConfig) -> "GroupCosts":
+        latencies = []
+        chain_s = 0.0
+        chain_j = 0.0
+        index: dict[LayerShape, int] = {}
+        shape_layers = []
+        shape_of = []
+        for layer in group.layers:
+            cost = evaluate(layer, accel)
+            latencies.append(cost.latency_s)
+            chain_s += cost.latency_s
+            chain_j += cost.energy_j
+            i = index.get(layer.shape)
+            if i is None:
+                i = index[layer.shape] = len(shape_layers)
+                shape_layers.append(layer)
+            shape_of.append(i)
+        return cls(group=group, accel=accel, latencies=tuple(latencies),
+                   chain_latency_s=chain_s, chain_energy_j=chain_j,
+                   shape_layers=tuple(shape_layers),
+                   shape_of=tuple(shape_of),
+                   max_row_shards=max_row_shards(group))
 
 
 def split_plane(layer: Layer, n: int, index: int) -> Layer:
@@ -108,7 +159,7 @@ def max_row_shards(group: LayerGroup) -> int:
         for layer in group.layers)
 
 
-def _balanced_segments(latencies: list[float], k: int) -> list[int]:
+def _balanced_segments(latencies: Sequence[float], k: int) -> list[int]:
     """Contiguous min-max partition of a latency chain into ``k`` segments.
 
     Returns segment boundaries as a list of start indices (length k).
@@ -135,7 +186,9 @@ def _balanced_segments(latencies: list[float], k: int) -> list[int]:
 
     # Feasibility is monotone in the bound: bisect [max, sum] down to
     # adjacent floats, leaving ``hi`` as the smallest feasible bound.
-    lo, hi = max(latencies), sum(latencies)
+    lo, hi = max(latencies), 0.0
+    for lat in latencies:
+        hi += lat
     if segments_needed(lo) <= k:
         best = lo
     else:
@@ -169,25 +222,25 @@ def _instance_counts(instances: int, n: int) -> list[int]:
     return [base + (1 if j < extra else 0) for j in range(n)]
 
 
-def _plan_single(group: LayerGroup, accel: AcceleratorConfig) -> GroupPlan:
-    per_instance = chain_latency_s(group.layers, accel)
-    busy = per_instance * group.instances
+def _plan_single(costs: GroupCosts) -> GroupPlan:
+    group = costs.group
+    busy = costs.chain_latency_s * group.instances
     return GroupPlan(
         group_name=group.name,
         n_chiplets=1,
         mode=MODE_SINGLE,
         per_chiplet_busy=(busy,),
         span_s=busy,
-        energy_j=chain_energy_j(group.layers, accel) * group.instances,
+        energy_j=costs.chain_energy_j * group.instances,
         macs=group.total_macs,
     )
 
 
-def _plan_instances(group: LayerGroup, n: int,
-                    accel: AcceleratorConfig) -> GroupPlan | None:
+def _plan_instances(costs: GroupCosts, n: int) -> GroupPlan | None:
+    group = costs.group
     if group.instances < 2 or n > group.instances:
         return None
-    per_instance = chain_latency_s(group.layers, accel)
+    per_instance = costs.chain_latency_s
     counts = _instance_counts(group.instances, n)
     busy = tuple(c * per_instance for c in counts)
     return GroupPlan(
@@ -196,38 +249,47 @@ def _plan_instances(group: LayerGroup, n: int,
         mode=MODE_INSTANCES,
         per_chiplet_busy=busy,
         span_s=busy[0],
-        energy_j=chain_energy_j(group.layers, accel) * group.instances,
+        energy_j=costs.chain_energy_j * group.instances,
         macs=group.total_macs,
     )
 
 
-def _plan_rows(group: LayerGroup, n: int,
-               accel: AcceleratorConfig) -> GroupPlan | None:
+def _plan_rows(costs: GroupCosts, n: int) -> GroupPlan | None:
+    group = costs.group
     if not group.row_shardable or group.instances != 1:
         return None
-    if n > max_row_shards(group):
+    if n > costs.max_row_shards:
         return None
     # Splitting a plane of S rows n ways yields only two distinct band
-    # shapes — S % n bands of S//n + 1 rows, the rest of S//n — so it
-    # suffices to price <= 2 bands per layer and assemble the n chain
-    # sums arithmetically, instead of pricing all n chains.  Summation
-    # runs in the same (layer, then shard-index) order as pricing each
-    # chain would, so the resulting plan is bit-identical.  A band's cost
-    # depends only on its shape, so bands are priced by shape: the bands
-    # of every layer with the same dimensions share one memo entry.
+    # shapes — S % n bands of S//n + 1 rows, the rest of S//n — and a
+    # band's cost depends only on its shape, so each distinct layer
+    # shape's <= 2 band shapes are priced once.
     bands = []
-    for layer in group.layers:
-        extra, big, small = _band_shapes(layer, n)
+    for layer in costs.shape_layers:
+        extra, big_shape, small_shape = _band_shapes(layer, n)
         bands.append((extra,
-                      evaluate_shape(big, accel) if extra else None,
-                      evaluate_shape(small, accel)))
-    busy = []
+                      evaluate_shape(big_shape, costs.accel)
+                      if extra else None,
+                      evaluate_shape(small_shape, costs.accel)))
+    chain = [bands[i] for i in costs.shape_of]
+    # Shard ``idx`` takes the big band of every layer with idx < extra,
+    # so the shards between two consecutive distinct ``extra`` values
+    # share one chain (one band pattern).  Each pattern's chain is summed
+    # once in layer order, and energy still adds once per shard in index
+    # order: the plan is bit-identical to summing every shard's chain.
+    cuts = sorted({extra for extra, _, _ in bands} | {0, n})
+    busy: list[float] = []
     energy = 0.0
-    for idx in range(n):
-        chain = [big if idx < extra else small
-                 for extra, big, small in bands]
-        busy.append(sum(c.latency_s for c in chain))
-        energy += sum(c.energy_j for c in chain)
+    for lo, hi in zip(cuts, cuts[1:]):
+        chain_s = 0.0
+        chain_j = 0.0
+        for extra, big, small in chain:
+            cost = big if lo < extra else small
+            chain_s += cost.latency_s
+            chain_j += cost.energy_j
+        busy += [chain_s] * (hi - lo)
+        for _ in range(lo, hi):
+            energy += chain_j
     return GroupPlan(
         group_name=group.name,
         n_chiplets=n,
@@ -239,44 +301,48 @@ def _plan_rows(group: LayerGroup, n: int,
     )
 
 
-def _plan_pipeline(group: LayerGroup, n: int,
-                   accel: AcceleratorConfig) -> GroupPlan | None:
+def _plan_pipeline(costs: GroupCosts, n: int) -> GroupPlan | None:
+    group = costs.group
     if not group.pipeline_splittable:
         return None
     if n % group.instances != 0:
         return None
     k = n // group.instances
-    if k < 2 or k > len(group.layers):
+    lats = costs.latencies
+    if k < 2 or k > len(lats):
         return None
-    lats = [evaluate(layer, accel).latency_s for layer in group.layers]
     bounds = _balanced_segments(lats, k)
     seg_lat = []
+    span = 0.0
     for si, start in enumerate(bounds):
         end = bounds[si + 1] if si + 1 < len(bounds) else len(lats)
-        seg_lat.append(sum(lats[start:end]))
+        seg = 0.0
+        for lat in lats[start:end]:
+            seg += lat
+        seg_lat.append(seg)
+        span += seg
     busy = tuple(seg_lat) * group.instances
     return GroupPlan(
         group_name=group.name,
         n_chiplets=n,
         mode=MODE_PIPELINE,
         per_chiplet_busy=busy,
-        span_s=sum(seg_lat),
-        energy_j=chain_energy_j(group.layers, accel) * group.instances,
+        span_s=span,
+        energy_j=costs.chain_energy_j * group.instances,
         macs=group.total_macs,
         segments=k,
     )
 
 
-def _compute_plan_group(group: LayerGroup, n: int,
-                        accel: AcceleratorConfig) -> GroupPlan | None:
+def _compute_plan_group(costs: GroupCosts, n: int) -> GroupPlan | None:
     """Uncached best-plan computation (the cache's compute callback)."""
     if n == 1:
-        return _plan_single(group, accel)
+        return _plan_single(costs)
     candidates = [
         plan for plan in (
-            _plan_instances(group, n, accel),
-            _plan_rows(group, n, accel),
-            _plan_pipeline(group, n, accel),
+            _plan_instances(costs, n),
+            _plan_rows(costs, n),
+            _plan_pipeline(costs, n),
         ) if plan is not None
     ]
     if not candidates:
@@ -290,13 +356,16 @@ def plan_group(group: LayerGroup, n: int,
 
     Returns None when no shard mode can use ``n`` chiplets.  Results are
     served from the process-wide :class:`~repro.core.plancache.PlanCache`,
-    so every caller (matcher, DSE, sweeps) shares one memo table.
+    so every caller (matcher, DSE, sweeps) shares one memo table; a miss
+    reads the cache's :class:`GroupCosts` for ``(group, accel)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return get_plan_cache().get_or_compute(
+    cache = get_plan_cache()
+    return cache.get_or_compute(
         group, n, accel, MODE_BEST,
-        lambda: _compute_plan_group(group, n, accel))
+        lambda: _compute_plan_group(
+            cache.group_costs(group, accel, GroupCosts.price), n))
 
 
 def next_shard_step(group: LayerGroup, n: int, max_n: int,

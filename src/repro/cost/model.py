@@ -139,16 +139,26 @@ def _evaluate_vector(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
 # Aggregates used throughout the scheduler and simulator
 # ----------------------------------------------------------------------
 
+# Float totals are left folds, not ``sum()``: from Python 3.12 on
+# ``sum()`` of floats is compensated, and rows must carry the same bits
+# on every interpreter.
+
 def chain_latency_s(layers: Iterable[Layer],
                     accel: AcceleratorConfig) -> float:
     """Serial latency of a layer chain on one engine."""
-    return sum(evaluate(layer, accel).latency_s for layer in layers)
+    total = 0.0
+    for layer in layers:
+        total += evaluate(layer, accel).latency_s
+    return total
 
 
 def chain_energy_j(layers: Iterable[Layer],
                    accel: AcceleratorConfig) -> float:
     """Total energy of a layer chain on one engine."""
-    return sum(evaluate(layer, accel).energy_j for layer in layers)
+    total = 0.0
+    for layer in layers:
+        total += evaluate(layer, accel).energy_j
+    return total
 
 
 def chain_cycles(layers: Iterable[Layer],

@@ -17,7 +17,9 @@ pricing path, the same one the scheduler uses), pruning and dominance
 are pure arithmetic, and materialized rows come from the sweep engine's
 pure ``run_scenario`` — so the frontier, and its report, are
 byte-identical across serial/parallel runs and across cold/warm plan
-stores.
+stores.  Its float sums are left folds, never ``sum()`` (compensated
+from Python 3.12 on), so they are byte-identical across interpreters
+too.
 """
 
 from __future__ import annotations
@@ -112,10 +114,12 @@ def stage_chains(workload: PerceptionWorkload,
             serial_s = 0.0
             serial_j = 0.0
             for group in stage.groups:
-                chain_s = sum(costs[(layer, accel)].latency_s
-                              for layer in group.layers)
-                chain_j = sum(costs[(layer, accel)].energy_j
-                              for layer in group.layers)
+                chain_s = 0.0
+                chain_j = 0.0
+                for layer in group.layers:
+                    cost = costs[(layer, accel)]
+                    chain_s += cost.latency_s
+                    chain_j += cost.energy_j
                 serial_s += group.instances * chain_s
                 serial_j += group.instances * chain_j
             serial_of[accel] = (serial_s, serial_j)
@@ -149,9 +153,13 @@ def proxy_objectives(workload: PerceptionWorkload,
         serial = [serial_of[id(cell.accel)]
                   for q in stage_quadrants[stage.name]
                   for cell in package.quadrant(q)]
-        rate = sum(1.0 / serial_s for serial_s, _ in serial)
+        rate = 0.0
+        stage_j = 0.0
+        for serial_s, serial_j in serial:
+            rate += 1.0 / serial_s
+            stage_j += serial_j
         stage_s = 1.0 / rate
-        stage_j = sum(serial_j for _, serial_j in serial) / len(serial)
+        stage_j /= len(serial)
         if stage_s > pipe_s:
             pipe_s = stage_s
         energy_j += stage_j

@@ -62,7 +62,13 @@ class LayerGroup:
 
     @property
     def total_macs(self) -> int:
-        return self.macs_per_instance * self.instances
+        # Every plan and every Schedule.utilization reads it: cache it
+        # per instance, like the hash.
+        macs = self.__dict__.get("_total_macs")
+        if macs is None:
+            macs = self.macs_per_instance * self.instances
+            object.__setattr__(self, "_total_macs", macs)
+        return macs
 
     @property
     def output_layer(self) -> Layer:

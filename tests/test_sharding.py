@@ -1,19 +1,26 @@
 """Unit tests for sharding transforms and group planning."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import clear_plan_cache, plan_cache_stats
+from repro.core import sharding as sharding_mod
 from repro.core.sharding import (
     MODE_INSTANCES,
     MODE_PIPELINE,
     MODE_ROWS,
     MODE_SINGLE,
+    GroupCosts,
+    GroupPlan,
     _balanced_segments,
+    _plan_rows,
     max_row_shards,
     next_shard_step,
     plan_group,
     split_plane,
 )
-from repro.cost import chain_latency_s
+from repro.cost import chain_energy_j, chain_latency_s, evaluate
 from repro.workloads import conv, dense
 from repro.workloads.graph import LayerGroup
 
@@ -24,6 +31,85 @@ def _group(instances=1, rows=True, pipeline=False, layers=None):
     return LayerGroup(name="g", layers=tuple(layers), stage="S",
                       instances=instances, row_shardable=rows,
                       pipeline_splittable=pipeline)
+
+
+def _reference_rows_plan(group, n, accel):
+    """The seed implementation: price every shard chain."""
+    busy = []
+    energy = 0.0
+    for idx in range(n):
+        shard = [split_plane(l, n, idx) for l in group.layers]
+        busy.append(chain_latency_s(shard, accel))
+        energy += chain_energy_j(shard, accel)
+    return tuple(busy), energy
+
+
+def _reference_plan(group, n, accel):
+    """``plan_group`` recomputed chain by chain, with no cost table.
+
+    Every layer is priced through ``evaluate`` and every row band is cut
+    by ``split_plane``; chains are summed by ``chain_latency_s`` and
+    ``chain_energy_j``.
+    """
+    def plan(mode, busy, span, energy, segments=1):
+        return GroupPlan(group.name, n, mode, tuple(busy), span, energy,
+                         group.total_macs, segments)
+
+    chain_s = chain_latency_s(group.layers, accel)
+    energy = chain_energy_j(group.layers, accel) * group.instances
+    if n == 1:
+        busy = chain_s * group.instances
+        return plan(MODE_SINGLE, [busy], busy, energy)
+    candidates = []
+    if 2 <= group.instances and n <= group.instances:
+        base, extra = divmod(group.instances, n)
+        busy = [(base + (j < extra)) * chain_s for j in range(n)]
+        candidates.append(plan(MODE_INSTANCES, busy, busy[0], energy))
+    if (group.row_shardable and group.instances == 1
+            and n <= max_row_shards(group)):
+        busy, rows_energy = _reference_rows_plan(group, n, accel)
+        candidates.append(plan(MODE_ROWS, busy, max(busy), rows_energy))
+    k = n // group.instances
+    if (group.pipeline_splittable and n % group.instances == 0
+            and 2 <= k <= len(group.layers)):
+        lats = [evaluate(l, accel).latency_s for l in group.layers]
+        cuts = _balanced_segments(lats, k) + [len(lats)]
+        segs = [chain_latency_s(group.layers[a:b], accel)
+                for a, b in zip(cuts, cuts[1:])]
+        span = 0.0
+        for seg in segs:
+            span += seg
+        candidates.append(plan(MODE_PIPELINE, segs * group.instances, span,
+                               energy, segments=k))
+    return min(candidates, key=lambda p: (p.pipe_latency_s, p.span_s),
+               default=None)
+
+
+@st.composite
+def _layer_shapes(draw):
+    """A 2-D dense/conv layer or a 1-D token layer, without its name."""
+    out_h = draw(st.sampled_from([1, 3, 5, 7, 12]))
+    out_w = draw(st.sampled_from([4, 9, 13] if out_h == 1 else [6, 20]))
+    k = draw(st.sampled_from([16, 48]))
+    c = draw(st.sampled_from([8, 32]))
+    r = draw(st.sampled_from([0, 1, 3]))  # 0 draws a dense layer
+    if not r:
+        return lambda name: dense(name, (out_h, out_w), k, c)
+    return lambda name: conv(name, (out_h, out_w), k, c, r=r)
+
+
+@st.composite
+def _plan_groups(draw):
+    """Groups with repeated shapes, mixed row counts and token layers."""
+    shapes = draw(st.lists(_layer_shapes(), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(shapes) - 1),
+                          min_size=1, max_size=5))
+    return LayerGroup(
+        name="g", stage="S",
+        layers=tuple(shapes[i](f"l{j}") for j, i in enumerate(picks)),
+        instances=draw(st.sampled_from([1, 1, 2, 3])),
+        row_shardable=draw(st.booleans()),
+        pipeline_splittable=draw(st.booleans()))
 
 
 class TestSplitPlane:
@@ -159,21 +245,9 @@ class TestPlanGroup:
 
 
 class TestRowPlanFastPath:
-    """_plan_rows prices <= 2 band shapes per layer, not all n chains."""
-
-    def _reference_rows_plan(self, group, n, accel):
-        """The seed implementation: price every shard chain."""
-        from repro.cost import chain_energy_j, chain_latency_s
-        busy = []
-        energy = 0.0
-        for idx in range(n):
-            shard = [split_plane(l, n, idx) for l in group.layers]
-            busy.append(chain_latency_s(shard, accel))
-            energy += chain_energy_j(shard, accel)
-        return tuple(busy), energy
+    """_plan_rows prices <= 2 band shapes per distinct layer shape."""
 
     def test_plans_numerically_identical_to_seed(self, os_accel):
-        from repro.core.sharding import _plan_rows
         groups = [
             _group(),
             _group(layers=(dense("t", (1, 1000), 64, 64),)),  # 1D tokens
@@ -181,19 +255,20 @@ class TestRowPlanFastPath:
                            dense("d", (10, 80), 32, 32))),
         ]
         for g in groups:
+            costs = GroupCosts.price(g, os_accel)
             for n in (2, 3, 5, 7):
                 if n > max_row_shards(g):
                     continue
-                plan = _plan_rows(g, n, os_accel)
-                busy, energy = self._reference_rows_plan(g, n, os_accel)
+                plan = _plan_rows(costs, n)
+                busy, energy = _reference_rows_plan(g, n, os_accel)
                 assert plan.per_chiplet_busy == busy  # bit-exact
                 assert plan.energy_j == energy
                 assert plan.span_s == max(busy)
 
     def test_chain_pricings_constant_in_n(self, os_accel, monkeypatch):
-        from repro.core import sharding as sharding_mod
         g = _group(layers=(dense("a", (40, 80), 64, 64),
                            dense("b", (40, 80), 64, 64)))
+        costs = GroupCosts.price(g, os_accel)
         counts = {"calls": 0}
         real_evaluate_shape = sharding_mod.evaluate_shape
 
@@ -206,13 +281,78 @@ class TestRowPlanFastPath:
         calls_per_n = {}
         for n in (4, 13, 37):
             counts["calls"] = 0
-            sharding_mod._plan_rows(g, n, os_accel)
+            sharding_mod._plan_rows(costs, n)
             calls_per_n[n] = counts["calls"]
-        # <= 2 pricings per layer, independent of the shard count (an
-        # even split needs just one band shape per layer).
-        assert all(c <= 2 * len(g.layers) for c in calls_per_n.values())
-        assert calls_per_n[4] == 1 * len(g.layers)   # 40 % 4 == 0
-        assert calls_per_n[13] == calls_per_n[37] == 2 * len(g.layers)
+        # <= 2 pricings per distinct layer shape, independent of the
+        # shard count and of how many layers share the shape (an even
+        # split needs just one band shape).
+        assert len(costs.shape_layers) == 1
+        assert calls_per_n == {4: 1, 13: 2, 37: 2}   # 40 % 4 == 0
+
+
+class TestPlanAssembly:
+    """Plans built from the cost table equal plans priced chain by chain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=_plan_groups())
+    @example(group=_group(  # extras 3, 0, 1 at n=4: three band patterns
+        pipeline=True,
+        layers=(conv("a", (7, 20), 16, 8), dense("b", (12, 6), 48, 32),
+                conv("c", (5, 20), 16, 8), conv("d", (7, 20), 16, 8))))
+    def test_every_chiplet_count_matches_the_reference(self, os_accel,
+                                                       group):
+        limit = max(group.instances * len(group.layers),
+                    max_row_shards(group))
+        for n in range(1, limit + 2):
+            plan = plan_group(group, n, os_accel)
+            want = _reference_plan(group, n, os_accel)
+            if want is None:
+                assert plan is None, n
+                continue
+            assert (plan.mode, plan.segments, plan.per_chiplet_busy,
+                    plan.span_s, plan.energy_j, plan.macs) == (
+                want.mode, want.segments, want.per_chiplet_busy,
+                want.span_s, want.energy_j, want.macs), n
+
+
+class TestGroupCosts:
+    """The plan cache prices each (group, accel) chain once."""
+
+    def _count_evaluate(self, monkeypatch):
+        calls = []
+        real_evaluate = sharding_mod.evaluate
+
+        def counting_evaluate(layer, accel):
+            calls.append(layer)
+            return real_evaluate(layer, accel)
+
+        monkeypatch.setattr(sharding_mod, "evaluate", counting_evaluate)
+        return calls
+
+    def test_miss_for_a_seen_pair_calls_evaluate_zero_times(
+            self, os_accel, monkeypatch):
+        clear_plan_cache()
+        calls = self._count_evaluate(monkeypatch)
+        g = _group(pipeline=True)
+        plan_group(g, 1, os_accel)
+        assert len(calls) == len(g.layers)
+        calls.clear()
+        before = plan_cache_stats().misses
+        for n in (2, 3, 4):  # an equal group object shares the table
+            plan_group(_group(pipeline=True), n, os_accel)
+        assert plan_cache_stats().misses == before + 3
+        assert calls == []
+
+    def test_clear_plan_cache_empties_the_tables(self, os_accel,
+                                                 monkeypatch):
+        clear_plan_cache()
+        calls = self._count_evaluate(monkeypatch)
+        g = _group()
+        plan_group(g, 2, os_accel)
+        clear_plan_cache()
+        calls.clear()
+        plan_group(g, 3, os_accel)
+        assert len(calls) == len(g.layers)
 
 
 class TestNextShardStep:
