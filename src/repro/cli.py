@@ -45,13 +45,6 @@ status 2, failures listed in the report), and the dev-only
         --journal results/journal --keep-going
     chiplet-npu sweep --npus 1,2 --inject-faults 'fail:0;crash:1'
 
-``--delta-from DIR`` runs a *delta-sweep* against a previous run's
-journal: scenarios whose content fingerprint is unchanged are spliced
-from the baseline instead of re-priced (see ``docs/SWEEP.md``), and the
-output stays byte-identical to a cold full run::
-
-    chiplet-npu sweep --nop-gbps 25,50,200 --delta-from results/journal
-
 ``design`` closes the DSE loop (see ``docs/DESIGN.md``): declare a
 joint package-design space over the same axes (including partial
 Het(k) quadrant tokens like ``trunk:ws#4``), rank every candidate with
@@ -158,13 +151,6 @@ def _sweep_parser() -> argparse.ArgumentParser:
                              "directory and resume from it: scenarios "
                              "already journaled are replayed, not "
                              "re-priced (byte-identical rows)")
-    parser.add_argument("--delta-from", default=None, metavar="DIR",
-                        help="delta-sweep: splice rows from this baseline "
-                             "journal directory for scenarios whose "
-                             "content fingerprint is unchanged and "
-                             "re-price only the rest (byte-identical to "
-                             "a cold full run; incompatible with "
-                             "--stream)")
     parser.add_argument("--inject-faults", default=None, metavar="SCRIPT",
                         help="dev-only deterministic fault script: "
                              "';'-joined KIND:TARGET[@ATTEMPTS] tokens "
@@ -217,11 +203,6 @@ def _run_sweep(argv: list[str]) -> int:
 
     parser = _sweep_parser()
     args = parser.parse_args(argv)
-    if args.delta_from is not None and args.stream:
-        # Splicing needs the whole baseline up front; streaming rows in
-        # completion order would interleave spliced and re-priced rows
-        # misleadingly.  Keep the two modes apart.
-        parser.error("--delta-from cannot be combined with --stream")
     try:
         grid = scenario_grid(**_grid_kwargs(args))
         retry = (RetryPolicy(max_attempts=args.retries)
@@ -232,8 +213,7 @@ def _run_sweep(argv: list[str]) -> int:
                               store_path=args.store,
                               strict=not args.keep_going,
                               retry=retry,
-                              journal_path=args.journal,
-                              resume_from=args.journal,
+                              journal=args.journal,
                               faults=faults)
     except (ValueError, KeyError) as exc:
         # str(KeyError) wraps the message in repr quotes; unwrap it.
@@ -265,8 +245,6 @@ def _run_sweep(argv: list[str]) -> int:
                           f"e2e {row['e2e_ms']:.1f} ms, "
                           f"{row['energy_j']:.3f} J", flush=True)
             result = sweep.merge(outcomes)
-        elif args.delta_from is not None:
-            result = sweep.run_delta(args.delta_from)
         else:
             result = sweep.run()
     except (ValueError, SweepQuarantineError) as exc:
@@ -359,11 +337,6 @@ def _run_sweep(argv: list[str]) -> int:
           f"{layer['misses']} misses "
           f"({100 * layer['hit_rate']:.1f}% hit rate, "
           f"{layer['entries']} entries)")
-    if result.delta_skipped is not None:
-        print(f"delta sweep: {result.delta_skipped} of "
-              f"{len(result.rows)} scenario(s) spliced from the "
-              f"baseline, {len(result.rows) - result.delta_skipped} "
-              f"re-priced")
     if result.store_skipped:
         names = ", ".join(rec["file"] for rec in result.store_skipped)
         print(f"plan store: skipped {len(result.store_skipped)} "

@@ -82,19 +82,6 @@ def _compose_key_text(group_json: str, n: int, accel_json: str,
             f'"mode":{json.dumps(mode)},"n":{n}}}')
 
 
-def content_digest(payload) -> str:
-    """SHA-256 content hash of any JSON-serializable payload.
-
-    Canonical form: sorted-key, compact-separator JSON — the same
-    canonicalization :func:`plan_key_hash` applies to plan keys.  This is
-    the one general-purpose hashing entry point for the rest of the
-    system (delta-sweeps fingerprint scenarios with it); hashing stays
-    confined to this module per repro-lint rule R2.
-    """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def plan_key_hash(group: "LayerGroup", n: int, accel: "AcceleratorConfig",
                   mode: str) -> str:
     """SHA-256 content hash of one plan-cache key.

@@ -3,8 +3,8 @@
 A crashed sweep must not forfeit its completed work.  The plan store
 already keeps *plans* warm across crashes; :class:`SweepJournal` does
 the same for finished *rows*: the orchestrator checkpoints every outcome
-the moment it lands, and ``ScenarioSweep(resume_from=...)`` replays the
-journal and prices only the scenarios it is missing.
+the moment it lands, and a rerun with the same ``ScenarioSweep(journal=...)``
+replays the journal and prices only the scenarios it is missing.
 
 The on-disk idiom is the :class:`~repro.core.planstore.PlanStore` one —
 immutable record files landed by temp-write + ``os.replace`` rename, so
@@ -20,9 +20,10 @@ ignores:
   sweep re-attempts quarantined scenarios from scratch, because the
   fault that killed them may have been transient;
 * every record is stamped with :data:`JOURNAL_SCHEMA_VERSION`; records
-  from another version (or corrupt/truncated files) are skipped and
-  recorded in :attr:`SweepJournal.skipped_files`, so a stale journal
-  degrades to re-pricing instead of resurrecting wrong rows.
+  from another version (or corrupt/truncated files, or records with a
+  damaged field) are skipped and recorded in
+  :attr:`SweepJournal.skipped_files`, so a stale journal degrades to
+  re-pricing instead of resurrecting wrong rows.
 
 Rows round-trip byte-exactly: the payload is the row dict JSON that
 ``rows_json()`` serializes anyway (floats round-trip via ``repr``), so a
@@ -50,15 +51,17 @@ _OUTCOME_PREFIX = "outcome-"
 _FAILURE_PREFIX = "failure-"
 _SUFFIX = ".json"
 
+#: what ``int()`` raises on a damaged counter: null, a non-numeric
+#: string, or an overflowing number (JSON ``1e400`` loads as infinity).
+_BAD_NUMBER = (TypeError, ValueError, OverflowError)
+
 
 class SweepJournal:
     """A directory of per-outcome checkpoint records for one sweep grid."""
 
-    def __init__(self, path: str | pathlib.Path,
-                 schema_version: int = JOURNAL_SCHEMA_VERSION) -> None:
+    def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.schema_version = schema_version
         #: files ignored by the last load(): (path, reason) pairs,
         #: reason in {"corrupt", "schema"} — the PlanStore convention.
         self.skipped_files: list[tuple[pathlib.Path, str]] = []
@@ -76,30 +79,21 @@ class SweepJournal:
         return target
 
     def record(self, index: int, outcome: "SweepOutcome") -> pathlib.Path:
-        """Checkpoint one completed scenario under its grid index.
-
-        The ``fingerprint`` field (when the outcome carries one) is what
-        lets a later ``run_delta`` splice this row without re-pricing;
-        it is additive, so pre-fingerprint readers ignore it and the
-        schema version stays put.
-        """
-        payload = {
-            "schema": self.schema_version,
+        """Checkpoint one completed scenario under its grid index."""
+        return self._write(f"{_OUTCOME_PREFIX}{index:05d}", {
+            "schema": JOURNAL_SCHEMA_VERSION,
             "index": index,
             "key": outcome.key,
             "row": outcome.row,
             "plan_cache": outcome.plan_cache.to_dict(),
             "layer_cache": outcome.layer_cache.to_dict(),
-        }
-        if outcome.fingerprint is not None:
-            payload["fingerprint"] = outcome.fingerprint
-        return self._write(f"{_OUTCOME_PREFIX}{index:05d}", payload)
+        })
 
     def record_failure(self, index: int,
                        failure: SweepFailure) -> pathlib.Path:
         """Checkpoint one quarantined scenario (never replayed)."""
         return self._write(f"{_FAILURE_PREFIX}{index:05d}", {
-            "schema": self.schema_version,
+            "schema": JOURNAL_SCHEMA_VERSION,
             "index": index,
             "key": failure.key,
             "error": failure.error,
@@ -127,7 +121,7 @@ class SweepJournal:
             self.skipped_files.append((record, "corrupt"))
             return None
         if (not isinstance(payload, dict)
-                or payload.get("schema") != self.schema_version):
+                or payload.get("schema") != JOURNAL_SCHEMA_VERSION):
             self.skipped_files.append((record, "schema"))
             return None
         return payload
@@ -135,10 +129,13 @@ class SweepJournal:
     def load(self) -> dict[str, "SweepOutcome"]:
         """Replay every valid outcome record into a ``key -> outcome`` map.
 
-        Corrupt, truncated, or stale-schema records are skipped (and
-        listed in :attr:`skipped_files`), never fatal: a damaged journal
-        degrades to re-pricing the affected scenarios.  Failure records
-        are deliberately absent — resume re-attempts quarantined keys.
+        Corrupt, truncated, or stale-schema records, and records whose
+        key, row or counters are damaged, are skipped (and listed in
+        :attr:`skipped_files`), never fatal: a damaged journal degrades
+        to re-pricing the affected scenarios.  Keys this version does
+        not write (an older journal's ``fingerprint``) are ignored.
+        Failure records are deliberately absent — resume re-attempts
+        quarantined keys.
         """
         from .runner import SweepOutcome
         self.skipped_files = []
@@ -151,15 +148,16 @@ class SweepJournal:
             if not isinstance(key, str) or not isinstance(row, dict):
                 self.skipped_files.append((record, "corrupt"))
                 continue
-            fingerprint = payload.get("fingerprint")
-            outcomes[key] = SweepOutcome(
-                key=key,
-                row=row,
-                plan_cache=CacheStats.from_dict(payload.get("plan_cache")),
-                layer_cache=CacheStats.from_dict(payload.get("layer_cache")),
-                fingerprint=(fingerprint
-                             if isinstance(fingerprint, str) else None),
-            )
+            try:
+                outcomes[key] = SweepOutcome(
+                    key=key,
+                    row=row,
+                    plan_cache=CacheStats.from_dict(payload.get("plan_cache")),
+                    layer_cache=CacheStats.from_dict(
+                        payload.get("layer_cache")),
+                )
+            except _BAD_NUMBER:
+                self.skipped_files.append((record, "corrupt"))
         return outcomes
 
     def load_failures(self) -> list[SweepFailure]:
@@ -173,10 +171,15 @@ class SweepJournal:
             if not isinstance(key, str):
                 self.skipped_files.append((record, "corrupt"))
                 continue
+            try:
+                attempts = int(payload.get("attempts", 0))
+            except _BAD_NUMBER:
+                self.skipped_files.append((record, "corrupt"))
+                continue
             failures.append(SweepFailure(
                 key=key,
                 error=str(payload.get("error", "")),
-                attempts=int(payload.get("attempts", 0)),
+                attempts=attempts,
                 detail=str(payload.get("detail", "")),
             ))
         return failures

@@ -37,9 +37,9 @@ inside a worker are shipped back per scenario and retried on the
 :class:`RetryPolicy`'s deterministic schedule; a dead worker
 (``BrokenProcessPool``) or a hung pool (the ``chunk_timeout_s`` watchdog)
 costs only the in-flight chunks, which are re-dispatched as singletons so
-a poison scenario quarantines alone; a ``journal_path`` checkpoints every
-outcome so ``resume_from=`` replays completed keys instead of re-pricing
-them; and ``strict=False`` merges a partially failed grid into a partial
+a poison scenario quarantines alone; a ``journal`` directory replays the
+keys it already holds instead of re-pricing them and checkpoints every new
+outcome; and ``strict=False`` merges a partially failed grid into a partial
 result carrying a deterministic ``failures`` manifest.
 """
 
@@ -57,7 +57,7 @@ from typing import Iterable, Iterator, Union
 
 from ..core.dse import TrunkDSE
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
-from ..core.planstore import PlanStore, content_digest
+from ..core.planstore import PlanStore
 from ..core.throughput import AllocationTable
 from ..cost.model import evaluate, evaluate_shape
 from ..workloads.graph import PerceptionWorkload
@@ -254,31 +254,6 @@ def _trunk_columns(scenario: Scenario, workload, ws_budget: int,
     return dict(_TRUNK_MEMO[key])
 
 
-def scenario_fingerprint(scenario: Scenario) -> str:
-    """Content hash of everything ``run_scenario`` prices for a scenario.
-
-    Materializes the scenario through :meth:`Scenario.build` and digests
-    the same canonical views the plan store hashes — every workload
-    group, every chiplet's accelerator config — plus the scenario's own
-    axis payload and the DRAM traffic the budget would meter.  Two
-    scenarios with equal fingerprints are priced from identical inputs,
-    so the pure :func:`run_scenario` produces byte-identical rows for
-    them; delta-sweeps rely on exactly that to splice journaled rows
-    instead of re-pricing (and a code change that alters any serialized
-    view changes the fingerprint, which safely voids stale journals).
-    """
-    from ..io.serialize import accel_to_dict, group_to_dict
-    built = scenario.build()
-    payload = {
-        "scenario": scenario.to_dict(),
-        "groups": [group_to_dict(g) for g in built.workload.all_groups()],
-        "chiplets": [accel_to_dict(c.accel)
-                     for c in built.package.chiplets],
-        "dram_bytes_per_frame": built.dram_bytes_per_frame,
-    }
-    return content_digest(payload)
-
-
 @dataclass(frozen=True)
 class SweepOutcome:
     """One completed scenario: its row plus this run's memo deltas."""
@@ -289,12 +264,6 @@ class SweepOutcome:
     plan_cache: CacheStats
     #: layer-cost memo counter delta attributable to this scenario
     layer_cache: CacheStats
-    #: :func:`scenario_fingerprint` of the priced scenario.  Computed
-    #: parent-side at journal-checkpoint time (workers never pay for
-    #: it), so it is ``None`` on freshly priced in-memory outcomes and
-    #: on outcomes replayed from journals written before fingerprints
-    #: existed (delta-sweeps then conservatively re-price).
-    fingerprint: str | None = None
 
 
 #: what :meth:`ScenarioSweep.run_iter` yields: a priced scenario, or the
@@ -414,10 +383,6 @@ class SweepResult:
     #: plan-store shard files ignored as corrupt/stale, as
     #: ``{"file", "reason"}`` records (empty without a store).
     store_skipped: list[dict] = field(default_factory=list)
-    #: delta-sweep runs only: scenarios spliced from the baseline by
-    #: fingerprint proof instead of re-priced.  ``None`` (the default)
-    #: means "not a delta run" and keeps ``summary()`` byte-stable.
-    delta_skipped: int | None = None
     _row_index: dict | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -461,9 +426,8 @@ class SweepResult:
         """Headline sweep metrics, Schedule.summary()-style.
 
         The ``failures`` and ``store_skipped`` keys appear only when
-        non-empty, and ``delta_skipped`` only on delta-sweep runs, so
-        summaries of healthy full sweeps stay byte-stable against
-        pre-resilience artifacts.
+        non-empty, so summaries of healthy full sweeps stay byte-stable
+        against pre-resilience artifacts.
         """
         report = {
             "scenarios": len(self.rows),
@@ -476,8 +440,6 @@ class SweepResult:
             report["failures"] = self.failures_manifest()
         if self.store_skipped:
             report["store_skipped"] = self.store_skipped
-        if self.delta_skipped is not None:
-            report["delta_skipped"] = self.delta_skipped
         return report
 
     def to_dict(self) -> dict:
@@ -500,12 +462,9 @@ class ScenarioSweep:
     strict: bool = True
     #: retry schedule for transient failures (None = the default policy).
     retry: RetryPolicy | None = None
-    #: optional journal directory: every outcome checkpoints there.
-    journal_path: str | pathlib.Path | None = None
-    #: optional journal directory to *replay*: completed keys are yielded
-    #: from the journal instead of re-priced, and new outcomes keep
-    #: checkpointing there (unless ``journal_path`` points elsewhere).
-    resume_from: str | pathlib.Path | None = None
+    #: optional journal directory: keys it already holds are replayed
+    #: instead of re-priced, and every new outcome checkpoints there.
+    journal: str | pathlib.Path | None = None
     #: dev/test-only deterministic fault script (``--inject-faults``).
     faults: FaultPlan | None = None
     #: where retry backoff waits; inject a NullClock in tests.
@@ -525,7 +484,6 @@ class ScenarioSweep:
         if self.clock is None:
             self.clock = RealClock()
         self._grid_index = {s.key: i for i, s in enumerate(self.scenarios)}
-        self._scenarios_by_key = {s.key: s for s in self.scenarios}
 
     # ------------------------------------------------------------------
 
@@ -541,15 +499,13 @@ class ScenarioSweep:
         """
         faults = (self.faults.resolved(self.scenarios)
                   if self.faults is not None else None)
-        journal = None
-        journal_dir = self.journal_path or self.resume_from
-        if journal_dir is not None:
-            journal = SweepJournal(journal_dir)
         if faults is not None and self.store_path is not None:
             faults.corrupt_store(self.store_path)
+        journal = None
         remaining = self.scenarios
-        if self.resume_from is not None:
-            replayed = SweepJournal(self.resume_from).load()
+        if self.journal is not None:
+            journal = SweepJournal(self.journal)
+            replayed = journal.load()
             remaining = []
             for scenario in self.scenarios:
                 done = replayed.get(scenario.key)
@@ -716,15 +672,8 @@ class ScenarioSweep:
         index = self._grid_index[item.key]
         if isinstance(item, SweepFailure):
             journal.record_failure(index, item)
-            return
-        if item.fingerprint is None:
-            # Fingerprints are journal metadata: computed parent-side at
-            # checkpoint time, overlapped with worker compute, so the
-            # workers (and unjournaled runs) never pay the extra
-            # Scenario.build + digest.
-            item = replace(item, fingerprint=scenario_fingerprint(
-                self._scenarios_by_key[item.key]))
-        journal.record(index, item)
+        else:
+            journal.record(index, item)
 
     # ------------------------------------------------------------------
 
@@ -803,78 +752,6 @@ class ScenarioSweep:
         """Execute the grid and merge results in canonical order."""
         return self.merge(self.run_iter())
 
-    # -- delta-sweeps --------------------------------------------------
-
-    def _baseline_outcomes(
-            self,
-            baseline: "SweepResult | str | pathlib.Path",
-    ) -> dict[str, SweepOutcome]:
-        """Splice candidates from a prior result or its journal.
-
-        Journal records carry the fingerprint they were priced under;
-        an in-memory :class:`SweepResult` carries its scenarios, whose
-        fingerprints are recomputed (cheap — no pricing).  Either way a
-        candidate without a fingerprint is never spliced.
-        """
-        if not isinstance(baseline, SweepResult):
-            return SweepJournal(baseline).load()
-        scenarios = {s.key: s for s in baseline.scenarios}
-        zero = CacheStats(hits=0, misses=0, entries=0)
-        outcomes: dict[str, SweepOutcome] = {}
-        for row in baseline.rows:
-            scenario = scenarios.get(row["key"])
-            if scenario is None:  # pragma: no cover - malformed baseline
-                continue
-            outcomes[row["key"]] = SweepOutcome(
-                key=row["key"], row=row, plan_cache=zero, layer_cache=zero,
-                fingerprint=scenario_fingerprint(scenario))
-        return outcomes
-
-    def run_delta(self,
-                  baseline: "SweepResult | str | pathlib.Path",
-                  ) -> SweepResult:
-        """Re-price only the scenarios that moved since ``baseline``.
-
-        ``baseline`` is a prior :class:`SweepResult` or the directory of
-        the journal a prior run checkpointed to.  Every scenario in this
-        sweep's grid whose key appears in the baseline *and* whose
-        :func:`scenario_fingerprint` matches the baseline's is spliced
-        from the baseline verbatim — the fingerprint proves the pricing
-        inputs are identical, and ``run_scenario`` is pure, so the
-        spliced row is the row a cold run would produce.  Everything
-        else (new keys, moved fingerprints, pre-fingerprint journal
-        records) is re-priced through the normal engine, retries,
-        journaling and all.  The merged result is byte-identical to a
-        full cold run of the grid (``rows_json()``), with
-        ``delta_skipped`` counting the spliced scenarios in
-        :meth:`SweepResult.summary`.
-
-        Spliced outcomes keep their journaled cache-counter deltas (the
-        resume convention); splices from an in-memory result count zero,
-        since that work was already reported by the baseline run.
-        """
-        base = self._baseline_outcomes(baseline)
-        spliced: list[SweepOutcome] = []
-        remaining: list[Scenario] = []
-        for scenario in self.scenarios:
-            done = base.get(scenario.key)
-            if (done is not None and done.fingerprint is not None
-                    and done.fingerprint == scenario_fingerprint(scenario)):
-                spliced.append(done)
-            else:
-                remaining.append(scenario)
-        items: list[SweepItem] = list(spliced)
-        if remaining:
-            sub = replace(self, scenarios=remaining, resume_from=None)
-            # Checkpoints must land under the *parent* grid's indices:
-            # a delta journal lines up with the full grid, not with the
-            # compacted re-price list.
-            sub._grid_index = self._grid_index
-            items.extend(sub.run_iter())
-        result = self.merge(items)
-        result.delta_skipped = len(spliced)
-        return result
-
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear down a broken or hung pool without waiting on its work.
@@ -885,11 +762,3 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     for proc in list((getattr(pool, "_processes", None) or {}).values()):
         proc.terminate()
     pool.shutdown(wait=True, cancel_futures=True)
-
-
-def run_sweep(scenarios: list[Scenario], workers: int = 1,
-              store_path: str | pathlib.Path | None = None,
-              **kwargs) -> SweepResult:
-    """Convenience wrapper: build and run a :class:`ScenarioSweep`."""
-    return ScenarioSweep(scenarios, workers=workers,
-                         store_path=store_path, **kwargs).run()

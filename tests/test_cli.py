@@ -66,6 +66,15 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             main(["sweep", "--workers", "0"])
 
+    def test_delta_sweep_flag_is_gone(self, capsys):
+        # A removed flag fails as unknown; it is never accepted and
+        # silently ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--delta-from", "results/journal"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --delta-from" \
+            in capsys.readouterr().err
+
     def test_bad_topology_names_axis_and_choices(self, capsys):
         # `--axis topology=ring` must fail with a parser error that names
         # the offending axis and lists the valid topology kinds.

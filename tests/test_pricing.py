@@ -1,6 +1,6 @@
-"""Layer pricing and delta-sweeps: exactness locks.
+"""Layer pricing: exactness locks.
 
-Three contracts are locked here:
+Two contracts are locked here:
 
 * ``evaluate()`` prices every layer kind on every dataflow, clock and
   tile override byte-for-byte like the frozen fixture
@@ -8,9 +8,6 @@ Three contracts are locked here:
 * ``evaluate_shape()``, which prices row bands by shape, matches
   ``evaluate()`` of the band ``split_plane`` cuts on every field but
   ``layer_name``.
-* ``ScenarioSweep.run_delta()`` re-prices only the scenarios whose
-  content fingerprint moved — zero for an unchanged grid — and its
-  merged output is byte-identical to a cold full run.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import dataclasses
 import json
 import pathlib
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +29,6 @@ from repro.cost import (
     nvdla_chiplet,
     shidiannao_chiplet,
 )
-from repro.sweep.journal import SweepJournal
-from repro.sweep.runner import ScenarioSweep, scenario_fingerprint
-from repro.sweep.scenario import scenario_grid
 from repro.workloads import (
     Layer,
     LayerKind,
@@ -162,101 +155,3 @@ class TestBandShapes:
         assert shape == band.shape
         want = dataclasses.replace(evaluate(band, accel), layer_name="")
         assert evaluate_shape(shape, accel) == want
-
-
-# ----------------------------------------------------------------------
-# Delta-sweeps
-# ----------------------------------------------------------------------
-
-GRID_KWARGS = dict(tolerances=[1.1, 1.25], nop_gbps=[64.0, 128.0])
-
-
-def count_repriced(monkeypatch, sweep, baseline):
-    """Run ``run_delta`` while recording which keys hit run_scenario."""
-    import repro.sweep.runner as runner_mod
-    orig = runner_mod.run_scenario
-    priced: list[str] = []
-
-    def counting(scenario, *args, **kwargs):
-        priced.append(scenario.key)
-        return orig(scenario, *args, **kwargs)
-
-    monkeypatch.setattr(runner_mod, "run_scenario", counting)
-    result = sweep.run_delta(baseline)
-    return result, priced
-
-
-class TestDeltaSweep:
-    @pytest.fixture()
-    def baseline(self, tmp_path):
-        journal = tmp_path / "journal"
-        grid = scenario_grid(**GRID_KWARGS)
-        full = ScenarioSweep(grid, journal_path=journal).run()
-        return grid, journal, full
-
-    def test_unchanged_grid_reprices_zero(self, baseline, monkeypatch):
-        grid, journal, full = baseline
-        sweep = ScenarioSweep(scenario_grid(**GRID_KWARGS))
-        result, priced = count_repriced(monkeypatch, sweep, journal)
-        assert priced == []
-        assert result.delta_skipped == len(grid)
-        assert result.summary()["delta_skipped"] == len(grid)
-        assert result.rows_json() == full.rows_json()
-
-    def test_single_axis_change_reprices_only_moved_keys(
-            self, baseline, monkeypatch, tmp_path):
-        _, journal, _ = baseline
-        changed = scenario_grid(tolerances=[1.1, 1.25],
-                                nop_gbps=[64.0, 256.0])
-        sweep = ScenarioSweep(changed)
-        result, priced = count_repriced(monkeypatch, sweep, journal)
-        moved = [s.key for s in changed if "nop=256" in s.key]
-        assert sorted(priced) == sorted(moved)
-        assert result.delta_skipped == len(changed) - len(moved)
-        cold = ScenarioSweep(list(changed)).run()
-        assert result.rows_json() == cold.rows_json()
-
-    def test_in_memory_result_baseline(self, baseline, monkeypatch):
-        grid, _, full = baseline
-        sweep = ScenarioSweep(scenario_grid(**GRID_KWARGS))
-        result, priced = count_repriced(monkeypatch, sweep, full)
-        assert priced == []
-        assert result.delta_skipped == len(grid)
-        assert result.rows_json() == full.rows_json()
-
-    def test_pre_fingerprint_journal_reprices_everything(
-            self, baseline, monkeypatch):
-        grid, journal, full = baseline
-        # Strip the fingerprints, simulating a journal written before
-        # delta-sweeps existed: splicing must conservatively refuse.
-        for record in SweepJournal(journal).outcome_files():
-            payload = json.loads(record.read_text())
-            payload.pop("fingerprint")
-            record.write_text(json.dumps(payload, sort_keys=True))
-        sweep = ScenarioSweep(scenario_grid(**GRID_KWARGS))
-        result, priced = count_repriced(monkeypatch, sweep, journal)
-        assert sorted(priced) == sorted(s.key for s in grid)
-        assert result.delta_skipped == 0
-        assert result.rows_json() == full.rows_json()
-
-    def test_fingerprint_is_content_addressed(self):
-        grid = scenario_grid(**GRID_KWARGS)
-        fp_a = scenario_fingerprint(grid[0])
-        fp_b = scenario_fingerprint(dataclasses.replace(grid[0]))
-        assert fp_a == fp_b  # structural, not identity
-        assert fp_a != scenario_fingerprint(grid[1])
-        assert len(fp_a) == 64  # sha256 hex
-
-    def test_delta_journal_checkpoints_under_parent_indices(
-            self, baseline, tmp_path):
-        _, journal, _ = baseline
-        changed = scenario_grid(tolerances=[1.1, 1.25],
-                                nop_gbps=[64.0, 256.0])
-        delta_journal = tmp_path / "delta-journal"
-        sweep = ScenarioSweep(changed, journal_path=delta_journal)
-        sweep.run_delta(journal)
-        recorded = {json.loads(p.read_text())["key"]: p.name
-                    for p in SweepJournal(delta_journal).outcome_files()}
-        index = {s.key: i for i, s in enumerate(changed)}
-        for key, name in recorded.items():
-            assert name == f"outcome-{index[key]:05d}.json"

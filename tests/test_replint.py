@@ -31,6 +31,23 @@ ROOT = find_repo_root()
 LINT_DIR = ROOT / "tests" / "data" / "lint"
 
 
+@pytest.fixture(scope="module")
+def repo_lint():
+    """The whole-repo run, linted once for every test that needs it."""
+    return run_lint(root=ROOT)
+
+
+@pytest.fixture()
+def stub_repo_lint(monkeypatch, repo_lint):
+    """Serve ``repo_lint`` to the CLI entry point instead of a second
+    whole-repo run, after checking the CLI asked for exactly that run."""
+    def stub(paths=None, root=None):
+        assert paths == [] and root == ROOT
+        return repo_lint
+
+    monkeypatch.setattr("repro.devtools.runner.run_lint", stub)
+
+
 def lint_fixture(name: str):
     diags, checked = run_lint([str(LINT_DIR / name)], root=ROOT)
     assert checked == 1
@@ -46,8 +63,8 @@ def rules_of(diags) -> set:
 # ----------------------------------------------------------------------
 
 class TestRepoClean:
-    def test_whole_repo_clean(self):
-        diags, checked = run_lint(root=ROOT)
+    def test_whole_repo_clean(self, repo_lint):
+        diags, checked = repo_lint
         assert diags == [], "\n".join(d.format() for d in diags)
         assert checked >= 60  # every module under src/repro
 
@@ -254,7 +271,7 @@ class TestAxisCoherence:
 # ----------------------------------------------------------------------
 
 class TestCli:
-    def test_repo_run_exits_zero(self, capsys):
+    def test_repo_run_exits_zero(self, capsys, stub_repo_lint):
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "repro-lint: 0 issues" in out
@@ -285,7 +302,7 @@ class TestCli:
         text = render_text([], 7)
         assert "0 issues (7 files checked" in text
 
-    def test_chiplet_npu_dispatch(self, capsys):
+    def test_chiplet_npu_dispatch(self, capsys, stub_repo_lint):
         from repro.cli import main as cli_main
         assert cli_main(["lint"]) == 0
         assert "repro-lint: 0 issues" in capsys.readouterr().out

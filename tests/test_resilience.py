@@ -18,6 +18,7 @@ from repro.sweep import (
     InjectedFault,
     NullClock,
     RetryPolicy,
+    Scenario,
     ScenarioSweep,
     SweepFailure,
     SweepJournal,
@@ -29,6 +30,16 @@ from repro.sweep import (
     key_fraction,
     scenario_grid,
 )
+
+
+#: fields older journals carry that this version neither writes nor
+#: reads, each with a value of the kind those journals held.
+RETIRED_FIELDS = {
+    # the layer-cost memo's pre-seeding counter
+    "layer_cache.seeded": 7,
+    # the delta-sweep scenario fingerprint, a SHA-256 hex digest
+    "fingerprint": "0f" * 32,
+}
 
 
 @pytest.fixture(scope="module")
@@ -268,13 +279,13 @@ class TestJournal:
                                                     tmp_path):
         journal_dir = tmp_path / "journal"
         stream = ScenarioSweep(list(grid),
-                               journal_path=journal_dir).run_iter()
+                               journal=journal_dir).run_iter()
         next(stream)
         next(stream)
         stream.close()  # the "crash": two outcomes checkpointed
         assert len(list(journal_dir.glob("outcome-*.json"))) == 2
         resumed = ScenarioSweep(list(grid),
-                                resume_from=journal_dir).run()
+                                journal=journal_dir).run()
         assert resumed.rows_json() == reference.rows_json()
         # resume completed the journal for the next resume
         assert len(list(journal_dir.glob("outcome-*.json"))) == len(grid)
@@ -286,63 +297,113 @@ class TestJournal:
         # run prices its twin without the schedule the first run shared.
         journal_dir = tmp_path / "journal"
         stream = ScenarioSweep(list(twin_grid),
-                               journal_path=journal_dir).run_iter()
+                               journal=journal_dir).run_iter()
         for _ in range(3):
             next(stream)
         stream.close()
         resumed = ScenarioSweep(list(twin_grid),
-                                resume_from=journal_dir).run()
+                                journal=journal_dir).run()
         assert resumed.rows_json() == twin_reference.rows_json()
 
     def test_fully_journaled_grid_replays_without_pricing(self, grid,
                                                           reference,
                                                           tmp_path):
         journal_dir = tmp_path / "journal"
-        ScenarioSweep(list(grid), journal_path=journal_dir).run()
+        ScenarioSweep(list(grid), journal=journal_dir).run()
         replayed = ScenarioSweep(list(grid),
-                                 resume_from=journal_dir).run()
+                                 journal=journal_dir).run()
         assert replayed.rows_json() == reference.rows_json()
 
+    @pytest.mark.parametrize("retired", sorted(RETIRED_FIELDS))
     def test_records_with_a_retired_counter_still_replay(self, grid,
                                                          reference,
-                                                         tmp_path):
-        # Journals from before the layer-cost memo lost its pre-seeding
-        # path carry a "seeded" counter under the same schema version.
+                                                         tmp_path,
+                                                         retired):
         journal_dir = tmp_path / "journal"
-        ScenarioSweep(list(grid), journal_path=journal_dir).run()
+        ScenarioSweep(list(grid), journal=journal_dir).run()
+        section, _, name = retired.rpartition(".")
         for record in journal_dir.glob("outcome-*.json"):
             payload = json.loads(record.read_text())
-            payload["layer_cache"]["seeded"] = 7
+            target = payload[section] if section else payload
+            target[name] = RETIRED_FIELDS[retired]
             record.write_text(json.dumps(payload, sort_keys=True))
         journal = SweepJournal(journal_dir)
         assert len(journal.load()) == len(grid)
         assert journal.skipped_files == []
         resumed = ScenarioSweep(list(grid),
-                                resume_from=journal_dir).run()
+                                journal=journal_dir).run()
         assert resumed.rows_json() == reference.rows_json()
 
     def test_corrupt_and_stale_records_degrade_to_repricing(
             self, grid, reference, tmp_path):
         journal_dir = tmp_path / "journal"
-        ScenarioSweep(list(grid), journal_path=journal_dir).run()
+        ScenarioSweep(list(grid), journal=journal_dir).run()
         records = sorted(journal_dir.glob("outcome-*.json"))
         records[0].write_text("{ truncated")
         stale = json.loads(records[1].read_text())
         stale["schema"] = -1
         records[1].write_text(json.dumps(stale))
+        damaged = json.loads(records[2].read_text())
+        damaged["plan_cache"]["hits"] = None
+        records[2].write_text(json.dumps(damaged))
         journal = SweepJournal(journal_dir)
         outcomes = journal.load()
-        assert len(outcomes) == len(grid) - 2
+        assert len(outcomes) == len(grid) - 3
         assert sorted(reason for _, reason in journal.skipped_files) \
-            == ["corrupt", "schema"]
+            == ["corrupt", "corrupt", "schema"]
         resumed = ScenarioSweep(list(grid),
-                                resume_from=journal_dir).run()
+                                journal=journal_dir).run()
         assert resumed.rows_json() == reference.rows_json()
+
+    @pytest.mark.parametrize("number", ["null", '"x"', "1e400"])
+    def test_damaged_numbers_skip_as_corrupt(self, grid, tmp_path, number):
+        # int() raises on each of these; the record is skipped, not the
+        # whole load.
+        journal_dir = tmp_path / "journal"
+        ScenarioSweep(list(grid), journal=journal_dir,
+                      faults=FaultPlan.parse("fail:0@1,2,3"),
+                      strict=False, clock=NullClock()).run()
+        journal = SweepJournal(journal_dir)
+        outcome_file = journal.outcome_files()[0]
+        failure_file = journal.failure_files()[0]
+        outcome = json.loads(outcome_file.read_text())
+        outcome["layer_cache"]["misses"] = "NUMBER"
+        failure = json.loads(failure_file.read_text())
+        failure["attempts"] = "NUMBER"
+        for record, payload in ((outcome_file, outcome),
+                                (failure_file, failure)):
+            record.write_text(
+                json.dumps(payload).replace('"NUMBER"', number))
+        assert len(journal.load()) == len(grid) - 2
+        assert journal.load_failures() == []
+        assert sorted(path.name for path, _ in journal.skipped_files) \
+            == sorted([outcome_file.name, failure_file.name])
+        assert {reason for _, reason in journal.skipped_files} \
+            == {"corrupt"}
+
+    def test_journaling_adds_no_builds(self, twin_grid, tmp_path,
+                                       monkeypatch):
+        # A checkpoint writes the outcome and nothing more: a journaled
+        # run builds each hardware exactly as often as a plain one.
+        built: list[str] = []
+        build = Scenario.build
+
+        def counting(scenario, *args, **kwargs):
+            built.append(scenario.key)
+            return build(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "build", counting)
+        ScenarioSweep(list(twin_grid)).run()
+        plain = list(built)
+        built.clear()
+        ScenarioSweep(list(twin_grid), journal=tmp_path / "journal").run()
+        assert built == plain
+        assert len(plain) == len(twin_grid) // 2
 
     def test_failures_are_journaled_but_never_replayed(self, grid,
                                                        tmp_path):
         journal_dir = tmp_path / "journal"
-        ScenarioSweep(list(grid), journal_path=journal_dir,
+        ScenarioSweep(list(grid), journal=journal_dir,
                       faults=FaultPlan.parse("fail:0@1,2,3"),
                       strict=False, clock=NullClock()).run()
         journal = SweepJournal(journal_dir)
@@ -352,12 +413,12 @@ class TestJournal:
         # re-attempts it from scratch (the fault may have been transient)
         assert grid[0].key not in journal.load()
         resumed = ScenarioSweep(list(grid),
-                                resume_from=journal_dir).run()
+                                journal=journal_dir).run()
         assert resumed.complete
 
     def test_round_trip_preserves_rows_and_stats(self, grid, tmp_path):
         journal_dir = tmp_path / "journal"
-        sweep = ScenarioSweep(list(grid), journal_path=journal_dir)
+        sweep = ScenarioSweep(list(grid), journal=journal_dir)
         originals = {o.key: o for o in sweep.run_iter()}
         loaded = SweepJournal(journal_dir).load()
         assert set(loaded) == set(originals)
@@ -419,8 +480,8 @@ class TestParallelRecovery:
     def test_parallel_journal_matches_serial_journal_rows(self, grid,
                                                           tmp_path):
         serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
-        ScenarioSweep(list(grid), journal_path=serial_dir).run()
-        ScenarioSweep(list(grid), workers=2, journal_path=parallel_dir,
+        ScenarioSweep(list(grid), journal=serial_dir).run()
+        ScenarioSweep(list(grid), workers=2, journal=parallel_dir,
                       faults=FaultPlan.parse("crash:1"),
                       clock=NullClock()).run()
         serial_rows = {k: o.row
