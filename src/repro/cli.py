@@ -81,6 +81,54 @@ import json
 import sys
 
 from .experiments import ALL_EXPERIMENTS
+from .sweep import AXIS_SPECS
+
+
+def add_axis_flags(parser: argparse.ArgumentParser,
+                   names: tuple[str, ...] | None = None,
+                   defaults: dict[str, str] | None = None,
+                   helps: dict[str, str] | None = None) -> None:
+    """Declare axis flags on ``parser`` from :data:`AXIS_SPECS`.
+
+    ``names`` picks and orders the axes; by default every axis is
+    declared, followed by ``--axis NAME=VALUES``, which reaches any of
+    them by canonical name.  ``defaults`` and ``helps`` replace an
+    axis's default or help text, by canonical name.
+    """
+    defaults, helps = defaults or {}, helps or {}
+    for name in names or AXIS_SPECS:
+        spec = AXIS_SPECS[name]
+        parser.add_argument(spec.flag,
+                            default=defaults.get(name, spec.default),
+                            help=helps.get(name, spec.help))
+    if names is None:
+        parser.add_argument("--axis", action="append", default=[],
+                            metavar="NAME=VALUES",
+                            help="extra axis by canonical name (e.g. "
+                                 "--axis native_tile=16x16,8x8); may "
+                                 "repeat, overrides the dedicated flag "
+                                 "for that axis")
+
+
+#: canonical axis name by the argparse dest of its flag.
+_AXIS_BY_DEST = {spec.flag[2:].replace("-", "_"): name
+                 for name, spec in AXIS_SPECS.items()}
+
+
+def axis_texts(args: argparse.Namespace) -> dict[str, str]:
+    """The axis texts parsed by :func:`add_axis_flags`, by canonical name.
+
+    Axes come in the parser's declaration order; ``--axis`` overrides
+    apply last.  A malformed ``--axis`` raises ``ValueError``.
+    """
+    texts = {_AXIS_BY_DEST[dest]: text for dest, text in vars(args).items()
+             if dest in _AXIS_BY_DEST}
+    for item in getattr(args, "axis", ()):
+        name, sep, values = item.partition("=")
+        if not sep or not name or not values:
+            raise ValueError(f"--axis expects NAME=VALUES, got {item!r}")
+        texts[name.strip()] = values
+    return texts
 
 
 def _sweep_parser() -> argparse.ArgumentParser:
@@ -89,45 +137,7 @@ def _sweep_parser() -> argparse.ArgumentParser:
         description="Run a scenario grid (tolerance x NoP bandwidth x "
                     "package size x workload x het budget) across worker "
                     "processes with deterministic result merging.")
-    parser.add_argument("--tolerances", default="1.05",
-                        help="comma-separated tolerance coefficients")
-    parser.add_argument("--nop-gbps", default="none",
-                        help="comma-separated NoP bandwidths in GB/s "
-                             "('none' = default 100)")
-    parser.add_argument("--npus", default="1",
-                        help="comma-separated NPU module counts")
-    parser.add_argument("--workloads", default="default",
-                        help="comma-separated workload variant names")
-    parser.add_argument("--het-budgets", default="none",
-                        help="comma-separated WS chiplet budgets for the "
-                             "trunk DSE ('none' = skip)")
-    parser.add_argument("--dataflows", default="none",
-                        help="comma-separated chiplet dataflow styles "
-                             "(os/ws/rs; 'none' = os)")
-    parser.add_argument("--frequencies-ghz", default="none",
-                        help="comma-separated chiplet clocks in GHz "
-                             "('none' = 2 GHz)")
-    parser.add_argument("--native-tiles", default="none",
-                        help="comma-separated native dataflow tiles as "
-                             "ROWSxCOLS, e.g. 16x16 ('none' = 16x16)")
-    parser.add_argument("--dram-gbps", default="none",
-                        help="comma-separated package DRAM bandwidths in "
-                             "GB/s ('none' = compute-only steady state)")
-    parser.add_argument("--topologies", default="none",
-                        help="comma-separated NoP topologies (mesh, "
-                             "torus, or KIND-WxH grids like torus-8x8; "
-                             "'none' = the seed open mesh)")
-    parser.add_argument("--hetero", default="none",
-                        help="comma-separated per-quadrant hardware "
-                             "override tokens (QUAD:DATAFLOW[@GHZ]"
-                             "[/ROWSxCOLS][#COUNT] joined by '+', e.g. "
-                             "trunk:ws@1.2+temporal:@1.5 or trunk:ws#4; "
-                             "'none' = homogeneous package)")
-    parser.add_argument("--axis", action="append", default=[],
-                        metavar="NAME=VALUES",
-                        help="extra axis by canonical name (e.g. "
-                             "--axis native_tile=16x16,8x8); may repeat, "
-                             "overrides the dedicated flag for that axis")
+    add_axis_flags(parser)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial)")
     parser.add_argument("--store", default=None, metavar="DIR",
@@ -164,31 +174,6 @@ def _sweep_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_kwargs(args) -> dict:
-    """Axis texts from the dedicated flags plus ``--axis`` overrides."""
-    from .sweep import parse_grid_axes
-    axis_texts = {
-        "tolerance": args.tolerances,
-        "nop_gbps": args.nop_gbps,
-        "npus": args.npus,
-        "workload": args.workloads,
-        "het_ws_budget": args.het_budgets,
-        "dataflow": args.dataflows,
-        "frequency_ghz": args.frequencies_ghz,
-        "native_tile": args.native_tiles,
-        "dram_gbps": args.dram_gbps,
-        "topology": args.topologies,
-        "hetero": args.hetero,
-    }
-    for item in args.axis:
-        name, sep, values = item.partition("=")
-        if not sep or not name or not values:
-            raise ValueError(
-                f"--axis expects NAME=VALUES, got {item!r}")
-        axis_texts[name.strip()] = values
-    return parse_grid_axes(axis_texts)
-
-
 def _run_sweep(argv: list[str]) -> int:
     from .io import save_sweep
     from .sim.metrics import format_table
@@ -198,13 +183,14 @@ def _run_sweep(argv: list[str]) -> int:
         ScenarioSweep,
         SweepFailure,
         SweepQuarantineError,
+        parse_grid_axes,
         scenario_grid,
     )
 
     parser = _sweep_parser()
     args = parser.parse_args(argv)
     try:
-        grid = scenario_grid(**_grid_kwargs(args))
+        grid = scenario_grid(**parse_grid_axes(axis_texts(args)))
         retry = (RetryPolicy(max_attempts=args.retries)
                  if args.retries is not None else None)
         faults = (FaultPlan.parse(args.inject_faults)
@@ -341,6 +327,10 @@ def _run_sweep(argv: list[str]) -> int:
         names = ", ".join(rec["file"] for rec in result.store_skipped)
         print(f"plan store: skipped {len(result.store_skipped)} "
               f"corrupt/stale shard(s): {names}")
+    if result.journal_skipped:
+        names = ", ".join(rec["file"] for rec in result.journal_skipped)
+        print(f"journal: skipped {len(result.journal_skipped)} "
+              f"corrupt/stale record(s): {names}")
     if result.failures:
         print(f"quarantined {len(result.failures)} scenario(s):")
         for failure in result.failures:
@@ -355,22 +345,20 @@ def _scaling_parser() -> argparse.ArgumentParser:
         description="Chiplet-count scaling report: sweep npus x workload "
                     "x DRAM bandwidth through the sweep engine and emit "
                     "the scaling table (speedup, efficiency, DRAM wall).")
-    parser.add_argument("--npus", default="1,2,4",
-                        help="comma-separated NPU module counts")
-    parser.add_argument("--dram-gbps", default="none,6,2",
-                        help="comma-separated DRAM bandwidths in GB/s "
-                             "('none' = compute-only column)")
-    parser.add_argument("--workloads", default="default",
-                        help="comma-separated workload variant names")
-    parser.add_argument("--topologies", default="none",
-                        help="comma-separated NoP topologies (mesh/torus; "
-                             "'none' = the seed open mesh); setting this "
-                             "adds topology and mean-hop columns")
-    parser.add_argument("--hetero", default="none",
-                        help="comma-separated per-quadrant hardware "
-                             "override tokens (e.g. trunk:ws@1.2; 'none' "
-                             "= homogeneous package); setting this adds "
-                             "composition and trunk-utilization columns")
+    add_axis_flags(
+        parser, ("npus", "dram_gbps", "workload", "topology", "hetero"),
+        defaults={"npus": "1,2,4", "dram_gbps": "none,6,2"},
+        helps={
+            "dram_gbps": "comma-separated DRAM bandwidths in GB/s "
+                         "('none' = compute-only column)",
+            "topology": "comma-separated NoP topologies (mesh/torus; "
+                        "'none' = the seed open mesh); setting this adds "
+                        "topology and mean-hop columns",
+            "hetero": "comma-separated per-quadrant hardware override "
+                      "tokens (e.g. trunk:ws@1.2; 'none' = homogeneous "
+                      "package); setting this adds composition and "
+                      "trunk-utilization columns",
+        })
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial)")
     parser.add_argument("--store", default=None, metavar="DIR",
@@ -390,18 +378,7 @@ def _run_scaling_report(argv: list[str]) -> int:
     parser = _scaling_parser()
     args = parser.parse_args(argv)
     try:
-        kwargs = parse_grid_axes({
-            "npus": args.npus,
-            "dram_gbps": args.dram_gbps,
-            "workload": args.workloads,
-            "topology": args.topologies,
-            "hetero": args.hetero,
-        })
-        result = scaling.run(npus=kwargs["npus"],
-                             dram_gbps=kwargs["dram_gbps"],
-                             workloads=kwargs["workloads"],
-                             topologies=kwargs["topologies"],
-                             heteros=kwargs["heteros"],
+        result = scaling.run(**parse_grid_axes(axis_texts(args)),
                              workers=args.workers,
                              store_path=args.store)
     except (ValueError, KeyError) as exc:
@@ -431,45 +408,7 @@ def _design_parser() -> argparse.ArgumentParser:
                     "latency/energy targets, and materialize only the "
                     "Pareto frontier into full sweep rows (deterministic "
                     "report; see docs/DESIGN.md).")
-    parser.add_argument("--tolerances", default="1.05",
-                        help="comma-separated tolerance coefficients")
-    parser.add_argument("--nop-gbps", default="none",
-                        help="comma-separated NoP bandwidths in GB/s "
-                             "('none' = default 100)")
-    parser.add_argument("--npus", default="1",
-                        help="comma-separated NPU module counts")
-    parser.add_argument("--workloads", default="default",
-                        help="comma-separated workload variant names")
-    parser.add_argument("--het-budgets", default="none",
-                        help="comma-separated WS chiplet budgets for the "
-                             "trunk DSE ('none' = skip)")
-    parser.add_argument("--dataflows", default="none",
-                        help="comma-separated chiplet dataflow styles "
-                             "(os/ws/rs; 'none' = os)")
-    parser.add_argument("--frequencies-ghz", default="none",
-                        help="comma-separated chiplet clocks in GHz "
-                             "('none' = 2 GHz)")
-    parser.add_argument("--native-tiles", default="none",
-                        help="comma-separated native dataflow tiles as "
-                             "ROWSxCOLS, e.g. 16x16 ('none' = 16x16)")
-    parser.add_argument("--dram-gbps", default="none",
-                        help="comma-separated package DRAM bandwidths in "
-                             "GB/s ('none' = compute-only steady state)")
-    parser.add_argument("--topologies", default="none",
-                        help="comma-separated NoP topologies (mesh, "
-                             "torus, or KIND-WxH grids like torus-8x8; "
-                             "'none' = the seed open mesh)")
-    parser.add_argument("--hetero", default="none",
-                        help="comma-separated per-quadrant hardware "
-                             "override tokens (QUAD:DATAFLOW[@GHZ]"
-                             "[/ROWSxCOLS][#COUNT] joined by '+', e.g. "
-                             "trunk:ws@1.2+temporal:@1.5 or trunk:ws#4; "
-                             "'none' = homogeneous package)")
-    parser.add_argument("--axis", action="append", default=[],
-                        metavar="NAME=VALUES",
-                        help="extra axis by canonical name (e.g. "
-                             "--axis native_tile=16x16,8x8); may repeat, "
-                             "overrides the dedicated flag for that axis")
+    add_axis_flags(parser)
     parser.add_argument("--target-pipe-ms", type=float, default=None,
                         metavar="MS",
                         help="prune candidates whose proxy pipe latency "
@@ -503,26 +442,8 @@ def _run_design(argv: list[str]) -> int:
 
     parser = _design_parser()
     args = parser.parse_args(argv)
-    axis_texts = {
-        "tolerance": args.tolerances,
-        "nop_gbps": args.nop_gbps,
-        "npus": args.npus,
-        "workload": args.workloads,
-        "het_ws_budget": args.het_budgets,
-        "dataflow": args.dataflows,
-        "frequency_ghz": args.frequencies_ghz,
-        "native_tile": args.native_tiles,
-        "dram_gbps": args.dram_gbps,
-        "topology": args.topologies,
-        "hetero": args.hetero,
-    }
-    for item in args.axis:
-        name, sep, values = item.partition("=")
-        if not sep or not name or not values:
-            parser.error(f"--axis expects NAME=VALUES, got {item!r}")
-        axis_texts[name.strip()] = values
     try:
-        space = DesignSpace.from_axis_texts(axis_texts)
+        space = DesignSpace.from_axis_texts(axis_texts(args))
         targets = DesignTargets(pipe_ms=args.target_pipe_ms,
                                 energy_j=args.max_energy_j)
         result = DesignSearch(space, targets=targets,
@@ -560,28 +481,28 @@ def _run_design(argv: list[str]) -> int:
     return 0
 
 
+def _run_lint(argv: list[str]) -> int:
+    from .devtools.runner import main as lint_main
+    return lint_main(argv)
+
+
+#: subcommands with their own parsers, by the words that name them; each
+#: runner takes the rest of the command line.
+_SUBCOMMANDS = {
+    ("sweep",): _run_sweep,
+    ("report", "scaling"): _run_scaling_report,
+    ("lint",): _run_lint,
+    ("design",): _run_design,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "sweep":
-        # Dispatch before the main parser so `sweep --help` (and any
-        # sweep flag) reaches the sweep parser.  The parse_known_args
-        # fallback below additionally tolerates the *shared* flags
-        # (--json/--output) before the subcommand; sweep-specific flags
-        # must follow `sweep`.
-        return _run_sweep(argv[1:])
-    if len(argv) >= 2 and argv[0] == "report" and argv[1] == "scaling":
-        # `report scaling` is its own artifact generator (the markdown
-        # report keeps its `report` form; scaling flags follow).
-        return _run_scaling_report(argv[2:])
-    if argv and argv[0] == "lint":
-        # Same pre-dispatch as `sweep`, for the same reason: lint flags
-        # (and file arguments) belong to the lint parser.
-        from .devtools.runner import main as lint_main
-        return lint_main(argv[1:])
-    if argv and argv[0] == "design":
-        # Same pre-dispatch as `sweep`: design flags belong to the
-        # design parser.
-        return _run_design(argv[1:])
+    # Dispatch before the main parser so a subcommand's flags (and its
+    # --help) reach its own parser.
+    for words, run in _SUBCOMMANDS.items():
+        if tuple(argv[:len(words)]) == words:
+            return run(argv[len(words):])
 
     parser = argparse.ArgumentParser(
         prog="chiplet-npu",
@@ -605,33 +526,16 @@ def main(argv: list[str] | None = None) -> int:
         help="file to write ('report' defaults to results/REPORT.md)")
     args, rest = parser.parse_known_args(argv)
 
-    if args.experiment == "sweep":
-        # Shared flags placed before the subcommand (--json sweep ...):
-        # re-emit them plus any trailing sweep flags from ``rest`` so the
-        # sweep parser sees one canonical command line.
-        extra = ["--json"] if args.json else []
-        if args.output:
-            extra += ["--output", args.output]
-        return _run_sweep(extra + rest)
-    if args.experiment == "design":
-        # Shared flags placed before the subcommand (--json design ...).
-        extra = ["--json"] if args.json else []
-        if args.output:
-            extra += ["--output", args.output]
-        return _run_design(extra + rest)
-    if args.experiment == "report" and rest and rest[0] == "scaling":
-        # Shared flags before the subcommand (--json report scaling ...).
-        extra = ["--json"] if args.json else []
-        if args.output:
-            extra += ["--output", args.output]
-        return _run_scaling_report(extra + rest[1:])
-    if args.experiment == "lint":
-        # Shared flags before the subcommand (--json lint).
-        from .devtools.runner import main as lint_main
-        extra = ["--json"] if args.json else []
-        if args.output:
-            extra += ["--output", args.output]
-        return lint_main(extra + rest)
+    # Shared flags placed before a subcommand (--json sweep ...): re-emit
+    # them ahead of the subcommand's own flags from ``rest`` so its parser
+    # sees one canonical command line.
+    line = [args.experiment, *rest]
+    for words, run in _SUBCOMMANDS.items():
+        if tuple(line[:len(words)]) == words:
+            extra = ["--json"] if args.json else []
+            if args.output:
+                extra += ["--output", args.output]
+            return run(extra + line[len(words):])
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
 

@@ -1,128 +1,39 @@
-"""R3: axis coherence across the Scenario dataclass, AXIS_SPECS, the
-key-fragment builder, the CLI flags, and the docs/SWEEP.md axis table.
+"""R3: the docs flag tables match the ``sweep`` and ``design`` parsers.
 
-PR 3-5 each added sweep axes by hand-threading the same name through
-five places; this check makes the convention mechanical.  It is a pure
-function of the three source texts so the self-test suite can prove it
-fires by doctoring them (e.g. deleting an ``AXIS_SPECS`` entry) without
+Both parsers declare their axis flags from ``AXIS_SPECS`` through
+``repro.cli.add_axis_flags``, so the parsers agree with the axis table
+by construction.  What can still drift is the documentation: each
+subcommand's doc carries flag tables that must name every option its
+parser defines, and nothing else.  The check is a pure function of a
+parser and a doc text, so the self-tests can doctor the docs without
 touching the real tree.
 """
 
 from __future__ import annotations
 
-import ast
+import argparse
 import re
 
 from .diagnostics import Diagnostic
 
-#: default locations of the coherence surfaces, relative to root.
-SCENARIO_PATH = "src/repro/sweep/scenario.py"
-CLI_PATH = "src/repro/cli.py"
-DOCS_PATH = "docs/SWEEP.md"
+#: the doc holding each subcommand's flag tables, relative to the root.
+SWEEP_DOCS_PATH = "docs/SWEEP.md"
 DESIGN_DOCS_PATH = "docs/DESIGN.md"
 
-#: first backticked token of a docs axis-table row: ``| `--flag` | ...``
+#: first backticked token of a docs flag-table row: ``| `--flag` | ...``
 _DOCS_ROW_RE = re.compile(r"^\|\s*`(--[a-z0-9-]+)`")
 
 
-def _scenario_surfaces(tree: ast.AST) -> dict:
-    """Field names, AXIS_SPECS keys, and self.<field> refs in key/to_dict."""
-    out: dict = {"fields": {}, "axis_specs": {}, "axis_specs_line": None,
-                 "key_refs": set(), "key_line": None,
-                 "to_dict_refs": set(), "to_dict_line": None}
-    for node in getattr(tree, "body", []):
-        if isinstance(node, ast.ClassDef) and node.name == "Scenario":
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) \
-                        and isinstance(stmt.target, ast.Name):
-                    out["fields"][stmt.target.id] = stmt.lineno
-                elif isinstance(stmt, ast.FunctionDef) \
-                        and stmt.name in ("key", "to_dict"):
-                    refs = {sub.attr for sub in ast.walk(stmt)
-                            if isinstance(sub, ast.Attribute)
-                            and isinstance(sub.value, ast.Name)
-                            and sub.value.id == "self"}
-                    slot = "key" if stmt.name == "key" else "to_dict"
-                    out[f"{slot}_refs"] = refs
-                    out[f"{slot}_line"] = stmt.lineno
-        else:
-            # Both spellings: `AXIS_SPECS = {...}` and the annotated
-            # `AXIS_SPECS: dict[str, AxisSpec] = {...}`.
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign):
-                target = node.target
-            if isinstance(target, ast.Name) \
-                    and target.id == "AXIS_SPECS" \
-                    and isinstance(node.value, ast.Dict):
-                out["axis_specs_line"] = node.lineno
-                for key in node.value.keys:
-                    if isinstance(key, ast.Constant):
-                        out["axis_specs"][key.value] = key.lineno
-    return out
+def parser_flags(parser: argparse.ArgumentParser) -> list[str]:
+    """Every ``--flag`` the parser defines, ``--help`` aside."""
+    return [option for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"]
 
 
-def _parser_flags(tree: ast.AST, func_name: str) -> dict:
-    """``dest -> (flag, line)`` for every --flag in one parser builder."""
-    flags: dict = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == func_name:
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) \
-                        and isinstance(call.func, ast.Attribute) \
-                        and call.func.attr == "add_argument" \
-                        and call.args \
-                        and isinstance(call.args[0], ast.Constant) \
-                        and str(call.args[0].value).startswith("--"):
-                    flag = call.args[0].value
-                    dest = flag[2:].replace("-", "_")
-                    flags[dest] = (flag, call.lineno)
-    return flags
-
-
-def _axis_text_dicts(tree: ast.AST, func_name: str,
-                     var_name: str | None = None) -> tuple:
-    """``axis -> (args dest, line)`` from an axis-texts dict literal.
-
-    Matches either ``<var_name> = {...}`` inside ``func_name`` (the
-    ``_grid_kwargs`` shape) or the dict argument of a
-    ``parse_grid_axes({...})`` call (the scaling-report shape).
-    Values must be ``args.<dest>`` attributes.
-    """
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name == func_name):
-            continue
-        for sub in ast.walk(node):
-            found = None
-            if var_name is not None and isinstance(sub, ast.Assign) \
-                    and len(sub.targets) == 1 \
-                    and isinstance(sub.targets[0], ast.Name) \
-                    and sub.targets[0].id == var_name \
-                    and isinstance(sub.value, ast.Dict):
-                found = sub.value
-            elif var_name is None and isinstance(sub, ast.Call) \
-                    and isinstance(sub.func, ast.Name) \
-                    and sub.func.id == "parse_grid_axes" \
-                    and sub.args and isinstance(sub.args[0], ast.Dict):
-                found = sub.args[0]
-            if found is not None:
-                axes: dict = {}
-                for key, value in zip(found.keys, found.values):
-                    if isinstance(key, ast.Constant) \
-                            and isinstance(value, ast.Attribute) \
-                            and isinstance(value.value, ast.Name) \
-                            and value.value.id == "args":
-                        axes[key.value] = (value.attr, key.lineno)
-                return axes, node.lineno
-        return {}, node.lineno
-    return {}, 1
-
-
-def _docs_flags(docs_text: str) -> dict:
-    """``--flag -> line`` from the docs/SWEEP.md axis table."""
-    flags: dict = {}
+def docs_flags(docs_text: str) -> dict[str, int]:
+    """``--flag -> line`` for every flag-table row of a doc."""
+    flags: dict[str, int] = {}
     for lineno, line in enumerate(docs_text.splitlines(), start=1):
         match = _DOCS_ROW_RE.match(line.strip())
         if match:
@@ -130,179 +41,22 @@ def _docs_flags(docs_text: str) -> dict:
     return flags
 
 
-def check_axis_coherence(scenario_src: str, cli_src: str, docs_text: str,
-                         scenario_path: str = SCENARIO_PATH,
-                         cli_path: str = CLI_PATH,
-                         docs_path: str = DOCS_PATH,
-                         design_docs_text: str | None = None,
-                         design_docs_path: str = DESIGN_DOCS_PATH) -> list:
-    """Cross-check every Scenario axis through all five surfaces.
-
-    Returns one R3 diagnostic per missing or stale link: Scenario field
-    <-> AXIS_SPECS <-> key/to_dict fragments <-> CLI sweep flags (and the
-    scaling-report subset) <-> the docs axis table.  The docs link is
-    checked in both directions and over the *whole* sweep-parser
-    surface: a table row naming a retired flag is stale, and a parser
-    flag (axis or execution) with no table row is undocumented.
-
-    When ``design_docs_text`` is given, the same full coherence contract
-    applies to the ``design`` subcommand's surfaces: the ``_run_design``
-    axis-texts dict must cover every axis, each dest must resolve to a
-    ``_design_parser`` flag, and the docs/DESIGN.md flag table is
-    checked in both directions.
-    """
-    diags: list = []
-
-    def diag(path: str, line: int, message: str) -> None:
-        diags.append(Diagnostic("R3", path, line, 0, message))
-
-    try:
-        scenario_tree = ast.parse(scenario_src)
-        cli_tree = ast.parse(cli_src)
-    except SyntaxError as exc:
-        diag(scenario_path, exc.lineno or 1,
-             f"cannot parse coherence surfaces: {exc.msg}")
-        return diags
-
-    sc = _scenario_surfaces(scenario_tree)
-    fields, specs = sc["fields"], sc["axis_specs"]
-    if not fields:
-        diag(scenario_path, 1, "Scenario dataclass not found")
-        return diags
-    if sc["axis_specs_line"] is None:
-        diag(scenario_path, 1, "AXIS_SPECS dict not found")
-        return diags
-
-    # Scenario fields <-> AXIS_SPECS, both directions.
-    for name, line in fields.items():
-        if name not in specs:
-            diag(scenario_path, line,
-                 f"Scenario axis {name!r} has no AXIS_SPECS entry")
-    for name, line in specs.items():
-        if name not in fields:
-            diag(scenario_path, line,
-                 f"AXIS_SPECS entry {name!r} is not a Scenario field")
-
-    # Every axis must contribute to the key fragment and the row payload.
-    for name, line in fields.items():
-        if name not in sc["key_refs"]:
-            diag(scenario_path, sc["key_line"] or line,
-                 f"Scenario axis {name!r} never referenced in the "
-                 f"Scenario.key fragment builder")
-        if name not in sc["to_dict_refs"]:
-            diag(scenario_path, sc["to_dict_line"] or line,
-                 f"Scenario axis {name!r} never referenced in "
-                 f"Scenario.to_dict()")
-
-    # CLI: the sweep axis-texts dict covers every axis, and each dest
-    # resolves to a real --flag of the sweep parser.
-    sweep_axes, grid_line = _axis_text_dicts(cli_tree, "_grid_kwargs",
-                                             "axis_texts")
-    sweep_flags = _parser_flags(cli_tree, "_sweep_parser")
-    if not sweep_axes:
-        diag(cli_path, grid_line, "_grid_kwargs axis_texts dict not found")
-    for name in specs:
-        if sweep_axes and name not in sweep_axes:
-            diag(cli_path, grid_line,
-                 f"axis {name!r} missing from the _grid_kwargs "
-                 f"axis_texts dict (unreachable from the sweep CLI)")
-    for name, (dest, line) in sweep_axes.items():
-        if name not in specs:
-            diag(cli_path, line,
-                 f"axis_texts key {name!r} has no AXIS_SPECS entry")
-        if dest not in sweep_flags:
-            diag(cli_path, line,
-                 f"axis {name!r} maps to args.{dest} but _sweep_parser "
-                 f"defines no --{dest.replace('_', '-')} flag")
-
-    # The scaling report parses a subset of the same axes.
-    report_axes, report_line = _axis_text_dicts(
-        cli_tree, "_run_scaling_report")
-    report_flags = _parser_flags(cli_tree, "_scaling_parser")
-    for name, (dest, line) in report_axes.items():
-        if name not in specs:
-            diag(cli_path, line,
-                 f"scaling-report axis {name!r} has no AXIS_SPECS entry")
-        if dest not in report_flags:
-            diag(cli_path, line,
-                 f"scaling-report axis {name!r} maps to args.{dest} but "
-                 f"_scaling_parser defines no matching flag")
-
-    # Docs: every sweep axis appears in the SWEEP.md axis table, and the
-    # table carries no stale flags.
-    docs = _docs_flags(docs_text)
+def check_flag_table(parser: argparse.ArgumentParser, docs_text: str,
+                     docs_path: str) -> list[Diagnostic]:
+    """One R3 diagnostic per parser flag without a table row in the doc,
+    and per table row naming a flag the parser does not define."""
+    docs = docs_flags(docs_text)
     if not docs:
-        diag(docs_path, 1, "no axis table rows found (| `--flag` | ...)")
-    for name, (dest, _) in sweep_axes.items():
-        flag = sweep_flags.get(dest, (None, None))[0]
-        if docs and flag is not None and flag not in docs:
-            diag(docs_path, min(docs.values()),
-                 f"axis {name!r} ({flag}) missing from the docs axis "
-                 f"table")
-    known_flags = {flag for flag, _ in sweep_flags.values()}
-    for flag, line in docs.items():
-        if flag not in known_flags:
-            diag(docs_path, line,
-                 f"docs axis table lists {flag} but _sweep_parser "
-                 f"defines no such flag")
-
-    # ... and the reverse: every flag the sweep parser defines — axis or
-    # execution — must appear in a SWEEP.md table row, so the CLI surface
-    # can never silently outgrow its documentation.
-    axis_flags = {sweep_flags[dest][0] for _, (dest, _) in
-                  sweep_axes.items() if dest in sweep_flags}
-    for dest in sorted(sweep_flags):
-        flag, line = sweep_flags[dest]
-        if docs and flag not in docs and flag not in axis_flags:
-            diag(cli_path, line,
-                 f"_sweep_parser defines {flag} but no {docs_path} "
-                 f"table row documents it")
-
-    # The design search declares the same axis surface; hold it to the
-    # same contract against its own parser and docs/DESIGN.md table.
-    if design_docs_text is not None:
-        design_axes, design_line = _axis_text_dicts(
-            cli_tree, "_run_design", "axis_texts")
-        design_flags = _parser_flags(cli_tree, "_design_parser")
-        if not design_axes:
-            diag(cli_path, design_line,
-                 "_run_design axis_texts dict not found")
-        for name in specs:
-            if design_axes and name not in design_axes:
-                diag(cli_path, design_line,
-                     f"axis {name!r} missing from the _run_design "
-                     f"axis_texts dict (unreachable from the design CLI)")
-        for name, (dest, line) in design_axes.items():
-            if name not in specs:
-                diag(cli_path, line,
-                     f"design axis_texts key {name!r} has no AXIS_SPECS "
-                     f"entry")
-            if dest not in design_flags:
-                diag(cli_path, line,
-                     f"design axis {name!r} maps to args.{dest} but "
-                     f"_design_parser defines no "
-                     f"--{dest.replace('_', '-')} flag")
-        design_docs = _docs_flags(design_docs_text)
-        if not design_docs:
-            diag(design_docs_path, 1,
-                 "no axis table rows found (| `--flag` | ...)")
-        for name, (dest, _) in design_axes.items():
-            flag = design_flags.get(dest, (None, None))[0]
-            if design_docs and flag is not None \
-                    and flag not in design_docs:
-                diag(design_docs_path, min(design_docs.values()),
-                     f"design axis {name!r} ({flag}) missing from the "
-                     f"docs flag table")
-        known_design = {flag for flag, _ in design_flags.values()}
-        for flag, line in design_docs.items():
-            if flag not in known_design:
-                diag(design_docs_path, line,
-                     f"docs flag table lists {flag} but _design_parser "
-                     f"defines no such flag")
-        for dest in sorted(design_flags):
-            flag, line = design_flags[dest]
-            if design_docs and flag not in design_docs:
-                diag(cli_path, line,
-                     f"_design_parser defines {flag} but no "
-                     f"{design_docs_path} table row documents it")
+        return [Diagnostic("R3", docs_path, 1, 0,
+                           "no flag table rows found (| `--flag` | ...)")]
+    flags = parser_flags(parser)
+    first_row = min(docs.values())
+    diags = [Diagnostic("R3", docs_path, first_row, 0,
+                        f"{parser.prog} defines {flag} but no {docs_path} "
+                        f"table row documents it")
+             for flag in flags if flag not in docs]
+    diags += [Diagnostic("R3", docs_path, line, 0,
+                         f"{docs_path} table row lists {flag} but "
+                         f"{parser.prog} defines no such flag")
+              for flag, line in docs.items() if flag not in flags]
     return diags

@@ -4,7 +4,7 @@ columns, R5 units naming.
 Each rule is a pure function ``(path, tree, ...) -> list[Diagnostic]``
 over one parsed module; rule *scoping* (which packages a rule applies
 to) lives in :mod:`repro.devtools.runner`, and pragma suppression in
-:mod:`repro.devtools.diagnostics`.  The repo-level R3 axis-coherence
+:mod:`repro.devtools.diagnostics`.  The repo-level R3 docs flag-table
 check is in :mod:`repro.devtools.axes`.
 """
 

@@ -1,7 +1,7 @@
 """repro-lint driver: file discovery, rule orchestration, and reports.
 
 ``chiplet-npu lint`` (or ``python -m repro.devtools.runner``) runs every
-rule over ``src/repro`` plus the repo-level R3 coherence check, prints
+rule over ``src/repro`` plus the repo-level R3 docs check, prints
 ``path:line:col: RULE message`` diagnostics, and exits non-zero when any
 survive the pragma filter.  Explicit file arguments run the per-file
 rules on those files alone (with every rule in scope — how the self-test
@@ -16,8 +16,7 @@ import json
 import pathlib
 import sys
 
-from .axes import CLI_PATH, DESIGN_DOCS_PATH, DOCS_PATH, SCENARIO_PATH, \
-    check_axis_coherence
+from .axes import DESIGN_DOCS_PATH, SWEEP_DOCS_PATH, check_flag_table
 from .diagnostics import Diagnostic, scan_pragmas
 from .rules import (
     R1_PACKAGES,
@@ -38,11 +37,9 @@ RULES = {
     "R2": "plan-key hygiene: hashlib only inside "
           f"{' and '.join(R2_ALLOWED_SUFFIXES)} "
           "(plan_key_hash / PlanStore.key_hash own key construction)",
-    "R3": "axis coherence: every Scenario axis threads through "
-          "AXIS_SPECS, key/to_dict, the CLI sweep/report/design flags, "
-          "and the docs/SWEEP.md + docs/DESIGN.md flag tables; every "
-          "sweep- and design-parser flag has a docs table row and no "
-          "row names a retired flag",
+    "R3": "docs flag tables: every flag of the sweep and design "
+          "parsers has a row in the docs/SWEEP.md and docs/DESIGN.md "
+          "flag tables, and no row names a flag its parser lacks",
     "R4": "gated columns: sweep row keys outside the frozen fixtures "
           "are written behind only-when-set guards",
     "R5": "units naming: numeric fields/columns carry unit suffixes "
@@ -129,17 +126,20 @@ def lint_file(path: pathlib.Path, root: pathlib.Path,
             if not suppressions.is_suppressed(d.rule, d.line)]
 
 
-def lint_repo_axes(root: pathlib.Path) -> list:
-    """Run the repo-level R3 coherence check against the real tree."""
-    surfaces = []
-    for rel in (SCENARIO_PATH, CLI_PATH, DOCS_PATH, DESIGN_DOCS_PATH):
+def lint_repo_docs(root: pathlib.Path) -> list:
+    """Run the repo-level R3 check: the docs flag tables against the
+    ``sweep`` and ``design`` parsers of the imported ``repro.cli``."""
+    from ..cli import _design_parser, _sweep_parser
+    diags: list = []
+    for rel, parser in ((SWEEP_DOCS_PATH, _sweep_parser()),
+                        (DESIGN_DOCS_PATH, _design_parser())):
         target = root / rel
         if not target.is_file():
-            return [Diagnostic("R3", rel, 1, 0,
-                               "coherence surface missing from the repo")]
-        surfaces.append(target.read_text())
-    return check_axis_coherence(*surfaces[:3],
-                                design_docs_text=surfaces[3])
+            diags.append(Diagnostic("R3", rel, 1, 0,
+                                    "flag table doc missing from the repo"))
+            continue
+        diags += check_flag_table(parser, target.read_text(), rel)
+    return diags
 
 
 def run_lint(paths: list | None = None,
@@ -158,7 +158,7 @@ def run_lint(paths: list | None = None,
         targets = [pathlib.Path(p) for p in paths]
     else:
         targets = iter_source_files(root)
-        diags += lint_repo_axes(root)
+        diags += lint_repo_docs(root)
     for target in targets:
         diags += lint_file(target, root, frozen)
     return sorted(diags, key=lambda d: d.sort_key), len(targets)
@@ -189,7 +189,7 @@ def main(argv: list | None = None) -> int:
                     "analysis (rules R1-R5, see docs/LINT.md).")
     parser.add_argument("paths", nargs="*",
                         help="files to lint (default: the whole "
-                             "src/repro tree plus the R3 axis check)")
+                             "src/repro tree plus the R3 docs check)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: auto-detected)")
     parser.add_argument("--json", action="store_true",

@@ -12,10 +12,13 @@ a reader (or a resuming run) never observes a partial record and a crash
 mid-write leaves at worst an orphaned ``.tmp`` file that the next load
 ignores:
 
-* one ``outcome-<index>.json`` per completed scenario, named by the
-  scenario's grid index (the journal belongs to one grid; the writer is
-  the single orchestrator process, so index names cannot collide);
-* one ``failure-<index>.json`` per quarantined scenario — kept for the
+* one ``outcome-<seq>.json`` per completed scenario, named by the
+  journal's next free sequence number (shared by both record kinds), so
+  a rerun with a changed grid appends and never overwrites another
+  key's record; the writer is the single orchestrator process, so
+  names cannot collide, and when records repeat a key the last valid
+  one wins;
+* one ``failure-<seq>.json`` per quarantined scenario — kept for the
   failure manifest and post-mortems, but **never** replayed: a resumed
   sweep re-attempts quarantined scenarios from scratch, because the
   fault that killed them may have been transient;
@@ -24,6 +27,9 @@ ignores:
   damaged field) are skipped and recorded in
   :attr:`SweepJournal.skipped_files`, so a stale journal degrades to
   re-pricing instead of resurrecting wrong rows.
+
+Journals whose records are named by grid index (the earlier layout)
+load unchanged: the numbers only order the records.
 
 Rows round-trip byte-exactly: the payload is the row dict JSON that
 ``rows_json()`` serializes anyway (floats round-trip via ``repr``), so a
@@ -56,8 +62,14 @@ _SUFFIX = ".json"
 _BAD_NUMBER = (TypeError, ValueError, OverflowError)
 
 
+def _seq(record: pathlib.Path) -> int:
+    """A record's sequence number (-1 when its name carries none)."""
+    tail = record.stem.rpartition("-")[2]
+    return int(tail) if tail.isdigit() else -1
+
+
 class SweepJournal:
-    """A directory of per-outcome checkpoint records for one sweep grid."""
+    """A directory of per-outcome checkpoint records for sweep runs."""
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
@@ -65,36 +77,39 @@ class SweepJournal:
         #: files ignored by the last load(): (path, reason) pairs,
         #: reason in {"corrupt", "schema"} — the PlanStore convention.
         self.skipped_files: list[tuple[pathlib.Path, str]] = []
+        #: the number the next record is named by.
+        self._next_seq = 1 + max(
+            map(_seq, self.path.glob(f"*{_SUFFIX}")), default=-1)
 
     # ------------------------------------------------------------------
     # writing (single orchestrator process)
     # ------------------------------------------------------------------
 
-    def _write(self, name: str, payload: dict) -> pathlib.Path:
-        """Land one immutable record atomically (temp + rename)."""
-        target = self.path / f"{name}{_SUFFIX}"
-        tmp = self.path / f".{name}{_SUFFIX}.tmp"
+    def _write(self, prefix: str, payload: dict) -> pathlib.Path:
+        """Land one immutable record atomically (temp + rename) under
+        the next sequence number."""
+        name = f"{prefix}{self._next_seq:05d}{_SUFFIX}"
+        self._next_seq += 1
+        target = self.path / name
+        tmp = self.path / f".{name}.tmp"
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, target)
         return target
 
-    def record(self, index: int, outcome: "SweepOutcome") -> pathlib.Path:
-        """Checkpoint one completed scenario under its grid index."""
-        return self._write(f"{_OUTCOME_PREFIX}{index:05d}", {
+    def record(self, outcome: "SweepOutcome") -> pathlib.Path:
+        """Checkpoint one completed scenario."""
+        return self._write(_OUTCOME_PREFIX, {
             "schema": JOURNAL_SCHEMA_VERSION,
-            "index": index,
             "key": outcome.key,
             "row": outcome.row,
             "plan_cache": outcome.plan_cache.to_dict(),
             "layer_cache": outcome.layer_cache.to_dict(),
         })
 
-    def record_failure(self, index: int,
-                       failure: SweepFailure) -> pathlib.Path:
+    def record_failure(self, failure: SweepFailure) -> pathlib.Path:
         """Checkpoint one quarantined scenario (never replayed)."""
-        return self._write(f"{_FAILURE_PREFIX}{index:05d}", {
+        return self._write(_FAILURE_PREFIX, {
             "schema": JOURNAL_SCHEMA_VERSION,
-            "index": index,
             "key": failure.key,
             "error": failure.error,
             "attempts": failure.attempts,
@@ -105,13 +120,18 @@ class SweepJournal:
     # reading (resume / inspection)
     # ------------------------------------------------------------------
 
+    def _records(self, prefix: str) -> list[pathlib.Path]:
+        """The records named ``<prefix>*``, in sequence order."""
+        return sorted(self.path.glob(f"{prefix}*{_SUFFIX}"),
+                      key=lambda record: (_seq(record), record.name))
+
     def outcome_files(self) -> list[pathlib.Path]:
-        """All outcome records currently journaled, sorted by index."""
-        return sorted(self.path.glob(f"{_OUTCOME_PREFIX}*{_SUFFIX}"))
+        """All outcome records currently journaled, in sequence order."""
+        return self._records(_OUTCOME_PREFIX)
 
     def failure_files(self) -> list[pathlib.Path]:
-        """All failure records currently journaled, sorted by index."""
-        return sorted(self.path.glob(f"{_FAILURE_PREFIX}*{_SUFFIX}"))
+        """All failure records currently journaled, in sequence order."""
+        return self._records(_FAILURE_PREFIX)
 
     def _read(self, record: pathlib.Path) -> dict | None:
         """One record's payload; None (and a skip entry) when invalid."""
@@ -129,13 +149,14 @@ class SweepJournal:
     def load(self) -> dict[str, "SweepOutcome"]:
         """Replay every valid outcome record into a ``key -> outcome`` map.
 
-        Corrupt, truncated, or stale-schema records, and records whose
-        key, row or counters are damaged, are skipped (and listed in
-        :attr:`skipped_files`), never fatal: a damaged journal degrades
-        to re-pricing the affected scenarios.  Keys this version does
-        not write (an older journal's ``fingerprint``) are ignored.
-        Failure records are deliberately absent — resume re-attempts
-        quarantined keys.
+        Records load in sequence order, so of several valid records for
+        one key the last one wins.  Corrupt, truncated, or stale-schema
+        records, and records whose key, row or counters are damaged, are
+        skipped (and listed in :attr:`skipped_files`), never fatal: a
+        damaged journal degrades to re-pricing the affected scenarios.
+        Keys this version does not write (an older journal's
+        ``fingerprint`` and ``index``) are ignored.  Failure records are
+        deliberately absent — resume re-attempts quarantined keys.
         """
         from .runner import SweepOutcome
         self.skipped_files = []

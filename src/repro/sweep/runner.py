@@ -383,6 +383,9 @@ class SweepResult:
     #: plan-store shard files ignored as corrupt/stale, as
     #: ``{"file", "reason"}`` records (empty without a store).
     store_skipped: list[dict] = field(default_factory=list)
+    #: journal records ignored as corrupt/stale on resume, as
+    #: ``{"file", "reason"}`` records (empty without a journal).
+    journal_skipped: list[dict] = field(default_factory=list)
     _row_index: dict | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -425,9 +428,9 @@ class SweepResult:
     def summary(self) -> dict:
         """Headline sweep metrics, Schedule.summary()-style.
 
-        The ``failures`` and ``store_skipped`` keys appear only when
-        non-empty, so summaries of healthy full sweeps stay byte-stable
-        against pre-resilience artifacts.
+        The ``failures``, ``store_skipped`` and ``journal_skipped`` keys
+        appear only when non-empty, so summaries of healthy full sweeps
+        stay byte-stable against pre-resilience artifacts.
         """
         report = {
             "scenarios": len(self.rows),
@@ -440,6 +443,8 @@ class SweepResult:
             report["failures"] = self.failures_manifest()
         if self.store_skipped:
             report["store_skipped"] = self.store_skipped
+        if self.journal_skipped:
+            report["journal_skipped"] = self.journal_skipped
         return report
 
     def to_dict(self) -> dict:
@@ -483,7 +488,8 @@ class ScenarioSweep:
             self.retry = RetryPolicy()
         if self.clock is None:
             self.clock = RealClock()
-        self._grid_index = {s.key: i for i, s in enumerate(self.scenarios)}
+        #: what the last run_iter's journal load skipped.
+        self._journal_skipped: list[dict] = []
 
     # ------------------------------------------------------------------
 
@@ -506,6 +512,9 @@ class ScenarioSweep:
         if self.journal is not None:
             journal = SweepJournal(self.journal)
             replayed = journal.load()
+            self._journal_skipped = [
+                {"file": record.name, "reason": reason}
+                for record, reason in journal.skipped_files]
             remaining = []
             for scenario in self.scenarios:
                 done = replayed.get(scenario.key)
@@ -669,11 +678,10 @@ class ScenarioSweep:
                     item: SweepItem) -> None:
         if journal is None:
             return
-        index = self._grid_index[item.key]
         if isinstance(item, SweepFailure):
-            journal.record_failure(index, item)
+            journal.record_failure(item)
         else:
-            journal.record(index, item)
+            journal.record(item)
 
     # ------------------------------------------------------------------
 
@@ -734,6 +742,7 @@ class ScenarioSweep:
             workers=self.workers,
             failures=quarantined,
             store_skipped=self._store_skipped(),
+            journal_skipped=self._journal_skipped,
         )
 
     def _store_skipped(self) -> list[dict]:

@@ -459,7 +459,7 @@ def _parse_hetero_token(text: str) -> str:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """How one CLI axis maps onto :func:`scenario_grid`."""
+    """How one axis maps onto :func:`scenario_grid` and the CLI."""
 
     #: keyword argument of :func:`scenario_grid`
     grid_kwarg: str
@@ -467,34 +467,58 @@ class AxisSpec:
     cast: Callable
     #: whether the ``none`` sentinel is meaningful for this axis
     allows_none: bool
-    #: one-line help fragment
-    help: str = ""
+    #: the CLI flag, verbatim (the names are irregular: ``--het-budgets``)
+    flag: str
+    #: the flag's default value text
+    default: str
+    #: the flag's ``--help`` text
+    help: str
 
 
 #: every sweep axis reachable from the CLI, keyed by its canonical name
-#: (also accepted by ``--axis NAME=VALUES``).
+#: (also accepted by ``--axis NAME=VALUES``); ``repro.cli`` declares
+#: each subcommand's axis flags from this table.
 AXIS_SPECS: dict[str, AxisSpec] = {
-    "tolerance": AxisSpec("tolerances", float, False,
-                          "Algorithm 1 tolerance coefficient"),
-    "nop_gbps": AxisSpec("nop_gbps", float, True,
-                         "NoP link bandwidth in GB/s"),
-    "npus": AxisSpec("npus", int, False, "6x6 NPU modules in the package"),
-    "workload": AxisSpec("workloads", str, False, "workload variant name"),
-    "het_ws_budget": AxisSpec("het_ws_budgets", int, True,
-                              "WS chiplet budget for the trunk DSE"),
-    "dataflow": AxisSpec("dataflows", _parse_dataflow, True,
-                         "chiplet dataflow style (os/ws/rs)"),
-    "frequency_ghz": AxisSpec("frequencies_ghz", float, True,
-                              "chiplet clock in GHz"),
-    "native_tile": AxisSpec("native_tiles", parse_tile, True,
-                            "native dataflow tile, ROWSxCOLS"),
-    "dram_gbps": AxisSpec("dram_gbps", float, True,
-                          "package DRAM bandwidth in GB/s"),
-    "topology": AxisSpec("topologies", _parse_topology_token, True,
-                         "NoP topology: mesh, torus, or KIND-WxH grid"),
-    "hetero": AxisSpec("heteros", _parse_hetero_token, True,
-                       "per-quadrant hardware overrides, e.g. "
-                       "trunk:ws@1.2+temporal:@1.5 or trunk:ws#4"),
+    "tolerance": AxisSpec(
+        "tolerances", float, False, "--tolerances", "1.05",
+        "comma-separated tolerance coefficients"),
+    "nop_gbps": AxisSpec(
+        "nop_gbps", float, True, "--nop-gbps", "none",
+        "comma-separated NoP bandwidths in GB/s ('none' = default 100)"),
+    "npus": AxisSpec(
+        "npus", int, False, "--npus", "1",
+        "comma-separated NPU module counts"),
+    "workload": AxisSpec(
+        "workloads", str, False, "--workloads", "default",
+        "comma-separated workload variant names"),
+    "het_ws_budget": AxisSpec(
+        "het_ws_budgets", int, True, "--het-budgets", "none",
+        "comma-separated WS chiplet budgets for the trunk DSE "
+        "('none' = skip)"),
+    "dataflow": AxisSpec(
+        "dataflows", _parse_dataflow, True, "--dataflows", "none",
+        "comma-separated chiplet dataflow styles (os/ws/rs; 'none' = os)"),
+    "frequency_ghz": AxisSpec(
+        "frequencies_ghz", float, True, "--frequencies-ghz", "none",
+        "comma-separated chiplet clocks in GHz ('none' = 2 GHz)"),
+    "native_tile": AxisSpec(
+        "native_tiles", parse_tile, True, "--native-tiles", "none",
+        "comma-separated native dataflow tiles as ROWSxCOLS, e.g. 16x16 "
+        "('none' = 16x16)"),
+    "dram_gbps": AxisSpec(
+        "dram_gbps", float, True, "--dram-gbps", "none",
+        "comma-separated package DRAM bandwidths in GB/s ('none' = "
+        "compute-only steady state)"),
+    "topology": AxisSpec(
+        "topologies", _parse_topology_token, True, "--topologies", "none",
+        "comma-separated NoP topologies (mesh, torus, or KIND-WxH grids "
+        "like torus-8x8; 'none' = the seed open mesh)"),
+    "hetero": AxisSpec(
+        "heteros", _parse_hetero_token, True, "--hetero", "none",
+        "comma-separated per-quadrant hardware override tokens "
+        "(QUAD:DATAFLOW[@GHZ][/ROWSxCOLS][#COUNT] joined by '+', e.g. "
+        "trunk:ws@1.2+temporal:@1.5 or trunk:ws#4; 'none' = homogeneous "
+        "package)"),
 }
 
 

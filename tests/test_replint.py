@@ -1,10 +1,11 @@
 """Self-tests for repro-lint (rules R1-R5, pragmas, CLI, repo cleanliness).
 
 The per-rule behavior is locked by good/bad fixture pairs under
-``tests/data/lint/``; the R3 axis-coherence check is additionally proven
-*live* by doctoring the real source surfaces (removing an ``AXIS_SPECS``
-entry must make it fire).  The whole-repo clean run is the gate CI
-enforces via ``chiplet-npu lint``.
+``tests/data/lint/``; the R3 docs check is proven *live* against the
+real ``sweep`` and ``design`` parsers by doctoring copies of their docs
+(a stale row, a missing axis row and a missing execution-flag row must
+each make it fire).  The whole-repo clean run is the gate CI enforces
+via ``chiplet-npu lint``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import re
 
 import pytest
 
+from repro.cli import _design_parser, _sweep_parser
 from repro.devtools import (
     RULES,
-    check_axis_coherence,
+    check_flag_table,
     run_lint,
     scan_pragmas,
 )
+from repro.devtools.axes import DESIGN_DOCS_PATH, SWEEP_DOCS_PATH
 from repro.devtools.runner import (
     find_repo_root,
     load_frozen_columns,
@@ -154,114 +157,81 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# R3 axis coherence
+# R3 docs flag tables
 # ----------------------------------------------------------------------
 
 class TestAxisCoherence:
+    """R3 against the real parsers, with doctored copies of the docs."""
+
     @pytest.fixture()
     def surfaces(self):
-        return (
-            (ROOT / "src/repro/sweep/scenario.py").read_text(),
-            (ROOT / "src/repro/cli.py").read_text(),
-            (ROOT / "docs/SWEEP.md").read_text(),
-        )
+        return _sweep_parser(), (ROOT / SWEEP_DOCS_PATH).read_text()
+
+    @staticmethod
+    def without_row(docs: str, flag: str) -> str:
+        pruned = "\n".join(line for line in docs.splitlines()
+                           if not line.startswith(f"| `{flag}`"))
+        assert pruned != docs
+        return pruned
 
     def test_real_tree_coherent(self, surfaces):
-        assert check_axis_coherence(*surfaces) == []
-
-    def test_fires_when_axis_specs_entry_removed(self, surfaces):
-        scenario_src, cli_src, docs = surfaces
-        doctored = re.sub(r'    "topology": AxisSpec\(.*?\),\n', "",
-                          scenario_src, flags=re.S)
-        assert doctored != scenario_src
-        diags = check_axis_coherence(doctored, cli_src, docs)
-        assert any(d.rule == "R3" and "'topology'" in d.message
-                   and "AXIS_SPECS" in d.message for d in diags)
-
-    def test_fires_when_cli_flag_dropped(self, surfaces):
-        scenario_src, cli_src, docs = surfaces
-        doctored = cli_src.replace('        "hetero": args.hetero,\n', "")
-        assert doctored != cli_src
-        diags = check_axis_coherence(scenario_src, doctored, docs)
-        assert any(d.rule == "R3" and "'hetero'" in d.message
-                   and "unreachable" in d.message for d in diags)
+        assert check_flag_table(*surfaces, SWEEP_DOCS_PATH) == []
 
     def test_fires_on_stale_docs_row(self, surfaces):
-        scenario_src, cli_src, docs = surfaces
+        parser, docs = surfaces
         stale = docs.replace(
             "| `--tolerances` |",
             "| `--retired-axis` | gone | `none` | stale |\n"
             "| `--tolerances` |")
-        diags = check_axis_coherence(scenario_src, cli_src, stale)
+        diags = check_flag_table(parser, stale, SWEEP_DOCS_PATH)
         assert any(d.rule == "R3" and "--retired-axis" in d.message
                    for d in diags)
 
     def test_fires_when_docs_row_removed(self, surfaces):
-        scenario_src, cli_src, docs = surfaces
-        pruned = "\n".join(line for line in docs.splitlines()
-                           if not line.startswith("| `--topologies`"))
-        diags = check_axis_coherence(scenario_src, cli_src, pruned)
+        parser, docs = surfaces
+        pruned = self.without_row(docs, "--topologies")
+        diags = check_flag_table(parser, pruned, SWEEP_DOCS_PATH)
         assert any(d.rule == "R3" and "--topologies" in d.message
                    and "docs" in d.message for d in diags)
 
     def test_fires_on_undocumented_execution_flag(self, surfaces):
-        # The widened check: *every* sweep-parser flag needs a docs
-        # table row, not just the axis flags.
-        scenario_src, cli_src, docs = surfaces
-        pruned = "\n".join(line for line in docs.splitlines()
-                           if not line.startswith("| `--stream`"))
-        diags = check_axis_coherence(scenario_src, cli_src, pruned)
+        # *Every* sweep-parser flag needs a docs table row, not just the
+        # axis flags.
+        parser, docs = surfaces
+        pruned = self.without_row(docs, "--stream")
+        diags = check_flag_table(parser, pruned, SWEEP_DOCS_PATH)
         assert any(d.rule == "R3" and "--stream" in d.message
                    and "documents" in d.message for d in diags)
 
     @pytest.fixture()
     def design_docs(self):
-        return (ROOT / "docs/DESIGN.md").read_text()
+        return (ROOT / DESIGN_DOCS_PATH).read_text()
 
-    def test_real_tree_design_surface_coherent(self, surfaces,
-                                               design_docs):
-        assert check_axis_coherence(
-            *surfaces, design_docs_text=design_docs) == []
+    def test_real_tree_design_surface_coherent(self, design_docs):
+        assert check_flag_table(_design_parser(), design_docs,
+                                DESIGN_DOCS_PATH) == []
 
-    def test_design_checks_skipped_without_docs(self, surfaces):
-        # The 3-surface call (the pre-design contract) stays valid:
-        # design coherence only runs when its docs surface is supplied.
-        scenario_src, cli_src, docs = surfaces
-        doctored = cli_src.replace("_run_design", "_run_redesign")
-        assert check_axis_coherence(scenario_src, doctored, docs) == []
+    def test_fires_when_design_axis_row_removed(self, design_docs):
+        pruned = self.without_row(design_docs, "--hetero")
+        diags = check_flag_table(_design_parser(), pruned,
+                                 DESIGN_DOCS_PATH)
+        assert any(d.rule == "R3" and "--hetero" in d.message
+                   and "DESIGN.md" in d.message for d in diags)
 
-    def test_fires_when_design_axis_dropped(self, surfaces, design_docs):
-        scenario_src, cli_src, docs = surfaces
-        # Strip hetero only from _run_design's axis-texts dict: anchor
-        # the search past the function's def so _grid_kwargs and the
-        # scaling report keep theirs.
-        needle = '        "hetero": args.hetero,\n'
-        start = cli_src.index("def _run_design")
-        pos = cli_src.index(needle, start)
-        doctored = cli_src[:pos] + cli_src[pos + len(needle):]
-        diags = check_axis_coherence(scenario_src, doctored, docs,
-                                     design_docs_text=design_docs)
-        assert any(d.rule == "R3" and "'hetero'" in d.message
-                   and "design CLI" in d.message for d in diags)
-
-    def test_fires_when_design_docs_row_removed(self, surfaces,
-                                                design_docs):
-        scenario_src, cli_src, docs = surfaces
-        pruned = "\n".join(line for line in design_docs.splitlines()
-                           if not line.startswith("| `--target-pipe-ms`"))
-        diags = check_axis_coherence(scenario_src, cli_src, docs,
-                                     design_docs_text=pruned)
+    def test_fires_when_design_docs_row_removed(self, design_docs):
+        pruned = self.without_row(design_docs, "--target-pipe-ms")
+        diags = check_flag_table(_design_parser(), pruned,
+                                 DESIGN_DOCS_PATH)
         assert any(d.rule == "R3" and "--target-pipe-ms" in d.message
                    and "DESIGN.md" in d.message for d in diags)
 
-    def test_fires_on_stale_design_docs_row(self, surfaces, design_docs):
-        scenario_src, cli_src, docs = surfaces
+    def test_fires_on_stale_design_docs_row(self, design_docs):
         stale = design_docs.replace(
             "| `--target-pipe-ms` |",
             "| `--retired-knob` | gone | off | stale |\n"
             "| `--target-pipe-ms` |")
-        diags = check_axis_coherence(scenario_src, cli_src, docs,
-                                     design_docs_text=stale)
+        diags = check_flag_table(_design_parser(), stale,
+                                 DESIGN_DOCS_PATH)
         assert any(d.rule == "R3" and "--retired-knob" in d.message
                    for d in diags)
 

@@ -39,6 +39,8 @@ RETIRED_FIELDS = {
     "layer_cache.seeded": 7,
     # the delta-sweep scenario fingerprint, a SHA-256 hex digest
     "fingerprint": "0f" * 32,
+    # the grid index records were once named by
+    "index": 3,
 }
 
 
@@ -380,6 +382,58 @@ class TestJournal:
             == sorted([outcome_file.name, failure_file.name])
         assert {reason for _, reason in journal.skipped_files} \
             == {"corrupt"}
+
+    def test_resume_reports_skipped_records(self, grid, reference,
+                                            tmp_path):
+        journal_dir = tmp_path / "journal"
+        first = ScenarioSweep(list(grid), journal=journal_dir).run()
+        assert first.journal_skipped == []
+        assert "journal_skipped" not in first.summary()
+        record = SweepJournal(journal_dir).outcome_files()[1]
+        damaged = json.loads(record.read_text())
+        damaged["plan_cache"]["hits"] = None
+        record.write_text(json.dumps(damaged))
+        resumed = ScenarioSweep(list(grid), journal=journal_dir).run()
+        assert resumed.rows_json() == reference.rows_json()
+        skipped = [{"file": record.name, "reason": "corrupt"}]
+        assert resumed.journal_skipped == skipped
+        assert resumed.summary()["journal_skipped"] == skipped
+
+    def test_cli_reports_skipped_records(self, tmp_path, capsys):
+        from repro.cli import main
+        journal_dir = tmp_path / "journal"
+        argv = ["sweep", "--tolerances", "1.0,1.05",
+                "--journal", str(journal_dir)]
+        assert main(argv) == 0
+        record = SweepJournal(journal_dir).outcome_files()[0]
+        record.write_text("{ truncated")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert (f"journal: skipped 1 corrupt/stale record(s): "
+                f"{record.name}") in capsys.readouterr().out
+
+    def test_changed_grid_keeps_every_key(self, tmp_path, monkeypatch):
+        # Grid B reorders and extends grid A; journaling B's new outcome
+        # must not overwrite a record of A's, so A then replays in full.
+        from repro.sweep import runner
+        journal_dir = tmp_path / "journal"
+        grid_a = scenario_grid(tolerances=(1.0, 1.05))
+        grid_b = scenario_grid(tolerances=(1.05, 1.02, 1.0))
+        first = ScenarioSweep(grid_a, journal=journal_dir).run()
+        ScenarioSweep(grid_b, journal=journal_dir).run()
+        assert set(SweepJournal(journal_dir).load()) \
+            == {s.key for s in grid_b}
+        priced: list[str] = []
+        run_one = runner._run_one
+
+        def counting(scenario, **kwargs):
+            priced.append(scenario.key)
+            return run_one(scenario, **kwargs)
+
+        monkeypatch.setattr(runner, "_run_one", counting)
+        again = ScenarioSweep(grid_a, journal=journal_dir).run()
+        assert priced == []
+        assert again.rows_json() == first.rows_json()
 
     def test_journaling_adds_no_builds(self, twin_grid, tmp_path,
                                        monkeypatch):

@@ -29,6 +29,21 @@ FIXTURE = pathlib.Path(__file__).parent / "data" / "frozen_scenario_keys.json"
 HETERO_FIXTURE = (pathlib.Path(__file__).parent / "data"
                   / "frozen_hetero_axis.json")
 
+#: one non-default value per axis, as CLI text.
+NON_DEFAULT = {
+    "tolerance": "1.2",
+    "nop_gbps": "25",
+    "npus": "2",
+    "workload": "hires",
+    "het_ws_budget": "2",
+    "dataflow": "ws",
+    "frequency_ghz": "1.5",
+    "native_tile": "8x8",
+    "dram_gbps": "6",
+    "topology": "torus",
+    "hetero": "trunk:ws",
+}
+
 
 class TestKeyByteStability:
     def test_keys_match_frozen_pr2_fixture(self):
@@ -239,6 +254,16 @@ class TestAxisParsing:
         import dataclasses
         fields = {f.name for f in dataclasses.fields(Scenario)}
         assert set(AXIS_SPECS) == fields
+
+    @pytest.mark.parametrize("axis", sorted(AXIS_SPECS))
+    def test_every_axis_reaches_key_and_row(self, axis):
+        # A set axis must change the merge key and land in the row;
+        # a new axis needs a NON_DEFAULT value before this passes.
+        [value] = parse_axis(NON_DEFAULT[axis], AXIS_SPECS[axis].cast,
+                             axis=axis)
+        scenario, default = Scenario(**{axis: value}), Scenario()
+        assert scenario.key != default.key
+        assert scenario.to_dict()[axis] != default.to_dict().get(axis)
 
 
 class TestHeteroAxis:
