@@ -439,6 +439,7 @@ def _design_parser() -> argparse.ArgumentParser:
 def _run_design(argv: list[str]) -> int:
     from .analysis import design_frontier_table
     from .design import DesignSearch, DesignSpace, DesignTargets
+    from .sweep import SweepQuarantineError
 
     parser = _design_parser()
     args = parser.parse_args(argv)
@@ -451,6 +452,10 @@ def _run_design(argv: list[str]) -> int:
                               store_path=args.store).run()
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0] if exc.args else str(exc))
+    except SweepQuarantineError as exc:
+        # e.g. a het budget larger than a frontier candidate's trunk
+        # quadrant: the strict frontier sweep quarantines it.
+        parser.error(str(exc))
 
     # The frontier document is a pure function of the declared space and
     # targets (search stats count work, never caches or clocks), so the

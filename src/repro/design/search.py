@@ -1,14 +1,17 @@
 """Rank-cheap / materialize-frontier package-design search.
 
 The search never runs the scheduler on a non-frontier candidate.  Each
-workload variant of the space is built once, its distinct
-``(layer, accel)`` pairs over its candidates' engines are priced through
-the memoized :func:`~repro.cost.evaluate`, and each stage's serial chain
-is summed once per engine.  Each candidate is scored with a closed-form
-per-stage roofline proxy over those sums, target-violating candidates
-are pruned, and only the proxy-Pareto frontier is materialized into full
-sweep rows by the existing :class:`~repro.sweep.runner.ScenarioSweep`
-engine (plan-store warm starts included).  This is
+workload variant of the space is built once, and so is each distinct
+package (keyed by :meth:`~repro.sweep.scenario.Scenario.package_key`);
+the variant's distinct ``(layer, accel)`` pairs over its candidates'
+engines are priced through the memoized :func:`~repro.cost.evaluate`,
+and each stage's serial chain is summed once per engine.  Each
+(variant, package) pair is scored once with a closed-form per-stage
+roofline proxy over those sums, target-violating candidates are pruned,
+and only the proxy-Pareto frontier (one sort and sweep) is materialized
+into full sweep rows by the existing
+:class:`~repro.sweep.runner.ScenarioSweep` engine (plan-store warm
+starts included).  This is
 :func:`repro.core.dse.best_ranked`'s rank-then-materialize idiom lifted
 from trunk mappings to whole packages.
 
@@ -245,14 +248,20 @@ class DesignSearch:
 
     def run(self) -> DesignSearchResult:
         scenarios = self.space.candidates()
-        packages = [scenario.package() for scenario in scenarios]
-        # Per-variant tables, local to this call: the workload (built
-        # once, never mutated), the chiplet engines its candidates place,
-        # and the engines its pricing covers (those plus the trunk DSE's).
+        keys = [scenario.package_key() for scenario in scenarios]
+        # Per-package tables, local to this call: each distinct package
+        # (built once, never mutated) and its distinct chiplet engines.
+        # Candidates that differ only in axes the package does not read
+        # (tolerance, workload, DRAM, trunk-DSE budget) share both.
+        packages: dict[tuple, MCMPackage] = {}
+        engines: dict[tuple, dict[AcceleratorConfig, None]] = {}
+        # Per-variant tables: the workload (built once, never mutated),
+        # the chiplet engines its candidates place, and the engines its
+        # pricing covers (those plus the trunk DSE's).
         workloads: dict[str, PerceptionWorkload] = {}
         chiplet_accels: dict[str, dict] = {}
         priced_accels: dict[str, dict] = {}
-        for scenario, package in zip(scenarios, packages):
+        for scenario, key in zip(scenarios, keys):
             variant = scenario.workload
             if variant not in workloads:
                 # Resolved through the module at call time, like
@@ -262,7 +271,10 @@ class DesignSearch:
                     scenario_module.build_perception_workload(config)
                 chiplet_accels[variant] = {}
                 priced_accels[variant] = {}
-            accels = dict.fromkeys(package_engines(package).values())
+            if key not in packages:
+                package = packages[key] = scenario.package()
+                engines[key] = dict.fromkeys(package_engines(package).values())
+            accels = engines[key]
             chiplet_accels[variant].update(accels)
             priced_accels[variant].update(accels)
             if scenario.het_ws_budget is not None:
@@ -277,12 +289,17 @@ class DesignSearch:
         chains = {variant: stage_chains(workload, chiplet_accels[variant],
                                         costs)
                   for variant, workload in workloads.items()}
+        # The proxy reads only the workload and the package, so each
+        # (variant, package) pair is scored once.
+        proxies: dict[tuple[str, tuple], tuple[float, float]] = {}
         candidates = []
-        for index, (scenario, package) in enumerate(zip(scenarios,
-                                                        packages)):
+        for index, (scenario, key) in enumerate(zip(scenarios, keys)):
             variant = scenario.workload
-            pipe_ms, energy_j = proxy_objectives(
-                workloads[variant], package, chains[variant])
+            scored = (variant, key)
+            if scored not in proxies:
+                proxies[scored] = proxy_objectives(
+                    workloads[variant], packages[key], chains[variant])
+            pipe_ms, energy_j = proxies[scored]
             candidates.append(DesignCandidate(
                 index=index,
                 scenario=scenario,

@@ -11,7 +11,7 @@ rides on (see ``docs/LINT.md``):
 - **R4 gated columns** — unfrozen row keys sit behind axis guards;
 - **R5 units naming** — numeric fields carry unit suffixes.
 
-Run it as ``chiplet-npu lint`` or ``python -m repro.devtools.runner``;
+Run it as ``chiplet-npu lint`` or ``python -m repro.devtools``;
 silence a deliberate violation with ``# repro-lint: disable=RULE``.
 """
 

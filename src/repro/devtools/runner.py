@@ -1,6 +1,6 @@
 """repro-lint driver: file discovery, rule orchestration, and reports.
 
-``chiplet-npu lint`` (or ``python -m repro.devtools.runner``) runs every
+``chiplet-npu lint`` (or ``python -m repro.devtools``) runs every
 rule over ``src/repro`` plus the repo-level R3 docs check, prints
 ``path:line:col: RULE message`` diagnostics, and exits non-zero when any
 survive the pragma filter.  Explicit file arguments run the per-file
@@ -14,7 +14,6 @@ import argparse
 import ast
 import json
 import pathlib
-import sys
 
 from .axes import DESIGN_DOCS_PATH, SWEEP_DOCS_PATH, check_flag_table
 from .diagnostics import Diagnostic, scan_pragmas
@@ -219,7 +218,3 @@ def main(argv: list | None = None) -> int:
     else:
         print(render_text(diags, checked))
     return 1 if diags else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

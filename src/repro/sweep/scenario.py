@@ -326,6 +326,18 @@ class Scenario:
             return None
         return DramBudget(bandwidth_bytes_per_s=self.dram_gbps * 1e9)
 
+    def package_key(self) -> tuple:
+        """The seven axes :meth:`package` reads, as a plain tuple.
+
+        Scenarios with equal keys build equal packages, so a caller can
+        build each distinct package once; an axis :meth:`package` starts
+        reading must join the key.  A tuple rather than a ``Scenario``
+        with the other axes reset: ``dataclasses.replace`` would re-run
+        ``__post_init__``'s token parsing per scenario.
+        """
+        return (self.npus, self.nop_gbps, self.dataflow, self.frequency_ghz,
+                self.native_tile, self.topology, self.hetero)
+
     def package(self) -> MCMPackage:
         """Materialize only the package (no workload build) — for callers
         that pair the scenario's hardware with their own workload.

@@ -294,6 +294,15 @@ class TestDesignCli:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_design_rejects_oversized_het_budget(self, capsys):
+        # The strict frontier sweep quarantines the candidate; like
+        # `sweep --het-budgets 99`, that is a usage error, not a crash.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["design", "--het-budgets", "99"])
+        assert exit_info.value.code == 2
+        assert "exceeds the trunk quadrant capacity" \
+            in capsys.readouterr().err
+
     def test_design_rejects_zero_workers_with_empty_frontier(self, capsys):
         # A target that prunes everything leaves nothing to materialize;
         # the bad worker count must still be a usage error.

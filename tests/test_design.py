@@ -1,7 +1,9 @@
 """Tests for the repro.design joint package-design search.
 
 Locks the search's load-bearing properties: Pareto dominance math
-(stable order, ties survive), canonical space declaration, the
+(stable order, ties survive, the sort-and-sweep agrees with the pairwise
+definition), canonical space declaration, the package key (equal keys
+build equal packages, and each distinct package is built once), the
 optimistic-bound contract of the roofline proxy (pruning never discards
 a design whose materialized metrics meet the target), and the frontier
 report's byte-identity across store temperature and worker counts.
@@ -10,11 +12,15 @@ report's byte-identity across store temperature and worker counts.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import best_ranked
+from repro.cost import evaluate
 from repro.design import (
     DesignSearch,
     DesignSpace,
@@ -23,8 +29,11 @@ from repro.design import (
     dominated_indices,
     dominates,
     pareto_indices,
+    proxy_objectives,
 )
+from repro.design.search import package_engines, stage_chains
 from repro.sweep import Scenario, ScenarioSweep, scenario_grid
+from repro.sweep.scenario import AXIS_SPECS
 
 FROZEN_PROXIES = (pathlib.Path(__file__).parent / "data"
                   / "frozen_design_proxies.json")
@@ -68,6 +77,33 @@ class TestPareto:
     def test_single_point_is_frontier(self):
         assert pareto_indices([(5.0, 5.0)]) == [0]
         assert pareto_indices([]) == []
+
+    # A small pool, so ties, exact duplicates, equal-x groups and -0.0
+    # against 0.0 are drawn on purpose.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(points=st.lists(
+        st.tuples(*[st.sampled_from((-0.0, 0.0, 1.0, 2.5, math.inf))] * 2),
+        max_size=12))
+    @example(points=[(0.0, 2.5), (-0.0, 1.0), (-0.0, 1.0), (1.0, -0.0),
+                     (1.0, 0.0), (math.inf, -0.0)])
+    def test_sweep_matches_pairwise_reference(self, points):
+        reference = [i for i, p in enumerate(points)
+                     if not any(dominates(q, p)
+                                for j, q in enumerate(points) if j != i)]
+        assert pareto_indices(points) == reference
+
+    @pytest.mark.parametrize("points", [
+        [(1.0,)],
+        [(1.0, 2.0, 3.0)],
+        [(1.0, 2.0), (1.0, 2.0, 3.0)],
+    ])
+    def test_only_two_objectives_accepted(self, points):
+        with pytest.raises(ValueError, match="two objectives"):
+            pareto_indices(points)
+
+    def test_nan_objective_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            pareto_indices([(1.0, 2.0), (math.nan, 1.0)])
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +354,144 @@ class TestDesignSearch:
                                  for c in result.frontier}
             assert len(result.frontier) > len(frontier_variants)
             assert len(calls) == variants + len(frontier_variants)
+
+
+# ----------------------------------------------------------------------
+# Package key: the search builds each distinct package once
+# ----------------------------------------------------------------------
+
+#: small value pools over every scenario axis.
+AXIS_POOLS = {
+    "tolerance": (1.0, 1.05),
+    "nop_gbps": (None, 50.0, 100.0),
+    "npus": (1, 2),
+    "workload": ("default", "lores"),
+    "het_ws_budget": (None, 2, 4),
+    "dataflow": (None, "os", "ws"),
+    "frequency_ghz": (None, 1.0, 2.0),
+    "native_tile": (None, (16, 16), (8, 8)),
+    "dram_gbps": (None, 6.0),
+    "topology": (None, "mesh", "torus", "mesh-4x4", "torus-8x8"),
+    "hetero": (None, "trunk:ws", "trunk:ws#4", "temporal:@1.5+fe:/8x8"),
+}
+
+
+#: two values of each axis package() reads that build unequal packages.
+KEY_FIELD_VALUES = {
+    "npus": (1, 2),
+    "nop_gbps": (None, 50.0),
+    "dataflow": ("os", "ws"),
+    "frequency_ghz": (None, 1.0),
+    "native_tile": (None, (8, 8)),
+    "topology": (None, "torus"),
+    "hetero": (None, "trunk:ws#4"),
+}
+
+
+def _scenario(axes: dict) -> Scenario:
+    # An explicit KIND-WxH grid fixes the package size on its own.
+    if axes["topology"] is not None and "-" in axes["topology"]:
+        axes = {**axes, "npus": 1}
+    return Scenario(**axes)
+
+
+@st.composite
+def scenario_pairs(draw):
+    """Two scenarios, the second redrawing up to three of the first's
+    axes, so pairs that share a package key are common."""
+    first = {axis: draw(st.sampled_from(pool))
+             for axis, pool in AXIS_POOLS.items()}
+    second = dict(first)
+    for axis in draw(st.lists(st.sampled_from(sorted(AXIS_POOLS)),
+                              max_size=3, unique=True)):
+        second[axis] = draw(st.sampled_from(AXIS_POOLS[axis]))
+    return _scenario(first), _scenario(second)
+
+
+class TestPackageKey:
+    def test_pools_cover_every_axis(self):
+        assert set(AXIS_POOLS) == set(AXIS_SPECS)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=scenario_pairs())
+    def test_equal_keys_build_equal_packages(self, pair):
+        a, b = pair
+        if a.package_key() == b.package_key():
+            assert a.package() == b.package()
+
+    @pytest.mark.parametrize("axis", list(KEY_FIELD_VALUES))
+    def test_every_key_field_is_needed(self, axis):
+        # The proxy never reads the NoP, so only the packages themselves
+        # can show that a key without nop_gbps would be wrong.
+        first, second = KEY_FIELD_VALUES[axis]
+        a, b = Scenario(**{axis: first}), Scenario(**{axis: second})
+        assert a.package() != b.package()
+        assert a.package_key() != b.package_key()
+
+    def test_proxies_match_freshly_built_packages(self):
+        _cold()
+        space = DesignSpace.from_axis_texts({
+            "workload": "default,lores",
+            "tolerance": "1.0,1.05",
+            "dram_gbps": "none,6",
+            "dataflow": "os,ws",
+            "hetero": "none,trunk:ws#4",
+        })
+        result = DesignSearch(space).run()
+        workloads = {}
+        for candidate in result.candidates:
+            # build() builds a fresh package, sharing only the workloads.
+            build = candidate.scenario.build(workloads)
+            workload, package = build.workload, build.package
+            accels = dict.fromkeys(package_engines(package).values())
+            costs = {(layer, accel): evaluate(layer, accel)
+                     for layer in workload.all_layers() for accel in accels}
+            chains = stage_chains(workload, accels, costs)
+            assert proxy_objectives(workload, package, chains) \
+                == (candidate.proxy_pipe_ms, candidate.proxy_energy_j)
+
+    def test_perfbench_space_builds_each_package_once(self, monkeypatch):
+        # perfbench's seed-0 design space: 768 candidates over 64
+        # distinct packages and 192 (variant, package) pairs.  Ranking
+        # builds each package once and scores each pair once; the
+        # frontier sweep builds its own.  Nothing carries over between
+        # runs, so a second cold run counts the same.
+        import repro.design.search as search_module
+        import repro.sweep.scenario as scenario_module
+        build = scenario_module.simba_package
+        proxy = search_module.proxy_objectives
+        calls = {"simba_package": 0, "proxy_objectives": 0}
+
+        def counting_build(*args, **kwargs):
+            calls["simba_package"] += 1
+            return build(*args, **kwargs)
+
+        def counting_proxy(*args, **kwargs):
+            calls["proxy_objectives"] += 1
+            return proxy(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "simba_package", counting_build)
+        monkeypatch.setattr(search_module, "proxy_objectives",
+                            counting_proxy)
+        space = DesignSpace.from_axis_texts({
+            "tolerance": "1.0,1.05",
+            "nop_gbps": "25,100",
+            "npus": "1,2",
+            "workload": "default,lores,six-camera",
+            "dataflow": "os,ws",
+            "frequency_ghz": "1.0,2.0",
+            "native_tile": "16x16,8x8",
+            "dram_gbps": "none,6",
+            "topology": "mesh,torus",
+        })
+        for _ in range(2):
+            _cold()
+            calls.update(dict.fromkeys(calls, 0))
+            result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
+            assert len(result.candidates) == 768
+            assert len(result.frontier) == 32
+            assert calls == {"simba_package": 64 + 32,
+                             "proxy_objectives": 192}
 
 
 class TestFrozenProxies:

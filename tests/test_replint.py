@@ -11,10 +11,14 @@ via ``chiplet-npu lint``.
 from __future__ import annotations
 
 import json
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import _design_parser, _sweep_parser
 from repro.devtools import (
     RULES,
@@ -267,6 +271,18 @@ class TestCli:
         out = capsys.readouterr().out
         for rule in RULES:
             assert f"{rule}: " in out
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # `python -m repro.devtools` runs the package's __main__, so the
+        # runner module is imported once and runpy has nothing to warn.
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.devtools", "--list-rules"],
+            cwd=src, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        for rule in RULES:
+            assert f"{rule}: " in proc.stdout
 
     def test_text_summary_wording(self):
         text = render_text([], 7)
