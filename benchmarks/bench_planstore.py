@@ -24,7 +24,6 @@ from repro.cost import clear_cache
 from repro.sweep import (
     WORKLOAD_VARIANTS,
     ScenarioSweep,
-    clear_trunk_memo,
     scenario_grid,
 )
 
@@ -41,7 +40,6 @@ def _cold_process_state() -> None:
     """Reset every per-process memo the sweep workers inherit via fork."""
     clear_cache()
     clear_plan_cache()
-    clear_trunk_memo()
 
 
 def _timed_run(grid, store_path):

@@ -27,7 +27,6 @@ from repro.experiments import scaling
 from repro.sweep import (
     Scenario,
     ScenarioSweep,
-    clear_trunk_memo,
     run_scenario,
     scenario_grid,
 )
@@ -39,7 +38,6 @@ DRAM_GBPS = (None, 6.0, 2.0)
 def _cold_process_state() -> None:
     clear_cache()
     clear_plan_cache()
-    clear_trunk_memo()
 
 
 def _timed(fn):

@@ -86,7 +86,6 @@ CHECKS: dict[str, list[Gate]] = {
         Gate("materialized_fraction", "exact"),
         Gate("priced_pairs", "exact"),
         Gate("frontier_byte_identical", "exact"),
-        Gate("warm_plan_cache.misses", "exact"),
     ],
     "BENCH_scaling.json": [
         Gate("deterministic", "exact"),

@@ -28,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench.grids import sweep_grid  # noqa: E402
 from repro.core import clear_plan_cache  # noqa: E402
 from repro.cost import clear_cache  # noqa: E402
-from repro.sweep import Scenario, ScenarioSweep, clear_trunk_memo  # noqa: E402
+from repro.sweep import Scenario, ScenarioSweep  # noqa: E402
 
 #: plain/journaled pairs per invocation.
 PAIRS = 5
@@ -40,7 +40,6 @@ def timed_run(grid: list, journal: str | None) -> tuple[float, int]:
     """One cold serial sweep: (seconds, Scenario.build calls)."""
     clear_cache()
     clear_plan_cache()
-    clear_trunk_memo()
     with mock.patch.object(Scenario, "build", autospec=True,
                            side_effect=Scenario.build) as build:
         start = time.perf_counter()

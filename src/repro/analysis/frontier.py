@@ -4,10 +4,9 @@ The design-search twin of :mod:`repro.analysis.scaling`'s report
 machinery: a pure function from a finished
 :class:`~repro.design.search.DesignSearchResult` to a JSON-safe
 document.  Candidate ordering is the space's canonical enumeration
-order, metrics are rounded once here (so serial/parallel and cold/warm
-runs serialize byte-identically), and everything machine-dependent —
-cache hit rates, wall clocks, worker counts — is excluded by
-construction.
+order, metrics are rounded once here (so every run serializes
+byte-identically), and everything machine-dependent — cache hit rates
+and wall clocks — is excluded by construction.
 """
 
 from __future__ import annotations

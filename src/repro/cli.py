@@ -50,17 +50,17 @@ joint package-design space over the same axes (including partial
 Het(k) quadrant tokens like ``trunk:ws#4``), rank every candidate with
 a roofline proxy over its memoized layer costs, prune against
 latency/energy targets, and materialize only the Pareto frontier into
-full sweep rows — the frontier report is byte-identical across workers
-and store temperature::
+full sweep rows — the frontier report is byte-identical from run to
+run::
 
     chiplet-npu design --dataflows os,ws --frequencies-ghz 1.0,2.0 \\
         --hetero none,trunk:ws#4 --target-pipe-ms 40
     chiplet-npu design --npus 1,2 --dram-gbps none,6 --max-energy-j 2 \\
-        --store results/planstore --json --output results/frontier.json
+        --json --output results/frontier.json
 
 The chiplet-count scaling report (``report scaling``) sweeps
-``npus x workload x dram_gbps`` through the same engine and emits the
-scaling table/figure::
+``npus x workload x dram_gbps`` serially through the same engine and
+emits the scaling table/figure::
 
     chiplet-npu report scaling --npus 1,2,4 --dram-gbps none,6,2
     chiplet-npu report scaling --json --output results/scaling_report.json
@@ -359,10 +359,6 @@ def _scaling_parser() -> argparse.ArgumentParser:
                       "package); setting this adds composition and "
                       "trunk-utilization columns",
         })
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (1 = serial)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="shared disk-backed plan store directory")
     parser.add_argument("--json", action="store_true",
                         help="emit the deterministic JSON document "
                              "instead of the table")
@@ -378,9 +374,7 @@ def _run_scaling_report(argv: list[str]) -> int:
     parser = _scaling_parser()
     args = parser.parse_args(argv)
     try:
-        result = scaling.run(**parse_grid_axes(axis_texts(args)),
-                             workers=args.workers,
-                             store_path=args.store)
+        result = scaling.run(**parse_grid_axes(axis_texts(args)))
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0] if exc.args else str(exc))
 
@@ -419,14 +413,6 @@ def _design_parser() -> argparse.ArgumentParser:
                         metavar="J",
                         help="prune candidates whose proxy per-frame "
                              "energy exceeds this bound")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the frontier "
-                             "materialization sweep (1 = serial; the "
-                             "proxy phase never forks)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="directory of a shared disk-backed plan "
-                             "store warm-starting the frontier "
-                             "materialization (plans flush back)")
     parser.add_argument("--json", action="store_true",
                         help="emit the deterministic frontier JSON "
                              "document instead of the table")
@@ -439,7 +425,6 @@ def _design_parser() -> argparse.ArgumentParser:
 def _run_design(argv: list[str]) -> int:
     from .analysis import design_frontier_table
     from .design import DesignSearch, DesignSpace, DesignTargets
-    from .sweep import SweepQuarantineError
 
     parser = _design_parser()
     args = parser.parse_args(argv)
@@ -447,20 +432,15 @@ def _run_design(argv: list[str]) -> int:
         space = DesignSpace.from_axis_texts(axis_texts(args))
         targets = DesignTargets(pipe_ms=args.target_pipe_ms,
                                 energy_j=args.max_energy_j)
-        result = DesignSearch(space, targets=targets,
-                              workers=args.workers,
-                              store_path=args.store).run()
+        # A ValueError here is also a het budget larger than some
+        # candidate's trunk quadrant: ranking checks every budget.
+        result = DesignSearch(space, targets=targets).run()
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0] if exc.args else str(exc))
-    except SweepQuarantineError as exc:
-        # e.g. a het budget larger than a frontier candidate's trunk
-        # quadrant: the strict frontier sweep quarantines it.
-        parser.error(str(exc))
 
     # The frontier document is a pure function of the declared space and
     # targets (search stats count work, never caches or clocks), so the
-    # emitted bytes are identical across serial/parallel runs and
-    # cold/warm stores.
+    # emitted bytes are identical from run to run.
     report = result.report()
     document = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
@@ -473,16 +453,14 @@ def _run_design(argv: list[str]) -> int:
         return 0
     for line in design_frontier_table(report):
         print(line)
-    if result.sweep is not None:
-        # Cache effectiveness prints beside the report, never inside it:
-        # hit/miss counts depend on store temperature, the frontier does
-        # not.
-        cache = result.sweep.summary()["plan_cache"]
-        print(f"plan cache: {cache['hits']} hits / "
-              f"{cache['misses']} misses "
-              f"({100 * cache['hit_rate']:.1f}% hit rate, "
-              f"{cache['entries']} entries, "
-              f"{cache['store_hits']} served from store)")
+    # Cache effectiveness prints beside the report, never inside it:
+    # hit/miss counts depend on what the process priced before, the
+    # frontier does not.
+    cache = result.plan_cache.to_dict()
+    print(f"plan cache: {cache['hits']} hits / "
+          f"{cache['misses']} misses "
+          f"({100 * cache['hit_rate']:.1f}% hit rate, "
+          f"{cache['entries']} entries)")
     return 0
 
 

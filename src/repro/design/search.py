@@ -9,9 +9,9 @@ and each stage's serial chain is summed once per engine.  Each
 (variant, package) pair is scored once with a closed-form per-stage
 roofline proxy over those sums, target-violating candidates are pruned,
 and only the proxy-Pareto frontier (one sort and sweep) is materialized
-into full sweep rows by the existing
-:class:`~repro.sweep.runner.ScenarioSweep` engine (plan-store warm
-starts included).  This is
+into full sweep rows by :func:`~repro.sweep.runner.run_scenario`,
+through one :class:`~repro.sweep.runner.RunTables` that already holds
+the workloads ranking built.  This is
 :func:`repro.core.dse.best_ranked`'s rank-then-materialize idiom lifted
 from trunk mappings to whole packages.
 
@@ -19,10 +19,9 @@ Determinism: the proxy is a pure function of the layer costs (one
 pricing path, the same one the scheduler uses), pruning and dominance
 are pure arithmetic, and materialized rows come from the sweep engine's
 pure ``run_scenario`` — so the frontier, and its report, are
-byte-identical across serial/parallel runs and across cold/warm plan
-stores.  Its float sums are left folds, never ``sum()`` (compensated
-from Python 3.12 on), so they are byte-identical across interpreters
-too.
+byte-identical from run to run.  Its float sums are left folds, never
+``sum()`` (compensated from Python 3.12 on), so they are byte-identical
+across interpreters too.
 """
 
 from __future__ import annotations
@@ -33,12 +32,15 @@ from typing import Collection, Mapping
 from ..arch import MCMPackage
 from ..core.dse import best_ranked
 from ..core.placement import default_stage_quadrants
+from ..core.plancache import CacheStats, plan_cache_stats
 from ..cost import AcceleratorConfig, LayerCost, evaluate
+from ..sweep import runner as runner_module
 from ..sweep import scenario as scenario_module
-from ..sweep.runner import ScenarioSweep, SweepResult, check_execution
+from ..sweep.runner import RunTables, check_ws_budget
 from ..sweep.scenario import Scenario, workload_variant
 from ..workloads.graph import PerceptionWorkload
 from ..workloads.layers import Layer
+from ..workloads.pipeline import STAGE_TR
 from .pareto import pareto_indices
 from .space import DesignSpace
 
@@ -176,9 +178,10 @@ class DesignSearchResult:
     ``candidates`` covers the whole space in enumeration order;
     ``frontier`` is its non-pruned, non-dominated subset (same order);
     ``rows`` are the frontier's materialized sweep rows, aligned with
-    ``frontier``.  ``sweep`` carries the materialization's cache/store
+    ``frontier``.  ``plan_cache`` carries the materialization's plan-cache
     statistics — reported beside the frontier document, never inside it
-    (stats are machine-dependent; the document is not).
+    (they depend on what the process priced before; the document does
+    not).
     """
 
     space: DesignSpace
@@ -188,8 +191,8 @@ class DesignSearchResult:
     rows: list[dict]
     #: distinct (layer, accel) pairs the proxy phase priced.
     priced_pairs: int
-    #: materialization result (None when the frontier is empty).
-    sweep: SweepResult | None
+    #: the frontier rows' plan-cache counter delta.
+    plan_cache: CacheStats
 
     @property
     def best(self) -> dict | None:
@@ -231,74 +234,75 @@ class DesignSearch:
 
     def __init__(self,
                  space: DesignSpace,
-                 targets: DesignTargets | None = None,
-                 workers: int = 1,
-                 store_path=None):
-        # Checked here, not when the frontier sweep starts: a space whose
-        # frontier comes out empty must reject the same settings.
-        check_execution(workers, store_path)
+                 targets: DesignTargets | None = None):
         self.space = space
         self.targets = targets or DesignTargets()
-        #: process count for the frontier materialization sweep (the
-        #: closed-form proxy phase never forks).
-        self.workers = workers
-        #: plan-store directory warm-starting the materialization,
-        #: exactly as ``sweep`` mode.
-        self.store_path = store_path
 
     def run(self) -> DesignSearchResult:
         scenarios = self.space.candidates()
         keys = [scenario.package_key() for scenario in scenarios]
-        # Per-package tables, local to this call: each distinct package
-        # (built once, never mutated) and its distinct chiplet engines.
-        # Candidates that differ only in axes the package does not read
-        # (tolerance, workload, DRAM, trunk-DSE budget) share both.
+        # One set of run tables, local to this call: ranking builds each
+        # workload variant into it, and the frontier rows find them there.
+        tables = RunTables()
+        workloads = tables.workloads
+        # Per-package tables: each distinct package (built once, never
+        # mutated) and its distinct chiplet engines.  Candidates that
+        # differ only in axes the package does not read (tolerance,
+        # workload, DRAM, trunk-DSE budget) share both.
         packages: dict[tuple, MCMPackage] = {}
         engines: dict[tuple, dict[AcceleratorConfig, None]] = {}
-        # Per-variant tables: the workload (built once, never mutated),
-        # the chiplet engines its candidates place, and the engines its
-        # pricing covers (those plus the trunk DSE's).
-        workloads: dict[str, PerceptionWorkload] = {}
-        chiplet_accels: dict[str, dict] = {}
-        priced_accels: dict[str, dict] = {}
-        for scenario, key in zip(scenarios, keys):
-            variant = scenario.workload
-            if variant not in workloads:
+        # Per-variant tables, by config: the chiplet engines its
+        # candidates place, and the engines its pricing covers (those
+        # plus the trunk DSE's).
+        configs = [workload_variant(scenario.workload)
+                   for scenario in scenarios]
+        chiplet_accels: dict = {}
+        priced_accels: dict = {}
+        for scenario, config, key in zip(scenarios, configs, keys):
+            if config not in workloads:
                 # Resolved through the module at call time, like
                 # Scenario.build(), so a wrapper there sees every build.
-                config = workload_variant(variant)
-                workloads[variant] = \
+                workloads[config] = \
                     scenario_module.build_perception_workload(config)
-                chiplet_accels[variant] = {}
-                priced_accels[variant] = {}
+                chiplet_accels[config] = {}
+                priced_accels[config] = {}
             if key not in packages:
                 package = packages[key] = scenario.package()
                 engines[key] = dict.fromkeys(package_engines(package).values())
             accels = engines[key]
-            chiplet_accels[variant].update(accels)
-            priced_accels[variant].update(accels)
+            chiplet_accels[config].update(accels)
+            priced_accels[config].update(accels)
             if scenario.het_ws_budget is not None:
-                priced_accels[variant].update(
+                # The proxy never reads the budget, so check it here: an
+                # over-budget candidate must fail whether or not it
+                # reaches the frontier.
+                package = packages[key]
+                trunks = default_stage_quadrants(workloads[config],
+                                                 package)[STAGE_TR]
+                check_ws_budget(scenario.het_ws_budget,
+                                sum(package.quadrant_capacity(q)
+                                    for q in trunks))
+                priced_accels[config].update(
                     dict.fromkeys(scenario.trunk_accels()))
         pairs = dict.fromkeys(
             (layer, accel)
-            for variant, workload in workloads.items()
-            for accel in priced_accels[variant]
+            for config, workload in workloads.items()
+            for accel in priced_accels[config]
             for layer in workload.all_layers())
         costs = {pair: evaluate(*pair) for pair in pairs}
-        chains = {variant: stage_chains(workload, chiplet_accels[variant],
-                                        costs)
-                  for variant, workload in workloads.items()}
+        chains = {config: stage_chains(workload, chiplet_accels[config],
+                                       costs)
+                  for config, workload in workloads.items()}
         # The proxy reads only the workload and the package, so each
         # (variant, package) pair is scored once.
-        proxies: dict[tuple[str, tuple], tuple[float, float]] = {}
+        proxies: dict[tuple, tuple[float, float]] = {}
         candidates = []
-        for index, (scenario, key) in enumerate(zip(scenarios, keys)):
-            variant = scenario.workload
-            scored = (variant, key)
+        for index, (scenario, config, key) in enumerate(
+                zip(scenarios, configs, keys)):
+            scored = (config, key)
             if scored not in proxies:
                 proxies[scored] = proxy_objectives(
-                    workloads[variant], packages[key], chains[variant])
+                    workloads[config], packages[key], chains[config])
             pipe_ms, energy_j = proxies[scored]
             candidates.append(DesignCandidate(
                 index=index,
@@ -309,15 +313,11 @@ class DesignSearch:
         kept = [c for c in candidates if not c.pruned]
         frontier = [kept[i] for i in pareto_indices(
             [(c.proxy_pipe_ms, c.proxy_energy_j) for c in kept])]
-        rows: list[dict] = []
-        sweep_result: SweepResult | None = None
-        if frontier:
-            sweep = ScenarioSweep([c.scenario for c in frontier],
-                                  workers=self.workers,
-                                  store_path=self.store_path)
-            sweep_result = sweep.run()
-            by_key = {row["key"]: row for row in sweep_result.rows}
-            rows = [by_key[c.scenario.key] for c in frontier]
+        before = plan_cache_stats()
+        # Resolved through the module at call time, so a wrapper there
+        # sees every frontier row.
+        rows = [runner_module.run_scenario(c.scenario, tables)
+                for c in frontier]
         return DesignSearchResult(
             space=self.space,
             targets=self.targets,
@@ -325,4 +325,4 @@ class DesignSearch:
             frontier=frontier,
             rows=rows,
             priced_pairs=len(costs),
-            sweep=sweep_result)
+            plan_cache=plan_cache_stats() - before)

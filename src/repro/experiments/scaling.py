@@ -9,11 +9,11 @@ flattens the curve.  The default grid pairs the unbounded column with a
 a 2 GB/s budget (every package size is memory-bound), so the report
 always exhibits at least one DRAM-throttled point.
 
-Everything runs through :class:`~repro.sweep.runner.ScenarioSweep`, so
-the plan store/cache amortize the per-``npus`` plans across the DRAM
-axis for free (DRAM throttling is accounting-only and reuses identical
-group plans), and the emitted document is a deterministic function of
-the grid.
+Everything runs through one serial
+:class:`~repro.sweep.runner.ScenarioSweep`, so the plan cache amortizes
+the per-``npus`` plans across the DRAM axis for free (DRAM throttling is
+accounting-only and reuses identical group plans), and the emitted
+document is a deterministic function of the grid.
 
 A ``topologies`` axis (e.g. ``("mesh", "torus")``) adds the NoP
 topology to the column structure plus per-row ``topology`` /
@@ -26,7 +26,6 @@ PR 3 report.  See docs/TOPOLOGY.md and docs/HETERO.md.
 
 from __future__ import annotations
 
-import pathlib
 from typing import Sequence
 
 from ..analysis.scaling import chiplet_scaling_report
@@ -51,17 +50,13 @@ def run(npus: Sequence[int] = DEFAULT_NPUS,
         dram_gbps: Sequence[float | None] = DEFAULT_DRAM_GBPS,
         workloads: Sequence[str] = DEFAULT_WORKLOADS,
         topologies: Sequence[str | None] = DEFAULT_TOPOLOGIES,
-        heteros: Sequence[str | None] = DEFAULT_HETEROS,
-        workers: int = 1,
-        store_path: str | pathlib.Path | None = None) -> dict:
+        heteros: Sequence[str | None] = DEFAULT_HETEROS) -> dict:
     """Run the scaling grid and build the report document."""
     grid = scenario_grid(npus=tuple(npus), workloads=tuple(workloads),
                          dram_gbps=tuple(dram_gbps),
                          topologies=tuple(topologies),
                          heteros=tuple(heteros))
-    result = ScenarioSweep(grid, workers=workers,
-                           store_path=store_path).run()
-    return chiplet_scaling_report(result.rows)
+    return chiplet_scaling_report(ScenarioSweep(grid).run().rows)
 
 
 def render(result: dict | None = None) -> str:

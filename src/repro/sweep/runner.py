@@ -8,9 +8,10 @@ points across worker processes and merges the results deterministically:
   grid produces identical rows whether it runs serially or on N workers;
 * a serial run, and each worker chunk, owns one :class:`RunTables`: it
   builds each distinct workload variant once, runs Algorithm 1's
-  allocation once per distinct allocation input, and builds, schedules
+  allocation once per distinct allocation input, builds, schedules
   and summarizes once per distinct hardware, so scenarios that differ
-  only in their Het(k) budget share one schedule;
+  only in their Het(k) budget share one schedule, and runs the trunk DSE
+  once per distinct trunk input;
 * workers return :class:`SweepOutcome` records that are merged by scenario
   key, then emitted in the grid's canonical order — completion order never
   leaks into the output, which is what makes the serial, parallel, and
@@ -128,7 +129,8 @@ class _ScheduledRow:
 
 @dataclass
 class RunTables:
-    """What one serial run, or one worker chunk, builds once and shares.
+    """What one serial run, worker chunk or design search builds once
+    and shares.
 
     Each table is owned by its run and dies with it; no process-wide memo
     holds them, so every run starts cold.  A lone :func:`run_scenario`
@@ -141,6 +143,9 @@ class RunTables:
     allocations: AllocationTable = field(default_factory=dict)
     #: the schedule-derived part of rows, by scenario sans Het(k) budget
     schedules: dict[Scenario, _ScheduledRow] = field(default_factory=dict)
+    #: trunk-DSE columns by what the DSE reads (:func:`_trunk_columns`),
+    #: so a grid varying NoP bandwidth runs the enumeration once
+    trunks: dict[tuple, dict] = field(default_factory=dict)
 
 
 def run_scenario(scenario: Scenario,
@@ -180,7 +185,8 @@ def run_scenario(scenario: Scenario,
         l_cstr = scenario.tolerance * scheduled.base_latency_s
         row.update(_trunk_columns(scenario, scheduled.workload,
                                   scenario.het_ws_budget,
-                                  l_cstr, scheduled.trunk_chiplets))
+                                  l_cstr, scheduled.trunk_chiplets,
+                                  tables.trunks))
     return row
 
 
@@ -210,25 +216,27 @@ def _schedule_row(scenario: Scenario, tables: RunTables) -> _ScheduledRow:
                          trunk_chiplets=trunk_chiplets)
 
 
-#: per-process memo: the trunk DSE depends only on (workload variant,
-#: WS budget, constraint, quadrant budget) — a grid varying NoP
-#: bandwidth must not re-run the brute-force enumeration per scenario.
-_TRUNK_MEMO: dict[tuple, dict] = {}
+def check_ws_budget(ws_budget: int, chiplets: int) -> None:
+    """Reject a Het(k) budget larger than the trunk quadrant's capacity.
 
-
-def clear_trunk_memo() -> None:
-    """Reset the per-process trunk-DSE memo (cold-start measurements)."""
-    _TRUNK_MEMO.clear()
-
-
-def _trunk_columns(scenario: Scenario, workload, ws_budget: int,
-                   l_cstr_s: float, chiplets: int) -> dict:
+    ``chiplets`` is the capacity of the trunk stage's quadrants.  Shared
+    by the trunk DSE and the design search, which checks every budget
+    while ranking.
+    """
     if ws_budget > chiplets:
         raise ValueError(
             f"het_ws_budget {ws_budget} exceeds the trunk quadrant "
             f"capacity ({chiplets} chiplets for this scenario)")
-    # Hardware overrides are part of the memo identity: two scenarios
-    # that differ only in frequency or tile must not share a DSE result.
+
+
+def _trunk_columns(scenario: Scenario, workload, ws_budget: int,
+                   l_cstr_s: float, chiplets: int,
+                   trunks: dict[tuple, dict]) -> dict:
+    check_ws_budget(ws_budget, chiplets)
+    # The key is the workload variant, WS budget, constraint, quadrant
+    # budget and trunk hardware.  Hardware overrides are part of it: two
+    # scenarios that differ only in frequency or tile must not share a
+    # DSE result.
     # (The scenario *dataflow* axis is not: the trunk DSE explores its
     # own OS/WS mixes regardless of the package-wide style.)  The trunk
     # quadrant's hardware is the *effective* one — a per-quadrant
@@ -237,21 +245,21 @@ def _trunk_columns(scenario: Scenario, workload, ws_budget: int,
     trunk_ghz, trunk_tile = scenario.trunk_hw()
     key = (scenario.workload, ws_budget, l_cstr_s, chiplets,
            trunk_ghz, trunk_tile)
-    if key not in _TRUNK_MEMO:
+    if key not in trunks:
         os_accel, ws_accel = scenario.trunk_accels()
         best = TrunkDSE(stage=workload.stage(STAGE_TR),
                         os_accel=os_accel,
                         ws_accel=ws_accel,
                         l_cstr_s=l_cstr_s,
                         chiplets=chiplets).search(ws_budget)
-        _TRUNK_MEMO[key] = {
+        trunks[key] = {
             "trunk_label": best.label,
             "trunk_pipe_ms": best.pipe_ms,
             "trunk_energy_j": best.energy_j,
             "trunk_edp_j_ms": best.edp_j_ms,
             "trunk_feasible": best.feasible,
         }
-    return dict(_TRUNK_MEMO[key])
+    return dict(trunks[key])
 
 
 @dataclass(frozen=True)
@@ -269,21 +277,6 @@ class SweepOutcome:
 #: what :meth:`ScenarioSweep.run_iter` yields: a priced scenario, or the
 #: quarantine record of one that exhausted its retries.
 SweepItem = Union[SweepOutcome, SweepFailure]
-
-
-def check_execution(workers: int, store_path) -> None:
-    """Reject a worker count below one and a URL given as a plan store.
-
-    Shared by :class:`ScenarioSweep` and the design search, which checks
-    its materialization settings before it prices anything.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if isinstance(store_path, str) \
-            and store_path.startswith(("http://", "https://")):
-        raise ValueError(
-            f"plan stores are directories; got the URL {store_path!r} "
-            f"(the networked memo server was removed)")
 
 
 def _attach_store(store_path) -> bool:
@@ -478,7 +471,14 @@ class ScenarioSweep:
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise ValueError("sweep needs at least one scenario")
-        check_execution(self.workers, self.store_path)
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if isinstance(self.store_path, str) \
+                and self.store_path.startswith(("http://", "https://")):
+            raise ValueError(
+                f"plan stores are directories; got the URL "
+                f"{self.store_path!r} (the networked memo server was "
+                f"removed)")
         if self.chunksize < 1:
             raise ValueError("chunksize must be >= 1")
         keys = [s.key for s in self.scenarios]

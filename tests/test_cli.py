@@ -295,7 +295,7 @@ class TestDesignCli:
         assert message in capsys.readouterr().err
 
     def test_design_rejects_oversized_het_budget(self, capsys):
-        # The strict frontier sweep quarantines the candidate; like
+        # Ranking checks every budget against its trunk quadrant; like
         # `sweep --het-budgets 99`, that is a usage error, not a crash.
         with pytest.raises(SystemExit) as exit_info:
             main(["design", "--het-budgets", "99"])
@@ -303,18 +303,27 @@ class TestDesignCli:
         assert "exceeds the trunk quadrant capacity" \
             in capsys.readouterr().err
 
-    def test_design_rejects_zero_workers_with_empty_frontier(self, capsys):
-        # A target that prunes everything leaves nothing to materialize;
-        # the bad worker count must still be a usage error.
-        with pytest.raises(SystemExit):
-            main(["design", "--workers", "0", "--target-pipe-ms", "0.001"])
-        assert "workers must be >= 1" in capsys.readouterr().err
-
-    def test_design_rejects_store_url_with_empty_frontier(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["design", "--store", "http://x",
+    def test_design_rejects_oversized_het_budget_with_empty_frontier(
+            self, capsys):
+        # The proxy ignores the budget, so a target that prunes every
+        # candidate must not let an over-budget one through.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["design", "--het-budgets", "99",
                   "--target-pipe-ms", "0.001"])
-        assert "plan stores are directories" in capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "exceeds the trunk quadrant capacity" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["design"], ["report", "scaling"]],
+                             ids=["design", "report-scaling"])
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--store", "DIR"]],
+                             ids=["workers", "store"])
+    def test_only_sweep_takes_workers_and_store(self, command, flag,
+                                                capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + flag)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestResilienceCli:

@@ -6,7 +6,7 @@ definition), canonical space declaration, the package key (equal keys
 build equal packages, and each distinct package is built once), the
 optimistic-bound contract of the roofline proxy (pruning never discards
 a design whose materialized metrics meet the target), and the frontier
-report's byte-identity across store temperature and worker counts.
+report's byte-identity across cold runs.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ FROZEN_PROXIES = (pathlib.Path(__file__).parent / "data"
 def _cold():
     from repro.core import clear_plan_cache
     from repro.cost import clear_cache
-    from repro.sweep import clear_trunk_memo
     clear_cache()
     clear_plan_cache()
-    clear_trunk_memo()
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +272,7 @@ class TestDesignSearch:
         result = DesignSearch(small_space,
                               DesignTargets(pipe_ms=0.001)).run()
         assert result.frontier == [] and result.rows == []
-        assert result.sweep is None and result.best is None
+        assert result.plan_cache.lookups == 0 and result.best is None
         stats = result.stats()
         assert stats["pruned"] == stats["candidates"]
         assert stats["materialized_fraction"] == 0.0
@@ -288,30 +286,19 @@ class TestDesignSearch:
             min(row["edp_j_ms"] for row in result.rows)
         assert result.report()["best"] == result.best["key"]
 
-    def test_report_byte_identical_cold_vs_warm_store(self, tmp_path):
+    def test_report_byte_identical_across_cold_runs(self):
         space = DesignSpace.from_axis_texts({
             "dataflow": "os,ws",
             "hetero": "none,trunk:ws#4",
         })
-        store = tmp_path / "planstore"
         documents = []
         for _ in range(2):
             _cold()
-            result = DesignSearch(space, DesignTargets(pipe_ms=200.0),
-                                  store_path=str(store)).run()
+            result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
+            assert result.plan_cache.misses > 0
             documents.append(json.dumps(result.report(), indent=2,
                                         sort_keys=True))
         assert documents[0] == documents[1]
-        # The warm run really was warm — every plan came from the store.
-        assert result.sweep.summary()["plan_cache"]["misses"] == 0
-
-    def test_report_byte_identical_serial_vs_parallel(self, small_space):
-        _cold()
-        serial = DesignSearch(small_space).run().report()
-        _cold()
-        parallel = DesignSearch(small_space, workers=2).run().report()
-        assert json.dumps(serial, sort_keys=True) \
-            == json.dumps(parallel, sort_keys=True)
 
     def test_hetero_rows_gate_their_columns(self):
         _cold()
@@ -323,9 +310,9 @@ class TestDesignSearch:
 
     def test_one_workload_build_per_variant_and_frontier_row(
             self, monkeypatch):
-        # Ranking builds each workload variant once; the frontier sweep
-        # builds once per variant on the frontier.  Nothing carries over
-        # between runs, so a second cold run builds exactly as often.
+        # Ranking builds each workload variant once, and the frontier
+        # rows reuse those builds.  Nothing carries over between runs, so
+        # a second cold run builds exactly as often.
         import repro.sweep.scenario as scenario_module
         build = scenario_module.build_perception_workload
         calls = []
@@ -353,7 +340,7 @@ class TestDesignSearch:
             frontier_variants = {c.scenario.workload
                                  for c in result.frontier}
             assert len(result.frontier) > len(frontier_variants)
-            assert len(calls) == variants + len(frontier_variants)
+            assert len(calls) == variants
 
 
 # ----------------------------------------------------------------------
@@ -453,9 +440,10 @@ class TestPackageKey:
     def test_perfbench_space_builds_each_package_once(self, monkeypatch):
         # perfbench's seed-0 design space: 768 candidates over 64
         # distinct packages and 192 (variant, package) pairs.  Ranking
-        # builds each package once and scores each pair once; the
-        # frontier sweep builds its own.  Nothing carries over between
-        # runs, so a second cold run counts the same.
+        # builds each package once and scores each pair once; each
+        # frontier row builds its own package in Scenario.build().
+        # Nothing carries over between runs, so a second cold run counts
+        # the same.
         import repro.design.search as search_module
         import repro.sweep.scenario as scenario_module
         build = scenario_module.simba_package

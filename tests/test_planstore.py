@@ -164,10 +164,8 @@ class TestHeteroStoreSharing:
     def _cold():
         from repro.core import clear_plan_cache
         from repro.cost import clear_cache
-        from repro.sweep import clear_trunk_memo
         clear_cache()
         clear_plan_cache()
-        clear_trunk_memo()
 
     def _against_mesh_store(self, store, grid):
         from repro.sweep import Scenario, ScenarioSweep

@@ -16,6 +16,7 @@ from repro.arch import DramBudget, NoPConfig, simba_package, \
 from repro.cost import nvdla_chiplet, simba_chiplet
 from repro.sweep import (
     AXIS_SPECS,
+    RunTables,
     Scenario,
     ScenarioSweep,
     parse_axis,
@@ -200,9 +201,19 @@ class TestHardwareAxisRows:
             assert col not in row
 
     def test_trunk_memo_distinguishes_frequency(self):
-        slow = run_scenario(Scenario(het_ws_budget=2, frequency_ghz=1.0))
-        fast = run_scenario(Scenario(het_ws_budget=2))
+        # One RunTables, so every scenario reaches the trunk table's key.
+        # A trunk-only clock override leaves the base latency, and with
+        # it the constraint and quadrant budget, as they are: only the
+        # trunk clock tells that key from the default one.
+        tables = RunTables()
+        fast = run_scenario(Scenario(het_ws_budget=2), tables)
+        slow = run_scenario(Scenario(het_ws_budget=2, frequency_ghz=1.0),
+                            tables)
+        slow_trunk = run_scenario(
+            Scenario(het_ws_budget=2, hetero="trunk:@1.0"), tables)
+        assert slow_trunk["base_ms"] == fast["base_ms"]
         assert slow["trunk_pipe_ms"] != fast["trunk_pipe_ms"]
+        assert slow_trunk["trunk_pipe_ms"] != fast["trunk_pipe_ms"]
 
 
 class TestAxisParsing:
@@ -369,10 +380,8 @@ class TestPlanStoreKeyingAcrossAxes:
     def _cold():
         from repro.core import clear_plan_cache
         from repro.cost import clear_cache
-        from repro.sweep import clear_trunk_memo
         clear_cache()
         clear_plan_cache()
-        clear_trunk_memo()
 
     def test_key_hashes_differ_per_accel_override(self):
         from repro.core.planstore import plan_key_hash

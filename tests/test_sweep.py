@@ -5,6 +5,8 @@ import json
 import multiprocessing
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.io import save_sweep
 from repro.sweep import (
@@ -160,12 +162,10 @@ class TestScenarioSweep:
         # "cold" sweep would be served bands from the first.
         from repro.core import clear_plan_cache
         from repro.cost import clear_cache, evaluate_shape
-        from repro.sweep import clear_trunk_memo
 
         def cold_sweep():
             clear_cache()
             clear_plan_cache()
-            clear_trunk_memo()
             bands_before = evaluate_shape.cache_info().misses
             layer = ScenarioSweep(grid, workers=1).run().summary()[
                 "layer_cost_cache"]
@@ -233,10 +233,8 @@ class TestStoreBackedSweep:
     def _cold():
         from repro.core import clear_plan_cache
         from repro.cost import clear_cache
-        from repro.sweep import clear_trunk_memo
         clear_cache()
         clear_plan_cache()
-        clear_trunk_memo()
 
     def test_second_run_is_served_from_disk(self, grid, tmp_path):
         store = tmp_path / "store"
@@ -365,10 +363,8 @@ class TestWorkloadSharing:
     def _cold():
         from repro.core import clear_plan_cache
         from repro.cost import clear_cache
-        from repro.sweep import clear_trunk_memo
         clear_cache()
         clear_plan_cache()
-        clear_trunk_memo()
 
     def test_serial_sweep_builds_each_variant_once(self, grid, monkeypatch):
         built = []
@@ -523,3 +519,105 @@ class TestScheduleSharing:
         mutable = [id(v) for row in rows for v in row.values()
                    if isinstance(v, (dict, list))]
         assert len(mutable) == len(set(mutable)) > 0
+
+
+#: small value pools over every scenario axis.  Between some two values
+#: of a pool, each field of each sharing key changes a row: the workload
+#: variants differ in input size, camera count, queue depth and lane
+#: context; a Het(9) budget fills the default trunk quadrant but not a
+#: larger one; the lores variant's trunk DSE turns feasible at
+#: tolerance 1.5; and the ``trunk:`` tokens change the trunk quadrant's
+#: engine, clock or tile without moving the base latency.
+SHARING_POOLS = {
+    "tolerance": (1.0, 1.5),
+    "nop_gbps": (None, 25.0),
+    "npus": (1, 2),
+    "workload": ("default", "lores", "quad-camera", "shallow-queue",
+                 "full-context"),
+    "het_ws_budget": (None, 2, 9),
+    "dataflow": (None, "ws"),
+    "frequency_ghz": (None, 1.0),
+    "native_tile": (None, (8, 8)),
+    "dram_gbps": (None, 6.0),
+    "topology": (None, "torus", "mesh-8x6"),
+    "hetero": (None, "trunk:ws#4", "trunk:@1", "trunk:/8x8",
+               "temporal:@1.5+fe:/8x8"),
+}
+
+
+@st.composite
+def sharing_grids(draw):
+    """A scenario and up to seven neighbours, each differing from it in
+    one axis: the pairs a key that drops that axis would wrongly share."""
+    base = {axis: draw(st.sampled_from(pool))
+            for axis, pool in SHARING_POOLS.items()}
+    points = [base]
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        axis = draw(st.sampled_from(sorted(SHARING_POOLS)))
+        other = [v for v in SHARING_POOLS[axis] if v != base[axis]]
+        points.append({**base, axis: draw(st.sampled_from(other))})
+    grid: dict[str, Scenario] = {}
+    for point in points:
+        # An explicit KIND-WxH grid fixes the package size on its own.
+        if point["topology"] is not None and "-" in point["topology"]:
+            point = {**point, "npus": 1}
+        scenario = Scenario(**point)
+        grid.setdefault(scenario.key, scenario)
+    return list(grid.values())
+
+
+class TestSharingKeys:
+    """Every sharing key keeps every axis its consumer reads.
+
+    A sweep shares plans and ``GroupCosts`` through the process-wide
+    plan cache, and workloads, allocations, schedules and trunk-DSE
+    results through its ``RunTables``.  A lone cold ``run_scenario``
+    call shares nothing with another scenario, so a key that drops an
+    axis it needs makes some sweep row differ from the lone one.
+    """
+
+    @staticmethod
+    def _cold():
+        from repro.core import clear_plan_cache
+        from repro.cost import clear_cache
+        clear_cache()
+        clear_plan_cache()
+
+    def test_pools_cover_every_axis(self):
+        from repro.sweep import AXIS_SPECS
+        assert set(SHARING_POOLS) == set(AXIS_SPECS)
+
+    @settings(max_examples=7, deadline=None, derandomize=True)
+    @given(grid=sharing_grids())
+    # Two grids of pairs that seven random grids seldom hold.  In the
+    # first, each workload variant differs from the default one in one
+    # config field, and the base latency of all but lores is the
+    # default's, so their trunk DSEs differ in the workload alone.
+    @example(grid=[Scenario(workload=name, het_ws_budget=2)
+                   for name in ("default", "lores", "quad-camera",
+                                "shallow-queue", "full-context")])
+    # In the second, the next four scenarios each differ from the first
+    # in one field of the trunk key: the constraint (by the tolerance),
+    # the budget, the clock or the tile.  The sixth differs from the
+    # third in the trunk quadrant's capacity alone (a full quadrant
+    # reads "WS"), and the last from the first in the DRAM budget.
+    @example(grid=[
+        Scenario(tolerance=1.0, workload="lores", het_ws_budget=2),
+        Scenario(tolerance=1.5, workload="lores", het_ws_budget=2),
+        Scenario(tolerance=1.0, workload="lores", het_ws_budget=9),
+        Scenario(tolerance=1.0, workload="lores", het_ws_budget=2,
+                 hetero="trunk:@1"),
+        Scenario(tolerance=1.0, workload="lores", het_ws_budget=2,
+                 hetero="trunk:/8x8"),
+        Scenario(tolerance=1.0, workload="lores", het_ws_budget=9, npus=2),
+        Scenario(tolerance=1.0, workload="lores", het_ws_budget=2,
+                 dram_gbps=6.0),
+    ])
+    def test_sweep_rows_equal_cold_lone_rows(self, grid):
+        self._cold()
+        swept = ScenarioSweep(grid).run().rows_json()
+        lone = []
+        for scenario in grid:
+            self._cold()
+            lone.append(run_scenario(scenario))
+        assert swept == json.dumps({"rows": lone}, sort_keys=True, indent=2)

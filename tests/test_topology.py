@@ -336,10 +336,8 @@ class TestTopologyPlanKeying:
     def _cold():
         from repro.core import clear_plan_cache
         from repro.cost import clear_cache
-        from repro.sweep import clear_trunk_memo
         clear_cache()
         clear_plan_cache()
-        clear_trunk_memo()
 
     @pytest.mark.parametrize("extra", [{}, {"het_ws_budget": 2}],
                              ids=["matcher", "trunk-dse"])
