@@ -16,7 +16,7 @@ per-stage chiplet budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..cost import AcceleratorConfig, simba_chiplet
 from .chiplet import Chiplet
@@ -40,6 +40,13 @@ class MCMPackage:
     #: hop geometry of the package grid; ``None`` defaults to the seed
     #: open mesh of the package's own dimensions.
     topology: NoPTopology | None = None
+    #: what placement reads of the package: the topology, the NPU count,
+    #: and each chiplet's hop-table cell and quadrant, in id order.
+    #: Packages with equal keys get equal placements of one allocation.
+    placement_key: tuple = field(init=False, repr=False, compare=False)
+    #: quadrant -> its chiplets in id order (see :meth:`quadrant`)
+    _quadrants: dict[int, list[Chiplet]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.topology is None:
@@ -65,6 +72,16 @@ class MCMPackage:
             raise ValueError(
                 f"{self.name}: chiplet coordinates must cover the "
                 f"{self.mesh_w}x{self.mesh_h} grid exactly once")
+        # A package is never mutated once built, so both are computed
+        # here, once.
+        self._quadrants = {}
+        for c in self.chiplets:
+            self._quadrants.setdefault(c.quadrant, []).append(c)
+        topo = self.topology
+        self.placement_key = (
+            topo, self.npus,
+            tuple(topo.cell(c.x, c.y) for c in self.chiplets),
+            tuple(c.quadrant for c in self.chiplets))
 
     # ------------------------------------------------------------------
 
@@ -86,13 +103,13 @@ class MCMPackage:
 
     @property
     def quadrant_count(self) -> int:
-        return max(c.quadrant for c in self.chiplets) + 1
+        return max(self._quadrants) + 1
 
     def quadrant(self, q: int) -> list[Chiplet]:
-        members = [c for c in self.chiplets if c.quadrant == q]
-        if not members:
+        members = self._quadrants.get(q)
+        if members is None:
             raise KeyError(f"no quadrant {q} in {self.name}")
-        return members
+        return list(members)
 
     def quadrant_capacity(self, q: int) -> int:
         return len(self.quadrant(q))

@@ -11,8 +11,30 @@ groups stay clustered.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from ..arch import MCMPackage
 from ..workloads.graph import PerceptionWorkload
+
+
+@dataclass(frozen=True)
+class Placement:
+    """One allocation's groups placed on one package geometry.
+
+    Each :class:`~repro.core.throughput.Allocation` keeps the placements
+    made from it by the package's
+    :attr:`~repro.arch.MCMPackage.placement_key`, so schedules that
+    differ only in NoP bandwidth, DRAM budget or clocks share one.
+    ``assignment`` is never mutated; ``nearest_hops`` fills in as those
+    schedules price their NoP edges.
+    """
+
+    #: :func:`place`'s chiplet ids of every non-colocated group
+    assignment: dict[str, tuple[int, ...]]
+    #: ``(src, dst)`` -> each source chiplet's hops to its nearest
+    #: destination chiplet (read by ``Schedule._edge``)
+    nearest_hops: dict[tuple[str, str], list[int]] = field(
+        default_factory=dict)
 
 
 def default_stage_quadrants(workload: PerceptionWorkload,

@@ -85,6 +85,12 @@ class Schedule:
     #: per-frame DRAM traffic (streamed weights + camera inputs); see
     #: :func:`repro.arch.dram.workload_dram_bytes`.
     dram_bytes_per_frame: int = 0
+    #: each NoP edge's per-source nearest hops by ``(src, dst)``.  They
+    #: depend on the placement alone, so the matcher passes the memo of
+    #: its :class:`~repro.core.placement.Placement` and schedules placed
+    #: alike share it; link bandwidth is still priced per schedule.
+    nearest_hops: dict = field(default_factory=dict, repr=False,
+                               compare=False)
     # Memos for the derived metrics below.  A Schedule is immutable once
     # the matcher returns it, and summary()/e2e accounting re-derive the
     # same NoP edges and busy map several times per call without these.
@@ -203,16 +209,18 @@ class Schedule:
         src_group = self.workload.find_group(src)
         payload = self._group_output_bytes(src_group)
         src_ids = self.chiplets_of(src)
-        dst_ids = self.chiplets_of(dst)
         per_src = payload / max(1, len(src_ids))
-        # Each source chiplet's hops to its nearest destination chiplet,
-        # read from the topology's hop table (so torus wraparound
-        # shortens routes here too).
-        topo = self.package.topology
-        chiplet = self.package.chiplet
-        near = topo.nearest_hops(
-            [topo.cell(c.x, c.y) for c in map(chiplet, dst_ids)],
-            [topo.cell(c.x, c.y) for c in map(chiplet, src_ids)])
+        near = self.nearest_hops.get((src, dst))
+        if near is None:
+            # Each source chiplet's hops to its nearest destination
+            # chiplet, read from the topology's hop table (so torus
+            # wraparound shortens routes here too).
+            topo = self.package.topology
+            chiplet = self.package.chiplet
+            near = self.nearest_hops[(src, dst)] = topo.nearest_hops(
+                [topo.cell(c.x, c.y)
+                 for c in map(chiplet, self.chiplets_of(dst))],
+                [topo.cell(c.x, c.y) for c in map(chiplet, src_ids)])
         total_lat = 0.0
         total_energy = 0.0
         hop_sum = 0.0

@@ -27,18 +27,22 @@ budget and chiplet coordinates are read only afterwards, by placement
 and the :class:`Schedule` (Sec. IV-D, Fig. 9).  So
 :meth:`ThroughputMatcher.run` takes an optional caller-owned
 :data:`AllocationTable`, and packages that differ only in what placement
-reads share one :class:`Allocation`.
+reads share one :class:`Allocation`.  Placement in turn reads only the
+package's :attr:`~repro.arch.MCMPackage.placement_key`, so each
+allocation keeps one :class:`~repro.core.placement.Placement` per key,
+and packages that differ only in link bandwidth, DRAM or clocks share
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..arch import DramBudget, MCMPackage, simba_package
 from ..cost import AcceleratorConfig
 from ..workloads.graph import LayerGroup, PerceptionWorkload
 from ..workloads.pipeline import build_perception_workload
-from .placement import default_stage_quadrants, place
+from .placement import Placement, default_stage_quadrants, place
 from .schedule import GroupSchedule, Schedule, TraceStep
 from .sharding import GroupPlan, next_shard_step, plan_group
 
@@ -114,7 +118,8 @@ class Allocation:
     """Algorithm 1's result before placement.
 
     Shared by every schedule served from one :data:`AllocationTable`
-    entry, so it is never mutated: each schedule copies the trace.
+    entry, so it is never mutated: each schedule copies the trace.  Only
+    ``placements`` grows, by one entry per package geometry placed.
     """
 
     #: every group's plan, colocated groups' fixed 1-chiplet plans too
@@ -123,6 +128,10 @@ class Allocation:
     colocated: dict[str, str]
     base_latency_s: float
     trace: tuple[TraceStep, ...]
+    #: placements of this allocation by
+    #: :attr:`~repro.arch.MCMPackage.placement_key`
+    placements: dict[tuple, Placement] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 #: allocations by :meth:`ThroughputMatcher.run`'s key, owned by one caller
@@ -189,11 +198,16 @@ class ThroughputMatcher:
             allocation = allocations[key] = self._allocate(accel_of, capacity)
 
         colocated = allocation.colocated
-        alloc = {name: plan.n_chiplets
-                 for name, plan in allocation.plans.items()
-                 if name not in colocated}
-        assignment = place(self.workload, self.package, alloc,
-                           stage_quadrants, colocated)
+        geometry = self.package.placement_key
+        placement = allocation.placements.get(geometry)
+        if placement is None:
+            alloc = {name: plan.n_chiplets
+                     for name, plan in allocation.plans.items()
+                     if name not in colocated}
+            placement = allocation.placements[geometry] = Placement(place(
+                self.workload, self.package, alloc, stage_quadrants,
+                colocated))
+        assignment = placement.assignment
         groups = {}
         for stage in self.workload.stages:
             for g in stage.groups:
@@ -215,6 +229,7 @@ class ThroughputMatcher:
             trace=list(allocation.trace),
             dram=self.dram,
             dram_bytes_per_frame=self.dram_bytes_per_frame,
+            nearest_hops=placement.nearest_hops,
         )
 
     def _allocate(self, accel_of: dict[str, AcceleratorConfig],

@@ -4,19 +4,20 @@ The search never runs the scheduler on a non-frontier candidate.  Each
 workload variant of the space is built once, and so is each distinct
 package (keyed by :meth:`~repro.sweep.scenario.Scenario.package_key`);
 the variant's distinct ``(layer, accel)`` pairs over its candidates'
-engines are priced through the memoized :func:`~repro.cost.evaluate`,
-and each stage's serial chain is summed once per engine.  Each
+engines are priced through the shape memo
+:func:`~repro.cost.evaluate_shape`, once per distinct layer shape, and
+each stage's serial chain is summed once per engine.  Each
 (variant, package) pair is scored once with a closed-form per-stage
 roofline proxy over those sums, target-violating candidates are pruned,
 and only the proxy-Pareto frontier (one sort and sweep) is materialized
 into full sweep rows by :func:`~repro.sweep.runner.run_scenario`,
 through one :class:`~repro.sweep.runner.RunTables` that already holds
-the workloads ranking built.  This is
+the workloads and packages ranking built.  This is
 :func:`repro.core.dse.best_ranked`'s rank-then-materialize idiom lifted
 from trunk mappings to whole packages.
 
 Determinism: the proxy is a pure function of the layer costs (one
-pricing path, the same one the scheduler uses), pruning and dominance
+cost model, the same one the scheduler uses), pruning and dominance
 are pure arithmetic, and materialized rows come from the sweep engine's
 pure ``run_scenario`` — so the frontier, and its report, are
 byte-identical from run to run.  Its float sums are left folds, never
@@ -33,7 +34,7 @@ from ..arch import MCMPackage
 from ..core.dse import best_ranked
 from ..core.placement import default_stage_quadrants
 from ..core.plancache import CacheStats, plan_cache_stats
-from ..cost import AcceleratorConfig, LayerCost, evaluate
+from ..cost import AcceleratorConfig, LayerCost, evaluate_shape
 from ..sweep import runner as runner_module
 from ..sweep import scenario as scenario_module
 from ..sweep.runner import RunTables, check_ws_budget
@@ -189,7 +190,8 @@ class DesignSearchResult:
     candidates: list[DesignCandidate]
     frontier: list[DesignCandidate]
     rows: list[dict]
-    #: distinct (layer, accel) pairs the proxy phase priced.
+    #: distinct (layer, accel) pairs the proxy phase priced; layers of
+    #: one shape share one pricing per accel.
     priced_pairs: int
     #: the frontier rows' plan-cache counter delta.
     plan_cache: CacheStats
@@ -242,14 +244,13 @@ class DesignSearch:
         scenarios = self.space.candidates()
         keys = [scenario.package_key() for scenario in scenarios]
         # One set of run tables, local to this call: ranking builds each
-        # workload variant into it, and the frontier rows find them there.
-        tables = RunTables()
-        workloads = tables.workloads
-        # Per-package tables: each distinct package (built once, never
-        # mutated) and its distinct chiplet engines.  Candidates that
+        # workload variant and each distinct package (never mutated) into
+        # it, and the frontier rows find them there.  Candidates that
         # differ only in axes the package does not read (tolerance,
-        # workload, DRAM, trunk-DSE budget) share both.
-        packages: dict[tuple, MCMPackage] = {}
+        # workload, DRAM, trunk-DSE budget) share a package and its
+        # distinct chiplet engines.
+        tables = RunTables()
+        workloads, packages = tables.workloads, tables.packages
         engines: dict[tuple, dict[AcceleratorConfig, None]] = {}
         # Per-variant tables, by config: the chiplet engines its
         # candidates place, and the engines its pricing covers (those
@@ -284,12 +285,17 @@ class DesignSearch:
                                     for q in trunks))
                 priced_accels[config].update(
                     dict.fromkeys(scenario.trunk_accels()))
-        pairs = dict.fromkeys(
-            (layer, accel)
-            for config, workload in workloads.items()
-            for accel in priced_accels[config]
-            for layer in workload.all_layers())
-        costs = {pair: evaluate(*pair) for pair in pairs}
+        # Every distinct (layer, engine) pair gets a cost, priced through
+        # the shape memo: layers of one shape cost the same, so each
+        # (shape, engine) is priced once.
+        costs: dict[Pair, LayerCost] = {}
+        for config, workload in workloads.items():
+            layers = workload.all_layers()
+            for accel in priced_accels[config]:
+                for layer in layers:
+                    if (layer, accel) not in costs:
+                        costs[layer, accel] = evaluate_shape(layer.shape,
+                                                             accel)
         chains = {config: stage_chains(workload, chiplet_accels[config],
                                        costs)
                   for config, workload in workloads.items()}

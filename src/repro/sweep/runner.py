@@ -7,11 +7,12 @@ points across worker processes and merges the results deterministically:
   scenario (the schedulers and cost model are deterministic), so the same
   grid produces identical rows whether it runs serially or on N workers;
 * a serial run, and each worker chunk, owns one :class:`RunTables`: it
-  builds each distinct workload variant once, runs Algorithm 1's
-  allocation once per distinct allocation input, builds, schedules
-  and summarizes once per distinct hardware, so scenarios that differ
-  only in their Het(k) budget share one schedule, and runs the trunk DSE
-  once per distinct trunk input;
+  builds each distinct workload variant and each distinct package once,
+  runs Algorithm 1's allocation once per distinct allocation input (and
+  places it once per package geometry), schedules and summarizes once
+  per distinct hardware, so scenarios that differ only in their Het(k)
+  budget share one schedule, and runs the trunk DSE once per distinct
+  trunk input;
 * workers return :class:`SweepOutcome` records that are merged by scenario
   key, then emitted in the grid's canonical order — completion order never
   leaks into the output, which is what makes the serial, parallel, and
@@ -74,7 +75,7 @@ from .resilience import (
     WorkerCrashError,
     error_class,
 )
-from .scenario import Scenario, WorkloadTable
+from .scenario import PackageTable, Scenario, WorkloadTable
 
 #: summary metrics copied from Schedule.summary() into each sweep row.
 _SUMMARY_FIELDS = ("e2e_ms", "pipe_ms", "energy_j", "edp_j_ms",
@@ -139,7 +140,11 @@ class RunTables:
 
     #: built workloads by config (:meth:`Scenario.build`)
     workloads: WorkloadTable = field(default_factory=dict)
-    #: Algorithm 1 allocations (:meth:`ThroughputMatcher.run`)
+    #: built packages by :meth:`Scenario.package_key`
+    #: (:meth:`Scenario.build`)
+    packages: PackageTable = field(default_factory=dict)
+    #: Algorithm 1 allocations (:meth:`ThroughputMatcher.run`), each
+    #: with its placements by package geometry
     allocations: AllocationTable = field(default_factory=dict)
     #: the schedule-derived part of rows, by scenario sans Het(k) budget
     schedules: dict[Scenario, _ScheduledRow] = field(default_factory=dict)
@@ -192,7 +197,7 @@ def run_scenario(scenario: Scenario,
 
 def _schedule_row(scenario: Scenario, tables: RunTables) -> _ScheduledRow:
     """Build, schedule and summarize one scenario's hardware."""
-    built = scenario.build(tables.workloads)
+    built = scenario.build(tables.workloads, tables.packages)
     schedule = built.schedule(tables.allocations)
     summary = schedule.summary()
     fields = {"base_ms": schedule.base_latency_s * 1e3}

@@ -30,6 +30,7 @@ dataflow/frequency/tile choices, DRAM-contention scenarios).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -73,6 +74,8 @@ WORKLOAD_VARIANTS: dict[str, PipelineConfig] = {
 
 #: built workloads by config, owned by one caller for the span of a run.
 WorkloadTable = dict[PipelineConfig, PerceptionWorkload]
+#: built packages by :meth:`Scenario.package_key`, owned likewise.
+PackageTable = dict[tuple, MCMPackage]
 
 
 def workload_variant(name: str) -> PipelineConfig:
@@ -83,6 +86,24 @@ def workload_variant(name: str) -> PipelineConfig:
         raise KeyError(
             f"unknown workload variant {name!r}; "
             f"known: {', '.join(sorted(WORKLOAD_VARIANTS))}") from None
+
+
+# A grid builds every scenario from a few axis tokens, so both token
+# parsers are memoized per token string.  Parsing errors are raised
+# afresh on every call (lru_cache keeps only results), so each scenario
+# is still validated with the same message.
+
+@functools.lru_cache(maxsize=256)
+def _topology_token(token: str) -> tuple[str, bool]:
+    """A topology token's canonical form, and whether it fixes a grid."""
+    _, dims = parse_topology(token)
+    return canonical_topology(token), dims is not None
+
+
+@functools.lru_cache(maxsize=256)
+def _quadrant_overrides(token: str) -> QuadrantOverrides:
+    """:meth:`QuadrantOverrides.parse` (the result is immutable)."""
+    return QuadrantOverrides.parse(token)
 
 
 @dataclass(frozen=True)
@@ -200,19 +221,18 @@ class Scenario:
             # Canonicalize so "Torus" / "torus-8X8" key identically, and
             # fail fast on tokens (or npus conflicts) the package builder
             # would reject mid-sweep.
-            _, dims = parse_topology(self.topology)
-            if dims is not None and self.npus != 1:
+            topology, fixes_grid = _topology_token(self.topology)
+            if fixes_grid and self.npus != 1:
                 raise ValueError(
                     f"topology {self.topology!r} fixes an explicit grid "
                     f"and is incompatible with npus={self.npus}")
-            object.__setattr__(self, "topology",
-                               canonical_topology(self.topology))
+            object.__setattr__(self, "topology", topology)
         if self.hetero is not None:
             # Canonicalize (quadrant order, %g frequencies) so equivalent
             # spellings key identically, and fail fast on tokens the
             # package builder would reject mid-sweep.
             object.__setattr__(self, "hetero",
-                               QuadrantOverrides.parse(self.hetero).token)
+                               _quadrant_overrides(self.hetero).token)
         workload_variant(self.workload)  # fail fast on unknown variants
 
     @property
@@ -221,7 +241,16 @@ class Scenario:
 
         Hardware axes contribute a fragment only when set, keeping the
         key byte-stable for every grid expressible before they existed.
+        Cached per instance, like :class:`~repro.workloads.layers.Layer`'s
+        hash: grids and sweeps read it several times per scenario.
         """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._make_key()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def _make_key(self) -> str:
         nop = "default" if self.nop_gbps is None else f"{self.nop_gbps:g}"
         het = "-" if self.het_ws_budget is None else str(self.het_ws_budget)
         parts = [f"tol={self.tolerance:g}|nop={nop}|npus={self.npus}"
@@ -271,7 +300,7 @@ class Scenario:
         """The parsed per-quadrant override spec (None when unset)."""
         if self.hetero is None:
             return None
-        return QuadrantOverrides.parse(self.hetero)
+        return _quadrant_overrides(self.hetero)
 
     def trunk_hw(self) -> tuple[float | None, tuple[int, int] | None]:
         """Effective ``(frequency_ghz, native_tile)`` of the trunk quadrant.
@@ -358,17 +387,20 @@ class Scenario:
             package = spec.apply(package)
         return package
 
-    def build(self, workloads: WorkloadTable | None = None) -> ScenarioBuild:
+    def build(self, workloads: WorkloadTable | None = None,
+              packages: PackageTable | None = None) -> ScenarioBuild:
         """Materialize the ``(workload, package, DramBudget)`` triple.
 
         The single construction path shared by the sweep runner, the
         experiments, and the CLI: at default axes it reproduces the PR 2
         hand-rolled ``simba_package(npus=..., nop=...)`` call exactly.
 
-        ``workloads`` is a caller-owned table of already-built workloads:
-        a config found there is reused, and a config built here is added
-        to it.  Scenarios built from one table share workload objects,
-        which is safe because nothing downstream mutates a workload.
+        ``workloads`` and ``packages`` are caller-owned tables of
+        already-built workloads (by config) and packages (by
+        :meth:`package_key`): an entry found there is reused, and one
+        built here is added.  Scenarios built from one table share those
+        objects, which is safe because nothing downstream mutates a
+        workload or a package.
         """
         config = workload_variant(self.workload)
         if workloads is None:
@@ -376,7 +408,12 @@ class Scenario:
         workload = workloads.get(config)
         if workload is None:
             workload = workloads[config] = build_perception_workload(config)
-        package = self.package()
+        if packages is None:
+            packages = {}
+        key = self.package_key()
+        package = packages.get(key)
+        if package is None:
+            package = packages[key] = self.package()
         dram = self.dram_budget()
         dram_bytes = (workload_dram_bytes(workload, config)
                       if dram is not None else 0)

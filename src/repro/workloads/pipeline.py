@@ -8,7 +8,7 @@ latencies, Lat_base) is reproduced by the cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .bifpn import build_fe_bfpn
 from .fusion import build_spatial_fusion, build_temporal_fusion
@@ -52,6 +52,17 @@ class PipelineConfig:
     lane_context: float = 0.6
     det_heads: int = 3
     fps: float = 30.0
+
+    def __hash__(self) -> int:
+        # Configs key every run's workload table, and a design search
+        # probes its per-variant tables once per candidate: cache the
+        # structural hash per instance (over every field, as the
+        # generated __eq__ compares).
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def with_lane_context(self, fraction: float) -> "PipelineConfig":
         return replace(self, lane_context=fraction)

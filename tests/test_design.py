@@ -440,27 +440,27 @@ class TestPackageKey:
     def test_perfbench_space_builds_each_package_once(self, monkeypatch):
         # perfbench's seed-0 design space: 768 candidates over 64
         # distinct packages and 192 (variant, package) pairs.  Ranking
-        # builds each package once and scores each pair once; each
-        # frontier row builds its own package in Scenario.build().
-        # Nothing carries over between runs, so a second cold run counts
-        # the same.
+        # builds each package once and scores each pair once; the 32
+        # frontier rows find their packages in the search's run tables,
+        # and come from 4 allocations on 2 package geometries, so they
+        # place 8 times.  Nothing carries over between runs, so a second
+        # cold run counts the same.
+        import repro.core.throughput as throughput_module
         import repro.design.search as search_module
         import repro.sweep.scenario as scenario_module
-        build = scenario_module.simba_package
-        proxy = search_module.proxy_objectives
-        calls = {"simba_package": 0, "proxy_objectives": 0}
+        calls = {"simba_package": 0, "proxy_objectives": 0, "place": 0}
 
-        def counting_build(*args, **kwargs):
-            calls["simba_package"] += 1
-            return build(*args, **kwargs)
+        def count(module, name):
+            original = getattr(module, name)
 
-        def counting_proxy(*args, **kwargs):
-            calls["proxy_objectives"] += 1
-            return proxy(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
 
-        monkeypatch.setattr(scenario_module, "simba_package", counting_build)
-        monkeypatch.setattr(search_module, "proxy_objectives",
-                            counting_proxy)
+        count(scenario_module, "simba_package")
+        count(search_module, "proxy_objectives")
+        count(throughput_module, "place")
         space = DesignSpace.from_axis_texts({
             "tolerance": "1.0,1.05",
             "nop_gbps": "25,100",
@@ -478,8 +478,8 @@ class TestPackageKey:
             result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
             assert len(result.candidates) == 768
             assert len(result.frontier) == 32
-            assert calls == {"simba_package": 64 + 32,
-                             "proxy_objectives": 192}
+            assert calls == {"simba_package": 64, "proxy_objectives": 192,
+                             "place": 8}
 
 
 class TestFrozenProxies:

@@ -41,6 +41,20 @@ class TestScenario:
             with pytest.raises(ValueError, match=field):
                 Scenario(**{field: float("nan")})
 
+    def test_memoized_tokens_still_validate_each_scenario(self):
+        # Topology and hetero tokens are parsed once per token string;
+        # the npus check and every parse error still run per scenario.
+        assert Scenario(topology="Torus-8X8").topology == "torus-8x8"
+        assert Scenario(hetero="trunk:WS").hetero == "trunk:ws"
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="'Torus-8X8' fixes an explicit grid"):
+                Scenario(topology="Torus-8X8", npus=2)
+            with pytest.raises(ValueError, match="unknown topology 'ring'"):
+                Scenario(topology="ring")
+            with pytest.raises(ValueError, match="unknown quadrant 'core'"):
+                Scenario(hetero="core:ws")
+
     def test_grid_expansion_is_row_major_and_duplicate_free(self):
         grid = scenario_grid(tolerances=(1.0, 1.1), npus=(1, 2))
         assert len(grid) == 4
@@ -480,6 +494,36 @@ class TestScheduleSharing:
         # placement, so one allocation per workload.
         assert len(builds) == 4
         assert len(allocations) == 2
+
+    def test_perfbench_grid_builds_each_package_once(self, monkeypatch):
+        # perfbench's seed-0 sweep grid: 192 scenarios on 96 hardware
+        # points, over 12 distinct packages (npus x dataflow x topology).
+        # A cold serial run builds each once and hands it to every
+        # scenario of its package key; nothing downstream mutates it, so
+        # each still equals a fresh build afterwards.
+        import repro.sweep.scenario as scenario_module
+        grid = scenario_grid(workloads=tuple(WORKLOAD_VARIANTS),
+                             npus=(1, 2, 4), dataflows=(None, "ws"),
+                             topologies=(None, "torus"),
+                             het_ws_budgets=(None, 4))
+        simba_package = scenario_module.simba_package
+        package = Scenario.package
+        built: list = []
+
+        def counting_simba_package(*args, **kwargs):
+            built.append(simba_package(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(scenario_module, "simba_package",
+                            counting_simba_package)
+        TestWorkloadSharing._cold()
+        ScenarioSweep(grid, workers=1).run()
+        assert len(grid) == 192
+        assert len(built) == len({s.package_key() for s in grid}) == 12
+        monkeypatch.undo()
+        fresh = [package(s) for s in {s.package_key(): s
+                                      for s in grid}.values()]
+        assert built == fresh
 
     def test_lone_run_scenario_schedules_its_own(self, monkeypatch):
         builds, allocations = self._count(monkeypatch)

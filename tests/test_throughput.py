@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.arch import simba_package
+from repro.arch import MCMPackage, simba_package
 from repro.core import ThroughputMatcher
 from repro.core.schedule import TraceStep
 from repro.sweep import Scenario, scenario_grid
@@ -24,11 +24,12 @@ TRACE_SCENARIOS = (
 
 #: axes that reach the allocation (tolerance, package size, the trunk
 #: quadrant's accelerator, an explicit grid's quadrant capacity) crossed
-#: with axes that reach only placement and the schedule (topology, DRAM).
+#: with an axis that reaches placement (topology) and axes that reach
+#: only the schedule (NoP bandwidth, DRAM), which share a placement.
 ALLOCATION_GRID = (
-    scenario_grid(tolerances=(1.0, 1.5), npus=(1, 2),
-                  topologies=(None, "torus"), heteros=(None, "trunk:ws"),
-                  dram_gbps=(None, 6.0))
+    scenario_grid(tolerances=(1.0, 1.5), nop_gbps=(None, 25.0, 200.0),
+                  npus=(1, 2), topologies=(None, "torus"),
+                  heteros=(None, "trunk:ws"), dram_gbps=(None, 6.0))
     + scenario_grid(tolerances=(1.0, 1.5), topologies=("mesh-8x8",)))
 
 
@@ -40,6 +41,9 @@ def schedule_view(schedule) -> dict:
         "groups": {name: (gs.plan, gs.chiplet_ids, gs.host)
                    for name, gs in schedule.groups.items()},
         "summary": schedule.summary(),
+        "nop_edges": schedule.nop_edges(),
+        "nop_avg_hops": schedule.nop_avg_hops,
+        "nop_max_hops": schedule.nop_max_hops,
     }
 
 
@@ -153,7 +157,10 @@ class TestMatcherValidation:
 class TestAllocationTable:
     def test_table_served_schedules_equal_fresh_ones(self):
         # Rows alone would not catch a key that drops the tolerance: it
-        # changes the trace but no row field.
+        # changes the trace but no row field.  Schedules served one
+        # allocation share its placement, and with it each NoP edge's
+        # hops, across NoP bandwidths and DRAM budgets; each topology
+        # gets its own.
         table: dict = {}
         workloads: dict = {}
         for scenario in ALLOCATION_GRID:
@@ -161,8 +168,36 @@ class TestAllocationTable:
             assert schedule_view(built.schedule(table)) \
                 == schedule_view(built.schedule()), scenario.key
         # 2 tolerances x 2 package sizes x 2 trunk accelerators, plus the
-        # 8x8 grid's larger quadrants at each tolerance.
+        # 8x8 grid's larger quadrants at each tolerance; one placement
+        # per topology of each.
         assert len(table) == 10 < len(ALLOCATION_GRID)
+        assert sum(len(a.placements) for a in table.values()) == 2 * 8 + 2
+
+    def test_each_cell_and_quadrant_keys_a_placement(self):
+        # No package builder makes two packages that share an allocation
+        # and differ only in a chiplet's cell or quadrant, so swap two
+        # chiplets' coordinates, or their quadrants, by hand.  Capacities
+        # and engines stay equal, so all three share one allocation, but
+        # each needs a placement of its own.
+        base = simba_package()
+        a, b = base.chiplets[2], base.chiplets[3]
+        assert a.quadrant != b.quadrant
+        cells = list(base.chiplets)
+        cells[2:4] = (dataclasses.replace(a, x=b.x, y=b.y),
+                      dataclasses.replace(b, x=a.x, y=a.y))
+        quadrants = list(base.chiplets)
+        quadrants[2:4] = (dataclasses.replace(a, quadrant=b.quadrant),
+                          dataclasses.replace(b, quadrant=a.quadrant))
+        table: dict = {}
+        workload = Scenario().build().workload
+        for chiplets in (base.chiplets, cells, quadrants):
+            package = MCMPackage(base.name, base.mesh_w, base.mesh_h,
+                                 chiplets)
+            assert schedule_view(
+                ThroughputMatcher(workload, package).run(table)) \
+                == schedule_view(ThroughputMatcher(workload, package).run())
+        (allocation,) = table.values()
+        assert len(allocation.placements) == 3
 
     def test_schedules_served_one_allocation_own_their_traces(self):
         table: dict = {}
