@@ -16,7 +16,6 @@ from .quadrants import (
     QUADRANT_NAMES,
     QuadrantOverride,
     QuadrantOverrides,
-    hetero_cells,
     package_composition,
     quadrant_ids,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "QUADRANT_NAMES",
     "QuadrantOverride",
     "QuadrantOverrides",
-    "hetero_cells",
     "package_composition",
     "quadrant_ids",
     "TOPOLOGY_KINDS",

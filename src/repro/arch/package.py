@@ -11,7 +11,9 @@ budget the paper uses); a dual-NPU platform composes two of them
 Quadrants are 3x3 chiplet blocks on the standard tiling (2x2 blocks on
 explicit ``WxH`` grids); the paper's scheduler assigns one perception
 stage per quadrant, so the package exposes quadrant membership and
-per-stage chiplet budgets.
+per-stage chiplet budgets.  A quadrant is one engine: stage ``i`` owns
+local quadrant ``i`` of every module, and all of their chiplets share
+one accelerator config (:meth:`MCMPackage.engine`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .nop import NOP_28NM, NoPConfig
 from .topology import NoPTopology, min_hop_map, topology_for
 
 __all__ = ["MCMPackage", "min_hop_map", "simba_package"]
+
+#: quadrants per 6x6 NPU module: module ``m`` holds quadrants
+#: ``4m..4m+3``, so quadrant ``q`` is local quadrant ``q % 4``.
+MODULE_QUADRANTS = 4
 
 
 @dataclass
@@ -46,6 +52,10 @@ class MCMPackage:
     placement_key: tuple = field(init=False, repr=False, compare=False)
     #: quadrant -> its chiplets in id order (see :meth:`quadrant`)
     _quadrants: dict[int, list[Chiplet]] = field(
+        init=False, repr=False, compare=False)
+    #: local quadrant -> the one config its chiplets share in every
+    #: module (see :meth:`engine`)
+    _engines: dict[int, AcceleratorConfig] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,11 +82,21 @@ class MCMPackage:
             raise ValueError(
                 f"{self.name}: chiplet coordinates must cover the "
                 f"{self.mesh_w}x{self.mesh_h} grid exactly once")
-        # A package is never mutated once built, so both are computed
-        # here, once.
+        # A package is never mutated once built, so these are computed
+        # here, once.  Chiplets of one engine usually share one config
+        # object, so identity settles most comparisons.
         self._quadrants = {}
+        self._engines = {}
         for c in self.chiplets:
             self._quadrants.setdefault(c.quadrant, []).append(c)
+            local = c.quadrant % MODULE_QUADRANTS
+            engine = self._engines.setdefault(local, c.accel)
+            if c.accel is not engine and c.accel != engine:
+                raise ValueError(
+                    f"{self.name}: chiplet {c.chiplet_id} ({c.hw_token}) "
+                    f"differs from the rest of local quadrant {local} "
+                    f"({engine.hw_token}); a quadrant is one engine in "
+                    f"every module")
         topo = self.topology
         self.placement_key = (
             topo, self.npus,
@@ -114,6 +134,13 @@ class MCMPackage:
     def quadrant_capacity(self, q: int) -> int:
         return len(self.quadrant(q))
 
+    def engine(self, q: int) -> AcceleratorConfig:
+        """The accelerator config every chiplet of quadrant ``q`` runs,
+        shared with the same local quadrant of every other module."""
+        if q not in self._quadrants:
+            raise KeyError(f"no quadrant {q} in {self.name}")
+        return self._engines[q % MODULE_QUADRANTS]
+
     def hops(self, a: int, b: int) -> int:
         """Topology-routed hop count between two chiplet ids."""
         assert self.topology is not None  # set in __post_init__
@@ -125,11 +152,10 @@ class MCMPackage:
         """Return a copy with per-chiplet accelerator replacements.
 
         ``accel_of`` maps chiplet ids to their new configs; every other
-        chiplet is kept.  This is the one mixed-package construction
-        primitive: whole-quadrant overrides
-        (:meth:`repro.arch.quadrants.QuadrantOverrides.apply`) and the
-        paper's partial Het(k) trunk embeddings (``repro.core.hetero``)
-        both route through it.
+        chiplet is kept.  Whole-quadrant overrides
+        (:meth:`repro.arch.quadrants.QuadrantOverrides.apply`) route
+        through it; a map that leaves a quadrant holding two engines
+        raises ``ValueError``.
         """
         unknown = set(accel_of) - {c.chiplet_id for c in self.chiplets}
         if unknown:
@@ -139,21 +165,6 @@ class MCMPackage:
                for c in self.chiplets]
         return MCMPackage(self.name + suffix, self.mesh_w, self.mesh_h,
                           new, self.nop, self.npus, self.topology)
-
-    def with_dataflow_at(self, coords: list[tuple[int, int]],
-                         accel: AcceleratorConfig) -> "MCMPackage":
-        """Return a copy with the chiplets at ``coords`` replaced.
-
-        Used for heterogeneous integration (Sec. IV-C): Het(2)/Het(4)
-        embed 2 or 4 weight-stationary chiplets in the trunk quadrant.
-        Thin coordinate-keyed wrapper over :meth:`with_accels`.
-        """
-        missing = [xy for xy in coords
-                   if not any(c.coords == xy for c in self.chiplets)]
-        if missing:
-            raise KeyError(f"coords not on mesh: {sorted(missing)}")
-        return self.with_accels(
-            {self.at(x, y).chiplet_id: accel for x, y in coords})
 
 
 def _quadrant_of(x: int, y: int) -> int:

@@ -1,12 +1,13 @@
 """Per-quadrant heterogeneous package composition.
 
 The paper evaluates heterogeneous integration only inside the trunk
-quadrant (Table I), but its outlook — and the "Chiplets on Wheels"
-survey — treat mixed-chiplet packages as the deployment story: each
-perception stage owns one quadrant per module, so matching every
+quadrant (Table I), through the trunk DSE (the ``het_ws_budget`` axis).
+Each perception stage owns one quadrant per module, so matching every
 quadrant's *hardware* (dataflow, clock, native tile) to its stage's
 workload phase is the package-level analogue of picking the right
-accelerator per kernel.
+accelerator per kernel.  A quadrant stays one engine: an override
+rewrites all of its chiplets, and a package whose quadrant mixes
+engines fails to build (:class:`~repro.arch.package.MCMPackage`).
 
 :class:`QuadrantOverrides` is that spec as a first-class object: a set of
 per-quadrant :class:`QuadrantOverride` records, parsed from compact
@@ -23,14 +24,15 @@ separates axis values on the CLI)::
 
     HETERO  := QTOKEN ('+' QTOKEN)*
     QTOKEN  := QUADRANT ':' SPEC
-    SPEC    := [DATAFLOW] ['@' GHZ] ['/' ROWSxCOLS] ['#' COUNT]
+    SPEC    := [DATAFLOW] ['@' GHZ] ['/' ROWSxCOLS]
                # >= 1 hardware component (dataflow, clock, or tile)
 
 Examples: ``trunk:ws`` (weight-stationary trunk quadrant),
 ``trunk:ws@1.2`` (WS at 1.2 GHz), ``temporal:@1.5`` (clock only),
-``fe:/8x8`` (tile only), ``trunk:ws+temporal:@1.5`` (two quadrants),
-``trunk:ws#4`` (the paper's Het(4): only four trunk chiplets per module
-group rewritten, corner-farthest-first, the rest keep the base config).
+``fe:/8x8`` (tile only), ``trunk:ws+temporal:@1.5`` (two quadrants).
+A ``#`` count that names part of a quadrant (``trunk:ws#4``) is
+rejected: the paper's Het(k) is the trunk DSE's WS-chiplet budget,
+``--het-budgets``.
 ``parse`` canonicalizes (quadrants in :data:`QUADRANT_NAMES` order,
 ``%g`` frequencies), so equivalent spellings key sweeps identically.
 """
@@ -40,14 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cost import DATAFLOW_STYLES, AcceleratorConfig
-from .chiplet import Chiplet
 from .package import MCMPackage
 
 __all__ = [
     "QUADRANT_NAMES",
     "QuadrantOverride",
     "QuadrantOverrides",
-    "hetero_cells",
     "package_composition",
     "quadrant_ids",
 ]
@@ -64,23 +64,19 @@ class QuadrantOverride:
 
     Every hardware field defaults to ``None`` = keep the package-wide
     value; at least one must be set (a fully-empty override is a parse
-    error, not a silent no-op).  ``count`` limits the override to the
-    first ``count`` cells of :func:`hetero_cells`'s deterministic order
-    — the paper's partial Het(k) embeddings — and is a modifier, not a
-    hardware component on its own.
+    error, not a silent no-op).
     """
 
     dataflow: str | None = None
     frequency_ghz: float | None = None
     native_tile: tuple[int, int] | None = None
-    count: int | None = None
 
     def __post_init__(self) -> None:
         if self.dataflow is None and self.frequency_ghz is None \
                 and self.native_tile is None:
             raise ValueError(
                 "empty quadrant override: give a dataflow, @GHZ, "
-                "and/or /ROWSxCOLS (#COUNT alone overrides nothing)")
+                "and/or /ROWSxCOLS")
         if self.dataflow is not None and self.dataflow not in DATAFLOW_STYLES:
             raise ValueError(
                 f"unknown dataflow {self.dataflow!r}; valid dataflows: "
@@ -96,22 +92,15 @@ class QuadrantOverride:
                     f"quadrant native_tile must be two positive integers "
                     f"(rows, cols); got {tile!r}")
             object.__setattr__(self, "native_tile", tuple(tile))
-        if self.count is not None and (
-                not isinstance(self.count, int) or self.count < 1):
-            raise ValueError(
-                f"quadrant #COUNT must be a positive integer; "
-                f"got {self.count!r}")
 
     @property
     def token(self) -> str:
-        """Canonical SPEC fragment (``ws@1.2/8x8#4`` form)."""
+        """Canonical SPEC fragment (``ws@1.2/8x8`` form)."""
         out = self.dataflow or ""
         if self.frequency_ghz is not None:
             out += f"@{self.frequency_ghz:g}"
         if self.native_tile is not None:
             out += f"/{self.native_tile[0]}x{self.native_tile[1]}"
-        if self.count is not None:
-            out += f"#{self.count}"
         return out
 
     def apply(self, base: AcceleratorConfig) -> AcceleratorConfig:
@@ -158,14 +147,11 @@ def _parse_quadrant_token(token: str) -> tuple[str, QuadrantOverride]:
             f"unknown quadrant {quad!r} in {token!r}; valid quadrants: "
             f"{', '.join(QUADRANT_NAMES)}")
     spec = spec.strip().lower()
-    spec, cnt_sep, cnt_text = spec.partition("#")
-    count = None
-    if cnt_sep:
-        if not cnt_text.strip().isdigit():
-            raise ValueError(
-                f"bad count {cnt_text!r} in {token!r}: expected #COUNT, "
-                f"e.g. trunk:ws#4")
-        count = int(cnt_text)
+    if "#" in spec:
+        raise ValueError(
+            f"{token!r} overrides part of a quadrant, but a quadrant is "
+            f"one engine; give the trunk's Het(k) WS chiplets with "
+            f"--het-budgets")
     rest, tile_sep, tile_text = spec.partition("/")
     df_text, ghz_sep, ghz_text = rest.partition("@")
     ghz = None
@@ -179,8 +165,7 @@ def _parse_quadrant_token(token: str) -> tuple[str, QuadrantOverride]:
     tile = _parse_tile(tile_text, token) if tile_sep else None
     try:
         override = QuadrantOverride(dataflow=df_text.strip() or None,
-                                    frequency_ghz=ghz, native_tile=tile,
-                                    count=count)
+                                    frequency_ghz=ghz, native_tile=tile)
     except ValueError as exc:
         raise ValueError(
             f"{exc} (quadrant {quad!r} in {token!r})") from None
@@ -237,23 +222,15 @@ class QuadrantOverrides:
 
     def apply(self, package: MCMPackage) -> MCMPackage:
         """Materialize the spec: a copy of ``package`` with every named
-        quadrant's chiplets rewritten through ``with_overrides``.
-
-        Partial overrides (``#COUNT``) rewrite only the selected cells;
-        a count exceeding the quadrant's capacity is an error here — the
-        first point the package geometry is known — rather than a silent
-        whole-quadrant override.
+        quadrant's chiplets, in every module, rewritten through
+        ``with_overrides`` to one shared config object.
         """
         accel_of: dict[int, AcceleratorConfig] = {}
         for name, override in self.overrides:
             ids = quadrant_ids(name, package)
-            cells = hetero_cells(package, ids)
-            if override.count is not None and override.count > len(cells):
-                raise ValueError(
-                    f"quadrant {name!r} has {len(cells)} chiplet(s); "
-                    f"#{override.count} exceeds it")
-            for cell in hetero_cells(package, ids, override.count):
-                accel_of[cell.chiplet_id] = override.apply(cell.accel)
+            accel_of.update(dict.fromkeys(
+                (c.chiplet_id for q in ids for c in package.quadrant(q)),
+                override.apply(package.engine(ids[0]))))
         return package.with_accels(accel_of, suffix=f"+het({self.token})")
 
 
@@ -275,42 +252,13 @@ def quadrant_ids(name: str, package: MCMPackage) -> list[int]:
             for m in range(count // len(QUADRANT_NAMES))]
 
 
-def hetero_cells(package: MCMPackage, quadrants: "list[int] | tuple[int, ...]",
-                 count: int | None = None) -> list[Chiplet]:
-    """Deterministic chiplet selection inside quadrant(s).
-
-    ``count=None`` selects every cell (whole-quadrant overrides, the
-    sweep-axis path).  A partial ``count`` — the paper's Het(k) trunk
-    embeddings — prefers the quadrant corner farthest from the fusion
-    stages, so the remaining OS chiplets keep the low-hop paths to their
-    producers (the policy ``repro.core.hetero`` has always used).
-    """
-    cells = [c for q in quadrants for c in package.quadrant(q)]
-    if count is None:
-        return cells
-    cells.sort(key=lambda c: (-(c.x + c.y), c.chiplet_id))
-    return cells[:count]
-
-
 def package_composition(package: MCMPackage) -> str:
     """Canonical per-quadrant hardware description of a package.
 
-    One fragment per local quadrant name (``fe:os@2|...|trunk:ws@1.2``),
-    aggregated across NPU modules; a quadrant whose modules or cells
-    disagree reports ``mixed``.  Deterministic, so it is safe in sweep
-    rows and report documents.
+    One fragment per local quadrant name (``fe:os@2|...|trunk:ws@1.2``):
+    the engine that quadrant runs in every NPU module.  Deterministic,
+    so it is safe in sweep rows and report documents.
     """
-    count = package.quadrant_count
-    if count % len(QUADRANT_NAMES):
-        # packages outside the stage-per-quadrant tiling: per-quadrant
-        # indices are the only stable naming.
-        return "|".join(
-            f"q{q}:{_quadrant_token(package, [q])}" for q in range(count))
     return "|".join(
-        f"{name}:{_quadrant_token(package, quadrant_ids(name, package))}"
+        f"{name}:{package.engine(quadrant_ids(name, package)[0]).hw_token}"
         for name in QUADRANT_NAMES)
-
-
-def _quadrant_token(package: MCMPackage, quadrants: list[int]) -> str:
-    tokens = {c.hw_token for q in quadrants for c in package.quadrant(q)}
-    return tokens.pop() if len(tokens) == 1 else "mixed"

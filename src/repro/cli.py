@@ -46,15 +46,15 @@ status 2, failures listed in the report), and the dev-only
     chiplet-npu sweep --npus 1,2 --inject-faults 'fail:0;crash:1'
 
 ``design`` closes the DSE loop (see ``docs/DESIGN.md``): declare a
-joint package-design space over the same axes (including partial
-Het(k) quadrant tokens like ``trunk:ws#4``), rank every candidate with
-a roofline proxy over its memoized layer costs, prune against
-latency/energy targets, and materialize only the Pareto frontier into
-full sweep rows — the frontier report is byte-identical from run to
-run::
+joint package-design space over the same axes (including per-quadrant
+tokens like ``trunk:ws`` and Het(k) trunk-DSE budgets), rank every
+candidate with a roofline proxy over its memoized layer costs, prune
+against latency/energy targets, and materialize only the Pareto
+frontier into full sweep rows — the frontier report is byte-identical
+from run to run::
 
     chiplet-npu design --dataflows os,ws --frequencies-ghz 1.0,2.0 \\
-        --hetero none,trunk:ws#4 --target-pipe-ms 40
+        --hetero none,trunk:ws --het-budgets none,4 --target-pipe-ms 100
     chiplet-npu design --npus 1,2 --dram-gbps none,6 --max-energy-j 2 \\
         --json --output results/frontier.json
 

@@ -1,31 +1,19 @@
 """End-to-end heterogeneous scheduling: Algorithm 1 + trunk DSE combined.
 
 The paper evaluates heterogeneous integration only inside the trunk
-quadrant (Table I).  This module composes the full flow a deployment would
-use: run throughput matching for the first three stages on the
-output-stationary package, run the trunk DSE to pick the heterogeneous
-trunk mapping under the resulting latency constraint, then emit a single
-package + schedule view with the WS chiplets physically placed in the
-trunk quadrant.
-
-Since the per-quadrant hetero axis landed, this flow is one composition
-of the general mechanism rather than a special case: the WS cells come
-from :func:`repro.arch.quadrants.hetero_cells` (the same corner-preferring
-selection whole-quadrant overrides use, restricted to the Het(k) budget)
-and the mixed package from :meth:`MCMPackage.with_accels` — the single
-mixed-package construction primitive behind
-:class:`~repro.arch.quadrants.QuadrantOverrides` too.  A full-quadrant
-budget (``ws_chiplets == 9`` on the single-NPU package) produces exactly
-the package layout of ``QuadrantOverrides.parse("trunk:ws")``: the Table I
-composition through the generic path.
+quadrant (Table I).  This module composes that flow: run throughput
+matching on the output-stationary package, then run the trunk DSE to pick
+the Het(k) trunk mapping under the resulting latency constraint.  The
+DSE prices the WS chiplets itself; no mixed package is built, since a
+quadrant is one engine (:class:`~repro.arch.package.MCMPackage`).  The
+sweep's ``het_ws_budget`` axis runs the same DSE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..arch import MCMPackage, hetero_cells, simba_package
-from ..cost import nvdla_chiplet
+from ..arch import simba_package
 from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import build_perception_workload
 from .dse import TrunkConfig, TrunkDSE
@@ -39,7 +27,6 @@ class HeterogeneousResult:
 
     schedule: Schedule
     trunk_config: TrunkConfig
-    package: MCMPackage
 
     @property
     def pipe_latency_s(self) -> float:
@@ -72,29 +59,17 @@ def schedule_heterogeneous(
     """Full heterogeneous flow: match stages 1-3, DSE the trunks.
 
     ``ws_chiplets`` selects the Het(k) configuration (0 gives the OS-only
-    package; the paper studies k in {2, 4}).
+    trunk mapping; the paper studies k in {2, 4}).
     """
     workload = workload or build_perception_workload()
-    base_package = simba_package(npus=npus)
-    matcher = ThroughputMatcher(workload, base_package, tolerance)
+    package = simba_package(npus=npus)
+    matcher = ThroughputMatcher(workload, package, tolerance)
     schedule = matcher.run()
 
     trunk_stage = workload.stage("TRUNKS")
     l_cstr = tolerance * schedule.base_latency_s
     dse = TrunkDSE(stage=trunk_stage, l_cstr_s=l_cstr,
-                   chiplets=sum(base_package.quadrant_capacity(q)
+                   chiplets=sum(package.quadrant_capacity(q)
                                 for q in schedule.stage_quadrants["TRUNKS"]))
-    trunk_config = dse.search(ws_chiplets)
-
-    package = base_package
-    if ws_chiplets > 0:
-        cells = hetero_cells(base_package,
-                             schedule.stage_quadrants["TRUNKS"],
-                             ws_chiplets)
-        package = base_package.with_accels(
-            {c.chiplet_id: nvdla_chiplet() for c in cells})
-    return HeterogeneousResult(
-        schedule=schedule,
-        trunk_config=trunk_config,
-        package=package,
-    )
+    return HeterogeneousResult(schedule=schedule,
+                               trunk_config=dse.search(ws_chiplets))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..arch import MCMPackage
+from ..arch.package import MODULE_QUADRANTS
 from ..workloads.graph import PerceptionWorkload
 
 
@@ -46,13 +47,12 @@ def default_stage_quadrants(workload: PerceptionWorkload,
     chiplet budget, including the trunks).
     """
     n_stages = len(workload.stages)
-    quadrants_per_module = 4
-    if n_stages > quadrants_per_module:
+    if n_stages > MODULE_QUADRANTS:
         raise ValueError("more stages than quadrants per module")
     mapping: dict[str, tuple[int, ...]] = {}
     for i, stage in enumerate(workload.stages):
         mapping[stage.name] = tuple(
-            i + quadrants_per_module * m for m in range(package.npus))
+            i + MODULE_QUADRANTS * m for m in range(package.npus))
     return mapping
 
 

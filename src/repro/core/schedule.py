@@ -388,10 +388,10 @@ class Schedule:
     def utilization(self) -> float:
         """Useful MACs over package PE-cycles in one steady-state window.
 
-        Each chiplet contributes cycles at its *own* clock: heterogeneous
-        packages (the paper's Het(2)/Het(4)) may mix accelerator
-        frequencies, so assuming chiplet 0's clock for the whole package
-        mis-reports utilization whenever the mix is not uniform.
+        Each chiplet contributes cycles at its *own* clock: a quadrant is
+        one engine, but per-quadrant overrides may clock quadrants
+        differently, so assuming chiplet 0's clock for the whole package
+        mis-reports utilization whenever the clocks are not uniform.
         """
         window = self.pipe_latency_s
         pe_cycles = 0.0

@@ -182,7 +182,7 @@ class ThroughputMatcher:
         capacity: dict[str, int] = {}
         for stage in self.workload.stages:
             quads = stage_quadrants[stage.name]
-            accel_of[stage.name] = self.package.quadrant(quads[0])[0].accel
+            accel_of[stage.name] = self.package.engine(quads[0])
             capacity[stage.name] = sum(
                 self.package.quadrant_capacity(q) for q in quads)
         # Everything the allocation reads, and nothing placement reads:

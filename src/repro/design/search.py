@@ -94,16 +94,6 @@ class DesignCandidate:
     pruned: bool
 
 
-def package_engines(package: MCMPackage) -> dict[int, AcceleratorConfig]:
-    """The package's chiplet configs, keyed by object identity.
-
-    Chiplets of one engine share one config object, so this has a
-    handful of entries.  Looking configs up per object instead of per
-    cell saves comparing equal-but-distinct configs field by field.
-    """
-    return {id(chiplet.accel): chiplet.accel for chiplet in package.chiplets}
-
-
 def stage_chains(workload: PerceptionWorkload,
                  accels: Collection[AcceleratorConfig],
                  costs: Mapping[Pair, LayerCost]) -> StageChains:
@@ -138,34 +128,32 @@ def proxy_objectives(workload: PerceptionWorkload,
                      chains: StageChains) -> tuple[float, float]:
     """Closed-form ``(pipe_ms, energy_j)`` bound for one candidate.
 
-    Per stage (stages own their quadrants, Sec. IV): each chiplet of the
-    stage's quadrants processes the stage's serial chain
-    (:func:`stage_chains`) at its own engine's rate, combined
-    harmonically — perfect work spreading, so homogeneous quadrants
-    reduce to ``serial_latency / n_chiplets``.  The pipe proxy is the
-    slowest stage; the energy proxy charges each stage its cell-averaged
-    chain energy.  NoP transfers, DRAM contention, and sharding
-    overheads are deliberately absent: the proxy is an *optimistic*
-    bound used only to rank and prune, never a reported metric —
-    frontier candidates get real rows from the sweep engine.
+    Per stage (stages own their quadrants, Sec. IV, and a quadrant is
+    one engine): the stage's ``n`` chiplets each process the stage's
+    serial chain (:func:`stage_chains`) on the stage's engine — perfect
+    work spreading, ``serial_latency / n_chiplets``.  The pipe proxy is
+    the slowest stage; the energy proxy charges each stage its chain
+    energy.  NoP transfers, DRAM contention, and sharding overheads are
+    deliberately absent: the proxy is an *optimistic* bound used only
+    to rank and prune, never a reported metric — frontier candidates
+    get real rows from the sweep engine.  Both sums are ``n``-step left
+    folds, not ``serial / n``: the two round differently, and
+    ``tests/data/frozen_design_proxies.json`` pins the fold.
     """
     stage_quadrants = default_stage_quadrants(workload, package)
-    engines = package_engines(package)
     pipe_s = 0.0
     energy_j = 0.0
     for stage in workload.stages:
-        serial_of = {key: chains[stage.name][accel]
-                     for key, accel in engines.items()}
-        serial = [serial_of[id(cell.accel)]
-                  for q in stage_quadrants[stage.name]
-                  for cell in package.quadrant(q)]
+        quads = stage_quadrants[stage.name]
+        serial_s, serial_j = chains[stage.name][package.engine(quads[0])]
+        n = sum(package.quadrant_capacity(q) for q in quads)
         rate = 0.0
         stage_j = 0.0
-        for serial_s, serial_j in serial:
+        for _ in range(n):
             rate += 1.0 / serial_s
             stage_j += serial_j
         stage_s = 1.0 / rate
-        stage_j /= len(serial)
+        stage_j /= n
         if stage_s > pipe_s:
             pipe_s = stage_s
         energy_j += stage_j
@@ -248,7 +236,7 @@ class DesignSearch:
         # it, and the frontier rows find them there.  Candidates that
         # differ only in axes the package does not read (tolerance,
         # workload, DRAM, trunk-DSE budget) share a package and its
-        # distinct chiplet engines.
+        # quadrant engines.
         tables = RunTables()
         workloads, packages = tables.workloads, tables.packages
         engines: dict[tuple, dict[AcceleratorConfig, None]] = {}
@@ -269,7 +257,8 @@ class DesignSearch:
                 priced_accels[config] = {}
             if key not in packages:
                 package = packages[key] = scenario.package()
-                engines[key] = dict.fromkeys(package_engines(package).values())
+                engines[key] = dict.fromkeys(
+                    map(package.engine, range(package.quadrant_count)))
             accels = engines[key]
             chiplet_accels[config].update(accels)
             priced_accels[config].update(accels)

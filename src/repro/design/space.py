@@ -1,8 +1,8 @@
 """Declared joint design spaces over the sweep's scenario axes.
 
 A :class:`DesignSpace` is the search-side twin of a sweep grid: the same
-eleven axes, the same token grammar (including partial-quadrant Het(k)
-tokens like ``trunk:ws#4`` on the ``hetero`` axis), parsed through the
+eleven axes, the same token grammar (including per-quadrant tokens
+like ``trunk:ws@1.2`` on the ``hetero`` axis), parsed through the
 same :data:`~repro.sweep.scenario.AXIS_SPECS` single source of truth —
 but held as a *declaration* (axis name -> candidate values) rather than
 an expanded grid, so the search can report the space it covered and

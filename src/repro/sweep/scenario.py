@@ -130,11 +130,10 @@ class ScenarioBuild:
     def accel(self) -> AcceleratorConfig:
         """The (possibly overridden) package-wide chiplet config.
 
-        On a per-quadrant heterogeneous package this is chiplet 0's
-        config (the ``fe`` quadrant); consult the package's chiplets for
-        the per-quadrant mix.
+        On a per-quadrant heterogeneous package this is the ``fe``
+        quadrant's engine; ``package.engine(q)`` gives every quadrant's.
         """
-        return self.package.chiplets[0].accel
+        return self.package.engine(0)
 
     def schedule(self,
                  allocations: "AllocationTable | None" = None) -> "Schedule":
@@ -183,9 +182,9 @@ class Scenario:
     #: grids); None keeps the seed open mesh.
     topology: str | None = None
     #: per-quadrant hardware overrides as a compact token
-    #: ("trunk:ws@1.2+temporal:@1.5", partial Het(k) counts like
-    #: "trunk:ws#4" — see repro.arch.quadrants); None keeps the package
-    #: homogeneous (seed behavior).
+    #: ("trunk:ws@1.2+temporal:@1.5" — see repro.arch.quadrants); each
+    #: rewrites whole quadrants, Het(k) is ``het_ws_budget``.  None keeps
+    #: the package homogeneous (seed behavior).
     hetero: str | None = None
 
     def __post_init__(self) -> None:
@@ -565,9 +564,9 @@ AXIS_SPECS: dict[str, AxisSpec] = {
     "hetero": AxisSpec(
         "heteros", _parse_hetero_token, True, "--hetero", "none",
         "comma-separated per-quadrant hardware override tokens "
-        "(QUAD:DATAFLOW[@GHZ][/ROWSxCOLS][#COUNT] joined by '+', e.g. "
-        "trunk:ws@1.2+temporal:@1.5 or trunk:ws#4; 'none' = homogeneous "
-        "package)"),
+        "(QUAD:DATAFLOW[@GHZ][/ROWSxCOLS] joined by '+', e.g. "
+        "trunk:ws@1.2+temporal:@1.5; a quadrant is one engine, Het(k) "
+        "is --het-budgets; 'none' = homogeneous package)"),
 }
 
 

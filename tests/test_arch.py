@@ -41,16 +41,32 @@ class TestPackage:
         assert pkg.hops(a, a) == 0
 
     def test_heterogeneous_replacement(self):
+        # Replacement rewrites whole quadrants: a quadrant is one engine.
         pkg = simba_package()
         ws = nvdla_chiplet()
-        het = pkg.with_dataflow_at([(3, 3), (4, 4)], ws)
+        het = pkg.with_accels({c.chiplet_id: ws for c in pkg.quadrant(3)})
         assert het.at(3, 3).dataflow == "ws"
+        assert het.engine(3) is ws
         assert het.at(0, 0).dataflow == "os"
         assert pkg.at(3, 3).dataflow == "os"  # original untouched
 
     def test_replacement_rejects_off_mesh_coords(self):
-        with pytest.raises(KeyError):
-            simba_package().with_dataflow_at([(9, 9)], nvdla_chiplet())
+        # id 36 is one past the 6x6 mesh
+        with pytest.raises(KeyError, match="not in package"):
+            simba_package().with_accels({36: nvdla_chiplet()})
+
+    def test_rejects_a_quadrant_with_two_engines(self):
+        # Stage i owns local quadrant i of every module, so all of those
+        # chiplets run one engine.
+        chiplets = list(simba_package().chiplets)
+        chiplets[35] = chiplets[35].with_accel(nvdla_chiplet())
+        with pytest.raises(ValueError, match="one engine"):
+            MCMPackage("mixed", 6, 6, chiplets)
+        # two NPUs whose trunk quadrants differ
+        chiplets = [c.with_accel(nvdla_chiplet()) if c.quadrant == 3 else c
+                    for c in simba_package(npus=2).chiplets]
+        with pytest.raises(ValueError, match="one engine"):
+            MCMPackage("split", 12, 6, chiplets, npus=2)
 
     def test_rejects_chiplets_out_of_id_order(self):
         # chiplet(i) indexes the list: reversed, chiplet(0) would be 35.

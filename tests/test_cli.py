@@ -54,6 +54,8 @@ class TestSweepCli:
         ("--tolerances", "0.5", "tolerance must be a number >= 1.0"),
         ("--tolerances", "nan", "tolerance must be a number >= 1.0"),
         ("--hetero", "trunk:@nan", "quadrant frequency_ghz must be positive"),
+        # a quadrant is one engine: Het(k) is the trunk DSE's budget
+        ("--hetero", "trunk:ws#4", "--het-budgets"),
     ])
     def test_sweep_rejects_out_of_range_value(self, flag, value, message,
                                               capsys):
@@ -270,7 +272,7 @@ class TestDesignCli:
 
     def test_design_output_document_deterministic(self, tmp_path, capsys):
         args = ["design", "--dataflows", "os,ws",
-                "--axis", "hetero=none,trunk:ws#2", "--json"]
+                "--axis", "hetero=none,trunk:ws", "--json"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
@@ -286,6 +288,7 @@ class TestDesignCli:
         ("--target-pipe-ms", "nan", "target pipe_ms must be positive"),
         ("--axis", "hetero=trunk:ws@nan",
          "quadrant frequency_ghz must be positive"),
+        ("--hetero", "none,trunk:ws#4", "--het-budgets"),
     ])
     def test_design_rejects_out_of_range_value(self, flag, value, message,
                                                capsys):

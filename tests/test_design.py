@@ -31,7 +31,7 @@ from repro.design import (
     pareto_indices,
     proxy_objectives,
 )
-from repro.design.search import package_engines, stage_chains
+from repro.design.search import stage_chains
 from repro.sweep import Scenario, ScenarioSweep, scenario_grid
 from repro.sweep.scenario import AXIS_SPECS
 
@@ -164,14 +164,14 @@ class TestDesignSpace:
     def test_from_axis_texts_uses_sweep_grammar(self):
         space = DesignSpace.from_axis_texts({
             "native_tile": "16x16,8x8",
-            "hetero": "none,trunk:ws#4",
+            "hetero": "none,trunk:ws",
         })
         by_name = dict(space.axes)
         assert by_name["native_tile"] == ((16, 16), (8, 8))
-        assert by_name["hetero"] == (None, "trunk:ws#4")
+        assert by_name["hetero"] == (None, "trunk:ws")
         assert space.to_dict() == {
             "native_tile": ["16x16", "8x8"],
-            "hetero": ["none", "trunk:ws#4"],
+            "hetero": ["none", "trunk:ws"],
         }
 
     def test_axis_token_forms(self):
@@ -246,16 +246,26 @@ class TestDesignSearch:
     def test_proxy_is_an_optimistic_bound(self, small_space):
         # The contract target pruning rides on: the proxy never exceeds
         # the materialized metric, so pruning on it never discards a
-        # design whose real metrics would have met the target.
-        _cold()
-        result = DesignSearch(small_space).run()
-        by_key = {row["key"]: row
-                  for row in ScenarioSweep(small_space.candidates())
-                  .run().rows}
-        for candidate in result.candidates:
-            row = by_key[candidate.scenario.key]
-            assert candidate.proxy_pipe_ms <= row["pipe_ms"] + 1e-9
-            assert candidate.proxy_energy_j <= row["energy_j"] + 1e-9
+        # design whose real metrics would have met the target.  The
+        # second space holds every whole-quadrant override on each
+        # quadrant, on one and two NPUs.
+        hetero_space = DesignSpace.from_axis_texts({
+            "npus": "1,2",
+            "hetero": ",".join(
+                ["none", "temporal:@1.5+fe:/8x8"]
+                + [f"{quadrant}:{spec}"
+                   for quadrant in ("fe", "spatial", "temporal", "trunk")
+                   for spec in ("ws", "@1", "/8x8")]),
+        })
+        for space in (small_space, hetero_space):
+            _cold()
+            result = DesignSearch(space).run()
+            by_key = {row["key"]: row
+                      for row in ScenarioSweep(space.candidates()).run().rows}
+            for candidate in result.candidates:
+                row = by_key[candidate.scenario.key]
+                assert candidate.proxy_pipe_ms <= row["pipe_ms"] + 1e-9
+                assert candidate.proxy_energy_j <= row["energy_j"] + 1e-9
 
     def test_only_frontier_is_materialized(self, small_space):
         _cold()
@@ -289,7 +299,7 @@ class TestDesignSearch:
     def test_report_byte_identical_across_cold_runs(self):
         space = DesignSpace.from_axis_texts({
             "dataflow": "os,ws",
-            "hetero": "none,trunk:ws#4",
+            "hetero": "none,trunk:ws",
         })
         documents = []
         for _ in range(2):
@@ -302,11 +312,15 @@ class TestDesignSearch:
 
     def test_hetero_rows_gate_their_columns(self):
         _cold()
-        space = DesignSpace.from_axis_texts({"hetero": "none,trunk:ws#2"})
+        space = DesignSpace.from_axis_texts({"hetero": "none,trunk:ws"})
         report = DesignSearch(space).run().report()
+        kinds = set()
         for entry in report["frontier"]:
-            has_hetero = entry["scenario"]["hetero"] is not None
+            # to_dict() leaves an unset hetero out
+            has_hetero = entry["scenario"].get("hetero") is not None
+            kinds.add(has_hetero)
             assert ("package_composition" in entry) == has_hetero
+        assert kinds == {True, False}
 
     def test_one_workload_build_per_variant_and_frontier_row(
             self, monkeypatch):
@@ -359,7 +373,7 @@ AXIS_POOLS = {
     "native_tile": (None, (16, 16), (8, 8)),
     "dram_gbps": (None, 6.0),
     "topology": (None, "mesh", "torus", "mesh-4x4", "torus-8x8"),
-    "hetero": (None, "trunk:ws", "trunk:ws#4", "temporal:@1.5+fe:/8x8"),
+    "hetero": (None, "trunk:ws", "fe:@1", "temporal:@1.5+fe:/8x8"),
 }
 
 
@@ -371,7 +385,7 @@ KEY_FIELD_VALUES = {
     "frequency_ghz": (None, 1.0),
     "native_tile": (None, (8, 8)),
     "topology": (None, "torus"),
-    "hetero": (None, "trunk:ws#4"),
+    "hetero": (None, "trunk:ws"),
 }
 
 
@@ -422,7 +436,7 @@ class TestPackageKey:
             "tolerance": "1.0,1.05",
             "dram_gbps": "none,6",
             "dataflow": "os,ws",
-            "hetero": "none,trunk:ws#4",
+            "hetero": "none,trunk:ws",
         })
         result = DesignSearch(space).run()
         workloads = {}
@@ -430,7 +444,8 @@ class TestPackageKey:
             # build() builds a fresh package, sharing only the workloads.
             build = candidate.scenario.build(workloads)
             workload, package = build.workload, build.package
-            accels = dict.fromkeys(package_engines(package).values())
+            accels = dict.fromkeys(
+                map(package.engine, range(package.quadrant_count)))
             costs = {(layer, accel): evaluate(layer, accel)
                      for layer in workload.all_layers() for accel in accels}
             chains = stage_chains(workload, accels, costs)
@@ -488,7 +503,7 @@ class TestFrozenProxies:
     Every candidate's unrounded proxy objectives (as ``repr``) and
     pruning verdict, the priced-pair count and the full report of a
     32-candidate space spanning workload variants, package sizes,
-    topologies, partial Het(k) quadrants and trunk-DSE budgets.  The
+    topologies, a whole-quadrant override and trunk-DSE budgets.  The
     proxy sums floats with left folds, never ``sum()`` (compensated from
     Python 3.12 on), so every interpreter matches the ``plain_sum`` list.
     """
@@ -499,7 +514,7 @@ class TestFrozenProxies:
             "workload": "default,lores",
             "npus": "1,2",
             "topology": "mesh,torus",
-            "hetero": "none,trunk:ws#4",
+            "hetero": "none,trunk:ws",
             "het_ws_budget": "none,2",
         })
         result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()

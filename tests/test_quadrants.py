@@ -2,9 +2,9 @@
 
 Covers the QuadrantOverrides spec (token grammar, canonicalization,
 validation), its materialization through MCMPackage.with_accels, the
-package composition strings, and the refactored core/hetero.py flow —
-including the acceptance claim that a trunk-only ``ws`` override
-reproduces the hetero.py Table I composition through the generic path.
+one-engine-per-quadrant invariant, the package composition strings, and
+the core/hetero.py flow: a trunk-only ``ws`` override and the
+``het_ws_budget`` axis against the hetero.py Table I flow.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.arch import (
     QUADRANT_NAMES,
     QuadrantOverride,
     QuadrantOverrides,
-    hetero_cells,
     package_composition,
     quadrant_ids,
     simba_package,
@@ -82,25 +81,13 @@ class TestQuadrantOverrideParsing:
         with pytest.raises(ValueError, match="empty quadrant override"):
             QuadrantOverride()
 
-    def test_partial_count_token_round_trips(self):
-        spec = QuadrantOverrides.parse("trunk:ws#4")
-        assert spec.token == "trunk:ws#4"
-        ov = spec.get("trunk")
-        assert ov == QuadrantOverride(dataflow="ws", count=4)
-        full = QuadrantOverrides.parse("trunk:ws@1.2/8x8#2")
-        assert full.token == "trunk:ws@1.2/8x8#2"
-        assert full.get("trunk").count == 2
-
     def test_count_tokens_rejected(self):
-        with pytest.raises(ValueError, match="bad count"):
-            QuadrantOverrides.parse("trunk:ws#four")
-        with pytest.raises(ValueError, match="bad count"):
-            QuadrantOverrides.parse("trunk:ws#")
-        with pytest.raises(ValueError, match="positive integer"):
-            QuadrantOverrides.parse("trunk:ws#0")
-        # a count alone overrides no hardware: parse error, not a no-op
-        with pytest.raises(ValueError, match="#COUNT alone"):
-            QuadrantOverrides.parse("trunk:#4")
+        # A quadrant is one engine: Het(k) is the trunk DSE's budget.
+        for text in ("trunk:ws#4", "trunk:ws@1.2/8x8#2", "fe:ws#4",
+                     "trunk:#4", "trunk:ws#", "temporal:@1.5+trunk:ws#9"):
+            with pytest.raises(ValueError,
+                               match="one engine.*--het-budgets"):
+                QuadrantOverrides.parse(text)
 
 
 class TestQuadrantOverrideApply:
@@ -152,22 +139,20 @@ class TestPackageMaterialization:
         assert package_composition(simba_package()) == (
             "fe:os@2|spatial:os@2|temporal:os@2|trunk:os@2")
 
-    def test_partial_count_rewrites_corner_cells_only(self):
-        pkg = QuadrantOverrides.parse("trunk:ws#2").apply(simba_package())
-        ws = sorted(c.coords for c in pkg.chiplets if c.dataflow == "ws")
-        # the Het(2) corner policy repro.core.hetero has always used
-        assert ws == [(5, 4), (5, 5)]
-        assert sum(c.dataflow == "os" for c in pkg.quadrant(3)) == 7
-        # a partially-rewritten quadrant reports as mixed
-        assert "trunk:mixed" in package_composition(pkg)
-
     def test_count_exceeding_quadrant_capacity_rejected(self):
-        with pytest.raises(ValueError, match="9 chiplet"):
-            QuadrantOverrides.parse("trunk:ws#10").apply(simba_package())
-        # whole-quadrant count is fine and equals the uncounted override
-        a = QuadrantOverrides.parse("trunk:ws#9").apply(simba_package())
-        b = QuadrantOverrides.parse("trunk:ws").apply(simba_package())
-        assert [c.accel for c in a.chiplets] == [c.accel for c in b.chiplets]
+        # The Het(k) count is the trunk DSE's budget, checked against the
+        # trunk quadrants it runs on.
+        from repro.sweep import Scenario, run_scenario
+        with pytest.raises(ValueError, match=r"capacity \(9 chiplets"):
+            run_scenario(Scenario(het_ws_budget=10))
+
+    @pytest.mark.parametrize("text, npus", [
+        ("trunk:ws", 1), ("trunk:ws", 2), ("temporal:@1.5+fe:/8x8", 2)])
+    def test_override_shares_one_config_per_quadrant(self, text, npus):
+        # The invariant check compares configs by identity first.
+        pkg = QuadrantOverrides.parse(text).apply(simba_package(npus=npus))
+        assert all(c.accel is pkg.engine(c.quadrant % 4)
+                   for c in pkg.chiplets)
 
     def test_quadrant_names_cover_the_standard_tiling(self):
         assert quadrant_ids("fe", simba_package()) == [0]
@@ -178,38 +163,23 @@ class TestPackageMaterialization:
 class TestHeteroFlowComposition:
     """core/hetero.py as a composition of the general mechanism."""
 
-    def test_hetero_cells_keeps_the_corner_policy(self):
-        # The Het(k) selection prefers the trunk-quadrant corner farthest
-        # from the fusion stages — the policy hetero.py has always used.
-        pkg = simba_package()
-        cells = hetero_cells(pkg, (3,), 2)
-        assert [c.coords for c in cells] == [(5, 5), (5, 4)]
-        # count=None selects the whole quadrant
-        assert len(hetero_cells(pkg, (3,))) == 9
-
     def test_trunk_ws_override_reproduces_table1_composition(self):
-        """Acceptance: a trunk-only ws override == hetero.py's layout.
+        """Acceptance: a trunk-only ws override is Table I's WS column.
 
         The generic path (Scenario ``hetero`` axis -> QuadrantOverrides
-        -> with_accels) must produce the exact package layout hetero.py
-        builds for the full-quadrant WS column of Table I, and the
-        sweep's generic ``het_ws_budget`` path must reproduce its trunk
-        pipe latency.
+        -> with_accels) must make the whole trunk quadrant, and nothing
+        else, WS, and the sweep's generic ``het_ws_budget`` path must
+        reproduce hetero.py's trunk pipe latency.
         """
         from repro.core import schedule_heterogeneous
         from repro.sweep import Scenario, run_scenario
 
         legacy = schedule_heterogeneous(ws_chiplets=9)
         generic = Scenario(hetero="trunk:ws").package()
-        legacy_ws = {c.coords for c in legacy.package.chiplets
-                     if c.dataflow == "ws"}
-        generic_ws = {c.coords for c in generic.chiplets
-                      if c.dataflow == "ws"}
-        assert legacy_ws == generic_ws
-        assert [c.dataflow for c in legacy.package.chiplets] == \
-            [c.dataflow for c in generic.chiplets]
+        assert [c.dataflow for c in generic.chiplets] == [
+            "ws" if c.quadrant == 3 else "os" for c in generic.chiplets]
         # Table I's WS-column pipe latency through the generic sweep path
-        # (the same DSE the hetero.py flow embeds).
+        # (the same DSE the hetero.py flow runs).
         row = run_scenario(Scenario(het_ws_budget=9))
         assert row["trunk_pipe_ms"] == pytest.approx(
             legacy.trunk_config.pipe_ms)
@@ -226,23 +196,3 @@ class TestHeteroFlowComposition:
         legacy = schedule_heterogeneous(ws_chiplets=9)
         schedule = Scenario(hetero="trunk:ws").build().schedule()
         assert schedule.pipe_latency_s <= legacy.pipe_latency_s + 1e-12
-
-    def test_het2_layout_unchanged_by_refactor(self):
-        # The partial Het(2) embedding keeps its exact pre-refactor
-        # placement (corner cells of the trunk quadrant).
-        from repro.core import schedule_heterogeneous
-        het2 = schedule_heterogeneous(ws_chiplets=2)
-        ws = sorted(c.coords for c in het2.package.chiplets
-                    if c.dataflow == "ws")
-        assert ws == [(5, 4), (5, 5)]
-
-    def test_count_token_matches_legacy_het_k_layout(self):
-        # The #COUNT axis token embeds exactly the hetero.py Het(k)
-        # package, so the sweep/design axis speaks the paper's Table I
-        # partial rows too.
-        from repro.core import schedule_heterogeneous
-        from repro.sweep import Scenario
-        legacy = schedule_heterogeneous(ws_chiplets=2)
-        generic = Scenario(hetero="trunk:ws#2").package()
-        assert [c.dataflow for c in legacy.package.chiplets] == \
-            [c.dataflow for c in generic.chiplets]

@@ -316,7 +316,7 @@ class TestHeteroAxis:
         assert {c.accel for c in homogeneous} == {simba_chiplet("os")}
         changed = set()
         for hetero in ("trunk:ws", "trunk:os@2", "fe:/8x8",
-                       "trunk:ws#4", "spatial:ws@1.2+temporal:@1.5"):
+                       "spatial:ws@1.2+temporal:@1.5"):
             package = Scenario(hetero=hetero).package()
             for chiplet, seed in zip(package.chiplets, homogeneous):
                 moved = chiplet.accel != seed.accel

@@ -4,8 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arch import simba_package, transfer_cost
-from repro.cost import shidiannao_chiplet
+from repro.arch import QuadrantOverrides, simba_package, transfer_cost
 from repro.sim.stream import StreamSimulator
 
 
@@ -20,12 +19,12 @@ class TestHeterogeneousUtilization:
         assert schedule36.utilization == pytest.approx(expected)
 
     def test_mixed_frequencies_use_per_chiplet_clocks(self, schedule36):
-        # Halve the clock of the chiplet-0 corner: the old formula read
-        # chiplet 0's frequency for the *whole* package and would halve
-        # the reported PE-cycles; the fix only removes that chiplet's own
-        # contribution.
-        slow = replace(shidiannao_chiplet(), frequency_hz=1.0e9)
-        het_pkg = simba_package().with_dataflow_at([(0, 0)], slow)
+        # Halve the clock of the quadrant holding chiplet 0: the old
+        # formula read chiplet 0's frequency for the *whole* package and
+        # would halve the reported PE-cycles; the fix halves only that
+        # quadrant's own contribution.
+        het_pkg = QuadrantOverrides.parse("fe:@1").apply(simba_package())
+        assert het_pkg.chiplets[0].accel.frequency_hz == 1.0e9
         het = replace(schedule36, package=het_pkg)
 
         window = het.pipe_latency_s
@@ -39,7 +38,7 @@ class TestHeterogeneousUtilization:
             het_pkg.total_pes * window
             * het_pkg.chiplets[0].accel.frequency_hz)
         assert het.utilization != pytest.approx(buggy)
-        # Slowing one chiplet shrinks available PE-cycles -> higher util.
+        # Slowing one quadrant shrinks available PE-cycles -> higher util.
         assert het.utilization > schedule36.utilization
 
 

@@ -538,7 +538,7 @@ class TestScheduleSharing:
                  native_tile=(8, 8), dram_gbps=6.0, topology="torus",
                  hetero="trunk:ws@1.2+temporal:@1.5"),
         Scenario(het_ws_budget=0, topology="mesh-8x8",
-                 hetero="trunk:ws#4"),
+                 hetero="trunk:ws"),
     ], ids=lambda s: s.key)
     def test_build_ignores_the_het_budget(self, scenario):
         # The schedule table keys by the scenario without its budget, so
@@ -584,7 +584,7 @@ SHARING_POOLS = {
     "native_tile": (None, (8, 8)),
     "dram_gbps": (None, 6.0),
     "topology": (None, "torus", "mesh-8x6"),
-    "hetero": (None, "trunk:ws#4", "trunk:@1", "trunk:/8x8",
+    "hetero": (None, "trunk:ws", "trunk:@1", "trunk:/8x8",
                "temporal:@1.5+fe:/8x8"),
 }
 
