@@ -80,8 +80,10 @@ import argparse
 import json
 import sys
 
-from .experiments import ALL_EXPERIMENTS
-from .sweep import AXIS_SPECS
+#: every experiment module in :mod:`repro.experiments`, named here so that
+#: ``--help`` imports none of them; each runs from its own import.
+EXPERIMENTS = ("fig10", "fig11", "fig3", "fig4", "fig5to8", "fig9",
+               "platform", "scaling", "table1", "table2", "table3")
 
 
 def add_axis_flags(parser: argparse.ArgumentParser,
@@ -95,6 +97,8 @@ def add_axis_flags(parser: argparse.ArgumentParser,
     them by canonical name.  ``defaults`` and ``helps`` replace an
     axis's default or help text, by canonical name.
     """
+    from .sweep import AXIS_SPECS
+
     defaults, helps = defaults or {}, helps or {}
     for name in names or AXIS_SPECS:
         spec = AXIS_SPECS[name]
@@ -110,19 +114,19 @@ def add_axis_flags(parser: argparse.ArgumentParser,
                                  "for that axis")
 
 
-#: canonical axis name by the argparse dest of its flag.
-_AXIS_BY_DEST = {spec.flag[2:].replace("-", "_"): name
-                 for name, spec in AXIS_SPECS.items()}
-
-
 def axis_texts(args: argparse.Namespace) -> dict[str, str]:
     """The axis texts parsed by :func:`add_axis_flags`, by canonical name.
 
     Axes come in the parser's declaration order; ``--axis`` overrides
     apply last.  A malformed ``--axis`` raises ``ValueError``.
     """
-    texts = {_AXIS_BY_DEST[dest]: text for dest, text in vars(args).items()
-             if dest in _AXIS_BY_DEST}
+    from .sweep import AXIS_SPECS
+
+    # canonical axis name by the argparse dest of its flag
+    by_dest = {spec.flag[2:].replace("-", "_"): name
+               for name, spec in AXIS_SPECS.items()}
+    texts = {by_dest[dest]: text for dest, text in vars(args).items()
+             if dest in by_dest}
     for item in getattr(args, "axis", ()):
         name, sep, values = item.partition("=")
         if not sep or not name or not values:
@@ -175,7 +179,9 @@ def _sweep_parser() -> argparse.ArgumentParser:
 
 
 def _run_sweep(argv: list[str]) -> int:
-    from .io import save_sweep
+    parser = _sweep_parser()
+    args = parser.parse_args(argv)
+    # Imported once the arguments parse, so --help loads no runner.
     from .sim.metrics import format_table
     from .sweep import (
         FaultPlan,
@@ -187,8 +193,6 @@ def _run_sweep(argv: list[str]) -> int:
         scenario_grid,
     )
 
-    parser = _sweep_parser()
-    args = parser.parse_args(argv)
     try:
         grid = scenario_grid(**parse_grid_axes(axis_texts(args)))
         retry = (RetryPolicy(max_attempts=args.retries)
@@ -240,6 +244,8 @@ def _run_sweep(argv: list[str]) -> int:
 
     if args.output:
         import pathlib
+
+        from .io import save_sweep
         pathlib.Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         save_sweep(result, args.output)
 
@@ -368,11 +374,11 @@ def _scaling_parser() -> argparse.ArgumentParser:
 
 
 def _run_scaling_report(argv: list[str]) -> int:
+    parser = _scaling_parser()
+    args = parser.parse_args(argv)
     from .experiments import scaling
     from .sweep import parse_grid_axes
 
-    parser = _scaling_parser()
-    args = parser.parse_args(argv)
     try:
         result = scaling.run(**parse_grid_axes(axis_texts(args)))
     except (ValueError, KeyError) as exc:
@@ -423,11 +429,11 @@ def _design_parser() -> argparse.ArgumentParser:
 
 
 def _run_design(argv: list[str]) -> int:
+    parser = _design_parser()
+    args = parser.parse_args(argv)
     from .analysis import design_frontier_table
     from .design import DesignSearch, DesignSpace, DesignTargets
 
-    parser = _design_parser()
-    args = parser.parse_args(argv)
     try:
         space = DesignSpace.from_axis_texts(axis_texts(args))
         targets = DesignTargets(pipe_ms=args.target_pipe_ms,
@@ -493,8 +499,8 @@ def main(argv: list[str] | None = None) -> int:
                     "(DATE 2025).")
     parser.add_argument(
         "experiment",
-        choices=sorted(ALL_EXPERIMENTS) + ["all", "design", "lint",
-                                           "report", "sweep"],
+        choices=sorted(EXPERIMENTS) + ["all", "design", "lint", "report",
+                                       "sweep"],
         help="paper artifact to regenerate ('report' writes a full "
              "markdown reproduction report; 'sweep' runs a scenario "
              "grid, see 'chiplet-npu sweep --help'; 'design' searches a "
@@ -531,10 +537,12 @@ def main(argv: list[str] | None = None) -> int:
         generate_report(out)
         return 0
 
-    names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" \
+    from . import experiments
+
+    names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     for name in names:
-        module = ALL_EXPERIMENTS[name]
+        module = getattr(experiments, name)
         result = module.run()
         if args.json:
             print(json.dumps({name: result}, indent=2, default=str))

@@ -11,6 +11,9 @@ rows — PR 1's rank-then-materialize trunk-DSE idiom generalized from
 one quadrant to whole packages.
 """
 
+# Eager, unlike the other packages: ``search`` imports ``pareto`` and
+# ``space``, so every name here loads the same three modules, and
+# perfbench's import probe is meant to time them in ``setup_s``.
 from .pareto import dominated_indices, dominates, pareto_indices
 from .search import (
     DesignCandidate,

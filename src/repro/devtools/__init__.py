@@ -15,15 +15,28 @@ Run it as ``chiplet-npu lint`` or ``python -m repro.devtools``;
 silence a deliberate violation with ``# repro-lint: disable=RULE``.
 """
 
-from .axes import check_flag_table
-from .diagnostics import Diagnostic, Suppressions, scan_pragmas
-from .runner import (
-    RULES,
-    find_repo_root,
-    lint_file,
-    load_frozen_columns,
-    main,
-    run_lint,
+from typing import TYPE_CHECKING
+
+from .. import lazy_exports
+
+if TYPE_CHECKING:
+    from .axes import check_flag_table
+    from .diagnostics import Diagnostic, Suppressions, scan_pragmas
+    from .runner import (
+        RULES,
+        find_repo_root,
+        lint_file,
+        load_frozen_columns,
+        main,
+        run_lint,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    axes=("check_flag_table",),
+    diagnostics=("Diagnostic", "Suppressions", "scan_pragmas"),
+    runner=("RULES", "find_repo_root", "lint_file", "load_frozen_columns",
+            "main", "run_lint"),
 )
 
 __all__ = [

@@ -2,24 +2,36 @@
 
 Each module exposes ``run() -> dict`` (structured results) and
 ``render(result) -> str`` (the human-readable table).  Benchmarks and the
-CLI are thin wrappers over these.
+CLI are thin wrappers over these.  A module imports on first use, and
+``ALL_EXPERIMENTS`` imports every one.
 """
 
-from . import fig3, fig4, fig5to8, fig9, fig10, fig11, platform, scaling, \
-    table1, table2, table3
+from __future__ import annotations
 
-ALL_EXPERIMENTS = {
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5to8": fig5to8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "platform": platform,
-    "scaling": scaling,
-}
+from typing import TYPE_CHECKING, Any
 
-__all__ = ["ALL_EXPERIMENTS"] + list(ALL_EXPERIMENTS)
+from .. import lazy_exports
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from . import fig3, fig4, fig5to8, fig9, fig10, fig11, platform, \
+        scaling, table1, table2, table3
+
+    ALL_EXPERIMENTS: dict[str, ModuleType]
+
+__all__ = ["ALL_EXPERIMENTS", "fig3", "fig4", "fig5to8", "fig9", "fig10",
+           "fig11", "table1", "table2", "table3", "platform", "scaling"]
+
+_MODULES = __all__[1:]
+
+_submodule, __dir__ = lazy_exports(__name__,
+                                   **{name: () for name in _MODULES})
+
+
+def __getattr__(name: str) -> Any:
+    if name != "ALL_EXPERIMENTS":
+        return _submodule(name)
+    experiments = {module: _submodule(module) for module in _MODULES}
+    globals()[name] = experiments
+    return experiments

@@ -1,39 +1,65 @@
 """Parallel scenario-sweep engine over the scheduler and trunk DSE."""
 
-from .faults import CRASH_EXIT_CODE, FAULT_KINDS, FaultPlan, FaultSpec, InjectedFault
-from .journal import JOURNAL_SCHEMA_VERSION, SweepJournal
-from .resilience import (
-    Clock,
-    NullClock,
-    RealClock,
-    RetryPolicy,
-    SweepFailure,
-    SweepQuarantineError,
-    TransientError,
-    WorkerCrashError,
-    error_class,
-    key_fraction,
-)
-from .runner import (
-    RunTables,
-    ScenarioSweep,
-    SweepItem,
-    SweepOutcome,
-    SweepResult,
-    layer_cost_cache_stats,
-    run_scenario,
-)
-from .scenario import (
-    AXIS_SPECS,
-    WORKLOAD_VARIANTS,
-    AxisSpec,
-    Scenario,
-    ScenarioBuild,
-    parse_axis,
-    parse_grid_axes,
-    parse_tile,
-    scenario_grid,
-    workload_variant,
+from typing import TYPE_CHECKING
+
+from .. import lazy_exports
+
+if TYPE_CHECKING:
+    from .faults import (
+        CRASH_EXIT_CODE,
+        FAULT_KINDS,
+        FaultPlan,
+        FaultSpec,
+        InjectedFault,
+    )
+    from .journal import JOURNAL_SCHEMA_VERSION, SweepJournal
+    from .resilience import (
+        Clock,
+        NullClock,
+        RealClock,
+        RetryPolicy,
+        SweepFailure,
+        SweepQuarantineError,
+        TransientError,
+        WorkerCrashError,
+        error_class,
+        key_fraction,
+    )
+    from .runner import (
+        RunTables,
+        ScenarioSweep,
+        SweepItem,
+        SweepOutcome,
+        SweepResult,
+        layer_cost_cache_stats,
+        run_scenario,
+    )
+    from .scenario import (
+        AXIS_SPECS,
+        WORKLOAD_VARIANTS,
+        AxisSpec,
+        Scenario,
+        ScenarioBuild,
+        parse_axis,
+        parse_grid_axes,
+        parse_tile,
+        scenario_grid,
+        workload_variant,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    faults=("CRASH_EXIT_CODE", "FAULT_KINDS", "FaultPlan", "FaultSpec",
+            "InjectedFault"),
+    journal=("JOURNAL_SCHEMA_VERSION", "SweepJournal"),
+    resilience=("Clock", "NullClock", "RealClock", "RetryPolicy",
+                "SweepFailure", "SweepQuarantineError", "TransientError",
+                "WorkerCrashError", "error_class", "key_fraction"),
+    runner=("RunTables", "ScenarioSweep", "SweepItem", "SweepOutcome",
+            "SweepResult", "layer_cost_cache_stats", "run_scenario"),
+    scenario=("AXIS_SPECS", "WORKLOAD_VARIANTS", "AxisSpec", "Scenario",
+              "ScenarioBuild", "parse_axis", "parse_grid_axes",
+              "parse_tile", "scenario_grid", "workload_variant"),
 )
 
 __all__ = [

@@ -52,10 +52,8 @@ import json
 import operator
 import pathlib
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from ..core.dse import TrunkDSE
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
@@ -65,7 +63,6 @@ from ..cost.model import evaluate, evaluate_shape
 from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import STAGE_TR
 from .faults import FaultPlan
-from .journal import SweepJournal
 from .resilience import (
     Clock,
     RealClock,
@@ -76,6 +73,11 @@ from .resilience import (
     error_class,
 )
 from .scenario import PackageTable, Scenario, WorkloadTable
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .journal import SweepJournal
 
 #: summary metrics copied from Schedule.summary() into each sweep row.
 _SUMMARY_FIELDS = ("e2e_ms", "pipe_ms", "energy_j", "edp_j_ms",
@@ -515,6 +517,7 @@ class ScenarioSweep:
         journal = None
         remaining = self.scenarios
         if self.journal is not None:
+            from .journal import SweepJournal
             journal = SweepJournal(self.journal)
             replayed = journal.load()
             self._journal_skipped = [
@@ -573,6 +576,7 @@ class ScenarioSweep:
     # -- parallel path -------------------------------------------------
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_worker_init,
@@ -620,6 +624,11 @@ class ScenarioSweep:
     def _parallel_iter(self, scenarios: list[Scenario],
                        faults: FaultPlan | None,
                        journal: SweepJournal | None) -> Iterator[SweepItem]:
+        # Only the pool path loads the pool: a serial run never pays for
+        # importing concurrent.futures and multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         pending: deque = deque(
             [(s, 1) for s in scenarios[i:i + self.chunksize]]
             for i in range(0, len(scenarios), self.chunksize))

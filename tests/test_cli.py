@@ -24,6 +24,38 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_help_imports_no_repro_module(self):
+        # A fresh interpreter: this test process has imported them all.
+        # ``python -m repro.cli --help`` through runpy, as ``-m`` runs it,
+        # then the modules it loaded.
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        script = (
+            "import json, runpy, sys\n"
+            "sys.argv = ['chiplet-npu', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('repro.cli', run_name='__main__',\n"
+            "                     alter_sys=True)\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert "paper artifact to regenerate" in out.stdout
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        assert [name for name in loaded
+                if name.startswith("repro.") and name != "repro.cli"] == []
+
+    def test_static_experiment_names_match_the_package(self):
+        from repro.cli import EXPERIMENTS
+        from repro.experiments import ALL_EXPERIMENTS
+        assert sorted(EXPERIMENTS) == sorted(ALL_EXPERIMENTS)
+
 
 class TestSweepCli:
     def test_sweep_table_output(self, capsys):

@@ -277,12 +277,20 @@ class TestStoreBackedSweep:
             ScenarioSweep(grid, store_path=f"{scheme}://127.0.0.1:1")
 
     def test_disk_store_sweep_does_not_load_numpy(self, tmp_path):
-        # A fresh interpreter: this test process may already hold it.
+        # A fresh interpreter: this test process may already hold them.
+        # Besides numpy, a stored serial sweep loads neither the process
+        # pool nor the journal, and none of the packages and modules that
+        # only experiments, reports and the paper's side analyses run.
         import pathlib
         import subprocess
         import sys
 
         import repro
+        unused = ["numpy", "multiprocessing", "concurrent.futures.process",
+                  "repro.experiments", "repro.analysis", "repro.viz",
+                  "repro.sim", "repro.io.report", "repro.core.hetero",
+                  "repro.core.context", "repro.workloads.validate",
+                  "repro.sweep.journal"]
         script = (
             "import json, sys\n"
             "import repro.design\n"
@@ -290,13 +298,16 @@ class TestStoreBackedSweep:
             "from repro.sweep.scenario import scenario_grid\n"
             "grid = scenario_grid(tolerances=(1.0, 1.05))\n"
             "ScenarioSweep(grid, store_path=sys.argv[1]).run()\n"
-            "print(json.dumps('numpy' in sys.modules))\n")
+            "print(json.dumps(sorted(sys.modules)))\n")
         src = pathlib.Path(repro.__file__).resolve().parents[1]
         out = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "store")],
             cwd=src, capture_output=True, text=True, timeout=120,
             check=True)
-        assert json.loads(out.stdout.splitlines()[-1]) is False
+        loaded = set(json.loads(out.stdout.splitlines()[-1]))
+        assert list(tmp_path.joinpath("store").iterdir()), \
+            "the sweep wrote no plan-store shard"
+        assert [name for name in unused if name in loaded] == []
 
     def test_serial_run_detaches_the_global_cache(self, grid, tmp_path):
         from repro.core import get_plan_cache
