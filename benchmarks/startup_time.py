@@ -7,7 +7,8 @@ min and median wall time of each command, process start-up included::
 
     python3 benchmarks/startup_time.py
 
-``--help`` imports no model code, and the default ``sweep`` and
+No ``--help`` imports model code (a subcommand's loads only its axis
+table, :mod:`repro.sweep.axes`), and the default ``sweep`` and
 ``design`` price one scenario and one candidate, so these times are
 mostly what start-up costs a user.  ``python -c pass`` is the
 interpreter's own floor.  Exits 1 if a command fails.
@@ -31,6 +32,9 @@ COMMANDS = (
     ("python -c pass", ["-c", "pass"]),
     ("chiplet-npu --help", ["-m", "repro.cli", "--help"]),
     ("chiplet-npu sweep --help", ["-m", "repro.cli", "sweep", "--help"]),
+    ("chiplet-npu design --help", ["-m", "repro.cli", "design", "--help"]),
+    ("chiplet-npu report scaling --help",
+     ["-m", "repro.cli", "report", "scaling", "--help"]),
     ("chiplet-npu sweep", ["-m", "repro.cli", "sweep"]),
     ("chiplet-npu design", ["-m", "repro.cli", "design"]),
     ("chiplet-npu table1", ["-m", "repro.cli", "table1"]),

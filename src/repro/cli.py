@@ -24,7 +24,7 @@ Axes are comma-separated lists; ``none`` keeps an axis at its default
 (``--nop-gbps none`` = 100 GB/s, ``--het-budgets none`` = skip the trunk
 DSE, ``--dram-gbps none`` = compute-only steady state).  Any axis can
 also be given as ``--axis NAME=VALUES`` with its canonical name (see
-``repro.sweep.AXIS_SPECS``); malformed values fail with an error naming
+``repro.sweep.axes.AXIS_SPECS``); malformed values fail with an error naming
 the offending axis.  ``--stream`` prints each row as it finishes
 (completion order) while the merged artifact stays byte-identical to the
 batch path; ``--store DIR`` warm-starts every worker from a shared
@@ -97,7 +97,7 @@ def add_axis_flags(parser: argparse.ArgumentParser,
     them by canonical name.  ``defaults`` and ``helps`` replace an
     axis's default or help text, by canonical name.
     """
-    from .sweep import AXIS_SPECS
+    from .sweep.axes import AXIS_SPECS
 
     defaults, helps = defaults or {}, helps or {}
     for name in names or AXIS_SPECS:
@@ -120,7 +120,7 @@ def axis_texts(args: argparse.Namespace) -> dict[str, str]:
     Axes come in the parser's declaration order; ``--axis`` overrides
     apply last.  A malformed ``--axis`` raises ``ValueError``.
     """
-    from .sweep import AXIS_SPECS
+    from .sweep.axes import AXIS_SPECS
 
     # canonical axis name by the argparse dest of its flag
     by_dest = {spec.flag[2:].replace("-", "_"): name
@@ -189,9 +189,9 @@ def _run_sweep(argv: list[str]) -> int:
         ScenarioSweep,
         SweepFailure,
         SweepQuarantineError,
-        parse_grid_axes,
         scenario_grid,
     )
+    from .sweep.axes import parse_grid_axes
 
     try:
         grid = scenario_grid(**parse_grid_axes(axis_texts(args)))
@@ -377,7 +377,7 @@ def _run_scaling_report(argv: list[str]) -> int:
     parser = _scaling_parser()
     args = parser.parse_args(argv)
     from .experiments import scaling
-    from .sweep import parse_grid_axes
+    from .sweep.axes import parse_grid_axes
 
     try:
         result = scaling.run(**parse_grid_axes(axis_texts(args)))

@@ -1,7 +1,7 @@
 """Dataflow mapping analysis: spatial engagement, cycles, and buffer traffic.
 
-This is the data-centric core of the MAESTRO stand-in.  For each (layer,
-accelerator) pair we derive:
+This is the data-centric core of the MAESTRO stand-in.  For each (layer
+shape, accelerator) pair a mapper derives:
 
 * how the dataflow tiles the layer onto its native spatial extent,
 * how many compute cycles the temporal loops take,
@@ -29,19 +29,40 @@ observation that the OS dataflow is uniformly faster (6.85x geomean): with
 ``r*s = 9`` convolutions it costs ~(9+8)/9 = 1.9x, while attention layers
 (``r = s = 1``) degrade to ~9x — which is exactly the affinity split the
 paper reports.
+
+Each style is one flat function of a layer shape
+(:data:`~repro.workloads.layers.LayerShape`) and its
+:func:`~repro.workloads.layers.operand_words`, returning a plain
+:data:`MappingFields` tuple; no :class:`~repro.workloads.Layer` is read.
+The pricing kernel in :mod:`repro.cost.model` calls them through
+:data:`MAPPERS` and reads the tuple directly.  :func:`map_layer` is the
+thin wrapper that packs the same tuple into a :class:`MappingAnalysis`
+for callers that want the fields by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from ..workloads.layers import Layer, LayerKind
+from ..workloads.layers import (
+    Layer,
+    LayerKind,
+    LayerShape,
+    OperandWords,
+    operand_words,
+)
 from .accelerator import (
     OUTPUT_STATIONARY,
     ROW_STATIONARY,
     WEIGHT_STATIONARY,
     AcceleratorConfig,
 )
+
+#: A mapper's result, in :class:`MappingAnalysis` field order:
+#: ``(passes, compute_cycles, engagement, weight_gb_words,
+#: input_gb_words, output_gb_words, accum_words)``.
+MappingFields = tuple[int, int, float, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -66,96 +87,71 @@ class MappingAnalysis:
         return self.weight_gb_words + self.input_gb_words + self.output_gb_words
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+# The mappers run once per priced (shape, engine) pair, so ceiling
+# divisions are written inline as ``-(-a // b)`` (a helper call costs
+# more than the arithmetic) and kinds are compared against a module
+# global (an enum class lookup costs ~10x more on Python 3.11).
+_DWCONV = LayerKind.DWCONV
 
 
-def _plane_tiles(layer: Layer, tile: tuple[int, int]) -> tuple[int, float]:
-    """Tile the output plane; return (positions, engagement).
-
-    2D planes tile as ceil(h/th) * ceil(w/tw); 1D token rows (h == 1) fold
-    across the full native extent since they carry no 2D adjacency to
-    preserve.
-    """
-    th, tw = tile
-    pes = th * tw
-    if layer.out_h == 1:
-        positions = _ceil_div(layer.out_w, pes)
-    else:
-        positions = _ceil_div(layer.out_h, th) * _ceil_div(layer.out_w, tw)
-    engagement = layer.out_plane / (positions * pes)
-    return positions, engagement
-
-
-def map_output_stationary(layer: Layer,
-                          accel: AcceleratorConfig) -> MappingAnalysis:
+def _output_stationary(shape: LayerShape, words: OperandWords,
+                       accel: AcceleratorConfig) -> MappingFields:
     """ShiDianNao-like mapping of a compute layer."""
-    positions, engagement = _plane_tiles(layer, accel.native_tile)
-    work_per_pixel = layer.k * layer.c * layer.r * layer.s
-    compute_cycles = positions * work_per_pixel
-
-    # Filter operand re-fetched once per tile position.
-    weight_gb = layer.weight_words * positions
+    kind, out_h, out_w, k, c, r, s, _, _ = shape
+    _, weight_words, input_words, output_words = words
+    th, tw = accel.native_tile
+    pes = th * tw
+    # 2D planes tile as ceil(h/th) * ceil(w/tw); 1D token rows (h == 1)
+    # fold across the full native extent since they carry no 2D
+    # adjacency to preserve.
+    if out_h == 1:
+        positions = -(-out_w // pes)
+    else:
+        positions = (-(-out_h // th)) * (-(-out_w // tw))
+    engagement = out_h * out_w / (positions * pes)
 
     # Inputs cached per-PE across the K loop when the per-pixel receptive
     # field fits the PE register file; otherwise re-fetched per K chunk.
-    footprint = layer.c * layer.r * layer.s
-    if layer.kind is LayerKind.DWCONV:
+    if kind is _DWCONV:
         rereads = 1
     else:
-        rereads = min(layer.k, _ceil_div(footprint, accel.pe_cache_words))
-    input_gb = layer.input_words * rereads
+        rereads = min(k, -(-(c * r * s) // accel.pe_cache_words))
 
-    return MappingAnalysis(
-        passes=positions,
-        compute_cycles=compute_cycles,
-        engagement=engagement,
-        weight_gb_words=weight_gb,
-        input_gb_words=input_gb,
-        output_gb_words=layer.output_words,
-        accum_words=0,
-    )
+    # The filter operand is re-fetched once per tile position.
+    return (positions, positions * (k * c * r * s), engagement,
+            weight_words * positions, input_words * rereads, output_words,
+            0)
 
 
-def map_weight_stationary(layer: Layer,
-                          accel: AcceleratorConfig) -> MappingAnalysis:
+def _weight_stationary(shape: LayerShape, words: OperandWords,
+                       accel: AcceleratorConfig) -> MappingFields:
     """NVDLA-like mapping of a compute layer."""
+    kind, out_h, out_w, k, c, r, s, _, _ = shape
+    _, weight_words, input_words, output_words = words
     th, tw = accel.native_tile
     pes = th * tw
-    if layer.kind is LayerKind.DWCONV:
+    if kind is _DWCONV:
         # No cross-channel reduction: K channels spread over the whole array.
-        passes = _ceil_div(layer.k, pes)
-        engagement = layer.k / (passes * pes)
+        passes = -(-k // pes)
+        engagement = k / (passes * pes)
         c_tiles = 1
         drain = 0  # each PE accumulates privately; nothing crosses PEs
     else:
-        k_tiles = _ceil_div(layer.k, th)
-        c_tiles = _ceil_div(layer.c, tw)
-        passes = k_tiles * c_tiles
-        engagement = (layer.k * layer.c) / (passes * pes)
+        c_tiles = -(-c // tw)
+        passes = (-(-k // th)) * c_tiles
+        engagement = (k * c) / (passes * pes)
         drain = accel.reduction_drain_cycles
-
-    work_per_pass = layer.out_plane * (layer.r * layer.s + drain)
-    compute_cycles = passes * work_per_pass
 
     # Weights loaded once; inputs served once from the conv buffer (reused
     # across the K loop and the r*s window); outputs written once.  Partial
     # sums spill to the accumulation buffer for every extra C tile.
-    accum = 2 * layer.output_words * (c_tiles - 1)
-
-    return MappingAnalysis(
-        passes=passes,
-        compute_cycles=compute_cycles,
-        engagement=engagement,
-        weight_gb_words=layer.weight_words,
-        input_gb_words=layer.input_words,
-        output_gb_words=layer.output_words,
-        accum_words=accum,
-    )
+    return (passes, passes * (out_h * out_w * (r * s + drain)), engagement,
+            weight_words, input_words, output_words,
+            2 * output_words * (c_tiles - 1))
 
 
-def map_row_stationary(layer: Layer,
-                       accel: AcceleratorConfig) -> MappingAnalysis:
+def _row_stationary(shape: LayerShape, words: OperandWords,
+                    accel: AcceleratorConfig) -> MappingFields:
     """Eyeriss-like mapping (extension beyond the paper's OS/WS pair).
 
     Each PE performs a 1D row convolution: the array's row axis holds the
@@ -168,52 +164,47 @@ def map_row_stationary(layer: Layer,
     extra weight re-fetches — which is exactly why the paper's workload
     mix favours the OS/WS pair.
     """
+    kind, out_h, out_w, k, c, r, s, _, _ = shape
+    macs, weight_words, input_words, output_words = words
     th, tw = accel.native_tile
-    if layer.kind is LayerKind.DWCONV:
+    folds = max(1, th // r)
+    k_groups = -(-k // folds)
+    row_tiles = -(-out_h // tw)
+    passes = row_tiles * k_groups
+    if kind is _DWCONV:
         # One channel behaves like k-fold rows of an ordinary conv.
-        folds = max(1, th // layer.r)
-        k_groups = _ceil_div(layer.k, folds)
-        passes = _ceil_div(layer.out_h, tw) * k_groups
-        work_per_pass = layer.out_w * layer.s
-        engaged = (layer.k * layer.r * min(layer.out_h, tw)
-                   / (passes * th * tw / _ceil_div(layer.out_h, tw)))
+        compute = passes * (out_w * s)
+        engaged = (k * r * min(out_h, tw)
+                   / (passes * th * tw / row_tiles))
         engagement = min(1.0, engaged / max(1, k_groups))
-        accum = 2 * layer.output_words * (layer.r - 1)
-        compute = passes * work_per_pass
     else:
-        folds = max(1, th // layer.r)
-        k_groups = _ceil_div(layer.k, folds)
-        row_tiles = _ceil_div(layer.out_h, tw)
-        passes = row_tiles * k_groups
         # Per pass: every output column, kernel column, input channel.
-        work_per_pass = layer.out_w * layer.s * layer.c
-        compute = passes * work_per_pass
-        useful = layer.macs
-        engagement = min(1.0, useful / (compute * th * tw))
-        accum = 2 * layer.output_words * (layer.r - 1)
+        compute = passes * (out_w * s * c)
+        engagement = min(1.0, macs / (compute * th * tw))
 
-    weight_rereads = _ceil_div(layer.out_h, tw)
-    return MappingAnalysis(
-        passes=passes,
-        compute_cycles=compute,
-        engagement=max(engagement, 1e-9),
-        weight_gb_words=layer.weight_words * weight_rereads,
-        input_gb_words=layer.input_words * max(1, k_groups // 4),
-        output_gb_words=layer.output_words,
-        accum_words=accum,
-    )
+    return (passes, compute, max(engagement, 1e-9),
+            weight_words * row_tiles, input_words * max(1, k_groups // 4),
+            output_words, 2 * output_words * (r - 1))
 
 
-_MAPPERS = {
-    OUTPUT_STATIONARY: map_output_stationary,
-    WEIGHT_STATIONARY: map_weight_stationary,
-    ROW_STATIONARY: map_row_stationary,
+#: the mapper of each dataflow style.
+MAPPERS: dict[str, Callable[[LayerShape, OperandWords, AcceleratorConfig],
+                            MappingFields]] = {
+    OUTPUT_STATIONARY: _output_stationary,
+    WEIGHT_STATIONARY: _weight_stationary,
+    ROW_STATIONARY: _row_stationary,
 }
 
 
 def map_layer(layer: Layer, accel: AcceleratorConfig) -> MappingAnalysis:
-    """Dispatch to the engine's dataflow mapper (compute layers only)."""
+    """The engine's dataflow mapping of a compute layer, by field name.
+
+    Packs the pricing kernel's :data:`MappingFields` (the same mapper
+    :func:`repro.cost.evaluate` reads) into a :class:`MappingAnalysis`.
+    """
     if not layer.kind.is_compute:
         raise ValueError(
             f"{layer.name}: {layer.kind} is not a MAC-array layer")
-    return _MAPPERS[accel.dataflow](layer, accel)
+    shape = layer.shape
+    return MappingAnalysis(
+        *MAPPERS[accel.dataflow](shape, operand_words(shape), accel))

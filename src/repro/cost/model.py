@@ -1,12 +1,29 @@
 """Layer and group cost evaluation (latency, energy, utilization).
 
-``evaluate(layer, accel)`` is the single entry point the rest of the system
-uses; results are memoized process-wide (``functools.lru_cache``) since
-the scheduler re-prices layers many times while sharding.  Row bands are
-priced by shape instead (``evaluate_shape(layer.shape, accel)``, a second
-memo): a band's cost depends only on its dimensions, so every band of the
-same shape shares one entry whatever layer it was cut from.  Latency
-follows a roofline:
+One pricing kernel, :func:`_price`, prices a layer shape
+(:data:`~repro.workloads.layers.LayerShape`) on one engine and returns its
+:class:`LayerCost`.  It reads only the shape tuple and the engine: the
+operand sizes come once from :func:`~repro.workloads.layers.operand_words`,
+a compute layer's mapping comes from the engine's dataflow mapper
+(:data:`~repro.cost.dataflow.MAPPERS`) as a plain tuple, and a vector op
+takes the kernel's other branch.  No :class:`~repro.workloads.Layer` or
+:class:`~repro.cost.dataflow.MappingAnalysis` is built.  Every float
+keeps the expression and operand order of the Layer-based model the
+kernel replaced, so costs are bit-identical to it
+(``tests/test_cost_kernel.py`` keeps that model as the reference).
+
+Two memoized wrappers call the kernel, each a process-wide
+``functools.lru_cache`` since the scheduler re-prices layers many times
+while sharding:
+
+* ``evaluate(layer, accel)``, the entry point the rest of the system
+  uses, prices ``layer.shape`` under ``layer.name``;
+* ``evaluate_shape(shape, accel)`` prices row bands and design-search
+  layers by shape: a band's cost depends only on its dimensions, so every
+  band of the same shape shares one entry whatever layer it was cut
+  from.  It validates the shape with the check :class:`Layer` runs.
+
+Latency follows a roofline:
 
 ``cycles = max(compute_cycles, gb_words / gb_words_per_cycle)``
 
@@ -29,9 +46,9 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..workloads.layers import Layer, LayerShape
+from ..workloads.layers import Layer, LayerShape, check_shape, operand_words
 from .accelerator import AcceleratorConfig
-from .dataflow import MappingAnalysis, map_layer
+from .dataflow import MAPPERS
 from .energy import PJ_TO_J
 
 
@@ -59,7 +76,7 @@ class LayerCost:
 @functools.lru_cache(maxsize=None)
 def evaluate(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
     """Price one layer on one engine (memoized process-wide)."""
-    return _price(layer, accel)
+    return _price(layer.name, layer.shape, accel)
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,71 +85,60 @@ def evaluate_shape(shape: LayerShape, accel: AcceleratorConfig) -> LayerCost:
 
     Memoized process-wide by shape, so layers that differ only in name
     share one entry.  Costs equal :func:`evaluate`'s on every field but
-    ``layer_name``, which is empty.
+    ``layer_name``, which is empty.  A shape no :class:`Layer` could have
+    raises the ``ValueError`` its constructor would.
     """
-    return _price(Layer("", *shape), accel)
+    check_shape("", shape)
+    return _price("", shape, accel)
 
 
-def _price(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
-    if layer.kind.is_compute:
-        return _evaluate_compute(layer, accel)
-    return _evaluate_vector(layer, accel)
+def _price(name: str, shape: LayerShape,
+           accel: AcceleratorConfig) -> LayerCost:
+    """The pricing kernel behind both memos (see the module docstring).
 
-
-def _evaluate_compute(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
-    mapping: MappingAnalysis = map_layer(layer, accel)
+    Builds each :class:`LayerCost` positionally, in field order: on
+    CPython 3.11 keyword arguments make a price ~20% slower.
+    """
+    words = operand_words(shape)
+    macs, weight_words, input_words, output_words = words
     e = accel.energy
 
-    traffic_cycles = -(-mapping.gb_words // accel.gb_words_per_cycle)
-    cycles = max(mapping.compute_cycles, traffic_cycles)
-    bound = "compute" if cycles == mapping.compute_cycles else "bandwidth"
+    if macs == 0:
+        # Vector path: only MAC-array kinds have MACs (a valid shape's
+        # dimensions are positive), and a vector op processes one element
+        # per output word.
+        cycles = max(1, -(-output_words // accel.vector_lanes))
+        gb_words = input_words + output_words
+        energy_pj = output_words * e.vector_pj + gb_words * e.gb_pj_word
+        return LayerCost(name, cycles, cycles / accel.frequency_hz,
+                         energy_pj * PJ_TO_J, 0, 0.0, 0.0, "vector",
+                         gb_words, 0, 0)
+
+    (_, compute_cycles, engagement, weight_gb, input_gb, output_gb,
+     accum_words) = MAPPERS[accel.dataflow](shape, words, accel)
+    gb_words = weight_gb + input_gb + output_gb
+    traffic_cycles = -(-gb_words // accel.gb_words_per_cycle)
+    if compute_cycles >= traffic_cycles:
+        cycles, bound = compute_cycles, "compute"
+    else:
+        cycles, bound = traffic_cycles, "bandwidth"
 
     # True filter weights stream from DRAM once per frame; activation
-    # "weights" (attention matmuls) are produced on-package.
-    dram_words = 0 if layer.weights_are_activations else layer.weight_words
+    # "weights" (attention matmuls, ``weights_are_activations``, the
+    # shape's last field) are produced on-package.
+    dram_words = 0 if shape[8] else weight_words
 
     energy_pj = (
-        layer.macs * e.mac_pj
-        + mapping.gb_words * e.gb_pj_word
-        + mapping.accum_words * e.accum_pj_word
+        macs * e.mac_pj
+        + gb_words * e.gb_pj_word
+        + accum_words * e.accum_pj_word
         + dram_words * e.dram_pj_word
     )
 
-    latency = cycles / accel.frequency_hz
-    return LayerCost(
-        layer_name=layer.name,
-        cycles=cycles,
-        latency_s=latency,
-        energy_j=energy_pj * PJ_TO_J,
-        macs=layer.macs,
-        utilization=layer.macs / (cycles * accel.pe_count),
-        engagement=mapping.engagement,
-        bound=bound,
-        gb_words=mapping.gb_words,
-        accum_words=mapping.accum_words,
-        dram_words=dram_words,
-    )
-
-
-def _evaluate_vector(layer: Layer, accel: AcceleratorConfig) -> LayerCost:
-    e = accel.energy
-    elems = layer.vector_elems
-    cycles = max(1, -(-elems // accel.vector_lanes))
-    gb_words = layer.input_words + layer.output_words
-    energy_pj = elems * e.vector_pj + gb_words * e.gb_pj_word
-    return LayerCost(
-        layer_name=layer.name,
-        cycles=cycles,
-        latency_s=cycles / accel.frequency_hz,
-        energy_j=energy_pj * PJ_TO_J,
-        macs=0,
-        utilization=0.0,
-        engagement=0.0,
-        bound="vector",
-        gb_words=gb_words,
-        accum_words=0,
-        dram_words=0,
-    )
+    return LayerCost(name, cycles, cycles / accel.frequency_hz,
+                     energy_pj * PJ_TO_J, macs,
+                     macs / (cycles * accel.pe_count), engagement, bound,
+                     gb_words, accum_words, dram_words)
 
 
 # ----------------------------------------------------------------------

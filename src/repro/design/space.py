@@ -3,7 +3,7 @@
 A :class:`DesignSpace` is the search-side twin of a sweep grid: the same
 eleven axes, the same token grammar (including per-quadrant tokens
 like ``trunk:ws@1.2`` on the ``hetero`` axis), parsed through the
-same :data:`~repro.sweep.scenario.AXIS_SPECS` single source of truth —
+same :data:`~repro.sweep.axes.AXIS_SPECS` single source of truth —
 but held as a *declaration* (axis name -> candidate values) rather than
 an expanded grid, so the search can report the space it covered and
 enumerate candidates deterministically on demand.
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sweep.scenario import AXIS_SPECS, Scenario, parse_grid_axes, \
-    scenario_grid
+from ..sweep.axes import AXIS_SPECS, parse_grid_axes
+from ..sweep.scenario import Scenario, scenario_grid
 
 
 def axis_token(name: str, value) -> str:

@@ -5,6 +5,13 @@ from typing import TYPE_CHECKING
 from .. import lazy_exports
 
 if TYPE_CHECKING:
+    from .axes import (
+        AXIS_SPECS,
+        AxisSpec,
+        parse_axis,
+        parse_grid_axes,
+        parse_tile,
+    )
     from .faults import (
         CRASH_EXIT_CODE,
         FAULT_KINDS,
@@ -35,20 +42,17 @@ if TYPE_CHECKING:
         run_scenario,
     )
     from .scenario import (
-        AXIS_SPECS,
         WORKLOAD_VARIANTS,
-        AxisSpec,
         Scenario,
         ScenarioBuild,
-        parse_axis,
-        parse_grid_axes,
-        parse_tile,
         scenario_grid,
         workload_variant,
     )
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
+    axes=("AXIS_SPECS", "AxisSpec", "parse_axis", "parse_grid_axes",
+          "parse_tile"),
     faults=("CRASH_EXIT_CODE", "FAULT_KINDS", "FaultPlan", "FaultSpec",
             "InjectedFault"),
     journal=("JOURNAL_SCHEMA_VERSION", "SweepJournal"),
@@ -57,12 +61,16 @@ __getattr__, __dir__ = lazy_exports(
                 "WorkerCrashError", "error_class", "key_fraction"),
     runner=("RunTables", "ScenarioSweep", "SweepItem", "SweepOutcome",
             "SweepResult", "layer_cost_cache_stats", "run_scenario"),
-    scenario=("AXIS_SPECS", "WORKLOAD_VARIANTS", "AxisSpec", "Scenario",
-              "ScenarioBuild", "parse_axis", "parse_grid_axes",
-              "parse_tile", "scenario_grid", "workload_variant"),
+    scenario=("WORKLOAD_VARIANTS", "Scenario", "ScenarioBuild",
+              "scenario_grid", "workload_variant"),
 )
 
 __all__ = [
+    "AXIS_SPECS",
+    "AxisSpec",
+    "parse_axis",
+    "parse_grid_axes",
+    "parse_tile",
     "CRASH_EXIT_CODE",
     "FAULT_KINDS",
     "FaultPlan",
@@ -87,14 +95,9 @@ __all__ = [
     "SweepResult",
     "layer_cost_cache_stats",
     "run_scenario",
-    "AXIS_SPECS",
     "WORKLOAD_VARIANTS",
-    "AxisSpec",
     "Scenario",
     "ScenarioBuild",
-    "parse_axis",
-    "parse_grid_axes",
-    "parse_tile",
     "scenario_grid",
     "workload_variant",
 ]

@@ -59,6 +59,71 @@ _COMPUTE_KINDS = frozenset(
 #: weights_are_activations)``.
 LayerShape = tuple[LayerKind, int, int, int, int, int, int, int, bool]
 
+#: :func:`operand_words`: ``(macs, weight_words, input_words,
+#: output_words)`` of one layer shape.
+OperandWords = tuple[int, int, int, int]
+
+# The shape helpers below run on every price.  On Python 3.11 looking a
+# member up through its enum class costs ~10x reading a module global,
+# so they compare kinds against these.
+_DWCONV, _DECONV, _DENSE, _MATMUL = (
+    LayerKind.DWCONV, LayerKind.DECONV, LayerKind.DENSE, LayerKind.MATMUL)
+
+
+def check_shape(name: str, shape: LayerShape) -> None:
+    """Raise ``ValueError`` unless ``shape`` describes a valid layer.
+
+    The one validator: :class:`Layer` runs it on construction and
+    :func:`repro.cost.evaluate_shape` on every shape it prices, so a bad
+    shape fails with the same message whichever way it arrives.
+    """
+    kind, out_h, out_w, k, c, r, s, stride, _ = shape
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(f"{name}: output plane must be positive")
+    if k <= 0 or c <= 0:
+        raise ValueError(f"{name}: k and c must be positive")
+    if r <= 0 or s <= 0 or stride <= 0:
+        raise ValueError(f"{name}: kernel/stride must be positive")
+    if kind is _DWCONV and c != 1:
+        raise ValueError(f"{name}: depthwise conv requires c == 1")
+
+
+def input_plane(shape: LayerShape) -> tuple[int, int]:
+    """``(in_h, in_w)``: the input plane the output plane and stride imply."""
+    kind, out_h, out_w, _, _, r, s, stride, _ = shape
+    if kind is _DECONV:
+        return (max(1, math.ceil(out_h / stride)),
+                max(1, math.ceil(out_w / stride)))
+    return (out_h - 1) * stride + r, (out_w - 1) * stride + s
+
+
+def operand_words(shape: LayerShape) -> OperandWords:
+    """``(macs, weight_words, input_words, output_words)`` of a shape.
+
+    The one home of the operand-size formulas (fp16 words): the size
+    properties of :class:`Layer` read it, cached per instance, and the
+    cost model's pricing kernel calls it once per price.
+
+    DECONV uses the zero-insertion model: the dense conv at output
+    resolution performs ``r*s`` MACs per output pixel including the
+    inserted zeros (no sparsity skipping), matching NVDLA-class engines.
+    Vector ops have no MACs or weights and stream their output-sized
+    operand(s).
+    """
+    kind, out_h, out_w, k, c, r, s, _, _ = shape
+    plane = out_h * out_w
+    output = plane * k
+    if kind not in _COMPUTE_KINDS:
+        return 0, 0, output, output
+    if kind is _DENSE or kind is _MATMUL:
+        inputs = plane * c
+    else:
+        in_h, in_w = input_plane(shape)
+        inputs = (k if kind is _DWCONV else c) * in_h * in_w
+    return (plane * k * c * r * s,
+            k * r * s if kind is _DWCONV else k * c * r * s,
+            inputs, output)
+
 
 class ShardAxis(enum.Enum):
     """Axes along which the scheduler may shard a layer group (Sec. IV)."""
@@ -99,14 +164,7 @@ class Layer:
     tags: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        if self.out_h <= 0 or self.out_w <= 0:
-            raise ValueError(f"{self.name}: output plane must be positive")
-        if self.k <= 0 or self.c <= 0:
-            raise ValueError(f"{self.name}: k and c must be positive")
-        if self.r <= 0 or self.s <= 0 or self.stride <= 0:
-            raise ValueError(f"{self.name}: kernel/stride must be positive")
-        if self.kind is LayerKind.DWCONV and self.c != 1:
-            raise ValueError(f"{self.name}: depthwise conv requires c == 1")
+        check_shape(self.name, self.shape)
 
     def __hash__(self) -> int:
         # Layers are deep-frozen and hashed constantly: every evaluate()
@@ -135,8 +193,17 @@ class Layer:
         return shape
 
     # ------------------------------------------------------------------
-    # Derived sizes (fp16 words)
+    # Derived sizes (fp16 words), from :func:`operand_words`
     # ------------------------------------------------------------------
+
+    @property
+    def _operand_words(self) -> OperandWords:
+        """:func:`operand_words` of the shape, cached like :attr:`shape`."""
+        words = self.__dict__.get("_words")
+        if words is None:
+            words = operand_words(self.shape)
+            object.__setattr__(self, "_words", words)
+        return words
 
     @property
     def out_plane(self) -> int:
@@ -145,62 +212,38 @@ class Layer:
 
     @property
     def macs(self) -> int:
-        """Multiply-accumulate count.
-
-        DECONV uses the zero-insertion model: the dense conv at output
-        resolution performs ``r*s`` MACs per output pixel including the
-        inserted zeros (no sparsity skipping), matching NVDLA-class engines.
-        """
-        if not self.kind.is_compute:
-            return 0
-        return self.out_plane * self.k * self.c * self.r * self.s
+        """Multiply-accumulate count (zero-insertion for DECONV)."""
+        return self._operand_words[0]
 
     @property
     def vector_elems(self) -> int:
         """Vector-unit element operations for non-MAC layers."""
-        if self.kind.is_compute:
-            return 0
-        return self.out_plane * self.k
+        return 0 if self.kind.is_compute else self.output_words
 
     @property
     def weight_words(self) -> int:
         """Words of the stationary/filter operand."""
-        if not self.kind.is_compute:
-            return 0
-        if self.kind is LayerKind.DWCONV:
-            return self.k * self.r * self.s
-        return self.k * self.c * self.r * self.s
+        return self._operand_words[1]
 
     @property
     def in_h(self) -> int:
         """Input plane height implied by the output plane and stride."""
-        if self.kind is LayerKind.DECONV:
-            return max(1, math.ceil(self.out_h / self.stride))
-        return (self.out_h - 1) * self.stride + self.r
+        return input_plane(self.shape)[0]
 
     @property
     def in_w(self) -> int:
         """Input plane width implied by the output plane and stride."""
-        if self.kind is LayerKind.DECONV:
-            return max(1, math.ceil(self.out_w / self.stride))
-        return (self.out_w - 1) * self.stride + self.s
+        return input_plane(self.shape)[1]
 
     @property
     def input_words(self) -> int:
         """Words of the streamed input operand."""
-        if self.kind in (LayerKind.DENSE, LayerKind.MATMUL):
-            return self.out_plane * self.c
-        if self.kind in (LayerKind.CONV, LayerKind.DECONV):
-            return self.c * self.in_h * self.in_w
-        if self.kind is LayerKind.DWCONV:
-            return self.k * self.in_h * self.in_w
-        # Vector ops stream their output-sized operand(s).
-        return self.out_plane * self.k
+        return self._operand_words[2]
 
     @property
     def output_words(self) -> int:
         """Words of the produced output tensor."""
-        return self.out_plane * self.k
+        return self._operand_words[3]
 
     @property
     def output_bytes(self) -> int:

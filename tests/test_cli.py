@@ -7,6 +7,38 @@ import pytest
 from repro.cli import main
 
 
+def _help_run(words: list[str]) -> tuple[str, list[str]]:
+    """``chiplet-npu WORDS --help`` in a fresh interpreter: its standard
+    output with whitespace collapsed (argparse wraps to the terminal's
+    width) and the ``repro.`` modules it loaded besides ``repro.cli``.
+
+    A fresh interpreter because this test process has imported them all;
+    ``python -m repro.cli`` through runpy, as ``-m`` runs it.
+    """
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+    script = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['chiplet-npu', *{words!r}, '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro.cli', run_name='__main__',\n"
+        "                     alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    *text, modules = out.stdout.splitlines()
+    return " ".join("\n".join(text).split()), [
+        name for name in json.loads(modules)
+        if name.startswith("repro.") and name != "repro.cli"]
+
+
 class TestCli:
     def test_table3_renders(self, capsys):
         assert main(["table3"]) == 0
@@ -25,31 +57,21 @@ class TestCli:
             main(["fig99"])
 
     def test_help_imports_no_repro_module(self):
-        # A fresh interpreter: this test process has imported them all.
-        # ``python -m repro.cli --help`` through runpy, as ``-m`` runs it,
-        # then the modules it loaded.
-        import pathlib
-        import subprocess
-        import sys
+        out, loaded = _help_run([])
+        assert "paper artifact to regenerate" in out
+        assert loaded == []
 
-        import repro
-        script = (
-            "import json, runpy, sys\n"
-            "sys.argv = ['chiplet-npu', '--help']\n"
-            "try:\n"
-            "    runpy.run_module('repro.cli', run_name='__main__',\n"
-            "                     alter_sys=True)\n"
-            "except SystemExit:\n"
-            "    pass\n"
-            "print(json.dumps(sorted(sys.modules)))\n")
-        src = pathlib.Path(repro.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-c", script], cwd=src,
-                             capture_output=True, text=True, timeout=120,
-                             check=True)
-        assert "paper artifact to regenerate" in out.stdout
-        loaded = json.loads(out.stdout.splitlines()[-1])
-        assert [name for name in loaded
-                if name.startswith("repro.") and name != "repro.cli"] == []
+    @pytest.mark.parametrize("words,flag", [
+        (["sweep"], "--workers"),
+        (["design"], "--target-pipe-ms"),
+        (["report", "scaling"], "--dram-gbps"),
+    ], ids=["sweep", "design", "report-scaling"])
+    def test_subcommand_help_imports_no_model_module(self, words, flag):
+        # The axis flags come from AXIS_SPECS, whose module imports the
+        # model only inside the token parsers that check a value.
+        out, loaded = _help_run(words)
+        assert flag in out
+        assert loaded == ["repro.sweep", "repro.sweep.axes"]
 
     def test_static_experiment_names_match_the_package(self):
         from repro.cli import EXPERIMENTS

@@ -33,10 +33,24 @@ from repro.design import (
 )
 from repro.design.search import stage_chains
 from repro.sweep import Scenario, ScenarioSweep, scenario_grid
-from repro.sweep.scenario import AXIS_SPECS
+from repro.sweep.axes import AXIS_SPECS
 
 FROZEN_PROXIES = (pathlib.Path(__file__).parent / "data"
                   / "frozen_design_proxies.json")
+
+#: perfbench's seed-0 design space (``perfbench/grids.py``): 768
+#: candidates, searched with a 200 ms pipe target.
+PERFBENCH_AXES = {
+    "tolerance": "1.0,1.05",
+    "nop_gbps": "25,100",
+    "npus": "1,2",
+    "workload": "default,lores,six-camera",
+    "dataflow": "os,ws",
+    "frequency_ghz": "1.0,2.0",
+    "native_tile": "16x16,8x8",
+    "dram_gbps": "none,6",
+    "topology": "mesh,torus",
+}
 
 
 def _cold():
@@ -476,17 +490,7 @@ class TestPackageKey:
         count(scenario_module, "simba_package")
         count(search_module, "proxy_objectives")
         count(throughput_module, "place")
-        space = DesignSpace.from_axis_texts({
-            "tolerance": "1.0,1.05",
-            "nop_gbps": "25,100",
-            "npus": "1,2",
-            "workload": "default,lores,six-camera",
-            "dataflow": "os,ws",
-            "frequency_ghz": "1.0,2.0",
-            "native_tile": "16x16,8x8",
-            "dram_gbps": "none,6",
-            "topology": "mesh,torus",
-        })
+        space = DesignSpace.from_axis_texts(PERFBENCH_AXES)
         for _ in range(2):
             _cold()
             calls.update(dict.fromkeys(calls, 0))
@@ -495,6 +499,42 @@ class TestPackageKey:
             assert len(result.frontier) == 32
             assert calls == {"simba_package": 64, "proxy_objectives": 192,
                              "place": 8}
+
+
+class TestPricingWork:
+    def test_perfbench_space_prices_without_building_layers(self,
+                                                            monkeypatch):
+        # A cold search prices 142 named layers (the frontier rows' group
+        # chains) and 903 distinct (shape, engine) pairs: 720 while
+        # ranking, the rest as row bands.  The pricing kernel reads the
+        # shape tuple, so no Layer is built while pricing.
+        import sys
+
+        from repro.cost import evaluate_shape
+        from repro.workloads import Layer
+        pricing = {evaluate.__wrapped__.__code__,
+                   evaluate_shape.__wrapped__.__code__}
+        built = {"while_pricing": 0}
+        post_init = Layer.__post_init__
+
+        def counting(layer):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in pricing:
+                    built["while_pricing"] += 1
+                    break
+                frame = frame.f_back
+            post_init(layer)
+
+        monkeypatch.setattr(Layer, "__post_init__", counting)
+        _cold()
+        result = DesignSearch(DesignSpace.from_axis_texts(PERFBENCH_AXES),
+                              DesignTargets(pipe_ms=200.0)).run()
+        named, shaped = evaluate.cache_info(), evaluate_shape.cache_info()
+        assert (named.hits, named.misses) == (0, 142)
+        assert (shaped.hits, shaped.misses) == (750, 903)
+        assert result.priced_pairs == 1464
+        assert built == {"while_pricing": 0}
 
 
 class TestFrozenProxies:
