@@ -22,7 +22,6 @@ if TYPE_CHECKING:
         QuadrantOverride,
         QuadrantOverrides,
         package_composition,
-        quadrant_ids,
     )
     from .topology import (
         TOPOLOGY_KINDS,
@@ -42,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(
     nop=("NOP_28NM", "NoPConfig", "NoPTransfer", "transfer_cost"),
     package=("MCMPackage", "simba_package"),
     quadrants=("QUADRANT_NAMES", "QuadrantOverride", "QuadrantOverrides",
-               "package_composition", "quadrant_ids"),
+               "package_composition"),
     topology=("TOPOLOGY_KINDS", "NoPTopology", "canonical_topology",
               "min_hop_map", "parse_topology", "topology_for"),
 )
@@ -67,7 +66,6 @@ __all__ = [
     "QuadrantOverride",
     "QuadrantOverrides",
     "package_composition",
-    "quadrant_ids",
     "TOPOLOGY_KINDS",
     "NoPTopology",
     "canonical_topology",

@@ -1,47 +1,30 @@
-"""A single accelerator chiplet instance on the package mesh."""
+"""A single chiplet slot on the package mesh."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from ..cost import AcceleratorConfig
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Chiplet:
-    """One accelerator chiplet with a mesh position.
+    """One chiplet slot: its id, mesh position and quadrant.
 
     ``quadrant`` identifies the 3x3 block of the 6x6 Simba-like package the
     chiplet belongs to; the paper's scheduler allocates one perception stage
-    per quadrant (Sec. IV).
+    per quadrant (Sec. IV).  A slot carries no hardware: every chiplet of a
+    quadrant runs the package's engine for it
+    (:meth:`~repro.arch.MCMPackage.engine`).
     """
 
     chiplet_id: int
     x: int
     y: int
-    accel: AcceleratorConfig
     quadrant: int
 
     @property
     def coords(self) -> tuple[int, int]:
         return (self.x, self.y)
 
-    @property
-    def dataflow(self) -> str:
-        return self.accel.dataflow
-
-    @property
-    def hw_token(self) -> str:
-        """Compact hardware description of this chiplet (``ws@1.2`` form).
-
-        Delegates to :attr:`AcceleratorConfig.hw_token`; heterogeneous
-        package composition strings are built from these.
-        """
-        return self.accel.hw_token
-
     # Hop distances are owned by the package topology
     # (``MCMPackage.hops`` / ``repro.arch.topology.NoPTopology``): a
     # chiplet alone cannot know whether its grid wraps around.
-
-    def with_accel(self, accel: AcceleratorConfig) -> "Chiplet":
-        return replace(self, accel=accel)

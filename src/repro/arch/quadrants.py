@@ -5,15 +5,15 @@ quadrant (Table I), through the trunk DSE (the ``het_ws_budget`` axis).
 Each perception stage owns one quadrant per module, so matching every
 quadrant's *hardware* (dataflow, clock, native tile) to its stage's
 workload phase is the package-level analogue of picking the right
-accelerator per kernel.  A quadrant stays one engine: an override
-rewrites all of its chiplets, and a package whose quadrant mixes
-engines fails to build (:class:`~repro.arch.package.MCMPackage`).
+accelerator per kernel.  A quadrant stays one engine: a package holds
+one engine per local quadrant (:class:`~repro.arch.package.MCMPackage`),
+and an override replaces it, so a quadrant cannot mix engines.
 
 :class:`QuadrantOverrides` is that spec as a first-class object: a set of
 per-quadrant :class:`QuadrantOverride` records, parsed from compact
 tokens like ``trunk:ws@1.2`` and applied to an
 :class:`~repro.arch.package.MCMPackage` by rewriting the quadrant's
-chiplets through :meth:`~repro.cost.AcceleratorConfig.with_overrides`.
+engine through :meth:`~repro.cost.AcceleratorConfig.with_overrides`.
 Quadrant names follow the paper's stage-per-quadrant assignment (see
 :func:`repro.core.placement.default_stage_quadrants`): local quadrant
 ``i`` of every module maps to ``QUADRANT_NAMES[i]``, so an override
@@ -49,7 +49,6 @@ __all__ = [
     "QuadrantOverride",
     "QuadrantOverrides",
     "package_composition",
-    "quadrant_ids",
 ]
 
 #: canonical quadrant names, in local quadrant-index order — the paper's
@@ -104,7 +103,7 @@ class QuadrantOverride:
         return out
 
     def apply(self, base: AcceleratorConfig) -> AcceleratorConfig:
-        """The quadrant's chiplet config, layered on the package-wide one.
+        """The quadrant's engine, layered on the package-wide config.
 
         Routed through :meth:`AcceleratorConfig.with_overrides`, so an
         override that spells out the base value yields the *identical*
@@ -221,35 +220,16 @@ class QuadrantOverrides:
         return None
 
     def apply(self, package: MCMPackage) -> MCMPackage:
-        """Materialize the spec: a copy of ``package`` with every named
-        quadrant's chiplets, in every module, rewritten through
-        ``with_overrides`` to one shared config object.
+        """Materialize the spec: a copy of ``package`` whose every named
+        quadrant runs its engine rewritten through ``with_overrides``,
+        in every module.
         """
-        accel_of: dict[int, AcceleratorConfig] = {}
+        engine_of: dict[int, AcceleratorConfig] = {}
         for name, override in self.overrides:
-            ids = quadrant_ids(name, package)
-            accel_of.update(dict.fromkeys(
-                (c.chiplet_id for q in ids for c in package.quadrant(q)),
-                override.apply(package.engine(ids[0]))))
-        return package.with_accels(accel_of, suffix=f"+het({self.token})")
-
-
-def quadrant_ids(name: str, package: MCMPackage) -> list[int]:
-    """Global quadrant indices of ``name`` across all NPU modules.
-
-    The one place the stage-per-quadrant indexing contract (local
-    quadrant ``i`` of module ``m`` is global ``i + 4m``) is spelled out;
-    :meth:`QuadrantOverrides.apply` and :func:`package_composition` both
-    resolve names through it.
-    """
-    count = package.quadrant_count
-    if count % len(QUADRANT_NAMES):
-        raise ValueError(
-            f"package {package.name} has {count} quadrants; quadrant "
-            f"names need a multiple of {len(QUADRANT_NAMES)}")
-    local = QUADRANT_NAMES.index(name)
-    return [local + len(QUADRANT_NAMES) * m
-            for m in range(count // len(QUADRANT_NAMES))]
+            local = QUADRANT_NAMES.index(name)
+            engine_of[local] = override.apply(package.engines[local])
+        return package.with_engines(engine_of,
+                                    suffix=f"+het({self.token})")
 
 
 def package_composition(package: MCMPackage) -> str:
@@ -259,6 +239,5 @@ def package_composition(package: MCMPackage) -> str:
     the engine that quadrant runs in every NPU module.  Deterministic,
     so it is safe in sweep rows and report documents.
     """
-    return "|".join(
-        f"{name}:{package.engine(quadrant_ids(name, package)[0]).hw_token}"
-        for name in QUADRANT_NAMES)
+    return "|".join(f"{name}:{engine.hw_token}"
+                    for name, engine in zip(QUADRANT_NAMES, package.engines))

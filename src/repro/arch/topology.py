@@ -25,6 +25,9 @@ symmetric).  Each table entry is ``hops()``, so mesh results are
 bit-identical to the seed's two-pass L1 distance transform
 (:func:`min_hop_map`, kept as the reference).
 
+A package's chiplet slots are likewise a pure function of its topology
+and NPU count: :func:`chiplet_grid` builds them once per shape.
+
 Plan keying: group plans do not depend on the topology.  Sharding picks
 each plan from compute cost alone and the NoP is priced only once the
 plan is fixed (placement and ``Schedule``); the paper's Fig. 9 puts NoP
@@ -37,7 +40,9 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .chiplet import Chiplet
 
 #: supported topology kinds, in canonical order.
 TOPOLOGY_KINDS = ("mesh", "torus")
@@ -181,6 +186,51 @@ def _hop_table(topo: NoPTopology) -> tuple[tuple[int, ...], ...]:
     dx, dy = axis(topo.width), axis(topo.height)
     return tuple(tuple([a + b for a in dy[y] for b in dx[x]])
                  for y in range(topo.height) for x in range(topo.width))
+
+
+@dataclass(frozen=True)
+class ChipletGrid:
+    """The chiplet slots of one package shape, shared by its packages.
+
+    Built by :func:`chiplet_grid`, and compared and hashed by
+    ``(topology, npus)`` alone, so packages of one shape share one
+    placement even when they hold distinct grid objects.
+    """
+
+    topology: NoPTopology
+    npus: int
+    #: every slot in id order: ids run row-major over the grid
+    chiplets: tuple[Chiplet, ...] = field(compare=False, repr=False)
+    #: quadrant -> its slots in id order
+    quadrants: tuple[tuple[Chiplet, ...], ...] = field(compare=False,
+                                                       repr=False)
+    #: chiplet id -> its :attr:`NoPTopology.hop_table` cell
+    cells: tuple[int, ...] = field(compare=False, repr=False)
+
+
+@functools.lru_cache(maxsize=16)
+def chiplet_grid(topo: NoPTopology, npus: int) -> ChipletGrid:
+    """The chiplet slots of ``npus`` modules side by side on ``topo``.
+
+    Each module is tiled into 2x2 quadrants, row-major, and module ``m``
+    holds quadrants ``4m..4m+3``: the paper's 3x3 blocks on the standard
+    ``6*npus x 6`` grid, ``(W/2)x(H/2)`` blocks on an explicit ``WxH``
+    grid of one module.  The caller checks that the grid tiles
+    (:func:`repro.arch.simba_package`).
+    """
+    width, height = topo.width, topo.height
+    module_w = width // npus
+    chiplets = []
+    members: list[list[Chiplet]] = [[] for _ in range(4 * npus)]
+    for y in range(height):
+        for x in range(width):
+            quad = (4 * (x // module_w) + 2 * (y // (height // 2))
+                    + (x % module_w) // (module_w // 2))
+            chiplets.append(Chiplet(len(chiplets), x, y, quad))
+            members[quad].append(chiplets[-1])
+    return ChipletGrid(topo, npus, tuple(chiplets),
+                       tuple(map(tuple, members)),
+                       tuple(topo.cell(c.x, c.y) for c in chiplets))
 
 
 def parse_topology(token: str) -> "tuple[str, tuple[int, int] | None]":

@@ -23,9 +23,9 @@ class Placement:
     """One allocation's groups placed on one package geometry.
 
     Each :class:`~repro.core.throughput.Allocation` keeps the placements
-    made from it by the package's
-    :attr:`~repro.arch.MCMPackage.placement_key`, so schedules that
-    differ only in NoP bandwidth, DRAM budget or clocks share one.
+    made from it by the package's chiplet grid
+    (:attr:`~repro.arch.MCMPackage.grid`), so schedules that differ only
+    in NoP bandwidth or DRAM budget share one.
     ``assignment`` is never mutated; ``nearest_hops`` fills in as those
     schedules price their NoP edges.
     """
@@ -68,7 +68,7 @@ def place(workload: PerceptionWorkload,
     # wraparound-aware on a torus and the seed L1 math on the open mesh.
     topo = package.topology
     table = topo.hop_table
-    cell = [topo.cell(c.x, c.y) for c in package.chiplets]
+    cell = package.grid.cells
     for stage in workload.stages:
         cells = [c.chiplet_id
                  for q in stage_quadrants[stage.name]

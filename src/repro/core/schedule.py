@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..arch import DramBudget, MCMPackage, NoPTransfer, transfer_cost
+from ..arch.package import MODULE_QUADRANTS
 from ..workloads.graph import LayerGroup, PerceptionWorkload
 from .sharding import GroupPlan
 
@@ -216,11 +217,10 @@ class Schedule:
             # chiplet, read from the topology's hop table (so torus
             # wraparound shortens routes here too).
             topo = self.package.topology
-            chiplet = self.package.chiplet
+            cells = self.package.grid.cells
             near = self.nearest_hops[(src, dst)] = topo.nearest_hops(
-                [topo.cell(c.x, c.y)
-                 for c in map(chiplet, self.chiplets_of(dst))],
-                [topo.cell(c.x, c.y) for c in map(chiplet, src_ids)])
+                [cells[cid] for cid in self.chiplets_of(dst)],
+                [cells[cid] for cid in src_ids])
         total_lat = 0.0
         total_energy = 0.0
         hop_sum = 0.0
@@ -394,9 +394,11 @@ class Schedule:
         mis-reports utilization whenever the clocks are not uniform.
         """
         window = self.pipe_latency_s
+        engines = self.package.engines
         pe_cycles = 0.0
         for c in self.package.chiplets:
-            pe_cycles += c.accel.pe_count * c.accel.frequency_hz * window
+            accel = engines[c.quadrant % MODULE_QUADRANTS]
+            pe_cycles += accel.pe_count * accel.frequency_hz * window
         return self.workload.total_macs / pe_cycles
 
     def stage_utilization(self) -> dict[str, float]:
@@ -412,12 +414,14 @@ class Schedule:
         its native tile holds, nor be busy longer than the window.
         """
         window = self.pipe_latency_s
+        engines = self.package.engines
         out: dict[str, float] = {}
         for stage in self.workload.stages:
             pe_cycles = 0.0
             for q in self.stage_quadrants[stage.name]:
-                for c in self.package.quadrant(q):
-                    pe_cycles += (c.accel.pe_count * c.accel.frequency_hz
+                accel = engines[q % MODULE_QUADRANTS]
+                for _ in self.package.quadrant(q):
+                    pe_cycles += (accel.pe_count * accel.frequency_hz
                                   * window)
             out[stage.name] = stage.total_macs / pe_cycles
         return out

@@ -28,10 +28,10 @@ and the :class:`Schedule` (Sec. IV-D, Fig. 9).  So
 :meth:`ThroughputMatcher.run` takes an optional caller-owned
 :data:`AllocationTable`, and packages that differ only in what placement
 reads share one :class:`Allocation`.  Placement in turn reads only the
-package's :attr:`~repro.arch.MCMPackage.placement_key`, so each
-allocation keeps one :class:`~repro.core.placement.Placement` per key,
-and packages that differ only in link bandwidth, DRAM or clocks share
-it.
+package's chiplet grid (:attr:`~repro.arch.MCMPackage.grid`, one per
+topology and NPU count), so each allocation keeps one
+:class:`~repro.core.placement.Placement` per grid, and packages that
+differ only in link bandwidth or DRAM share it.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..arch import DramBudget, MCMPackage, simba_package
+from ..arch.topology import ChipletGrid
 from ..cost import AcceleratorConfig
 from ..workloads.graph import LayerGroup, PerceptionWorkload
 from ..workloads.pipeline import build_perception_workload
@@ -129,8 +130,8 @@ class Allocation:
     base_latency_s: float
     trace: tuple[TraceStep, ...]
     #: placements of this allocation by
-    #: :attr:`~repro.arch.MCMPackage.placement_key`
-    placements: dict[tuple, Placement] = field(
+    #: :attr:`~repro.arch.MCMPackage.grid`
+    placements: dict[ChipletGrid, Placement] = field(
         default_factory=dict, repr=False, compare=False)
 
 
@@ -198,13 +199,13 @@ class ThroughputMatcher:
             allocation = allocations[key] = self._allocate(accel_of, capacity)
 
         colocated = allocation.colocated
-        geometry = self.package.placement_key
-        placement = allocation.placements.get(geometry)
+        grid = self.package.grid
+        placement = allocation.placements.get(grid)
         if placement is None:
             alloc = {name: plan.n_chiplets
                      for name, plan in allocation.plans.items()
                      if name not in colocated}
-            placement = allocation.placements[geometry] = Placement(place(
+            placement = allocation.placements[grid] = Placement(place(
                 self.workload, self.package, alloc, stage_quadrants,
                 colocated))
         assignment = placement.assignment

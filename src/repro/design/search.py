@@ -5,8 +5,9 @@ workload variant of the space is built once, and so is each distinct
 package (keyed by :meth:`~repro.sweep.scenario.Scenario.package_key`);
 the variant's distinct ``(layer, accel)`` pairs over its candidates'
 engines are priced through the shape memo
-:func:`~repro.cost.evaluate_shape`, once per distinct layer shape, and
-each stage's serial chain is summed once per engine.  Each
+:func:`~repro.cost.evaluate_shape`, once per distinct layer shape, into
+one layer table per engine, and each stage's serial chain is summed once
+per engine.  Each
 (variant, package) pair is scored once with a closed-form per-stage
 roofline proxy over those sums, target-violating candidates are pruned,
 and only the proxy-Pareto frontier (one sort and sweep) is materialized
@@ -28,7 +29,7 @@ across interpreters too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Collection
 
 from ..arch import MCMPackage
 from ..core.dse import best_ranked
@@ -45,8 +46,8 @@ from ..workloads.pipeline import STAGE_TR
 from .pareto import pareto_indices
 from .space import DesignSpace
 
-#: one (layer, engine) pricing candidate.
-Pair = tuple[Layer, AcceleratorConfig]
+#: engine -> layer -> its cost on that engine.
+CostTable = dict[AcceleratorConfig, dict[Layer, LayerCost]]
 #: stage name -> engine -> the stage's serial ``(latency_s, energy_j)``.
 StageChains = dict[str, dict[AcceleratorConfig, tuple[float, float]]]
 
@@ -96,7 +97,7 @@ class DesignCandidate:
 
 def stage_chains(workload: PerceptionWorkload,
                  accels: Collection[AcceleratorConfig],
-                 costs: Mapping[Pair, LayerCost]) -> StageChains:
+                 costs: CostTable) -> StageChains:
     """Each stage's serial ``(latency_s, energy_j)`` on each engine.
 
     A stage's serial chain runs every group's layers back to back, once
@@ -107,13 +108,14 @@ def stage_chains(workload: PerceptionWorkload,
     for stage in workload.stages:
         serial_of: dict[AcceleratorConfig, tuple[float, float]] = {}
         for accel in accels:
+            table = costs[accel]
             serial_s = 0.0
             serial_j = 0.0
             for group in stage.groups:
                 chain_s = 0.0
                 chain_j = 0.0
                 for layer in group.layers:
-                    cost = costs[(layer, accel)]
+                    cost = table[layer]
                     chain_s += cost.latency_s
                     chain_j += cost.energy_j
                 serial_s += group.instances * chain_s
@@ -239,14 +241,17 @@ class DesignSearch:
         # quadrant engines.
         tables = RunTables()
         workloads, packages = tables.workloads, tables.packages
+        # Each package's distinct quadrant engines, by package key.
         engines: dict[tuple, dict[AcceleratorConfig, None]] = {}
-        # Per-variant tables, by config: the chiplet engines its
+        # Per-variant tables, by config: the quadrant engines its
         # candidates place, and the engines its pricing covers (those
-        # plus the trunk DSE's).
+        # plus the trunk DSE's).  Each (variant, package) pair's engines
+        # are merged in once.
         configs = [workload_variant(scenario.workload)
                    for scenario in scenarios]
         chiplet_accels: dict = {}
         priced_accels: dict = {}
+        merged: set[tuple] = set()
         for scenario, config, key in zip(scenarios, configs, keys):
             if config not in workloads:
                 # Resolved through the module at call time, like
@@ -257,11 +262,11 @@ class DesignSearch:
                 priced_accels[config] = {}
             if key not in packages:
                 package = packages[key] = scenario.package()
-                engines[key] = dict.fromkeys(
-                    map(package.engine, range(package.quadrant_count)))
-            accels = engines[key]
-            chiplet_accels[config].update(accels)
-            priced_accels[config].update(accels)
+                engines[key] = dict.fromkeys(package.engines)
+            if (config, key) not in merged:
+                merged.add((config, key))
+                chiplet_accels[config].update(engines[key])
+                priced_accels[config].update(engines[key])
             if scenario.het_ws_budget is not None:
                 # The proxy never reads the budget, so check it here: an
                 # over-budget candidate must fail whether or not it
@@ -274,17 +279,17 @@ class DesignSearch:
                                     for q in trunks))
                 priced_accels[config].update(
                     dict.fromkeys(scenario.trunk_accels()))
-        # Every distinct (layer, engine) pair gets a cost, priced through
-        # the shape memo: layers of one shape cost the same, so each
-        # (shape, engine) is priced once.
-        costs: dict[Pair, LayerCost] = {}
+        # Every distinct (layer, engine) pair gets a cost, in one layer
+        # table per engine, priced through the shape memo: layers of one
+        # shape cost the same, so each (shape, engine) is priced once.
+        costs: CostTable = {}
         for config, workload in workloads.items():
             layers = workload.all_layers()
             for accel in priced_accels[config]:
+                table = costs.setdefault(accel, {})
                 for layer in layers:
-                    if (layer, accel) not in costs:
-                        costs[layer, accel] = evaluate_shape(layer.shape,
-                                                             accel)
+                    if layer not in table:
+                        table[layer] = evaluate_shape(layer.shape, accel)
         chains = {config: stage_chains(workload, chiplet_accels[config],
                                        costs)
                   for config, workload in workloads.items()}
@@ -319,5 +324,5 @@ class DesignSearch:
             candidates=candidates,
             frontier=frontier,
             rows=rows,
-            priced_pairs=len(costs),
+            priced_pairs=sum(len(table) for table in costs.values()),
             plan_cache=plan_cache_stats() - before)

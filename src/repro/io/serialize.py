@@ -128,7 +128,8 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     return {
         "package": {
             "name": schedule.package.name,
-            "mesh": [schedule.package.mesh_w, schedule.package.mesh_h],
+            "mesh": [schedule.package.topology.width,
+                     schedule.package.topology.height],
             "total_pes": schedule.package.total_pes,
             "npus": schedule.package.npus,
         },

@@ -7,9 +7,10 @@ points across worker processes and merges the results deterministically:
   scenario (the schedulers and cost model are deterministic), so the same
   grid produces identical rows whether it runs serially or on N workers;
 * a serial run, and each worker chunk, owns one :class:`RunTables`: it
-  builds each distinct workload variant and each distinct package once,
-  runs Algorithm 1's allocation once per distinct allocation input (and
-  places it once per package geometry), schedules and summarizes once
+  builds each distinct workload variant (and, on a DRAM axis, its
+  per-frame DRAM bytes) and each distinct package once, runs Algorithm
+  1's allocation once per distinct allocation input (and places it once
+  per package chiplet grid), schedules and summarizes once
   per distinct hardware, so scenarios that differ only in their Het(k)
   budget share one schedule, and runs the trunk DSE once per distinct
   trunk input;
@@ -72,7 +73,7 @@ from .resilience import (
     WorkerCrashError,
     error_class,
 )
-from .scenario import PackageTable, Scenario, WorkloadTable
+from .scenario import DramBytesTable, PackageTable, Scenario, WorkloadTable
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -145,8 +146,10 @@ class RunTables:
     #: built packages by :meth:`Scenario.package_key`
     #: (:meth:`Scenario.build`)
     packages: PackageTable = field(default_factory=dict)
+    #: per-frame DRAM bytes by workload config (:meth:`Scenario.build`)
+    dram_bytes: DramBytesTable = field(default_factory=dict)
     #: Algorithm 1 allocations (:meth:`ThroughputMatcher.run`), each
-    #: with its placements by package geometry
+    #: with its placements by package chiplet grid
     allocations: AllocationTable = field(default_factory=dict)
     #: the schedule-derived part of rows, by scenario sans Het(k) budget
     schedules: dict[Scenario, _ScheduledRow] = field(default_factory=dict)
@@ -199,7 +202,8 @@ def run_scenario(scenario: Scenario,
 
 def _schedule_row(scenario: Scenario, tables: RunTables) -> _ScheduledRow:
     """Build, schedule and summarize one scenario's hardware."""
-    built = scenario.build(tables.workloads, tables.packages)
+    built = scenario.build(tables.workloads, tables.packages,
+                           tables.dram_bytes)
     schedule = built.schedule(tables.allocations)
     summary = schedule.summary()
     fields = {"base_ms": schedule.base_latency_s * 1e3}

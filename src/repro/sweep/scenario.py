@@ -78,6 +78,8 @@ WORKLOAD_VARIANTS: dict[str, PipelineConfig] = {
 WorkloadTable = dict[PipelineConfig, PerceptionWorkload]
 #: built packages by :meth:`Scenario.package_key`, owned likewise.
 PackageTable = dict[tuple, MCMPackage]
+#: per-frame DRAM bytes by workload config, owned likewise.
+DramBytesTable = dict[PipelineConfig, int]
 
 
 def workload_variant(name: str) -> PipelineConfig:
@@ -389,19 +391,21 @@ class Scenario:
         return package
 
     def build(self, workloads: WorkloadTable | None = None,
-              packages: PackageTable | None = None) -> ScenarioBuild:
+              packages: PackageTable | None = None,
+              dram_bytes: DramBytesTable | None = None) -> ScenarioBuild:
         """Materialize the ``(workload, package, DramBudget)`` triple.
 
         The single construction path shared by the sweep runner, the
         experiments, and the CLI: at default axes it reproduces the PR 2
         hand-rolled ``simba_package(npus=..., nop=...)`` call exactly.
 
-        ``workloads`` and ``packages`` are caller-owned tables of
-        already-built workloads (by config) and packages (by
-        :meth:`package_key`): an entry found there is reused, and one
-        built here is added.  Scenarios built from one table share those
-        objects, which is safe because nothing downstream mutates a
-        workload or a package.
+        ``workloads``, ``packages`` and ``dram_bytes`` are caller-owned
+        tables of already-built workloads (by config), packages (by
+        :meth:`package_key`) and per-frame DRAM bytes (by config, read
+        only when the scenario sets ``dram_gbps``): an entry found there
+        is reused, and one built here is added.  Scenarios built from one
+        table share those objects, which is safe because nothing
+        downstream mutates a workload or a package.
         """
         config = workload_variant(self.workload)
         if workloads is None:
@@ -416,11 +420,15 @@ class Scenario:
         if package is None:
             package = packages[key] = self.package()
         dram = self.dram_budget()
-        dram_bytes = (workload_dram_bytes(workload, config)
-                      if dram is not None else 0)
+        per_frame = 0
+        if dram is not None:
+            dram_bytes = {} if dram_bytes is None else dram_bytes
+            if config not in dram_bytes:
+                dram_bytes[config] = workload_dram_bytes(workload, config)
+            per_frame = dram_bytes[config]
         return ScenarioBuild(scenario=self, config=config,
                              workload=workload, package=package,
-                             dram=dram, dram_bytes_per_frame=dram_bytes)
+                             dram=dram, dram_bytes_per_frame=per_frame)
 
 
 def scenario_grid(

@@ -57,9 +57,8 @@ def render_floorplan(schedule: Schedule, show_busy: bool = True,
     busy = schedule.chiplet_busy()
 
     def cell(cid: int) -> list[str]:
-        chiplet = pkg.chiplet(cid)
         top = labels.get(cid, "idle")
-        if chiplet.dataflow != "os":
+        if pkg.engine(pkg.chiplet(cid).quadrant).dataflow != "os":
             top += "*"
         lines = [top[:cell_width].center(cell_width)]
         if show_busy:
@@ -67,17 +66,16 @@ def render_floorplan(schedule: Schedule, show_busy: bool = True,
         return lines
 
     rows: list[str] = []
-    border = "+" + "+".join("-" * cell_width for _ in range(pkg.mesh_w)) \
-        + "+"
+    width, height = pkg.topology.width, pkg.topology.height
+    border = "+" + "+".join("-" * cell_width for _ in range(width)) + "+"
     rows.append(border)
-    for y in range(pkg.mesh_h):
-        cells = [cell(pkg.at(x, y).chiplet_id) for x in range(pkg.mesh_w)]
+    for y in range(height):
+        cells = [cell(pkg.at(x, y).chiplet_id) for x in range(width)]
         for line_idx in range(len(cells[0])):
             rows.append(
                 "|" + "|".join(c[line_idx] for c in cells) + "|")
         rows.append(border)
-    if any(pkg.chiplet(c.chiplet_id).dataflow != "os"
-           for c in pkg.chiplets):
+    if any(engine.dataflow != "os" for engine in pkg.engines):
         rows.append("(* = weight-stationary chiplet)")
     return "\n".join(rows)
 

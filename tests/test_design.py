@@ -458,47 +458,62 @@ class TestPackageKey:
             # build() builds a fresh package, sharing only the workloads.
             build = candidate.scenario.build(workloads)
             workload, package = build.workload, build.package
-            accels = dict.fromkeys(
-                map(package.engine, range(package.quadrant_count)))
-            costs = {(layer, accel): evaluate(layer, accel)
-                     for layer in workload.all_layers() for accel in accels}
+            accels = dict.fromkeys(package.engines)
+            costs = {accel: {layer: evaluate(layer, accel)
+                             for layer in workload.all_layers()}
+                     for accel in accels}
             chains = stage_chains(workload, accels, costs)
             assert proxy_objectives(workload, package, chains) \
                 == (candidate.proxy_pipe_ms, candidate.proxy_energy_j)
 
     def test_perfbench_space_builds_each_package_once(self, monkeypatch):
         # perfbench's seed-0 design space: 768 candidates over 64
-        # distinct packages and 192 (variant, package) pairs.  Ranking
-        # builds each package once and scores each pair once; the 32
-        # frontier rows find their packages in the search's run tables,
-        # and come from 4 allocations on 2 package geometries, so they
-        # place 8 times.  Nothing carries over between runs, so a second
-        # cold run counts the same.
+        # distinct packages on 4 chiplet grids, and 192 (variant,
+        # package) pairs.  Ranking builds each package once and scores
+        # each pair once; the 32 frontier rows find their packages in
+        # the search's run tables, and come from 4 allocations on 2
+        # chiplet grids, so they place 8 times.  Only the grid memo
+        # carries over between runs: a second cold run builds no grid
+        # and counts the rest the same.
         import repro.core.throughput as throughput_module
         import repro.design.search as search_module
         import repro.sweep.scenario as scenario_module
-        calls = {"simba_package": 0, "proxy_objectives": 0, "place": 0}
+        from repro.arch.topology import chiplet_grid
+        from repro.cost import AcceleratorConfig
+        calls = {"simba_package": 0, "proxy_objectives": 0, "place": 0,
+                 "workload_dram_bytes": 0, "__hash__": 0}
 
-        def count(module, name):
-            original = getattr(module, name)
+        def count(owner, name):
+            original = getattr(owner, name)
 
             def counting(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(owner, name, counting)
 
         count(scenario_module, "simba_package")
         count(search_module, "proxy_objectives")
         count(throughput_module, "place")
+        count(scenario_module, "workload_dram_bytes")
+        count(AcceleratorConfig, "__hash__")
         space = DesignSpace.from_axis_texts(PERFBENCH_AXES)
-        for _ in range(2):
+        chiplet_grid.cache_clear()
+        for grids in (4, 0):
             _cold()
             calls.update(dict.fromkeys(calls, 0))
+            before = chiplet_grid.cache_info().misses
             result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
+            assert chiplet_grid.cache_info().misses - before == grids
             assert len(result.candidates) == 768
             assert len(result.frontier) == 32
-            assert calls == {"simba_package": 64, "proxy_objectives": 192,
-                             "place": 8}
+            assert result.priced_pairs == 1464
+            # Each engine is hashed once per table it keys, not once per
+            # (layer, engine) probe: 12,281 calls before the pricing
+            # tables were keyed by engine.
+            counted = dict(calls)
+            assert counted.pop("__hash__") <= 4200
+            assert counted == {"simba_package": 64, "proxy_objectives": 192,
+                               "place": 8, "workload_dram_bytes": 1}
 
 
 class TestPricingWork:

@@ -28,8 +28,9 @@ class TestHeterogeneousFlow:
 
     def test_os_only_variant_keeps_homogeneous_package(self):
         result = schedule_heterogeneous(ws_chiplets=0)
-        assert all(c.dataflow == "os"
-                   for c in result.schedule.package.chiplets)
+        package = result.schedule.package
+        assert all(package.engine(c.quadrant).dataflow == "os"
+                   for c in package.chiplets)
         assert {style for _, style in result.trunk_config.alloc.values()} \
             == {"os"}
         assert result.trunk_config.ws_chiplets == 0

@@ -1,7 +1,7 @@
 """Tests for per-quadrant heterogeneous package composition.
 
 Covers the QuadrantOverrides spec (token grammar, canonicalization,
-validation), its materialization through MCMPackage.with_accels, the
+validation), its materialization through MCMPackage.with_engines, the
 one-engine-per-quadrant invariant, the package composition strings, and
 the core/hetero.py flow: a trunk-only ``ws`` override and the
 ``het_ws_budget`` axis against the hetero.py Table I flow.
@@ -14,7 +14,6 @@ from repro.arch import (
     QuadrantOverride,
     QuadrantOverrides,
     package_composition,
-    quadrant_ids,
     simba_package,
 )
 from repro.cost import nvdla_chiplet, simba_chiplet
@@ -105,31 +104,42 @@ class TestQuadrantOverrideApply:
         assert ov.apply(base) == base  # same plans, same store entries
 
 
+def dataflows(pkg):
+    """Each chiplet's dataflow, in id order, read from its engine."""
+    return [pkg.engine(c.quadrant).dataflow for c in pkg.chiplets]
+
+
 class TestPackageMaterialization:
     def test_whole_quadrant_rewritten(self):
         pkg = QuadrantOverrides.parse("trunk:ws").apply(simba_package())
-        trunk = pkg.quadrant(3)
-        assert len(trunk) == 9
-        assert all(c.dataflow == "ws" for c in trunk)
+        assert pkg.quadrant_capacity(3) == 9
+        assert pkg.engine(3).dataflow == "ws"
         for q in (0, 1, 2):
-            assert all(c.dataflow == "os" for c in pkg.quadrant(q))
+            assert pkg.engine(q).dataflow == "os"
+        assert dataflows(pkg) == [
+            "ws" if c.quadrant == 3 else "os" for c in pkg.chiplets]
 
     def test_multi_module_override_hits_every_module(self):
         pkg = QuadrantOverrides.parse("trunk:ws").apply(
             simba_package(npus=2))
         for q in (3, 7):  # trunk quadrant of both modules
-            assert all(c.dataflow == "ws" for c in pkg.quadrant(q))
-        assert all(c.dataflow == "os" for c in pkg.quadrant(4))
+            assert pkg.engine(q).dataflow == "ws"
+        assert pkg.engine(4).dataflow == "os"
+        assert dataflows(pkg).count("ws") == 18
 
     def test_explicit_grid_package_supported(self):
         pkg = QuadrantOverrides.parse("trunk:ws").apply(
             simba_package(topology="torus-8x8"))
-        assert all(c.dataflow == "ws" for c in pkg.quadrant(3))
+        assert pkg.engine(3).dataflow == "ws"
+        assert dataflows(pkg).count("ws") == pkg.quadrant_capacity(3) == 16
         assert pkg.topology.kind == "torus"
 
     def test_with_accels_rejects_unknown_ids(self):
-        with pytest.raises(KeyError, match="not in package"):
-            simba_package().with_accels({999: nvdla_chiplet()})
+        # Engines are keyed by local quadrant (0..3), never by chiplet
+        # id or global quadrant.
+        for unknown in (999, 4, -1):
+            with pytest.raises(KeyError, match="not in package"):
+                simba_package(npus=2).with_engines({unknown: nvdla_chiplet()})
 
     def test_composition_string(self):
         pkg = QuadrantOverrides.parse(
@@ -149,15 +159,23 @@ class TestPackageMaterialization:
     @pytest.mark.parametrize("text, npus", [
         ("trunk:ws", 1), ("trunk:ws", 2), ("temporal:@1.5+fe:/8x8", 2)])
     def test_override_shares_one_config_per_quadrant(self, text, npus):
-        # The invariant check compares configs by identity first.
+        # Every module's copy of a local quadrant runs one config object.
         pkg = QuadrantOverrides.parse(text).apply(simba_package(npus=npus))
-        assert all(c.accel is pkg.engine(c.quadrant % 4)
-                   for c in pkg.chiplets)
+        assert all(pkg.engine(q) is pkg.engine(q % 4)
+                   for q in range(pkg.quadrant_count))
+        assert pkg.grid is simba_package(npus=npus).grid
 
     def test_quadrant_names_cover_the_standard_tiling(self):
-        assert quadrant_ids("fe", simba_package()) == [0]
-        assert quadrant_ids("trunk", simba_package(npus=2)) == [3, 7]
+        # QUADRANT_NAMES[i] names local quadrant i, which is global
+        # quadrant i + 4m of module m.
         assert len(QUADRANT_NAMES) == 4
+        for local, name in enumerate(QUADRANT_NAMES):
+            for npus in (1, 2):
+                pkg = QuadrantOverrides.parse(f"{name}:ws").apply(
+                    simba_package(npus=npus))
+                assert [q for q in range(pkg.quadrant_count)
+                        if pkg.engine(q).dataflow == "ws"] \
+                    == [local + 4 * m for m in range(npus)]
 
 
 class TestHeteroFlowComposition:
@@ -167,7 +185,7 @@ class TestHeteroFlowComposition:
         """Acceptance: a trunk-only ws override is Table I's WS column.
 
         The generic path (Scenario ``hetero`` axis -> QuadrantOverrides
-        -> with_accels) must make the whole trunk quadrant, and nothing
+        -> with_engines) must make the whole trunk quadrant, and nothing
         else, WS, and the sweep's generic ``het_ws_budget`` path must
         reproduce hetero.py's trunk pipe latency.
         """
@@ -176,7 +194,7 @@ class TestHeteroFlowComposition:
 
         legacy = schedule_heterogeneous(ws_chiplets=9)
         generic = Scenario(hetero="trunk:ws").package()
-        assert [c.dataflow for c in generic.chiplets] == [
+        assert dataflows(generic) == [
             "ws" if c.quadrant == 3 else "os" for c in generic.chiplets]
         # Table I's WS-column pipe latency through the generic sweep path
         # (the same DSE the hetero.py flow runs).
@@ -185,6 +203,25 @@ class TestHeteroFlowComposition:
             legacy.trunk_config.pipe_ms)
         assert row["trunk_pipe_ms"] == pytest.approx(
             legacy.pipe_latency_s * 1e3)  # WS is the bottleneck (Table I)
+
+    def test_het_budget_row_ignores_the_trunk_override_dataflow(self):
+        # docs/HETERO.md: the trunk DSE prices its own ShiDianNao OS and
+        # NVDLA WS presets at the trunk quadrant's clock and tile, so a
+        # ``trunk:`` override's dataflow moves the package (composition,
+        # pipe latency) but leaves the Het(k) trunk columns alone.
+        from repro.sweep import Scenario, run_scenario
+
+        with_ws = Scenario(hetero="trunk:ws", het_ws_budget=4)
+        plain = Scenario(het_ws_budget=4)
+        ws_row, plain_row = run_scenario(with_ws), run_scenario(plain)
+        trunk = ("trunk_label", "trunk_pipe_ms", "trunk_energy_j",
+                 "trunk_edp_j_ms", "trunk_feasible")
+        assert {k: ws_row[k] for k in trunk} \
+            == {k: plain_row[k] for k in trunk}
+        assert ws_row["trunk_label"] == "Het(4)"
+        assert package_composition(with_ws.package()) \
+            != package_composition(plain.package())
+        assert ws_row["pipe_ms"] != plain_row["pipe_ms"]
 
     def test_mixed_package_matcher_beats_unsharded_dse_trunks(self):
         # Algorithm 1 on the mixed package may row-shard the WS trunks,

@@ -130,8 +130,8 @@ class TestScenarioBuild:
             npus=2, nop=NoPConfig(bandwidth_bytes_per_s=50.0e9))
         assert built.package.name == hand.name
         assert built.package.nop == hand.nop
-        assert [c.accel for c in built.package.chiplets] == \
-            [c.accel for c in hand.chiplets]
+        assert built.package.engines == hand.engines
+        assert built.package.grid is hand.grid
         assert built.dram is None
         assert built.dram_bytes_per_frame == 0
         # the package-only accessor produces the same hardware
@@ -145,7 +145,8 @@ class TestScenarioBuild:
         assert accel.dataflow == "ws"
         assert accel.frequency_hz == 1.0e9
         assert accel.native_tile == (8, 8)
-        assert all(c.accel == accel for c in built.package.chiplets)
+        assert all(built.package.engine(c.quadrant) == accel
+                   for c in built.package.chiplets)
 
     def test_explicit_default_override_is_identical_hardware(self):
         # frequency_ghz=2.0 spells out the preset: same accel object
@@ -312,16 +313,17 @@ class TestHeteroAxis:
         fixture = json.loads(HETERO_FIXTURE.read_text())
         group = build_perception_workload().find_group("S_FFN")
         base_hash = fixture["plan_key_hashes"]["S_FFN@2"]
-        homogeneous = Scenario().package().chiplets
-        assert {c.accel for c in homogeneous} == {simba_chiplet("os")}
+        homogeneous = Scenario().package()
+        assert set(homogeneous.engines) == {simba_chiplet("os")}
         changed = set()
         for hetero in ("trunk:ws", "trunk:os@2", "fe:/8x8",
                        "spatial:ws@1.2+temporal:@1.5"):
             package = Scenario(hetero=hetero).package()
-            for chiplet, seed in zip(package.chiplets, homogeneous):
-                moved = chiplet.accel != seed.accel
+            for chiplet in package.chiplets:
+                accel = package.engine(chiplet.quadrant)
+                moved = accel != homogeneous.engine(chiplet.quadrant)
                 changed.add(moved)
-                assert (plan_key_hash(group, 2, chiplet.accel, MODE_BEST)
+                assert (plan_key_hash(group, 2, accel, MODE_BEST)
                         != base_hash) == moved, (hetero, chiplet)
         assert changed == {True, False}
 
@@ -345,12 +347,12 @@ class TestHeteroAxis:
     def test_build_materializes_the_mixed_package(self):
         built = Scenario(hetero="trunk:ws@1.2",
                          frequency_ghz=1.0).build()
-        trunk = built.package.quadrant(3)
-        assert all(c.dataflow == "ws" and c.accel.frequency_hz == 1.2e9
-                   for c in trunk)
+        trunk = built.package.engine(3)
+        assert trunk.dataflow == "ws" and trunk.frequency_hz == 1.2e9
         # the quadrant override layers on the package-wide axis
-        assert all(c.dataflow == "os" and c.accel.frequency_hz == 1.0e9
-                   for c in built.package.quadrant(0))
+        fe = built.package.engine(0)
+        assert fe.dataflow == "os" and fe.frequency_hz == 1.0e9
+        assert built.package.quadrant_capacity(3) == 9
 
     def test_hetero_rows_carry_composition_and_utilization(self):
         row = run_scenario(Scenario(tolerance=1.0, hetero="trunk:ws"))

@@ -13,7 +13,7 @@ class TestHeterogeneousUtilization:
 
     def test_homogeneous_matches_single_frequency_formula(self, schedule36):
         pkg = schedule36.package
-        freq = pkg.chiplets[0].accel.frequency_hz
+        freq = pkg.engine(pkg.chiplets[0].quadrant).frequency_hz
         expected = schedule36.workload.total_macs / (
             pkg.total_pes * schedule36.pipe_latency_s * freq)
         assert schedule36.utilization == pytest.approx(expected)
@@ -24,19 +24,18 @@ class TestHeterogeneousUtilization:
         # would halve the reported PE-cycles; the fix halves only that
         # quadrant's own contribution.
         het_pkg = QuadrantOverrides.parse("fe:@1").apply(simba_package())
-        assert het_pkg.chiplets[0].accel.frequency_hz == 1.0e9
+        accels = [het_pkg.engine(c.quadrant) for c in het_pkg.chiplets]
+        assert accels[0].frequency_hz == 1.0e9
         het = replace(schedule36, package=het_pkg)
 
         window = het.pipe_latency_s
         expected_cycles = sum(
-            c.accel.pe_count * c.accel.frequency_hz * window
-            for c in het_pkg.chiplets)
+            a.pe_count * a.frequency_hz * window for a in accels)
         assert het.utilization == pytest.approx(
             het.workload.total_macs / expected_cycles)
 
         buggy = het.workload.total_macs / (
-            het_pkg.total_pes * window
-            * het_pkg.chiplets[0].accel.frequency_hz)
+            het_pkg.total_pes * window * accels[0].frequency_hz)
         assert het.utilization != pytest.approx(buggy)
         # Slowing one quadrant shrinks available PE-cycles -> higher util.
         assert het.utilization > schedule36.utilization

@@ -103,7 +103,7 @@ class TestMatcherInvariants:
         # Unsharded reference: every group on one chiplet.  Colocated tiny
         # groups legally stack on a host chiplet, so the bound allows one
         # colocation threshold per hosted group.
-        accel = package.chiplets[0].accel
+        accel = package.engine(package.chiplets[0].quadrant)
         unsharded = max(plan_group(g, 1, accel).pipe_latency_s
                         for g in workload.all_groups())
         hosted = sum(1 for gs in schedule.groups.values()
@@ -207,7 +207,8 @@ def replay_trace(schedule):
     accel, capacity = {}, 0
     for stage in schedule.workload.stages:
         quads = schedule.stage_quadrants[stage.name]
-        accel[stage.name] = package.quadrant(quads[0])[0].accel
+        accel[stage.name] = package.engine(
+            package.quadrant(quads[0])[0].quadrant)
         capacity += sum(package.quadrant_capacity(q) for q in quads)
     groups = {g.name: g for g in schedule.workload.all_groups()}
     extra: dict[str, float] = {}

@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from repro.arch import MCMPackage, simba_package
+from repro.arch import MCMPackage, NoPConfig, simba_package
+from repro.arch.topology import chiplet_grid
 from repro.core import ThroughputMatcher
 from repro.core.schedule import TraceStep
 from repro.sweep import Scenario, scenario_grid
@@ -174,30 +175,29 @@ class TestAllocationTable:
         assert sum(len(a.placements) for a in table.values()) == 2 * 8 + 2
 
     def test_each_cell_and_quadrant_keys_a_placement(self):
-        # No package builder makes two packages that share an allocation
-        # and differ only in a chiplet's cell or quadrant, so swap two
-        # chiplets' coordinates, or their quadrants, by hand.  Capacities
-        # and engines stay equal, so all three share one allocation, but
-        # each needs a placement of its own.
+        # Placement reads the package's chiplet grid (every chiplet's
+        # cell and quadrant), one per (topology, npus) shape.  Packages
+        # of one shape share one grid and one placement, even with a
+        # grid built apart from the memo (grids compare by shape); the
+        # torus shares their allocation but gets a placement of its own.
         base = simba_package()
-        a, b = base.chiplets[2], base.chiplets[3]
-        assert a.quadrant != b.quadrant
-        cells = list(base.chiplets)
-        cells[2:4] = (dataclasses.replace(a, x=b.x, y=b.y),
-                      dataclasses.replace(b, x=a.x, y=a.y))
-        quadrants = list(base.chiplets)
-        quadrants[2:4] = (dataclasses.replace(a, quadrant=b.quadrant),
-                          dataclasses.replace(b, quadrant=a.quadrant))
+        slower = simba_package(topology="mesh",
+                               nop=NoPConfig(bandwidth_bytes_per_s=25e9))
+        apart = MCMPackage(base.name,
+                           chiplet_grid.__wrapped__(base.topology, 1),
+                           base.engines)
+        torus = simba_package(topology="torus")
+        assert slower.grid is base.grid
+        assert apart.grid is not base.grid and apart.grid == base.grid
+        assert torus.grid != base.grid
         table: dict = {}
         workload = Scenario().build().workload
-        for chiplets in (base.chiplets, cells, quadrants):
-            package = MCMPackage(base.name, base.mesh_w, base.mesh_h,
-                                 chiplets)
+        for package in (base, slower, apart, torus):
             assert schedule_view(
                 ThroughputMatcher(workload, package).run(table)) \
                 == schedule_view(ThroughputMatcher(workload, package).run())
         (allocation,) = table.values()
-        assert len(allocation.placements) == 3
+        assert list(allocation.placements) == [base.grid, torus.grid]
 
     def test_schedules_served_one_allocation_own_their_traces(self):
         table: dict = {}

@@ -223,13 +223,6 @@ class TestPackageTopology:
         pkg = simba_package(topology=NoPTopology("torus", 8, 8))
         assert len(pkg) == 64 and pkg.quadrant_count == 4
 
-    def test_mismatched_topology_object_rejected(self):
-        from repro.arch import MCMPackage
-        pkg = simba_package()
-        with pytest.raises(ValueError, match="does not match"):
-            MCMPackage("bad", 6, 6, pkg.chiplets, pkg.nop, 1,
-                       NoPTopology("mesh", 8, 8))
-
 
 class TestTopologySchedules:
     def test_torus_schedule_is_valid_and_pipe_equal(self):

@@ -17,7 +17,7 @@ class TestFloorplan:
         text = render_floorplan(schedule36)
         lines = text.splitlines()
         borders = [l for l in lines if l.startswith("+")]
-        assert len(borders) == schedule36.package.mesh_h + 1
+        assert len(borders) == schedule36.package.topology.height + 1
 
     def test_all_fe_instances_visible(self, schedule36):
         text = render_floorplan(schedule36)
