@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..arch import MCMPackage
+from ..arch import MCMPackage, NoPConfig
 from ..arch.package import MODULE_QUADRANTS
 from ..workloads.graph import PerceptionWorkload
 
@@ -26,8 +26,8 @@ class Placement:
     made from it by the package's chiplet grid
     (:attr:`~repro.arch.MCMPackage.grid`), so schedules that differ only
     in NoP bandwidth or DRAM budget share one.
-    ``assignment`` is never mutated; ``nearest_hops`` fills in as those
-    schedules price their NoP edges.
+    ``assignment`` is never mutated; ``nearest_hops`` and ``edges`` fill
+    in as those schedules price their NoP edges.
     """
 
     #: :func:`place`'s chiplet ids of every non-colocated group
@@ -36,6 +36,9 @@ class Placement:
     #: destination chiplet (read by ``Schedule._edge``)
     nearest_hops: dict[tuple[str, str], list[int]] = field(
         default_factory=dict)
+    #: NoP link -> its priced edges (``Schedule.edges``): an edge reads
+    #: only the allocation, this placement and the link
+    edges: dict[NoPConfig, dict] = field(default_factory=dict)
 
 
 def default_stage_quadrants(workload: PerceptionWorkload,

@@ -86,17 +86,19 @@ class Schedule:
     #: per-frame DRAM traffic (streamed weights + camera inputs); see
     #: :func:`repro.arch.dram.workload_dram_bytes`.
     dram_bytes_per_frame: int = 0
-    #: each NoP edge's per-source nearest hops by ``(src, dst)``.  They
-    #: depend on the placement alone, so the matcher passes the memo of
-    #: its :class:`~repro.core.placement.Placement` and schedules placed
-    #: alike share it; link bandwidth is still priced per schedule.
-    nearest_hops: dict = field(default_factory=dict, repr=False,
-                               compare=False)
+    #: NoP memos: each edge's per-source nearest hops, and the link's
+    #: priced edges, by ``(src, dst)`` (a pipelined group's internal edge
+    #: by ``(group, group)``).  The matcher sets both to its
+    #: :class:`~repro.core.placement.Placement`'s tables, shared by the
+    #: schedules placed alike; a schedule built (or ``replace``-d)
+    #: elsewhere keeps its own.
+    nearest_hops: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
+    edges: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
     # Memos for the derived metrics below.  A Schedule is immutable once
     # the matcher returns it, and summary()/e2e accounting re-derive the
     # same NoP edges and busy map several times per call without these.
-    _edge_memo: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
     _nop_edges_memo: list | None = field(default=None, init=False,
                                          repr=False, compare=False)
     _pipe_latency_memo: float | None = field(default=None, init=False,
@@ -204,9 +206,9 @@ class Schedule:
 
     def _edge(self, src: str, dst: str) -> NoPEdge:
         """Price the transfer of src's output into dst's chiplets."""
-        memo = self._edge_memo.get((src, dst))
-        if memo is not None:
-            return memo
+        edge = self.edges.get((src, dst))
+        if edge is not None:
+            return edge
         src_group = self.workload.find_group(src)
         payload = self._group_output_bytes(src_group)
         src_ids = self.chiplets_of(src)
@@ -236,15 +238,18 @@ class Schedule:
             hop_sum += hops
             if hops > worst_hops:
                 worst_hops = hops
-        edge = NoPEdge(src, dst, payload, hop_sum / max(1, len(src_ids)),
-                       total_lat, total_energy, worst_hops)
-        self._edge_memo[(src, dst)] = edge
+        edge = self.edges[(src, dst)] = NoPEdge(
+            src, dst, payload, hop_sum / max(1, len(src_ids)), total_lat,
+            total_energy, worst_hops)
         return edge
 
     def _pipeline_internal_edge(self, name: str) -> NoPEdge | None:
         gs = self.groups[name]
         if gs.plan.segments < 2:
             return None
+        edge = self.edges.get((name, name))
+        if edge is not None:
+            return edge
         group = self.workload.find_group(name)
         # Hand-off tensor between segments approximated by the group's
         # per-instance output size, once per extra segment, over one hop
@@ -256,9 +261,10 @@ class Schedule:
         payload = group.output_bytes_per_instance
         hops = gs.plan.segments - 1
         t = transfer_cost(payload, 1, self.package.nop)
-        return NoPEdge(name, name, payload * hops * group.instances, 1.0,
-                       t.latency_s * hops,
-                       t.energy_j * hops * group.instances, 1)
+        edge = self.edges[(name, name)] = NoPEdge(
+            name, name, payload * hops * group.instances, 1.0,
+            t.latency_s * hops, t.energy_j * hops * group.instances, 1)
+        return edge
 
     def nop_edges(self) -> list[NoPEdge]:
         """All inter-group and pipeline-internal NoP transfers."""

@@ -18,8 +18,8 @@ mirror the paper's moves:
 ``plan_group`` evaluates the best mode for a given chiplet count and
 returns a :class:`GroupPlan` with per-chiplet busy times (pipe-latency
 contributions), the single-frame span, and energy.  Every count it tries
-reads one :class:`GroupCosts` table per (group, accelerator), priced on
-the first plan miss for that pair and held by the plan cache.
+reads one :class:`GroupCosts` table per (group, accelerator), priced by
+shape on the first plan miss for that pair and held by the plan cache.
 
 Every float sum here is an explicit left fold (an inline loop, never
 ``sum()``): from Python 3.12 on ``sum()`` of floats is compensated, and
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..cost import AcceleratorConfig, evaluate, evaluate_shape
+from ..cost import AcceleratorConfig, evaluate_shape
 from ..workloads.graph import LayerGroup
 from ..workloads.layers import Layer, LayerShape
 from .plancache import MODE_BEST, get_plan_cache
@@ -72,7 +72,7 @@ class GroupCosts:
     :class:`~repro.core.plancache.PlanCache` builds it on the first plan
     miss for a ``(group, accel)`` pair and serves it to every later miss,
     so each chiplet count's plan reads these instead of pricing the chain
-    again.
+    again.  Layers are priced by shape, so equal shapes share one cost.
     """
 
     group: LayerGroup
@@ -99,7 +99,7 @@ class GroupCosts:
         shape_layers = []
         shape_of = []
         for layer in group.layers:
-            cost = evaluate(layer, accel)
+            cost = evaluate_shape(layer.shape, accel)
             latencies.append(cost.latency_s)
             chain_s += cost.latency_s
             chain_j += cost.energy_j
@@ -163,53 +163,59 @@ def _balanced_segments(latencies: Sequence[float], k: int) -> list[int]:
     """Contiguous min-max partition of a latency chain into ``k`` segments.
 
     Returns segment boundaries as a list of start indices (length k).
-    Implemented as a parametric binary search over the max-segment bound
+    Implemented as a parametric search over the max-segment bound
     (feasibility checked by a greedy O(n) packing), which replaces the
-    former O(k*n^2) dynamic program: the bound is bisected to float
-    adjacency, so the returned partition's max segment is the exact
-    optimum, in O(n log(sum/ulp)) time.
+    former O(k*n^2) dynamic program.  The optimal bound is a segment sum
+    the greedy forms, so the search jumps between such sums instead of
+    bisecting to float adjacency: the max segment is the exact optimum.
     """
     n = len(latencies)
     if k >= n:
         return list(range(n))
 
-    def segments_needed(bound: float) -> int:
-        """Fewest contiguous segments with every segment sum <= bound."""
+    def pack(bound: float) -> tuple[bool, float]:
+        """Greedy packing under ``bound``: whether ``k`` segments hold the
+        chain, and the largest sum formed if so (it packs alike), else the
+        smallest sum a cut refused (every lower bound packs these cuts)."""
         count, acc = 1, 0.0
+        formed, refused = 0.0, float("inf")
         for lat in latencies:
-            if acc + lat > bound:
+            total = acc + lat
+            if total > bound:
+                refused = min(refused, total)
                 count += 1
+                if count > k:
+                    return False, refused
+                formed = max(formed, acc)
                 acc = lat
             else:
-                acc += lat
-        return count
+                acc = total
+        return True, max(formed, acc)
 
-    # Feasibility is monotone in the bound: bisect [max, sum] down to
-    # adjacent floats, leaving ``hi`` as the smallest feasible bound.
-    lo, hi = max(latencies), 0.0
+    # Feasibility is monotone in the bound: ``high`` stays feasible and
+    # no bound below ``low`` is, and each pass moves one end past ``mid``.
+    mid = low = max(latencies)
+    high = 0.0
     for lat in latencies:
-        hi += lat
-    if segments_needed(lo) <= k:
-        best = lo
-    else:
-        while True:
-            mid = (lo + hi) / 2
-            if not lo < mid < hi:
-                break
-            if segments_needed(mid) <= k:
-                hi = mid
-            else:
-                lo = mid
-        best = hi
+        high += lat
+    while low < high:
+        feasible, bound = pack(mid)
+        if feasible:
+            high = bound
+        else:
+            low = bound
+        mid = (low + high) / 2
+        if mid >= high:  # adjacent floats: try the lower one
+            mid = low
 
-    # Re-pack greedily under the optimal bound, forcing early cuts when
-    # the remaining layers are only just enough to keep every remaining
-    # segment non-empty (a forced single-layer segment is <= max <= best).
+    # Re-pack greedily under the optimum ``high``, forcing early cuts
+    # when the remaining layers are only just enough to keep every
+    # remaining segment non-empty (a forced one-layer segment <= high).
     bounds = [0]
     acc = 0.0
     for i, lat in enumerate(latencies):
         if i > 0 and len(bounds) < k and (
-                n - i == k - len(bounds) or acc + lat > best):
+                n - i == k - len(bounds) or acc + lat > high):
             bounds.append(i)
             acc = lat
         else:

@@ -31,7 +31,7 @@ reads share one :class:`Allocation`.  Placement in turn reads only the
 package's chiplet grid (:attr:`~repro.arch.MCMPackage.grid`, one per
 topology and NPU count), so each allocation keeps one
 :class:`~repro.core.placement.Placement` per grid, and packages that
-differ only in link bandwidth or DRAM share it.
+differ only in link bandwidth or DRAM share it (and, per link, its edges).
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class ThroughputMatcher:
                     groups[g.name] = GroupSchedule(
                         plan=allocation.plans[g.name],
                         chiplet_ids=assignment[g.name])
-        return Schedule(
+        schedule = Schedule(
             package=self.package,
             workload=self.workload,
             stage_quadrants=stage_quadrants,
@@ -230,8 +230,10 @@ class ThroughputMatcher:
             trace=list(allocation.trace),
             dram=self.dram,
             dram_bytes_per_frame=self.dram_bytes_per_frame,
-            nearest_hops=placement.nearest_hops,
         )
+        schedule.nearest_hops = placement.nearest_hops
+        schedule.edges = placement.edges.setdefault(self.package.nop, {})
+        return schedule
 
     def _allocate(self, accel_of: dict[str, AcceleratorConfig],
                   capacity: dict[str, int]) -> Allocation:

@@ -2,18 +2,18 @@
 
 The search never runs the scheduler on a non-frontier candidate.  Each
 workload variant of the space is built once, and so is each distinct
-package (keyed by :meth:`~repro.sweep.scenario.Scenario.package_key`);
-the variant's distinct ``(layer, accel)`` pairs over its candidates'
-engines are priced through the shape memo
-:func:`~repro.cost.evaluate_shape`, once per distinct layer shape, into
-one layer table per engine, and each stage's serial chain is summed once
-per engine.  Each
-(variant, package) pair is scored once with a closed-form per-stage
-roofline proxy over those sums, target-violating candidates are pruned,
-and only the proxy-Pareto frontier (one sort and sweep) is materialized
-into full sweep rows by :func:`~repro.sweep.runner.run_scenario`,
-through one :class:`~repro.sweep.runner.RunTables` that already holds
-the workloads and packages ranking built.  This is
+package (keyed by :meth:`~repro.sweep.scenario.Scenario.package_key`).
+Each table ranking keeps is keyed by what it reads: each engine prices
+each distinct layer shape of the space once, through the shape memo
+:func:`~repro.cost.evaluate_shape`; each stage's serial chain is summed
+once per (variant, engine) by shape index; and each (variant, stage
+hardware) pair (:func:`stage_hardware`) is scored once with a
+closed-form per-stage roofline proxy over those sums.  Target-violating
+candidates are pruned, and only the proxy-Pareto frontier (one sort and
+sweep) is materialized into full sweep rows by
+:func:`~repro.sweep.runner.run_scenario`, through one
+:class:`~repro.sweep.runner.RunTables` that already holds the workloads
+and packages ranking built.  This is
 :func:`repro.core.dse.best_ranked`'s rank-then-materialize idiom lifted
 from trunk mappings to whole packages.
 
@@ -41,15 +41,18 @@ from ..sweep import scenario as scenario_module
 from ..sweep.runner import RunTables, check_ws_budget
 from ..sweep.scenario import Scenario, workload_variant
 from ..workloads.graph import PerceptionWorkload
-from ..workloads.layers import Layer
+from ..workloads.layers import LayerShape
 from ..workloads.pipeline import STAGE_TR
 from .pareto import pareto_indices
 from .space import DesignSpace
 
-#: engine -> layer -> its cost on that engine.
-CostTable = dict[AcceleratorConfig, dict[Layer, LayerCost]]
-#: stage name -> engine -> the stage's serial ``(latency_s, energy_j)``.
-StageChains = dict[str, dict[AcceleratorConfig, tuple[float, float]]]
+#: per stage: each group's ``(instances, layers)``, with each layer as
+#: its name and shape index (a layer is its name and its shape).
+IndexedStages = tuple[tuple[tuple[int, tuple[tuple[str, int], ...]], ...], ...]
+#: per stage: engine -> the stage's serial ``(latency_s, energy_j)``.
+StageChains = list[dict[AcceleratorConfig, tuple[float, float]]]
+#: per stage: its quadrant engine and chiplet count.
+StageHardware = tuple[tuple[AcceleratorConfig, int], ...]
 
 
 @dataclass(frozen=True)
@@ -95,60 +98,69 @@ class DesignCandidate:
     pruned: bool
 
 
-def stage_chains(workload: PerceptionWorkload,
+def stage_chains(stages: IndexedStages,
                  accels: Collection[AcceleratorConfig],
-                 costs: CostTable) -> StageChains:
+                 prices: dict[AcceleratorConfig, dict[int, LayerCost]],
+                 ) -> StageChains:
     """Each stage's serial ``(latency_s, energy_j)`` on each engine.
 
     A stage's serial chain runs every group's layers back to back, once
     per group instance.  It depends only on the workload variant and the
-    engine, so one search sums it once per (variant, stage, engine).
+    engine, so one search sums it once per (variant, stage, engine),
+    reading each layer's cost from ``prices`` by shape index.
     """
-    chains: StageChains = {}
-    for stage in workload.stages:
+    chains: StageChains = []
+    for groups in stages:
         serial_of: dict[AcceleratorConfig, tuple[float, float]] = {}
         for accel in accels:
-            table = costs[accel]
+            row = prices[accel]
             serial_s = 0.0
             serial_j = 0.0
-            for group in stage.groups:
+            for instances, layers in groups:
                 chain_s = 0.0
                 chain_j = 0.0
-                for layer in group.layers:
-                    cost = table[layer]
+                for _, i in layers:
+                    cost = row[i]
                     chain_s += cost.latency_s
                     chain_j += cost.energy_j
-                serial_s += group.instances * chain_s
-                serial_j += group.instances * chain_j
+                serial_s += instances * chain_s
+                serial_j += instances * chain_j
             serial_of[accel] = (serial_s, serial_j)
-        chains[stage.name] = serial_of
+        chains.append(serial_of)
     return chains
 
 
-def proxy_objectives(workload: PerceptionWorkload,
-                     package: MCMPackage,
-                     chains: StageChains) -> tuple[float, float]:
+def stage_hardware(workload: PerceptionWorkload,
+                   package: MCMPackage) -> StageHardware:
+    """Each stage's quadrant engine and chiplet count: all the proxy
+    reads of a package (every workload variant has the same stages)."""
+    return tuple(
+        (package.engine(quads[0]),
+         sum(package.quadrant_capacity(q) for q in quads))
+        for quads in default_stage_quadrants(workload, package).values())
+
+
+def proxy_objectives(chains: StageChains,
+                     hardware: StageHardware) -> tuple[float, float]:
     """Closed-form ``(pipe_ms, energy_j)`` bound for one candidate.
 
     Per stage (stages own their quadrants, Sec. IV, and a quadrant is
     one engine): the stage's ``n`` chiplets each process the stage's
     serial chain (:func:`stage_chains`) on the stage's engine — perfect
-    work spreading, ``serial_latency / n_chiplets``.  The pipe proxy is
-    the slowest stage; the energy proxy charges each stage its chain
-    energy.  NoP transfers, DRAM contention, and sharding overheads are
-    deliberately absent: the proxy is an *optimistic* bound used only
-    to rank and prune, never a reported metric — frontier candidates
-    get real rows from the sweep engine.  Both sums are ``n``-step left
-    folds, not ``serial / n``: the two round differently, and
-    ``tests/data/frozen_design_proxies.json`` pins the fold.
+    work spreading, ``serial_latency / n_chiplets`` (``hardware`` gives
+    each stage's engine and ``n``).  The pipe proxy is the slowest stage;
+    the energy proxy charges each stage its chain energy.  NoP transfers,
+    DRAM contention, and sharding overheads are deliberately absent: the
+    proxy is an *optimistic* bound used only to rank and prune, never a
+    reported metric — frontier candidates get real rows from the sweep
+    engine.  Both sums are ``n``-step left folds, not ``serial / n``: the
+    two round differently, and ``tests/data/frozen_design_proxies.json``
+    pins the fold.
     """
-    stage_quadrants = default_stage_quadrants(workload, package)
     pipe_s = 0.0
     energy_j = 0.0
-    for stage in workload.stages:
-        quads = stage_quadrants[stage.name]
-        serial_s, serial_j = chains[stage.name][package.engine(quads[0])]
-        n = sum(package.quadrant_capacity(q) for q in quads)
+    for serial_of, (engine, n) in zip(chains, hardware):
+        serial_s, serial_j = serial_of[engine]
         rate = 0.0
         stage_j = 0.0
         for _ in range(n):
@@ -221,6 +233,19 @@ class DesignSearchResult:
         return design_frontier_report(self)
 
 
+def _index_shapes(workload: PerceptionWorkload,
+                  shape_ids: dict[LayerShape, int]) -> IndexedStages:
+    """A workload's stages with each layer's shape as its index in
+    ``shape_ids`` (new shapes join it), so no ``Layer`` is hashed."""
+    return tuple(
+        tuple((group.instances,
+               tuple((layer.name,
+                      shape_ids.setdefault(layer.shape, len(shape_ids)))
+                     for layer in group.layers))
+              for group in stage.groups)
+        for stage in workload.stages)
+
+
 class DesignSearch:
     """Search a :class:`DesignSpace` for its latency/energy frontier."""
 
@@ -232,78 +257,86 @@ class DesignSearch:
 
     def run(self) -> DesignSearchResult:
         scenarios = self.space.candidates()
-        keys = [scenario.package_key() for scenario in scenarios]
         # One set of run tables, local to this call: ranking builds each
         # workload variant and each distinct package (never mutated) into
-        # it, and the frontier rows find them there.  Candidates that
-        # differ only in axes the package does not read (tolerance,
-        # workload, DRAM, trunk-DSE budget) share a package and its
-        # quadrant engines.
+        # it, and the frontier rows find them there.  Ranking's own
+        # tables key by variant name and shape index; ``tables.workloads``
+        # keys by config, because Scenario.build() reads it.
         tables = RunTables()
-        workloads, packages = tables.workloads, tables.packages
-        # Each package's distinct quadrant engines, by package key.
-        engines: dict[tuple, dict[AcceleratorConfig, None]] = {}
-        # Per-variant tables, by config: the quadrant engines its
-        # candidates place, and the engines its pricing covers (those
-        # plus the trunk DSE's).  Each (variant, package) pair's engines
-        # are merged in once.
-        configs = [workload_variant(scenario.workload)
-                   for scenario in scenarios]
-        chiplet_accels: dict = {}
-        priced_accels: dict = {}
-        merged: set[tuple] = set()
-        for scenario, config, key in zip(scenarios, configs, keys):
-            if config not in workloads:
+        packages = tables.packages
+        workloads: dict[str, PerceptionWorkload] = {}
+        # One shape index over every variant, so a shape two variants
+        # share is priced once per engine.
+        shape_ids: dict[LayerShape, int] = {}
+        indexed: dict[str, IndexedStages] = {}
+        # Each package key's stage-hardware id, given once, so no later
+        # key hashes an engine; each candidate's (variant, hardware id).
+        hardware_of: dict[tuple, int] = {}
+        hardware_ids: dict[StageHardware, int] = {}
+        scored: list[tuple[str, int]] = []
+        # The trunk DSE's engines, by variant: its pricing covers them.
+        trunk_accels: dict[str, dict[AcceleratorConfig, None]] = {}
+        for scenario in scenarios:
+            name = scenario.workload
+            workload = workloads.get(name)
+            if workload is None:
+                config = workload_variant(name)
                 # Resolved through the module at call time, like
                 # Scenario.build(), so a wrapper there sees every build.
-                workloads[config] = \
+                workload = workloads[name] = tables.workloads[config] = \
                     scenario_module.build_perception_workload(config)
-                chiplet_accels[config] = {}
-                priced_accels[config] = {}
-            if key not in packages:
+                indexed[name] = _index_shapes(workload, shape_ids)
+            key = scenario.package_key()
+            hardware_id = hardware_of.get(key)
+            if hardware_id is None:
                 package = packages[key] = scenario.package()
-                engines[key] = dict.fromkeys(package.engines)
-            if (config, key) not in merged:
-                merged.add((config, key))
-                chiplet_accels[config].update(engines[key])
-                priced_accels[config].update(engines[key])
+                hardware_id = hardware_of[key] = hardware_ids.setdefault(
+                    stage_hardware(workload, package), len(hardware_ids))
+            scored.append((name, hardware_id))
             if scenario.het_ws_budget is not None:
                 # The proxy never reads the budget, so check it here: an
                 # over-budget candidate must fail whether or not it
                 # reaches the frontier.
                 package = packages[key]
-                trunks = default_stage_quadrants(workloads[config],
-                                                 package)[STAGE_TR]
+                trunks = default_stage_quadrants(workload, package)[STAGE_TR]
                 check_ws_budget(scenario.het_ws_budget,
                                 sum(package.quadrant_capacity(q)
                                     for q in trunks))
-                priced_accels[config].update(
+                trunk_accels.setdefault(name, {}).update(
                     dict.fromkeys(scenario.trunk_accels()))
-        # Every distinct (layer, engine) pair gets a cost, in one layer
-        # table per engine, priced through the shape memo: layers of one
-        # shape cost the same, so each (shape, engine) is priced once.
-        costs: CostTable = {}
-        for config, workload in workloads.items():
-            layers = workload.all_layers()
-            for accel in priced_accels[config]:
-                table = costs.setdefault(accel, {})
-                for layer in layers:
-                    if layer not in table:
-                        table[layer] = evaluate_shape(layer.shape, accel)
-        chains = {config: stage_chains(workload, chiplet_accels[config],
-                                       costs)
-                  for config, workload in workloads.items()}
-        # The proxy reads only the workload and the package, so each
-        # (variant, package) pair is scored once.
-        proxies: dict[tuple, tuple[float, float]] = {}
+        hardware = list(hardware_ids)
+        pairs = dict.fromkeys(scored)
+        # The quadrant engines each variant's candidates place.
+        chiplet_accels: dict[str, dict[AcceleratorConfig, None]] = {}
+        for name, hardware_id in pairs:
+            chiplet_accels.setdefault(name, {}).update(
+                (engine, None) for engine, _ in hardware[hardware_id])
+        # Each engine prices each shape its variants use once, and
+        # unions their layers into its distinct (layer, engine) pairs.
+        shapes = list(shape_ids)
+        prices: dict[AcceleratorConfig, dict[int, LayerCost]] = {}
+        priced: dict[AcceleratorConfig, dict[tuple[str, int], None]] = {}
+        for name, stages in indexed.items():
+            layers = dict.fromkeys(layer for groups in stages
+                                   for _, chain in groups for layer in chain)
+            used = dict.fromkeys(i for _, i in layers)
+            for accel in {**chiplet_accels[name],
+                          **trunk_accels.get(name, {})}:
+                row = prices.setdefault(accel, {})
+                for i in used:
+                    if i not in row:
+                        row[i] = evaluate_shape(shapes[i], accel)
+                priced.setdefault(accel, {}).update(layers)
+        chains = {name: stage_chains(indexed[name], chiplet_accels[name],
+                                     prices)
+                  for name in indexed}
+        # The proxy reads only the variant and the stage hardware, so
+        # each (variant, stage hardware) pair is scored once.
+        proxies = {pair: proxy_objectives(chains[pair[0]], hardware[pair[1]])
+                   for pair in pairs}
         candidates = []
-        for index, (scenario, config, key) in enumerate(
-                zip(scenarios, configs, keys)):
-            scored = (config, key)
-            if scored not in proxies:
-                proxies[scored] = proxy_objectives(
-                    workloads[config], packages[key], chains[config])
-            pipe_ms, energy_j = proxies[scored]
+        for index, (scenario, pair) in enumerate(zip(scenarios, scored)):
+            pipe_ms, energy_j = proxies[pair]
             candidates.append(DesignCandidate(
                 index=index,
                 scenario=scenario,
@@ -324,5 +357,5 @@ class DesignSearch:
             candidates=candidates,
             frontier=frontier,
             rows=rows,
-            priced_pairs=sum(len(table) for table in costs.values()),
+            priced_pairs=sum(len(layers) for layers in priced.values()),
             plan_cache=plan_cache_stats() - before)

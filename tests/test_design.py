@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import best_ranked
+from repro.core.placement import default_stage_quadrants
 from repro.cost import evaluate
 from repro.design import (
     DesignSearch,
@@ -29,9 +30,7 @@ from repro.design import (
     dominated_indices,
     dominates,
     pareto_indices,
-    proxy_objectives,
 )
-from repro.design.search import stage_chains
 from repro.sweep import Scenario, ScenarioSweep, scenario_grid
 from repro.sweep.axes import AXIS_SPECS
 
@@ -444,6 +443,10 @@ class TestPackageKey:
         assert a.package_key() != b.package_key()
 
     def test_proxies_match_freshly_built_packages(self):
+        # An independent oracle: each candidate's own fresh package, its
+        # stages' quadrants, and every group's chain priced layer by
+        # layer through the named memo evaluate(), folded per stage in
+        # layer order.  The proxy's shape tables must give the same bits.
         _cold()
         space = DesignSpace.from_axis_texts({
             "workload": "default,lores",
@@ -458,44 +461,71 @@ class TestPackageKey:
             # build() builds a fresh package, sharing only the workloads.
             build = candidate.scenario.build(workloads)
             workload, package = build.workload, build.package
-            accels = dict.fromkeys(package.engines)
-            costs = {accel: {layer: evaluate(layer, accel)
-                             for layer in workload.all_layers()}
-                     for accel in accels}
-            chains = stage_chains(workload, accels, costs)
-            assert proxy_objectives(workload, package, chains) \
+            quadrants = default_stage_quadrants(workload, package)
+            pipe_s = 0.0
+            energy_j = 0.0
+            for stage in workload.stages:
+                quads = quadrants[stage.name]
+                accel = package.engine(quads[0])
+                serial_s = 0.0
+                serial_j = 0.0
+                for group in stage.groups:
+                    chain_s = 0.0
+                    chain_j = 0.0
+                    for layer in group.layers:
+                        cost = evaluate(layer, accel)
+                        chain_s += cost.latency_s
+                        chain_j += cost.energy_j
+                    serial_s += group.instances * chain_s
+                    serial_j += group.instances * chain_j
+                n = sum(package.quadrant_capacity(q) for q in quads)
+                rate = 0.0
+                stage_j = 0.0
+                for _ in range(n):
+                    rate += 1.0 / serial_s
+                    stage_j += serial_j
+                pipe_s = max(pipe_s, 1.0 / rate)
+                energy_j += stage_j / n
+            assert (pipe_s * 1e3, energy_j) \
                 == (candidate.proxy_pipe_ms, candidate.proxy_energy_j)
 
     def test_perfbench_space_builds_each_package_once(self, monkeypatch):
         # perfbench's seed-0 design space: 768 candidates over 64
-        # distinct packages on 4 chiplet grids, and 192 (variant,
-        # package) pairs.  Ranking builds each package once and scores
-        # each pair once; the 32 frontier rows find their packages in
-        # the search's run tables, and come from 4 allocations on 2
-        # chiplet grids, so they place 8 times.  Only the grid memo
-        # carries over between runs: a second cold run builds no grid
-        # and counts the rest the same.
+        # distinct packages on 4 chiplet grids, 3 workload variants and
+        # 16 stage hardwares, so 48 (variant, stage hardware) pairs.
+        # Ranking builds each package once and scores each pair once;
+        # the 32 frontier rows find their packages in the search's run
+        # tables, are the only scenarios scheduled, and come from 4
+        # allocations on 2 chiplet grids, so they place 8 times.  Only
+        # the grid memo carries over between runs: a second cold run
+        # builds no grid and counts the rest the same.
         import repro.core.throughput as throughput_module
         import repro.design.search as search_module
         import repro.sweep.scenario as scenario_module
         from repro.arch.topology import chiplet_grid
+        from repro.core.throughput import ThroughputMatcher
         from repro.cost import AcceleratorConfig
-        calls = {"simba_package": 0, "proxy_objectives": 0, "place": 0,
-                 "workload_dram_bytes": 0, "__hash__": 0}
+        from repro.workloads import Layer, PipelineConfig
+        calls = {}
 
-        def count(owner, name):
+        def count(owner, name, label=None):
             original = getattr(owner, name)
+            label = label or name
+            calls[label] = 0
 
             def counting(*args, **kwargs):
-                calls[name] += 1
+                calls[label] += 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counting)
 
         count(scenario_module, "simba_package")
         count(search_module, "proxy_objectives")
         count(throughput_module, "place")
+        count(ThroughputMatcher, "run", "match")
         count(scenario_module, "workload_dram_bytes")
-        count(AcceleratorConfig, "__hash__")
+        count(AcceleratorConfig, "__hash__", "engine_hash")
+        count(Layer, "__hash__", "layer_hash")
+        count(PipelineConfig, "__hash__", "config_hash")
         space = DesignSpace.from_axis_texts(PERFBENCH_AXES)
         chiplet_grid.cache_clear()
         for grids in (4, 0):
@@ -507,22 +537,27 @@ class TestPackageKey:
             assert len(result.candidates) == 768
             assert len(result.frontier) == 32
             assert result.priced_pairs == 1464
-            # Each engine is hashed once per table it keys, not once per
-            # (layer, engine) probe: 12,281 calls before the pricing
-            # tables were keyed by engine.
+            # Ranking keys its tables by shape index, variant name and
+            # stage-hardware id, so it hashes no layer or config, and each
+            # engine about once per table it keys; the frontier rows hash
+            # the rest.
             counted = dict(calls)
-            assert counted.pop("__hash__") <= 4200
-            assert counted == {"simba_package": 64, "proxy_objectives": 192,
-                               "place": 8, "workload_dram_bytes": 1}
+            assert counted.pop("engine_hash") <= 4200
+            assert counted.pop("layer_hash") <= 1000
+            assert counted.pop("config_hash") <= 1000
+            assert counted == {"simba_package": 64, "proxy_objectives": 48,
+                               "place": 8, "match": 32,
+                               "workload_dram_bytes": 1}
 
 
 class TestPricingWork:
     def test_perfbench_space_prices_without_building_layers(self,
                                                             monkeypatch):
-        # A cold search prices 142 named layers (the frontier rows' group
-        # chains) and 903 distinct (shape, engine) pairs: 720 while
-        # ranking, the rest as row bands.  The pricing kernel reads the
-        # shape tuple, so no Layer is built while pricing.
+        # A cold search prices 903 distinct (shape, engine) pairs, all
+        # through the shape memo: 720 while ranking, the rest as row
+        # bands.  The frontier rows' group chains find their shapes
+        # priced, so the named memo is never read.  The pricing kernel
+        # reads the shape tuple, so no Layer is built while pricing.
         import sys
 
         from repro.cost import evaluate_shape
@@ -546,8 +581,8 @@ class TestPricingWork:
         result = DesignSearch(DesignSpace.from_axis_texts(PERFBENCH_AXES),
                               DesignTargets(pipe_ms=200.0)).run()
         named, shaped = evaluate.cache_info(), evaluate_shape.cache_info()
-        assert (named.hits, named.misses) == (0, 142)
-        assert (shaped.hits, shaped.misses) == (750, 903)
+        assert (named.hits, named.misses) == (0, 0)
+        assert (shaped.hits, shaped.misses) == (148, 903)
         assert result.priced_pairs == 1464
         assert built == {"while_pricing": 0}
 

@@ -85,6 +85,64 @@ def _reference_plan(group, n, accel):
                default=None)
 
 
+def _bisected_segments(latencies, k):
+    """The float bisection ``_balanced_segments`` replaced: the oracle.
+
+    Bisects the max-segment bound over [max, sum] down to adjacent
+    floats (about 37 greedy passes a call on the sweep grids' chains),
+    then re-packs greedily under the smallest feasible bound.
+    """
+    n = len(latencies)
+    if k >= n:
+        return list(range(n))
+
+    def segments_needed(bound):
+        count, acc = 1, 0.0
+        for lat in latencies:
+            if acc + lat > bound:
+                count += 1
+                acc = lat
+            else:
+                acc += lat
+        return count
+
+    lo, hi = max(latencies), 0.0
+    for lat in latencies:
+        hi += lat
+    if segments_needed(lo) <= k:
+        best = lo
+    else:
+        while True:
+            mid = (lo + hi) / 2
+            if not lo < mid < hi:
+                break
+            if segments_needed(mid) <= k:
+                hi = mid
+            else:
+                lo = mid
+        best = hi
+    bounds = [0]
+    acc = 0.0
+    for i, lat in enumerate(latencies):
+        if i > 0 and len(bounds) < k and (
+                n - i == k - len(bounds) or acc + lat > best):
+            bounds.append(i)
+            acc = lat
+        else:
+            acc += lat
+    return bounds
+
+
+@st.composite
+def _latency_chains(draw):
+    """A latency chain and a segment count, ties and wide ranges too."""
+    lats = draw(st.lists(
+        st.one_of(st.floats(min_value=1e-9, max_value=1e3),
+                  st.sampled_from([1e-3, 2e-3, 3e-3, 0.1])),
+        min_size=1, max_size=40))
+    return lats, draw(st.integers(min_value=1, max_value=len(lats) + 1))
+
+
 @st.composite
 def _layer_shapes(draw):
     """A 2-D dense/conv layer or a 1-D token layer, without its name."""
@@ -181,6 +239,17 @@ class TestBalancedSegments:
                     zip((0,) + cuts, cuts + (n,)))
                 for cuts in itertools.combinations(range(1, n), k - 1))
             assert max(segs) == pytest.approx(best, rel=1e-12)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(chain=_latency_chains())
+    @example(chain=([1.0, 1.0, 1.0, 10.0], 2))
+    @example(chain=([0.1] * 10 + [0.3], 4))
+    def test_jump_search_equals_float_bisection(self, chain):
+        # The optimal bound is a segment sum the greedy forms, so jumping
+        # between such sums lands on the bound bisection reaches by
+        # halving down to adjacent floats: the same cuts, bit for bit.
+        lats, k = chain
+        assert _balanced_segments(lats, k) == _bisected_segments(lats, k)
 
     def test_degenerate_k(self):
         assert _balanced_segments([2.0, 3.0], 1) == [0]
@@ -318,22 +387,30 @@ class TestPlanAssembly:
 class TestGroupCosts:
     """The plan cache prices each (group, accel) chain once."""
 
-    def _count_evaluate(self, monkeypatch):
+    def _count_chain_probes(self, monkeypatch, group):
+        """Count shape-memo probes of ``group``'s own layer shapes.
+
+        Row plans probe the same memo for their band shapes, which are
+        never a whole layer's; only pricing the chain probes these.
+        """
         calls = []
-        real_evaluate = sharding_mod.evaluate
+        chain_shapes = {layer.shape for layer in group.layers}
+        real_evaluate_shape = sharding_mod.evaluate_shape
 
-        def counting_evaluate(layer, accel):
-            calls.append(layer)
-            return real_evaluate(layer, accel)
+        def counting_evaluate_shape(shape, accel):
+            if shape in chain_shapes:
+                calls.append(shape)
+            return real_evaluate_shape(shape, accel)
 
-        monkeypatch.setattr(sharding_mod, "evaluate", counting_evaluate)
+        monkeypatch.setattr(sharding_mod, "evaluate_shape",
+                            counting_evaluate_shape)
         return calls
 
     def test_miss_for_a_seen_pair_calls_evaluate_zero_times(
             self, os_accel, monkeypatch):
         clear_plan_cache()
-        calls = self._count_evaluate(monkeypatch)
         g = _group(pipeline=True)
+        calls = self._count_chain_probes(monkeypatch, g)
         plan_group(g, 1, os_accel)
         assert len(calls) == len(g.layers)
         calls.clear()
@@ -346,8 +423,8 @@ class TestGroupCosts:
     def test_clear_plan_cache_empties_the_tables(self, os_accel,
                                                  monkeypatch):
         clear_plan_cache()
-        calls = self._count_evaluate(monkeypatch)
         g = _group()
+        calls = self._count_chain_probes(monkeypatch, g)
         plan_group(g, 2, os_accel)
         clear_plan_cache()
         calls.clear()

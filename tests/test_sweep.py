@@ -454,6 +454,19 @@ class TestWorkloadSharing:
             assert snapshot(workload) == before
 
 
+#: perfbench's seed-0 sweep grid (``perfbench/grids.py``, the first
+#: values of each of ``SWEEP_POOLS``): 192 scenarios.
+PERFBENCH_GRID = {
+    "workloads": ("default", "lores", "hires", "quad-camera", "six-camera",
+                  "shallow-queue", "deep-queue", "full-context"),
+    "npus": (1, 2, 4),
+    "dataflows": (None, "ws"),
+    "topologies": (None, "torus"),
+    "het_ws_budgets": (None, 4),
+    "nop_gbps": (None,),
+    "frequencies_ghz": (None,),
+}
+
 #: Het(k) twins (scenarios that differ only in ``het_ws_budget``) crossed
 #: with every axis that gates a row column or reaches placement.
 TWIN_GRID = scenario_grid(nop_gbps=(None, 25.0, 50.0),
@@ -509,28 +522,47 @@ class TestScheduleSharing:
     def test_perfbench_grid_builds_each_package_once(self, monkeypatch):
         # perfbench's seed-0 sweep grid: 192 scenarios on 96 hardware
         # points, over 12 distinct packages (npus x dataflow x topology).
-        # A cold serial run builds each once and hands it to every
-        # scenario of its package key; nothing downstream mutates it, so
-        # each still equals a fresh build afterwards.
+        # A cold serial run builds each package once and hands it to
+        # every scenario of its package key, builds, schedules and
+        # places each hardware point once, and runs the trunk DSE once
+        # per Het(4) hardware point.  Nothing downstream mutates a
+        # package, so each still equals a fresh build afterwards.
+        import repro.core.throughput as throughput_module
         import repro.sweep.scenario as scenario_module
-        grid = scenario_grid(workloads=tuple(WORKLOAD_VARIANTS),
-                             npus=(1, 2, 4), dataflows=(None, "ws"),
-                             topologies=(None, "torus"),
-                             het_ws_budgets=(None, 4))
+        from repro.core.dse import TrunkDSE
+        grid = scenario_grid(**PERFBENCH_GRID)
         simba_package = scenario_module.simba_package
         package = Scenario.package
         built: list = []
+        calls = {"build": 0, "place": 0, "search": 0}
 
         def counting_simba_package(*args, **kwargs):
             built.append(simba_package(*args, **kwargs))
             return built[-1]
 
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+
         monkeypatch.setattr(scenario_module, "simba_package",
                             counting_simba_package)
+        count(Scenario, "build")
+        count(throughput_module, "place")
+        count(TrunkDSE, "search")
         TestWorkloadSharing._cold()
-        ScenarioSweep(grid, workers=1).run()
+        summary = ScenarioSweep(grid, workers=1).run().summary()
         assert len(grid) == 192
         assert len(built) == len({s.package_key() for s in grid}) == 12
+        assert calls == {"build": 96, "place": 96, "search": 48}
+        plans, layers = summary["plan_cache"], summary["layer_cost_cache"]
+        assert (plans["hits"], plans["misses"]) == (5822, 1335)
+        # Group chains and row bands price by shape, so a chain finds
+        # the shapes another layer, group or variant priced.
+        assert (layers["hits"], layers["misses"]) == (2694, 3016)
         monkeypatch.undo()
         fresh = [package(s) for s in {s.package_key(): s
                                       for s in grid}.values()]

@@ -211,6 +211,39 @@ class TestAllocationTable:
             == len(mesh.trace) - 1
 
 
+    def test_dram_twins_share_their_nop_edges(self):
+        # An edge reads only the allocation, the placement and the link,
+        # so the placement keeps one edge table per NoP config: schedules
+        # that differ only in DRAM share every NoPEdge object, the
+        # pipelined FE group's internal edge included (two NPUs), and a
+        # slower link prices edges of its own.
+        from repro.sweep.runner import RunTables, run_scenario
+        scenarios = [Scenario(npus=2), Scenario(npus=2, dram_gbps=6.0),
+                     Scenario(npus=2, nop_gbps=25.0)]
+        table: dict = {}
+        workloads: dict = {}
+        plain, dram, slower = (s.build(workloads).schedule(table)
+                               for s in scenarios)
+        assert plain.dram is None and dram.dram is not None
+        edges = plain.nop_edges()
+        assert any(e.src_group == e.dst_group for e in edges)
+        assert all(a is b for a, b in zip(edges, dram.nop_edges()))
+        assert not any(a is b for a, b in zip(edges, slower.nop_edges()))
+        (allocation,) = table.values()
+        (placement,) = allocation.placements.values()
+        assert list(placement.edges) == [plain.package.nop,
+                                         slower.package.nop]
+        # A schedule copied outside the matcher prices its own edges.
+        moved = dataclasses.replace(plain, package=slower.package)
+        assert moved.edges is not plain.edges
+        assert moved.nop_latency_s == slower.nop_latency_s \
+            != plain.nop_latency_s
+        # Rows through one set of run tables equal lone rows.
+        tables = RunTables()
+        assert json.dumps([run_scenario(s, tables) for s in scenarios]) \
+            == json.dumps([run_scenario(s) for s in scenarios])
+
+
 class TestFrozenTraces:
     def test_traces_match_frozen_fixture(self):
         # Per-step pipe latency and remaining budget, bit for bit: rows
