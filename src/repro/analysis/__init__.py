@@ -11,9 +11,7 @@ if TYPE_CHECKING:
         fusion_latency_share
     from .frontier import design_frontier_report, design_frontier_rows, \
         design_frontier_table
-    from .layer_table import layer_cost_table, to_csv
-    from .scaling import camera_sweep, chiplet_scaling_report, \
-        chiplet_scaling_rows, frame_queue_sweep, resolution_sweep
+    from .scaling import chiplet_scaling_report, chiplet_scaling_rows
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -23,20 +21,12 @@ __getattr__, __dir__ = lazy_exports(
                "fusion_latency_share"),
     frontier=("design_frontier_report", "design_frontier_rows",
               "design_frontier_table"),
-    layer_table=("layer_cost_table", "to_csv"),
-    scaling=("camera_sweep", "chiplet_scaling_report",
-             "chiplet_scaling_rows", "frame_queue_sweep",
-             "resolution_sweep"),
+    scaling=("chiplet_scaling_report", "chiplet_scaling_rows"),
 )
 
 __all__ = [
-    "layer_cost_table",
-    "to_csv",
     "chiplet_scaling_report",
     "chiplet_scaling_rows",
-    "camera_sweep",
-    "frame_queue_sweep",
-    "resolution_sweep",
     "design_frontier_report",
     "design_frontier_rows",
     "design_frontier_table",

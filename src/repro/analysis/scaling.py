@@ -1,10 +1,4 @@
-"""Scaling studies: workload knobs and chiplet-count scaling reports.
-
-The paper fixes the workload at 8 cameras, 720p, and a 12-frame queue.
-The workload sweeps below vary each knob and re-run the full scheduler,
-showing how the MCM mapping responds: where the FE-bound base latency
-moves, when the fusion stages reclaim the bottleneck, and how chiplet
-demand shifts.
+"""Chiplet-count scaling reports over sweep rows.
 
 :func:`chiplet_scaling_rows` / :func:`chiplet_scaling_report` turn sweep
 rows over the ``npus x workload x dram_gbps`` axes into the first-class
@@ -16,16 +10,6 @@ LPDDR can deliver them.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
-
-from ..arch import simba_package
-from ..core.throughput import match_throughput
-from ..workloads.pipeline import PipelineConfig, build_perception_workload
-
-RESOLUTIONS = ((360, 640), (540, 960), (720, 1280), (1080, 1920))
-CAMERA_COUNTS = (4, 6, 8)
-FRAME_QUEUES = (6, 12, 18, 24)
 
 
 def _dram_label(dram_gbps: float | None) -> str:
@@ -150,46 +134,3 @@ def chiplet_scaling_report(rows: list[dict]) -> dict:
         ],
         "dram_wall": [_wall(col, n) for col, n in walls.items()],
     }
-
-
-def _run(config: PipelineConfig, npus: int = 1) -> dict:
-    schedule = match_throughput(build_perception_workload(config),
-                                simba_package(npus=npus))
-    summary = schedule.summary()
-    return {
-        "base_ms": round(schedule.base_latency_s * 1e3, 1),
-        "pipe_ms": round(summary["pipe_ms"], 1),
-        "e2e_ms": round(summary["e2e_ms"], 1),
-        "energy_j": round(summary["energy_j"], 3),
-        "utilization_pct": round(summary["utilization"] * 100, 1),
-    }
-
-
-def resolution_sweep(resolutions: Sequence[tuple[int, int]]
-                     = RESOLUTIONS) -> list[dict]:
-    """Camera resolution drives the FE stage and thus Lat_base."""
-    rows = []
-    for hw in resolutions:
-        config = PipelineConfig(input_hw=hw)
-        rows.append({"resolution": f"{hw[0]}x{hw[1]}",
-                     **_run(config)})
-    return rows
-
-
-def camera_sweep(counts: Sequence[int] = CAMERA_COUNTS) -> list[dict]:
-    """Camera count scales the concurrent FE models and the fusion K/V."""
-    rows = []
-    for cams in counts:
-        config = PipelineConfig(cameras=cams)
-        rows.append({"cameras": cams, **_run(config)})
-    return rows
-
-
-def frame_queue_sweep(queues: Sequence[int]
-                      = FRAME_QUEUES) -> list[dict]:
-    """Temporal queue depth scales T_FUSE, the paper's dominant stage."""
-    rows = []
-    for frames in queues:
-        config = PipelineConfig(t_frames=frames)
-        rows.append({"t_frames": frames, **_run(config)})
-    return rows

@@ -9,9 +9,7 @@ if TYPE_CHECKING:
     from .dram import (
         FSD_LPDDR4_BYTES_PER_S,
         DramBudget,
-        DramReport,
         camera_input_bytes,
-        dram_report,
         weight_stream_bytes,
         workload_dram_bytes,
     )
@@ -27,7 +25,6 @@ if TYPE_CHECKING:
         TOPOLOGY_KINDS,
         NoPTopology,
         canonical_topology,
-        min_hop_map,
         parse_topology,
         topology_for,
     )
@@ -35,24 +32,21 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(
     __name__,
     chiplet=("Chiplet",),
-    dram=("FSD_LPDDR4_BYTES_PER_S", "DramBudget", "DramReport",
-          "camera_input_bytes", "dram_report", "weight_stream_bytes",
-          "workload_dram_bytes"),
+    dram=("FSD_LPDDR4_BYTES_PER_S", "DramBudget", "camera_input_bytes",
+          "weight_stream_bytes", "workload_dram_bytes"),
     nop=("NOP_28NM", "NoPConfig", "NoPTransfer", "transfer_cost"),
     package=("MCMPackage", "simba_package"),
     quadrants=("QUADRANT_NAMES", "QuadrantOverride", "QuadrantOverrides",
                "package_composition"),
     topology=("TOPOLOGY_KINDS", "NoPTopology", "canonical_topology",
-              "min_hop_map", "parse_topology", "topology_for"),
+              "parse_topology", "topology_for"),
 )
 
 __all__ = [
     "Chiplet",
     "FSD_LPDDR4_BYTES_PER_S",
     "DramBudget",
-    "DramReport",
     "camera_input_bytes",
-    "dram_report",
     "weight_stream_bytes",
     "workload_dram_bytes",
     "NOP_28NM",
@@ -60,7 +54,6 @@ __all__ = [
     "NoPTransfer",
     "transfer_cost",
     "MCMPackage",
-    "min_hop_map",
     "simba_package",
     "QUADRANT_NAMES",
     "QuadrantOverride",

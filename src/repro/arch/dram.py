@@ -56,37 +56,6 @@ class DramBudget:
         return words * self.energy_pj_per_word * 1e-12
 
 
-@dataclass(frozen=True)
-class DramReport:
-    """Per-frame DRAM traffic of a workload against a budget."""
-
-    weight_bytes: int
-    input_bytes: int
-    fps: float
-    bandwidth_bytes_per_s: float
-    energy_j: float
-
-    @property
-    def total_bytes(self) -> int:
-        return self.weight_bytes + self.input_bytes
-
-    @property
-    def demand_bytes_per_s(self) -> float:
-        return self.total_bytes * self.fps
-
-    @property
-    def bandwidth_utilization(self) -> float:
-        return self.demand_bytes_per_s / self.bandwidth_bytes_per_s
-
-    @property
-    def sustainable(self) -> bool:
-        return self.bandwidth_utilization <= 1.0
-
-    @property
-    def max_fps(self) -> float:
-        return self.bandwidth_bytes_per_s / self.total_bytes
-
-
 def camera_input_bytes(config: PipelineConfig | None = None) -> int:
     """Raw sensor bytes per frame (all cameras, fp16 RGB)."""
     config = config or PipelineConfig()
@@ -118,23 +87,3 @@ def workload_dram_bytes(workload: PerceptionWorkload,
     :attr:`repro.core.schedule.Schedule.dram_time_s`).
     """
     return weight_stream_bytes(workload) + camera_input_bytes(config)
-
-
-def dram_report(workload: PerceptionWorkload,
-                config: PipelineConfig | None = None,
-                budget: DramBudget | None = None,
-                fps: float | None = None) -> DramReport:
-    """Aggregate DRAM demand for the workload at a frame rate."""
-    config = config or PipelineConfig()
-    budget = budget or DramBudget()
-    fps = fps if fps is not None else config.fps
-    weights = weight_stream_bytes(workload)
-    inputs = camera_input_bytes(config)
-    words = (weights + inputs) / BYTES_PER_WORD
-    return DramReport(
-        weight_bytes=weights,
-        input_bytes=inputs,
-        fps=fps,
-        bandwidth_bytes_per_s=budget.bandwidth_bytes_per_s,
-        energy_j=words * budget.energy_pj_per_word * 1e-12,
-    )

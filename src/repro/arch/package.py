@@ -26,15 +26,9 @@ from dataclasses import dataclass
 from ..cost import AcceleratorConfig, simba_chiplet
 from .chiplet import Chiplet
 from .nop import NOP_28NM, NoPConfig
-from .topology import (
-    ChipletGrid,
-    NoPTopology,
-    chiplet_grid,
-    min_hop_map,
-    topology_for,
-)
+from .topology import ChipletGrid, NoPTopology, chiplet_grid, topology_for
 
-__all__ = ["MCMPackage", "min_hop_map", "simba_package"]
+__all__ = ["MCMPackage", "simba_package"]
 
 #: quadrants per 6x6 NPU module: module ``m`` holds quadrants
 #: ``4m..4m+3``, so quadrant ``q`` is local quadrant ``q % 4``.

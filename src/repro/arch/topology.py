@@ -22,8 +22,8 @@ read nearest-hop distances from it, and only for the cells they price:
 ``nearest_hops(sources, targets)`` returns one entry per target cell, the
 minimum of that target's row read at the source cells (hops are
 symmetric).  Each table entry is ``hops()``, so mesh results are
-bit-identical to the seed's two-pass L1 distance transform
-(:func:`min_hop_map`, kept as the reference).
+bit-identical to the seed's two-pass L1 distance transform, which
+``tests/oracles.py`` keeps as the reference.
 
 A package's chiplet slots are likewise a pure function of its topology
 and NPU count: :func:`chiplet_grid` builds them once per shape.
@@ -46,42 +46,6 @@ from .chiplet import Chiplet
 
 #: supported topology kinds, in canonical order.
 TOPOLOGY_KINDS = ("mesh", "torus")
-
-
-def min_hop_map(mesh_w: int, mesh_h: int,
-                sources: list[tuple[int, int]]) -> list[list[int]]:
-    """Min XY-routed hops from every open-mesh cell to the nearest source.
-
-    The seed's two-pass L1 distance transform over the mesh, identical
-    to ``min(|dx| + |dy|)`` because the mesh has no holes; kept as the
-    reference for :meth:`NoPTopology.min_hop_map`.  Indexed ``[x][y]``.
-    """
-    inf = mesh_w + mesh_h  # exceeds any reachable distance
-    dist = [inf] * (mesh_w * mesh_h)  # flat, index x * mesh_h + y
-    for x, y in sources:
-        dist[x * mesh_h + y] = 0
-    for x in range(mesh_w):
-        base = x * mesh_h
-        for y in range(mesh_h):
-            i = base + y
-            d = dist[i]
-            if x and dist[i - mesh_h] + 1 < d:
-                d = dist[i - mesh_h] + 1
-            if y and dist[i - 1] + 1 < d:
-                d = dist[i - 1] + 1
-            dist[i] = d
-    last_x, last_y = mesh_w - 1, mesh_h - 1
-    for x in range(last_x, -1, -1):
-        base = x * mesh_h
-        for y in range(last_y, -1, -1):
-            i = base + y
-            d = dist[i]
-            if x < last_x and dist[i + mesh_h] + 1 < d:
-                d = dist[i + mesh_h] + 1
-            if y < last_y and dist[i + 1] + 1 < d:
-                d = dist[i + 1] + 1
-            dist[i] = d
-    return [dist[x * mesh_h:(x + 1) * mesh_h] for x in range(mesh_w)]
 
 
 @dataclass(frozen=True)
@@ -157,15 +121,6 @@ class NoPTopology:
             return [self.width + self.height] * len(targets)
         table = self.hop_table
         return [min([table[t][s] for s in sources]) for t in targets]
-
-    def min_hop_map(self,
-                    sources: list[tuple[int, int]]) -> list[list[int]]:
-        """:meth:`nearest_hops` of grid coordinates for every cell,
-        indexed ``[x][y]``."""
-        w = self.width
-        near = self.nearest_hops([self.cell(x, y) for x, y in sources],
-                                 range(w * self.height))
-        return [near[x::w] for x in range(w)]
 
 
 @functools.lru_cache(maxsize=16)

@@ -83,7 +83,7 @@ import sys
 #: every experiment module in :mod:`repro.experiments`, named here so that
 #: ``--help`` imports none of them; each runs from its own import.
 EXPERIMENTS = ("fig10", "fig11", "fig3", "fig4", "fig5to8", "fig9",
-               "platform", "scaling", "table1", "table2", "table3")
+               "scaling", "table1", "table2", "table3")
 
 
 def add_axis_flags(parser: argparse.ArgumentParser,

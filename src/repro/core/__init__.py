@@ -16,7 +16,6 @@ if TYPE_CHECKING:
         min_feasible_fraction,
     )
     from .dse import TrunkConfig, TrunkDSE, best_ranked
-    from .hetero import HeterogeneousResult, schedule_heterogeneous
     from .placement import default_stage_quadrants, place
     from .plancache import (
         CacheStats,
@@ -35,7 +34,6 @@ if TYPE_CHECKING:
         max_row_shards,
         next_shard_step,
         plan_group,
-        split_plane,
     )
     from .throughput import ThroughputMatcher, match_throughput
 
@@ -44,7 +42,6 @@ __getattr__, __dir__ = lazy_exports(
     context=("DEFAULT_FRACTIONS", "LaneContextPoint",
              "lane_context_sweep", "min_feasible_fraction"),
     dse=("TrunkConfig", "TrunkDSE", "best_ranked"),
-    hetero=("HeterogeneousResult", "schedule_heterogeneous"),
     placement=("default_stage_quadrants", "place"),
     plancache=("CacheStats", "PlanCache", "get_plan_cache",
                "plan_cache_stats"),
@@ -52,7 +49,7 @@ __getattr__, __dir__ = lazy_exports(
     schedule=("GroupSchedule", "NoPEdge", "Schedule", "TraceStep"),
     sharding=("MODE_INSTANCES", "MODE_PIPELINE", "MODE_ROWS",
               "MODE_SINGLE", "GroupPlan", "max_row_shards",
-              "next_shard_step", "plan_group", "split_plane"),
+              "next_shard_step", "plan_group"),
     throughput=("ThroughputMatcher", "match_throughput"),
 )
 
@@ -64,8 +61,6 @@ __all__ = [
     "TrunkConfig",
     "TrunkDSE",
     "best_ranked",
-    "HeterogeneousResult",
-    "schedule_heterogeneous",
     "CacheStats",
     "PlanCache",
     "clear_plan_cache",
@@ -88,7 +83,6 @@ __all__ = [
     "max_row_shards",
     "next_shard_step",
     "plan_group",
-    "split_plane",
     "ThroughputMatcher",
     "match_throughput",
 ]

@@ -10,9 +10,7 @@ the result:
   per-stage critical paths plus NoP transfer latencies (the paper's
   "E2E Lat").
 * **energy / EDP** — compute + NoP energy per frame; EDP uses pipe latency
-  (this matches the paper's Figs. 5-8 and the 36x256 row of Table II; see
-  EXPERIMENTS.md for the one column where the paper's EDP arithmetic is
-  not self-consistent).
+  (this matches the paper's Figs. 5-8 and the 36x256 row of Table II).
 * **utilization** — useful MACs over all package PE-cycles inside one pipe
   window (steady state).
 """
@@ -108,9 +106,6 @@ class Schedule:
     # Basic accessors
     # ------------------------------------------------------------------
 
-    def group_schedule(self, name: str) -> GroupSchedule:
-        return self.groups[name]
-
     def chiplets_of(self, name: str) -> tuple[int, ...]:
         """Physical chiplets of a group, resolving colocation chains."""
         seen: set[str] = set()
@@ -192,8 +187,8 @@ class Schedule:
 
         DRAM serves frames like one more FIFO pipeline resource, so the
         steady-state inter-departure time is the slower of the busiest
-        chiplet and the per-frame DRAM stream (validated by
-        :class:`~repro.sim.stream.StreamSimulator`).
+        chiplet and the per-frame DRAM stream (``tests/oracles.py``'s
+        discrete-event simulator checks it).
         """
         return max(self.compute_pipe_latency_s, self.dram_time_s)
 

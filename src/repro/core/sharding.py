@@ -28,7 +28,7 @@ plans must carry the same bits on every interpreter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..cost import AcceleratorConfig, evaluate_shape
@@ -115,30 +115,14 @@ class GroupCosts:
                    max_row_shards=max_row_shards(group))
 
 
-def split_plane(layer: Layer, n: int, index: int) -> Layer:
-    """Split a layer's output plane into ``n`` bands and take band ``index``.
-
-    2D planes split along rows; 1D token sets (``out_h == 1``) split along
-    the token axis.
-    """
-    if layer.out_h > 1:
-        return layer.split_rows(n, index)
-    if not 1 <= n <= layer.out_w:
-        raise ValueError(
-            f"{layer.name}: cannot split {layer.out_w} tokens {n} ways")
-    if not 0 <= index < n:
-        raise ValueError(f"shard index {index} out of range for n={n}")
-    base, extra = divmod(layer.out_w, n)
-    cols = base + (1 if index < extra else 0)
-    return replace(layer, name=f"{layer.name}@c{index}/{n}", out_w=cols)
-
-
 def _band_shapes(layer: Layer,
                  n: int) -> tuple[int, LayerShape, LayerShape]:
-    """Shapes of the ``n`` bands :func:`split_plane` cuts, without the bands.
+    """Shapes of the ``n`` bands a row shard cuts, without the bands.
 
-    Returns ``(extra, big, small)``: bands ``0..extra-1`` have shape
-    ``big``, one row (or token) more than the others' ``small``.
+    2D planes split along rows; 1D token sets (``out_h == 1``) split
+    along the token axis.  Returns ``(extra, big, small)``: bands
+    ``0..extra-1`` have shape ``big``, one row (or token) more than the
+    others' ``small``.
     """
     shape = layer.shape
     if layer.out_h > 1:

@@ -14,7 +14,7 @@ one quadrant to whole packages.
 # Eager, unlike the other packages: ``search`` imports ``pareto`` and
 # ``space``, so every name here loads the same three modules, and
 # perfbench's import probe is meant to time them in ``setup_s``.
-from .pareto import dominated_indices, dominates, pareto_indices
+from .pareto import pareto_indices
 from .search import (
     DesignCandidate,
     DesignSearch,
@@ -31,8 +31,6 @@ __all__ = [
     "DesignSpace",
     "DesignTargets",
     "axis_token",
-    "dominated_indices",
-    "dominates",
     "pareto_indices",
     "proxy_objectives",
 ]

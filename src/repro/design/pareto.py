@@ -1,12 +1,13 @@
 """Pareto dominance over lower-is-better objective vectors.
 
 :func:`pareto_indices` finds the frontier of two objectives with one sort
-and one sweep, O(n log n); :func:`dominates` is the pairwise definition
-it must agree with.  The determinism rules the frontier report relies
-on: the frontier preserves input order (stable, first-seen), and a
-candidate whose objectives *tie* another's is not dominated by it
-(dominance needs a strict improvement somewhere), so exact duplicates
-all survive to the frontier rather than racing on enumeration order.
+and one sweep, O(n log n); the pairwise dominance definition it must
+agree with lives in ``tests/oracles.py``.  The determinism rules the
+frontier report relies on: the frontier preserves input order (stable,
+first-seen), and a candidate whose objectives *tie* another's is not
+dominated by it (dominance needs a strict improvement somewhere), so
+exact duplicates all survive to the frontier rather than racing on
+enumeration order.
 """
 
 from __future__ import annotations
@@ -16,17 +17,6 @@ from itertools import groupby
 from typing import Sequence
 
 Point = Sequence[float]
-
-
-def dominates(a: Point, b: Point) -> bool:
-    """Whether ``a`` Pareto-dominates ``b`` (every objective at least as
-    good, at least one strictly better; all objectives lower-is-better).
-    """
-    if len(a) != len(b):
-        raise ValueError(
-            f"objective vectors differ in length: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b)) and \
-        any(x < y for x, y in zip(a, b))
 
 
 def pareto_indices(points: Sequence[Point]) -> list[int]:
@@ -59,9 +49,3 @@ def pareto_indices(points: Sequence[Point]) -> list[int]:
             frontier.extend(i for i in members if xy[i][1] == least)
             carried = least
     return sorted(frontier)
-
-
-def dominated_indices(points: Sequence[Point]) -> list[int]:
-    """Indices of the dominated points, in input order."""
-    frontier = set(pareto_indices(points))
-    return [i for i in range(len(points)) if i not in frontier]

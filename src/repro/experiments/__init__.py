@@ -15,13 +15,13 @@ from .. import lazy_exports
 if TYPE_CHECKING:
     from types import ModuleType
 
-    from . import fig3, fig4, fig5to8, fig9, fig10, fig11, platform, \
-        scaling, table1, table2, table3
+    from . import fig3, fig4, fig5to8, fig9, fig10, fig11, scaling, \
+        table1, table2, table3
 
     ALL_EXPERIMENTS: dict[str, ModuleType]
 
 __all__ = ["ALL_EXPERIMENTS", "fig3", "fig4", "fig5to8", "fig9", "fig10",
-           "fig11", "table1", "table2", "table3", "platform", "scaling"]
+           "fig11", "table1", "table2", "table3", "scaling"]
 
 _MODULES = __all__[1:]
 

@@ -11,21 +11,15 @@ if TYPE_CHECKING:
         group_to_dict,
         layer_to_dict,
         plan_from_record,
-        plan_to_dict,
         plan_to_record,
-        save_schedule,
         save_sweep,
-        schedule_to_dict,
-        workload_to_dict,
     )
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     report=("generate_report",),
     serialize=("accel_to_dict", "group_to_dict", "layer_to_dict",
-               "plan_from_record", "plan_to_dict", "plan_to_record",
-               "save_schedule", "save_sweep", "schedule_to_dict",
-               "workload_to_dict"),
+               "plan_from_record", "plan_to_record", "save_sweep"),
 )
 
 __all__ = [
@@ -34,10 +28,6 @@ __all__ = [
     "group_to_dict",
     "layer_to_dict",
     "plan_from_record",
-    "plan_to_dict",
     "plan_to_record",
-    "save_schedule",
     "save_sweep",
-    "schedule_to_dict",
-    "workload_to_dict",
 ]

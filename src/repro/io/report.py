@@ -8,13 +8,12 @@ from ..experiments import ALL_EXPERIMENTS
 
 #: experiments in paper order for the report
 _ORDER = ("fig3", "fig4", "fig5to8", "table1", "fig9", "table2", "fig10",
-          "table3", "fig11", "platform", "scaling")
+          "table3", "fig11", "scaling")
 
 _HEADER = """\
 # Reproduction report
 
-Auto-generated by `chiplet-npu report`.  One section per paper artifact;
-see EXPERIMENTS.md for the paper-vs-measured comparison bands.
+Auto-generated by `chiplet-npu report`.  One section per paper artifact.
 """
 
 

@@ -1,9 +1,10 @@
-"""JSON-safe serialization of workloads, plans, and schedules.
+"""JSON-safe serialization of layer groups, plans and sweep results.
 
-Schedules are the unit downstream tooling wants to persist (e.g. to diff
-scheduler versions or feed a floorplanning flow).  The dictionaries emitted
-here are pure built-in types, stable across runs, and documented field by
-field so external consumers do not need this package to read them.
+The plan store keys and stores its entries with these views, and
+``sweep --output`` writes a sweep's rows with :func:`save_sweep`.  The
+dictionaries emitted here are pure built-in types, stable across runs,
+and documented field by field so external consumers do not need this
+package to read them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import json
 import pathlib
 from typing import TYPE_CHECKING
 
-from ..core.schedule import Schedule
 from ..core.sharding import GroupPlan
 from ..cost import AcceleratorConfig
-from ..workloads.graph import LayerGroup, PerceptionWorkload
+from ..workloads.graph import LayerGroup
 from ..workloads.layers import Layer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -57,17 +57,6 @@ def group_to_dict(group: LayerGroup) -> dict:
     }
 
 
-def workload_to_dict(workload: PerceptionWorkload) -> dict:
-    """The full perception workload as nested dictionaries."""
-    return {
-        "stages": [
-            {"name": s.name, "groups": [group_to_dict(g) for g in s.groups]}
-            for s in workload.stages
-        ],
-        "total_macs": workload.total_macs,
-    }
-
-
 def accel_to_dict(accel: AcceleratorConfig) -> dict:
     """One accelerator config (nested energy table included), JSON-safe."""
     payload = dataclasses.asdict(accel)
@@ -78,8 +67,7 @@ def accel_to_dict(accel: AcceleratorConfig) -> dict:
 def plan_to_record(plan: GroupPlan) -> dict:
     """Exact round-trip form of a :class:`GroupPlan` (plan-store entries).
 
-    Unlike :func:`plan_to_dict` (a report view in milliseconds), this keeps
-    every dataclass field verbatim in its native unit, so
+    This keeps every dataclass field verbatim in its native unit, so
     ``plan_from_record(plan_to_record(p)) == p`` holds bit-for-bit — JSON
     floats serialize via ``repr`` and round-trip exactly.
     """
@@ -107,75 +95,6 @@ def plan_from_record(record: dict) -> GroupPlan:
         macs=record["macs"],
         segments=record["segments"],
     )
-
-
-def plan_to_dict(plan: GroupPlan) -> dict:
-    """One group plan: chiplet count, mode, and per-chiplet timing."""
-    return {
-        "group": plan.group_name,
-        "n_chiplets": plan.n_chiplets,
-        "mode": plan.mode,
-        "segments": plan.segments,
-        "pipe_latency_ms": plan.pipe_latency_s * 1e3,
-        "span_ms": plan.span_s * 1e3,
-        "energy_j": plan.energy_j,
-        "per_chiplet_busy_ms": [t * 1e3 for t in plan.per_chiplet_busy],
-    }
-
-
-def schedule_to_dict(schedule: Schedule) -> dict:
-    """A complete schedule: mapping, metrics, NoP edges, and trace."""
-    return {
-        "package": {
-            "name": schedule.package.name,
-            "mesh": [schedule.package.topology.width,
-                     schedule.package.topology.height],
-            "total_pes": schedule.package.total_pes,
-            "npus": schedule.package.npus,
-        },
-        "tolerance": schedule.tolerance,
-        "base_latency_ms": schedule.base_latency_s * 1e3,
-        "stage_quadrants": {k: list(v)
-                            for k, v in schedule.stage_quadrants.items()},
-        "groups": {
-            name: {
-                "plan": plan_to_dict(gs.plan),
-                "chiplets": list(gs.chiplet_ids),
-                "host": gs.host,
-            }
-            for name, gs in schedule.groups.items()
-        },
-        "metrics": schedule.summary(),
-        "nop_edges": [
-            {
-                "src": e.src_group,
-                "dst": e.dst_group,
-                "payload_bytes": e.payload_bytes,
-                "hops": e.hops,
-                "latency_ms": e.latency_s * 1e3,
-                "energy_mj": e.energy_j * 1e3,
-            }
-            for e in schedule.nop_edges()
-        ],
-        "trace": [
-            {
-                "step": t.step,
-                "phase": t.phase,
-                "action": t.action,
-                "group": t.group,
-                "n_chiplets": t.n_chiplets,
-                "pipe_latency_ms": t.pipe_latency_ms,
-                "chiplets_remaining": t.chiplets_remaining,
-            }
-            for t in schedule.trace
-        ],
-    }
-
-
-def save_schedule(schedule: Schedule, path: str | pathlib.Path) -> None:
-    """Write a schedule dump as pretty-printed JSON."""
-    payload = schedule_to_dict(schedule)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def save_sweep(result: "SweepResult", path: str | pathlib.Path) -> None:

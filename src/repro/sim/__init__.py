@@ -1,4 +1,4 @@
-"""Pipeline performance simulation: MCM schedules and baseline engines."""
+"""Table II's baseline engines and the result tables experiments print."""
 
 from typing import TYPE_CHECKING
 
@@ -13,23 +13,15 @@ if TYPE_CHECKING:
         simulate_engines,
     )
     from .metrics import PerfReport, format_table
-    from .stream import FrameRecord, StreamResult, StreamSimulator, \
-        stream_validate
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     baselines=("LAYERWISE", "STAGEWISE", "baseline_arrangements",
                "run_baselines", "simulate_engines"),
     metrics=("PerfReport", "format_table"),
-    stream=("FrameRecord", "StreamResult", "StreamSimulator",
-            "stream_validate"),
 )
 
 __all__ = [
-    "FrameRecord",
-    "StreamResult",
-    "StreamSimulator",
-    "stream_validate",
     "LAYERWISE",
     "STAGEWISE",
     "baseline_arrangements",

@@ -28,10 +28,6 @@ class PerfReport:
         """Energy-delay product (J*ms) against the pipelining latency."""
         return self.energy_j * self.pipe_ms
 
-    @property
-    def throughput_fps(self) -> float:
-        return 1.0 / self.pipe_s if self.pipe_s > 0 else float("inf")
-
     def row(self) -> dict:
         return {
             "config": self.label,

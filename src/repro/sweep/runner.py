@@ -187,11 +187,11 @@ def run_scenario(scenario: Scenario,
         row["stage_utilization"] = dict(row["stage_utilization"])
 
     if scenario.het_ws_budget is not None:
-        # Mirror schedule_heterogeneous: the pipe constraint is the
-        # scenario's tolerance over ITS base latency, and the chiplet
-        # budget is the package's actual trunk-quadrant capacity.  The
-        # constraint is the *compute* base latency — heterogeneous trunk
-        # mapping cannot relieve a DRAM wall.
+        # Table I's Het(k) flow: the pipe constraint is the scenario's
+        # tolerance over ITS base latency, and the chiplet budget is the
+        # package's actual trunk-quadrant capacity.  The constraint is
+        # the *compute* base latency — heterogeneous trunk mapping cannot
+        # relieve a DRAM wall.
         l_cstr = scenario.tolerance * scheduled.base_latency_s
         row.update(_trunk_columns(scenario, scheduled.workload,
                                   scenario.het_ws_budget,

@@ -6,12 +6,12 @@ from .. import lazy_exports
 
 if TYPE_CHECKING:
     from .charts import hbar_chart, sparkline, step_plot
-    from .floorplan import chiplet_labels, render_floorplan, render_quadrant
+    from .floorplan import chiplet_labels, render_floorplan
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     charts=("hbar_chart", "sparkline", "step_plot"),
-    floorplan=("chiplet_labels", "render_floorplan", "render_quadrant"),
+    floorplan=("chiplet_labels", "render_floorplan"),
 )
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "step_plot",
     "chiplet_labels",
     "render_floorplan",
-    "render_quadrant",
 ]

@@ -78,18 +78,3 @@ def render_floorplan(schedule: Schedule, show_busy: bool = True,
     if any(engine.dataflow != "os" for engine in pkg.engines):
         rows.append("(* = weight-stationary chiplet)")
     return "\n".join(rows)
-
-
-def render_quadrant(schedule: Schedule, stage_name: str) -> str:
-    """Render only the quadrant(s) owned by one stage."""
-    pkg = schedule.package
-    quads = schedule.stage_quadrants[stage_name]
-    members = {c.chiplet_id for q in quads for c in pkg.quadrant(q)}
-    labels = chiplet_labels(schedule)
-    busy = schedule.chiplet_busy()
-    lines = [f"[{stage_name}] quadrant(s) {quads}"]
-    for cid in sorted(members):
-        c = pkg.chiplet(cid)
-        lines.append(f"  ({c.x},{c.y}) {labels.get(cid, 'idle'):12s} "
-                     f"{busy[cid] * 1e3:6.1f} ms/frame")
-    return "\n".join(lines)

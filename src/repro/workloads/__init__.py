@@ -37,12 +37,6 @@ if TYPE_CHECKING:
         build_lane_layers,
         build_occupancy_layers,
     )
-    from .validate import (
-        Diagnostic,
-        WorkloadValidationError,
-        check_workload,
-        validate_workload,
-    )
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -54,8 +48,6 @@ __getattr__, __dir__ = lazy_exports(
               "PipelineConfig", "build_perception_workload"),
     trunks=("build_detection_layers", "build_lane_layers",
             "build_occupancy_layers"),
-    validate=("Diagnostic", "WorkloadValidationError", "check_workload",
-              "validate_workload"),
 )
 
 __all__ = [
@@ -87,8 +79,4 @@ __all__ = [
     "build_occupancy_layers",
     "build_lane_layers",
     "build_detection_layers",
-    "Diagnostic",
-    "WorkloadValidationError",
-    "check_workload",
-    "validate_workload",
 ]

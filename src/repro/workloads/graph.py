@@ -10,8 +10,7 @@ parallel instances, e.g. 8 cameras) organized into :class:`Stage` objects
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
 
 from .layers import Layer, total_macs
 
@@ -78,9 +77,6 @@ class LayerGroup:
     def output_bytes_per_instance(self) -> int:
         return self.output_layer.output_bytes
 
-    def with_layers(self, layers: tuple[Layer, ...]) -> "LayerGroup":
-        return replace(self, layers=layers)
-
 
 @dataclass
 class Stage:
@@ -100,13 +96,6 @@ class Stage:
             if g.name == name:
                 return g
         raise KeyError(f"no group {name!r} in stage {self.name}")
-
-    def replace_group(self, group: LayerGroup) -> None:
-        for i, g in enumerate(self.groups):
-            if g.name == group.name:
-                self.groups[i] = group
-                return
-        raise KeyError(f"no group {group.name!r} in stage {self.name}")
 
     @property
     def total_macs(self) -> int:
@@ -135,22 +124,6 @@ class Stage:
             visit(g.name)
         return order
 
-    def critical_path(self, span_of: Callable[[LayerGroup], float],
-                      ) -> float:
-        """Longest path through the group DAG.
-
-        ``span_of(group) -> float`` supplies each group's (possibly sharded)
-        execution span.  Groups without intra-stage dependencies run
-        concurrently, which is how 8 FE models or the Q/K/V projections
-        overlap.
-        """
-        finish: dict[str, float] = {}
-        for g in self.topo_order():
-            start = max(
-                (finish[d] for d in g.depends_on if d in finish), default=0.0)
-            finish[g.name] = start + span_of(g)
-        return max(finish.values(), default=0.0)
-
 
 @dataclass
 class PerceptionWorkload:
@@ -163,10 +136,6 @@ class PerceptionWorkload:
             if s.name == name:
                 return s
         raise KeyError(f"no stage {name!r}")
-
-    @property
-    def stage_names(self) -> list[str]:
-        return [s.name for s in self.stages]
 
     def all_groups(self) -> list[LayerGroup]:
         return [g for s in self.stages for g in s.groups]
@@ -183,10 +152,3 @@ class PerceptionWorkload:
             if g.name == name:
                 return g
         raise KeyError(f"no group {name!r} in workload")
-
-    def replace_group(self, group: LayerGroup) -> None:
-        for s in self.stages:
-            if any(g.name == group.name for g in s.groups):
-                s.replace_group(group)
-                return
-        raise KeyError(f"no group {group.name!r} in workload")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 #: fp16 operand width used throughout the cost model.
@@ -248,39 +248,6 @@ class Layer:
     @property
     def output_bytes(self) -> int:
         return self.output_words * BYTES_PER_WORD
-
-    # ------------------------------------------------------------------
-    # Shard transforms (used by repro.core.sharding)
-    # ------------------------------------------------------------------
-
-    def split_rows(self, n: int, index: int) -> "Layer":
-        """Return this layer restricted to the ``index``-th of ``n`` row bands.
-
-        Row sharding divides the output plane height as evenly as possible;
-        the cost model recomputes mapping efficiency on the shard, so
-        speedups are naturally sub-linear when bands stop aligning with the
-        16x16 dataflow tile.
-        """
-        if not 1 <= n <= self.out_h:
-            raise ValueError(
-                f"{self.name}: cannot split {self.out_h} rows {n} ways")
-        if not 0 <= index < n:
-            raise ValueError(f"shard index {index} out of range for n={n}")
-        base, extra = divmod(self.out_h, n)
-        rows = base + (1 if index < extra else 0)
-        return replace(self, name=f"{self.name}@r{index}/{n}", out_h=rows)
-
-    def scaled_plane(self, fraction: float) -> "Layer":
-        """Return a copy with the output plane scaled by ``fraction``.
-
-        Used by context-aware computing (Fig. 11): only the retained
-        fraction of grid regions is processed.  Scaling applies to rows so
-        plane geometry stays valid.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rows = max(1, round(self.out_h * fraction))
-        return replace(self, name=self.name, out_h=rows)
 
 
 # ----------------------------------------------------------------------

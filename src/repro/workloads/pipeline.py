@@ -8,7 +8,7 @@ latencies, Lat_base) is reproduced by the cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .bifpn import build_fe_bfpn
 from .fusion import build_spatial_fusion, build_temporal_fusion
@@ -63,12 +63,6 @@ class PipelineConfig:
             h = hash(tuple(getattr(self, f.name) for f in fields(self)))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def with_lane_context(self, fraction: float) -> "PipelineConfig":
-        return replace(self, lane_context=fraction)
-
-    def with_occ_stages(self, stages: int) -> "PipelineConfig":
-        return replace(self, occ_stages=stages)
 
 
 def build_fe_stage(config: PipelineConfig) -> Stage:

@@ -6,8 +6,8 @@ is caught immediately.  Tolerances here are tight (1%), unlike the wide
 paper-shape bands in ``test_experiments.py`` — these pin *our* calibrated
 values, not the paper's.
 
-If a change intentionally moves these numbers, update both this file and
-EXPERIMENTS.md.
+If a change intentionally moves these numbers, update this file, and
+check them against the bands in ``test_experiments.py``.
 """
 
 import pytest

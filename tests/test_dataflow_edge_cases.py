@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import layer_cost_table, to_csv
 from repro.cost import evaluate, map_layer
 from repro.workloads import conv, dense, dwconv, matmul
 
@@ -65,25 +64,3 @@ class TestMatmulSemantics:
         cost = evaluate(layer, os_accel)
         assert cost.macs == 16000 * 384 * 16000
         assert 0 < cost.utilization <= 1
-
-
-class TestLayerCostTable:
-    def test_table_covers_all_layers(self, workload, os_accel):
-        rows = layer_cost_table(workload, os_accel)
-        assert len(rows) == len(workload.all_layers())
-
-    def test_compute_only_filter(self, workload, os_accel):
-        all_rows = layer_cost_table(workload, os_accel)
-        compute = layer_cost_table(workload, os_accel, compute_only=True)
-        assert len(compute) < len(all_rows)
-        assert all(r["macs"] > 0 for r in compute)
-
-    def test_csv_round_trip_lines(self, workload, os_accel):
-        rows = layer_cost_table(workload, os_accel, compute_only=True)
-        text = to_csv(rows)
-        lines = text.splitlines()
-        assert len(lines) == len(rows) + 1
-        assert lines[0].startswith("stage,group,layer")
-
-    def test_csv_empty(self):
-        assert to_csv([]) == ""

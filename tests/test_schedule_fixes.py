@@ -3,9 +3,9 @@
 from dataclasses import replace
 
 import pytest
+from oracles import StreamSimulator
 
 from repro.arch import QuadrantOverrides, simba_package, transfer_cost
-from repro.sim.stream import StreamSimulator
 
 
 class TestHeterogeneousUtilization:

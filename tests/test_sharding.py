@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import split_plane
 
 from repro.core import clear_plan_cache, plan_cache_stats
 from repro.core import sharding as sharding_mod
@@ -18,7 +19,6 @@ from repro.core.sharding import (
     max_row_shards,
     next_shard_step,
     plan_group,
-    split_plane,
 )
 from repro.cost import chain_energy_j, chain_latency_s, evaluate
 from repro.workloads import conv, dense

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stream import StreamSimulator, stream_validate
+from oracles import StreamSimulator, stream_validate
 
 
 class TestStreamValidation:

@@ -7,8 +7,9 @@ import multiprocessing
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import schedule_heterogeneous
 
-from repro.io import save_sweep
+from repro.io import group_to_dict, save_sweep
 from repro.sweep import (
     WORKLOAD_VARIANTS,
     Scenario,
@@ -17,6 +18,12 @@ from repro.sweep import (
     run_scenario,
     scenario_grid,
 )
+
+
+def workload_json(workload) -> str:
+    """Every group of a workload, serialized with sorted keys."""
+    return json.dumps([group_to_dict(g) for g in workload.all_groups()],
+                      sort_keys=True)
 
 
 class TestScenario:
@@ -91,13 +98,11 @@ class TestRunScenario:
 
     def test_trunk_columns_match_schedule_heterogeneous(self):
         # The sweep's trunk DSE must use the scenario's own constraint
-        # and quadrant budget, exactly like the canonical hetero flow.
-        from repro.core import schedule_heterogeneous
+        # and quadrant budget, exactly like Table I's Het(k) flow.
         row = run_scenario(Scenario(tolerance=1.0, het_ws_budget=2))
-        het = schedule_heterogeneous(ws_chiplets=2, tolerance=1.0)
-        assert row["trunk_edp_j_ms"] == pytest.approx(
-            het.trunk_config.edp_j_ms)
-        assert row["trunk_feasible"] == het.trunk_config.feasible
+        _, trunks = schedule_heterogeneous(ws_chiplets=2, tolerance=1.0)
+        assert row["trunk_edp_j_ms"] == pytest.approx(trunks.edp_j_ms)
+        assert row["trunk_feasible"] == trunks.feasible
 
     def test_nop_bandwidth_axis_moves_nop_latency(self):
         slow = run_scenario(Scenario(nop_gbps=12.5))
@@ -288,8 +293,7 @@ class TestStoreBackedSweep:
         import repro
         unused = ["numpy", "multiprocessing", "concurrent.futures.process",
                   "repro.experiments", "repro.analysis", "repro.viz",
-                  "repro.sim", "repro.io.report", "repro.core.hetero",
-                  "repro.core.context", "repro.workloads.validate",
+                  "repro.sim", "repro.io.report", "repro.core.context",
                   "repro.sweep.journal"]
         script = (
             "import json, sys\n"
@@ -435,14 +439,9 @@ class TestWorkloadSharing:
         # Stands in for freezing Stage and PerceptionWorkload: the
         # matcher, Schedule and the trunk DSE only read a workload, so
         # its serialization after a sweep is the one it was built with.
-        from repro.io.serialize import workload_to_dict
-
-        def snapshot(workload):
-            return json.dumps(workload_to_dict(workload), sort_keys=True)
-
         built = []
         self._on_build(monkeypatch,
-                       lambda wl: built.append((wl, snapshot(wl))))
+                       lambda wl: built.append((wl, workload_json(wl))))
         grid = scenario_grid(tolerances=(1.0, 1.05),
                              workloads=("default", "lores"),
                              het_ws_budgets=(None, 2),
@@ -451,7 +450,7 @@ class TestWorkloadSharing:
         ScenarioSweep(grid, workers=1).run()
         assert len(built) == 2
         for workload, before in built:
-            assert snapshot(workload) == before
+            assert workload_json(workload) == before
 
 
 #: perfbench's seed-0 sweep grid (``perfbench/grids.py``, the first
@@ -519,14 +518,16 @@ class TestScheduleSharing:
         assert len(builds) == 4
         assert len(allocations) == 2
 
-    def test_perfbench_grid_builds_each_package_once(self, monkeypatch):
+    def test_perfbench_grid_builds_each_package_once(self, monkeypatch,
+                                                     tmp_path):
         # perfbench's seed-0 sweep grid: 192 scenarios on 96 hardware
         # points, over 12 distinct packages (npus x dataflow x topology).
         # A cold serial run builds each package once and hands it to
         # every scenario of its package key, builds, schedules and
         # places each hardware point once, and runs the trunk DSE once
-        # per Het(4) hardware point.  Nothing downstream mutates a
-        # package, so each still equals a fresh build afterwards.
+        # per Het(4) hardware point.  A run that checkpoints into a
+        # fresh journal does the same work.  Nothing downstream mutates
+        # a package, so each still equals a fresh build afterwards.
         import repro.core.throughput as throughput_module
         import repro.sweep.scenario as scenario_module
         from repro.core.dse import TrunkDSE
@@ -553,16 +554,21 @@ class TestScheduleSharing:
         count(Scenario, "build")
         count(throughput_module, "place")
         count(TrunkDSE, "search")
-        TestWorkloadSharing._cold()
-        summary = ScenarioSweep(grid, workers=1).run().summary()
         assert len(grid) == 192
-        assert len(built) == len({s.package_key() for s in grid}) == 12
-        assert calls == {"build": 96, "place": 96, "search": 48}
-        plans, layers = summary["plan_cache"], summary["layer_cost_cache"]
-        assert (plans["hits"], plans["misses"]) == (5822, 1335)
-        # Group chains and row bands price by shape, so a chain finds
-        # the shapes another layer, group or variant priced.
-        assert (layers["hits"], layers["misses"]) == (2694, 3016)
+        for journal in (None, tmp_path / "journal"):
+            built.clear()
+            calls.update(dict.fromkeys(calls, 0))
+            TestWorkloadSharing._cold()
+            summary = ScenarioSweep(grid, workers=1,
+                                    journal=journal).run().summary()
+            assert len(built) == len({s.package_key() for s in grid}) == 12
+            assert calls == {"build": 96, "place": 96, "search": 48}
+            plans = summary["plan_cache"]
+            layers = summary["layer_cost_cache"]
+            assert (plans["hits"], plans["misses"]) == (5822, 1335)
+            # Group chains and row bands price by shape, so a chain
+            # finds the shapes another layer, group or variant priced.
+            assert (layers["hits"], layers["misses"]) == (2694, 3016)
         monkeypatch.undo()
         fresh = [package(s) for s in {s.package_key(): s
                                       for s in grid}.values()]
@@ -586,15 +592,12 @@ class TestScheduleSharing:
     def test_build_ignores_the_het_budget(self, scenario):
         # The schedule table keys by the scenario without its budget, so
         # a build that read the budget would serve a twin the wrong row.
-        from repro.io.serialize import workload_to_dict
         built = scenario.build()
         bare = dataclasses.replace(scenario, het_ws_budget=None).build()
         assert built.package == bare.package
         assert built.dram == bare.dram
         assert built.dram_bytes_per_frame == bare.dram_bytes_per_frame
-        assert json.dumps(workload_to_dict(built.workload),
-                          sort_keys=True) \
-            == json.dumps(workload_to_dict(bare.workload), sort_keys=True)
+        assert workload_json(built.workload) == workload_json(bare.workload)
 
     def test_twin_rows_share_no_mutable_value(self):
         grid = scenario_grid(het_ws_budgets=(None, 2),

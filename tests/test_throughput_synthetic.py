@@ -107,11 +107,10 @@ class TestColocation:
             ("B", [("tiny", 1.0, 1, False), ("big", 30.0, 1, True)]),
         ])
         # Make 'big' depend on 'tiny' so it qualifies as a consumer host.
-        stage_b = wl.stage("B")
-        big = stage_b.group("big")
-        stage_b.replace_group(
-            LayerGroup(name="big", layers=big.layers, stage="B",
-                       row_shardable=True, depends_on=("tiny",)))
+        groups = wl.stage("B").groups
+        big = groups[1]
+        groups[1] = LayerGroup(name="big", layers=big.layers, stage="B",
+                               row_shardable=True, depends_on=("tiny",))
         schedule = ThroughputMatcher(wl, simba_package()).run()
         assert schedule.groups["tiny"].host == "big"
         assert schedule.chiplets_of("tiny") == \

@@ -13,12 +13,12 @@ import pathlib
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import min_hop_map, topology_hop_map
 
 from repro.arch import (
     TOPOLOGY_KINDS,
     NoPTopology,
     canonical_topology,
-    min_hop_map,
     parse_topology,
     simba_package,
     topology_for,
@@ -86,7 +86,7 @@ class TestTopologyGeometry:
     def test_mesh_min_hop_map_matches_seed_transform(self):
         topo = NoPTopology("mesh", 12, 6)
         sources = [(0, 0), (7, 3), (11, 5)]
-        assert topo.min_hop_map(sources) == min_hop_map(12, 6, sources)
+        assert topology_hop_map(topo, sources) == min_hop_map(12, 6, sources)
 
     @settings(max_examples=150, deadline=None)
     @given(case=hop_map_cases())
@@ -96,7 +96,7 @@ class TestTopologyGeometry:
         topo = NoPTopology(kind, w, h)
         want = [[min((topo.hops((x, y), s) for s in sources), default=w + h)
                  for y in range(h)] for x in range(w)]
-        assert topo.min_hop_map(sources) == want
+        assert topology_hop_map(topo, sources) == want
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(TOPOLOGY_KINDS), w=st.integers(1, 9),
@@ -125,13 +125,14 @@ class TestTopologyGeometry:
         # (5,0) reaches (0,0) in one x-wrap hop where the open mesh
         # needs five.
         sources = [(0, 0), (4, 5)]
-        assert NoPTopology("torus", 6, 6).min_hop_map(sources)[5][0] == 1
+        torus = NoPTopology("torus", 6, 6)
+        assert topology_hop_map(torus, sources)[5][0] == 1
         assert min_hop_map(6, 6, sources)[5][0] == 5
 
     def test_empty_sources_yield_unreachable_sentinel(self):
         for kind in TOPOLOGY_KINDS:
             topo = NoPTopology(kind, 4, 4)
-            assert topo.min_hop_map([]) == [[8] * 4 for _ in range(4)]
+            assert topology_hop_map(topo, []) == [[8] * 4 for _ in range(4)]
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError, match="mesh, torus"):

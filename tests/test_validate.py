@@ -1,16 +1,17 @@
-"""Tests for workload structural validation."""
+"""Tests for workload structural validation (``oracles.py``)."""
 
 import pytest
-
-from repro.workloads import conv, dense
-from repro.workloads.graph import LayerGroup, PerceptionWorkload, Stage
-from repro.workloads.validate import (
+from oracles import (
     ERROR,
     WARNING,
+    Diagnostic,
     WorkloadValidationError,
     check_workload,
     validate_workload,
 )
+
+from repro.workloads import conv, dense
+from repro.workloads.graph import LayerGroup, PerceptionWorkload, Stage
 
 
 def _workload(groups, stage_name="S"):
@@ -80,6 +81,5 @@ class TestValidation:
             check_workload(wl)
 
     def test_diagnostic_str(self):
-        from repro.workloads.validate import Diagnostic
         d = Diagnostic(ERROR, "loc", "boom")
         assert str(d) == "[error] loc: boom"

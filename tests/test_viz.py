@@ -1,12 +1,9 @@
 """Tests for terminal visualization (floorplans, charts)."""
 
-import pytest
-
 from repro.viz import (
     chiplet_labels,
     hbar_chart,
     render_floorplan,
-    render_quadrant,
     sparkline,
     step_plot,
 )
@@ -33,11 +30,6 @@ class TestFloorplan:
         without = render_floorplan(schedule36, show_busy=False)
         assert "ms" in with_busy
         assert len(without.splitlines()) < len(with_busy.splitlines())
-
-    def test_quadrant_view(self, schedule36):
-        text = render_quadrant(schedule36, "T_FUSE")
-        assert "tFF" in text
-        assert "T_FUSE" in text
 
 
 class TestCharts:
