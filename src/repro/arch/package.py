@@ -86,10 +86,6 @@ class MCMPackage:
         return sum(len(members) * engines[q % MODULE_QUADRANTS].pe_count
                    for q, members in enumerate(self.grid.quadrants))
 
-    @property
-    def quadrant_count(self) -> int:
-        return len(self.grid.quadrants)
-
     def quadrant(self, q: int) -> tuple[Chiplet, ...]:
         """Quadrant ``q``'s chiplets in id order."""
         quadrants = self.grid.quadrants

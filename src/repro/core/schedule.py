@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from ..arch import DramBudget, MCMPackage, NoPTransfer, transfer_cost
 from ..arch.package import MODULE_QUADRANTS
-from ..workloads.graph import LayerGroup, PerceptionWorkload
+from ..workloads.graph import LayerGroup, PerceptionWorkload, Stage
 from .sharding import GroupPlan
 
 
@@ -63,6 +63,13 @@ class NoPEdge:
     max_hops: int = 0
 
 
+#: priced NoP edges, one table per ``(chiplet grid, NoP link)``, keyed by
+#: what :meth:`Schedule._edge` reads (an edge between groups) or what
+#: :meth:`Schedule._pipeline_internal_edge` reads (a pipelined group's
+#: own), owned by one caller for a run.
+EdgeTables = dict[tuple, dict[tuple, NoPEdge]]
+
+
 @dataclass
 class Schedule:
     """A complete mapping of the perception workload onto an MCM package."""
@@ -84,14 +91,10 @@ class Schedule:
     #: per-frame DRAM traffic (streamed weights + camera inputs); see
     #: :func:`repro.arch.dram.workload_dram_bytes`.
     dram_bytes_per_frame: int = 0
-    #: NoP memos: each edge's per-source nearest hops, and the link's
-    #: priced edges, by ``(src, dst)`` (a pipelined group's internal edge
-    #: by ``(group, group)``).  The matcher sets both to its
-    #: :class:`~repro.core.placement.Placement`'s tables, shared by the
-    #: schedules placed alike; a schedule built (or ``replace``-d)
-    #: elsewhere keeps its own.
-    nearest_hops: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
+    #: priced NoP edges of this chiplet grid and link (an
+    #: :data:`EdgeTables` entry).  The matcher sets it to the caller's
+    #: table, shared by every schedule of that grid and link; a schedule
+    #: built (or ``replace``-d) elsewhere keeps its own.
     edges: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     # Memos for the derived metrics below.  A Schedule is immutable once
@@ -200,24 +203,24 @@ class Schedule:
         return group.output_bytes_per_instance * group.instances
 
     def _edge(self, src: str, dst: str) -> NoPEdge:
-        """Price the transfer of src's output into dst's chiplets."""
-        edge = self.edges.get((src, dst))
+        """Price the transfer of src's output into dst's chiplets, or
+        find it priced in :attr:`edges`."""
+        payload = self._group_output_bytes(self.workload.find_group(src))
+        src_ids = self.chiplets_of(src)
+        dst_ids = self.chiplets_of(dst)
+        # Everything the edge reads besides the grid and link its table
+        # is for.  Sources stay in order: the energy fold runs over them.
+        key = (src, dst, payload, src_ids, dst_ids)
+        edge = self.edges.get(key)
         if edge is not None:
             return edge
-        src_group = self.workload.find_group(src)
-        payload = self._group_output_bytes(src_group)
-        src_ids = self.chiplets_of(src)
         per_src = payload / max(1, len(src_ids))
-        near = self.nearest_hops.get((src, dst))
-        if near is None:
-            # Each source chiplet's hops to its nearest destination
-            # chiplet, read from the topology's hop table (so torus
-            # wraparound shortens routes here too).
-            topo = self.package.topology
-            cells = self.package.grid.cells
-            near = self.nearest_hops[(src, dst)] = topo.nearest_hops(
-                [cells[cid] for cid in self.chiplets_of(dst)],
-                [cells[cid] for cid in src_ids])
+        # Each source chiplet's hops to its nearest destination chiplet,
+        # read from the topology's hop table (so torus wraparound
+        # shortens routes here too).
+        cells = self.package.grid.cells
+        near = self.package.topology.nearest_hops(
+            [cells[cid] for cid in dst_ids], [cells[cid] for cid in src_ids])
         total_lat = 0.0
         total_energy = 0.0
         hop_sum = 0.0
@@ -233,18 +236,15 @@ class Schedule:
             hop_sum += hops
             if hops > worst_hops:
                 worst_hops = hops
-        edge = self.edges[(src, dst)] = NoPEdge(
+        edge = self.edges[key] = NoPEdge(
             src, dst, payload, hop_sum / max(1, len(src_ids)), total_lat,
             total_energy, worst_hops)
         return edge
 
     def _pipeline_internal_edge(self, name: str) -> NoPEdge | None:
-        gs = self.groups[name]
-        if gs.plan.segments < 2:
+        segments = self.groups[name].plan.segments
+        if segments < 2:
             return None
-        edge = self.edges.get((name, name))
-        if edge is not None:
-            return edge
         group = self.workload.find_group(name)
         # Hand-off tensor between segments approximated by the group's
         # per-instance output size, once per extra segment, over one hop
@@ -254,9 +254,14 @@ class Schedule:
         # over-counted it by ``instances``x), while the *energies* of the
         # concurrent per-instance transfers are additive.
         payload = group.output_bytes_per_instance
-        hops = gs.plan.segments - 1
+        # The edge reads no chiplet, only these and the link.
+        key = (name, segments, payload, group.instances)
+        edge = self.edges.get(key)
+        if edge is not None:
+            return edge
+        hops = segments - 1
         t = transfer_cost(payload, 1, self.package.nop)
-        edge = self.edges[(name, name)] = NoPEdge(
+        edge = self.edges[key] = NoPEdge(
             name, name, payload * hops * group.instances, 1.0,
             t.latency_s * hops, t.energy_j * hops * group.instances, 1)
         return edge
@@ -273,17 +278,27 @@ class Schedule:
                 internal = self._pipeline_internal_edge(group.name)
                 if internal is not None:
                     edges.append(internal)
-        # Stage boundary transfers: terminal groups feed the next stage's
-        # source groups.
-        for prev, nxt in zip(self.workload.stages, self.workload.stages[1:]):
-            dependents = {d for g in prev.groups for d in g.depends_on}
-            terminals = [g for g in prev.groups if g.name not in dependents]
-            sources = [g for g in nxt.groups if not g.depends_on]
-            for t in terminals:
-                for s in sources:
-                    edges.append(self._edge(t.name, s.name))
+        for pairs in self._handoffs():
+            for src, dst in pairs:
+                edges.append(self._edge(src, dst))
         self._nop_edges_memo = edges
         return edges
+
+    def _handoffs(self) -> list[list[tuple[str, str]]]:
+        """Each stage boundary's transfers: the stage's terminal groups
+        feed the next stage's source groups."""
+        out = []
+        for prev, nxt in zip(self.workload.stages, self.workload.stages[1:]):
+            dependents = {d for g in prev.groups for d in g.depends_on}
+            out.append([(t.name, s.name) for t in prev.groups
+                        if t.name not in dependents
+                        for s in nxt.groups if not s.depends_on])
+        return out
+
+    def _edges_by_pair(self) -> dict[tuple[str, str], NoPEdge]:
+        """:meth:`nop_edges` by ``(src, dst)`` (a pipelined group's
+        internal edge by ``(group, group)``)."""
+        return {(e.src_group, e.dst_group): e for e in self.nop_edges()}
 
     # Float totals below are left folds, not ``sum()``: from Python 3.12
     # on ``sum()`` of floats is compensated, and rows must carry the same
@@ -331,41 +346,36 @@ class Schedule:
 
     def stage_span_s(self, stage_name: str, include_nop: bool = True) -> float:
         """Critical path of one stage (one frame), including intra-stage NoP."""
-        stage = self.workload.stage(stage_name)
-        edge_lat: dict[tuple[str, str], float] = {}
-        if include_nop:
-            for g in stage.groups:
-                for dep in g.depends_on:
-                    edge_lat[(dep, g.name)] = self._edge(dep, g.name).latency_s
+        edges = self._edges_by_pair() if include_nop else {}
+        return self._stage_span(self.workload.stage(stage_name), edges)
+
+    def _stage_span(self, stage: Stage,
+                    edges: dict[tuple[str, str], NoPEdge]) -> float:
         finish: dict[str, float] = {}
         for g in stage.topo_order():
             start = 0.0
             for dep in g.depends_on:
-                start = max(start,
-                            finish.get(dep, 0.0)
-                            + edge_lat.get((dep, g.name), 0.0))
-            gs = self.groups[g.name]
-            span = gs.plan.span_s
-            internal = self._pipeline_internal_edge(g.name)
-            if include_nop and internal is not None:
+                edge = edges.get((dep, g.name))
+                start = max(start, finish.get(dep, 0.0)
+                            + (0.0 if edge is None else edge.latency_s))
+            span = self.groups[g.name].plan.span_s
+            internal = edges.get((g.name, g.name))
+            if internal is not None:
                 span += internal.latency_s
             finish[g.name] = start + span
         return max(finish.values(), default=0.0)
 
     @property
     def e2e_latency_s(self) -> float:
+        edges = self._edges_by_pair()
         total = 0.0
         for stage in self.workload.stages:
-            total += self.stage_span_s(stage.name)
+            total += self._stage_span(stage, edges)
         # Stage hand-off transfers.
-        for prev, nxt in zip(self.workload.stages, self.workload.stages[1:]):
-            dependents = {d for g in prev.groups for d in g.depends_on}
-            terminals = [g for g in prev.groups if g.name not in dependents]
-            sources = [g for g in nxt.groups if not g.depends_on]
+        for pairs in self._handoffs():
             worst = 0.0
-            for t in terminals:
-                for s in sources:
-                    worst = max(worst, self._edge(t.name, s.name).latency_s)
+            for pair in pairs:
+                worst = max(worst, edges[pair].latency_s)
             total += worst
         return total
 

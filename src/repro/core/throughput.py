@@ -29,9 +29,15 @@ and the :class:`Schedule` (Sec. IV-D, Fig. 9).  So
 :data:`AllocationTable`, and packages that differ only in what placement
 reads share one :class:`Allocation`.  Placement in turn reads only the
 package's chiplet grid (:attr:`~repro.arch.MCMPackage.grid`, one per
-topology and NPU count), so each allocation keeps one
-:class:`~repro.core.placement.Placement` per grid, and packages that
-differ only in link bandwidth or DRAM share it (and, per link, its edges).
+topology and NPU count), so each allocation keeps one assignment per
+grid, and packages that differ only in link bandwidth or DRAM share it.
+
+Below the allocation, NoP geometry is shared across allocations too:
+``run`` also takes the caller's
+:data:`~repro.core.placement.StagePlacements` (each stage placed once per
+what placing it reads) and :data:`~repro.core.schedule.EdgeTables` (one
+table of priced NoP edges per chiplet grid and link, keyed by what an
+edge reads), so allocations that agree on a stage or an edge share it.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ from ..arch.topology import ChipletGrid
 from ..cost import AcceleratorConfig
 from ..workloads.graph import LayerGroup, PerceptionWorkload
 from ..workloads.pipeline import build_perception_workload
-from .placement import Placement, default_stage_quadrants, place
-from .schedule import GroupSchedule, Schedule, TraceStep
+from .placement import StagePlacements, default_stage_quadrants, place
+from .schedule import EdgeTables, GroupSchedule, Schedule, TraceStep
 from .sharding import GroupPlan, next_shard_step, plan_group
 
 #: hard cap on algorithm iterations (safety against pathological configs)
@@ -120,7 +126,7 @@ class Allocation:
 
     Shared by every schedule served from one :data:`AllocationTable`
     entry, so it is never mutated: each schedule copies the trace.  Only
-    ``placements`` grows, by one entry per package geometry placed.
+    ``assignments`` grows, by one entry per package geometry placed.
     """
 
     #: every group's plan, colocated groups' fixed 1-chiplet plans too
@@ -129,9 +135,9 @@ class Allocation:
     colocated: dict[str, str]
     base_latency_s: float
     trace: tuple[TraceStep, ...]
-    #: placements of this allocation by
+    #: :func:`~repro.core.placement.place`'s chiplet ids per group, by
     #: :attr:`~repro.arch.MCMPackage.grid`
-    placements: dict[ChipletGrid, Placement] = field(
+    assignments: dict[ChipletGrid, dict[str, tuple[int, ...]]] = field(
         default_factory=dict, repr=False, compare=False)
 
 
@@ -167,17 +173,23 @@ class ThroughputMatcher:
 
     # ------------------------------------------------------------------
 
-    def run(self, allocations: AllocationTable | None = None) -> Schedule:
+    def run(self, allocations: AllocationTable | None = None,
+            placements: StagePlacements | None = None,
+            edges: EdgeTables | None = None) -> Schedule:
         """Allocate chiplets to groups (Algorithm 1), then place them.
 
         ``allocations`` is the caller's table of earlier allocations: an
         allocation found there is reused, and one computed here is added
-        to it (``None`` uses a table of this call's own).  The key is
-        exactly what the allocation reads, so the schedule is the same
+        to it.  ``placements`` and ``edges`` are its tables of stage
+        placements and priced NoP edges, handed to :func:`place` and the
+        schedule.  ``None`` uses a table of this call's own.  Every key
+        is exactly what its entry reads, so the schedule is the same
         either way.
         """
         if allocations is None:
             allocations = {}
+        if edges is None:
+            edges = {}
         stage_quadrants = default_stage_quadrants(self.workload, self.package)
         accel_of: dict[str, AcceleratorConfig] = {}
         capacity: dict[str, int] = {}
@@ -200,15 +212,14 @@ class ThroughputMatcher:
 
         colocated = allocation.colocated
         grid = self.package.grid
-        placement = allocation.placements.get(grid)
-        if placement is None:
+        assignment = allocation.assignments.get(grid)
+        if assignment is None:
             alloc = {name: plan.n_chiplets
                      for name, plan in allocation.plans.items()
                      if name not in colocated}
-            placement = allocation.placements[grid] = Placement(place(
+            assignment = allocation.assignments[grid] = place(
                 self.workload, self.package, alloc, stage_quadrants,
-                colocated))
-        assignment = placement.assignment
+                colocated, placements)
         groups = {}
         for stage in self.workload.stages:
             for g in stage.groups:
@@ -231,8 +242,7 @@ class ThroughputMatcher:
             dram=self.dram,
             dram_bytes_per_frame=self.dram_bytes_per_frame,
         )
-        schedule.nearest_hops = placement.nearest_hops
-        schedule.edges = placement.edges.setdefault(self.package.nop, {})
+        schedule.edges = edges.setdefault((grid, self.package.nop), {})
         return schedule
 
     def _allocate(self, accel_of: dict[str, AcceleratorConfig],

@@ -101,15 +101,6 @@ class AcceleratorConfig:
     def native_pes(self) -> int:
         return self.native_tile[0] * self.native_tile[1]
 
-    @property
-    def peak_macs_per_s(self) -> float:
-        """Peak throughput assuming every PE is busy each cycle."""
-        return self.pe_count * self.frequency_hz
-
-    def with_dataflow(self, dataflow: str) -> "AcceleratorConfig":
-        return replace(self, dataflow=dataflow,
-                       name=f"{self.name}[{dataflow}]")
-
     def with_overrides(self,
                        dataflow: str | None = None,
                        frequency_hz: float | None = None,

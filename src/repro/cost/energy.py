@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..workloads.layers import BYTES_PER_WORD
-
 
 @dataclass(frozen=True)
 class EnergyTable:
@@ -34,11 +32,6 @@ class EnergyTable:
     vector_pj: float = 0.3
     #: NoP ground-referenced signaling energy per *bit* per hop (paper value)
     nop_pj_bit: float = 2.04
-
-    @property
-    def nop_pj_word(self) -> float:
-        """NoP energy per fp16 word per hop."""
-        return self.nop_pj_bit * BYTES_PER_WORD * 8
 
     def scaled(self, factor: float) -> "EnergyTable":
         """Return a uniformly technology-scaled copy (for ablations)."""

@@ -129,10 +129,6 @@ class SweepJournal:
         """All outcome records currently journaled, in sequence order."""
         return self._records(_OUTCOME_PREFIX)
 
-    def failure_files(self) -> list[pathlib.Path]:
-        """All failure records currently journaled, in sequence order."""
-        return self._records(_FAILURE_PREFIX)
-
     def _read(self, record: pathlib.Path) -> dict | None:
         """One record's payload; None (and a skip entry) when invalid."""
         try:
@@ -180,27 +176,3 @@ class SweepJournal:
             except _BAD_NUMBER:
                 self.skipped_files.append((record, "corrupt"))
         return outcomes
-
-    def load_failures(self) -> list[SweepFailure]:
-        """The journaled failure records (post-mortem inspection)."""
-        failures = []
-        for record in self.failure_files():
-            payload = self._read(record)
-            if payload is None:
-                continue
-            key = payload.get("key")
-            if not isinstance(key, str):
-                self.skipped_files.append((record, "corrupt"))
-                continue
-            try:
-                attempts = int(payload.get("attempts", 0))
-            except _BAD_NUMBER:
-                self.skipped_files.append((record, "corrupt"))
-                continue
-            failures.append(SweepFailure(
-                key=key,
-                error=str(payload.get("error", "")),
-                attempts=attempts,
-                detail=str(payload.get("detail", "")),
-            ))
-        return failures

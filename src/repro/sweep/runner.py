@@ -10,10 +10,11 @@ points across worker processes and merges the results deterministically:
   builds each distinct workload variant (and, on a DRAM axis, its
   per-frame DRAM bytes) and each distinct package once, runs Algorithm
   1's allocation once per distinct allocation input (and places it once
-  per package chiplet grid), schedules and summarizes once
-  per distinct hardware, so scenarios that differ only in their Het(k)
-  budget share one schedule, and runs the trunk DSE once per distinct
-  trunk input;
+  per package chiplet grid, from stage placements and priced NoP edges
+  shared by every allocation that agrees on them), schedules and
+  summarizes once per distinct hardware, so scenarios that differ only
+  in their Het(k) budget share one schedule, and runs the trunk DSE once
+  per distinct trunk input;
 * workers return :class:`SweepOutcome` records that are merged by scenario
   key, then emitted in the grid's canonical order — completion order never
   leaks into the output, which is what makes the serial, parallel, and
@@ -57,8 +58,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from ..core.dse import TrunkDSE
+from ..core.placement import StagePlacements
 from ..core.plancache import CacheStats, get_plan_cache, plan_cache_stats
 from ..core.planstore import PlanStore
+from ..core.schedule import EdgeTables
 from ..core.throughput import AllocationTable
 from ..cost.model import evaluate, evaluate_shape
 from ..workloads.graph import PerceptionWorkload
@@ -136,9 +139,11 @@ class RunTables:
     """What one serial run, worker chunk or design search builds once
     and shares.
 
-    Each table is owned by its run and dies with it; no process-wide memo
-    holds them, so every run starts cold.  A lone :func:`run_scenario`
-    call gets tables of its own.
+    Each table is keyed by exactly what its entries read, so sharing
+    changes how often work runs, never a row.  Each is owned by its run
+    and dies with it; no process-wide memo holds them, so every run
+    starts cold.  A lone :func:`run_scenario` call gets tables of its
+    own.
     """
 
     #: built workloads by config (:meth:`Scenario.build`)
@@ -149,8 +154,14 @@ class RunTables:
     #: per-frame DRAM bytes by workload config (:meth:`Scenario.build`)
     dram_bytes: DramBytesTable = field(default_factory=dict)
     #: Algorithm 1 allocations (:meth:`ThroughputMatcher.run`), each
-    #: with its placements by package chiplet grid
+    #: with its assignments by package chiplet grid
     allocations: AllocationTable = field(default_factory=dict)
+    #: stage placements by what placing one stage reads (:func:`place`),
+    #: shared by every allocation that places a stage alike
+    placements: StagePlacements = field(default_factory=dict)
+    #: priced NoP edges by chiplet grid and link, each keyed by what the
+    #: edge reads (:meth:`Schedule._edge`)
+    edges: EdgeTables = field(default_factory=dict)
     #: the schedule-derived part of rows, by scenario sans Het(k) budget
     schedules: dict[Scenario, _ScheduledRow] = field(default_factory=dict)
     #: trunk-DSE columns by what the DSE reads (:func:`_trunk_columns`),
@@ -204,7 +215,8 @@ def _schedule_row(scenario: Scenario, tables: RunTables) -> _ScheduledRow:
     """Build, schedule and summarize one scenario's hardware."""
     built = scenario.build(tables.workloads, tables.packages,
                            tables.dram_bytes)
-    schedule = built.schedule(tables.allocations)
+    schedule = built.schedule(tables.allocations, tables.placements,
+                              tables.edges)
     summary = schedule.summary()
     fields = {"base_ms": schedule.base_latency_s * 1e3}
     for name in _SUMMARY_FIELDS:
@@ -423,11 +435,6 @@ class SweepResult:
         that fail the same way produce the same manifest bytes.
         """
         return [f.to_manifest() for f in self.failures]
-
-    def failures_json(self) -> str:
-        """Canonical serialization of :meth:`failures_manifest`."""
-        return json.dumps({"failures": self.failures_manifest()},
-                          sort_keys=True, indent=2)
 
     def summary(self) -> dict:
         """Headline sweep metrics, Schedule.summary()-style.

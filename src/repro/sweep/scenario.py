@@ -57,7 +57,8 @@ from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import PipelineConfig, build_perception_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..core.schedule import Schedule
+    from ..core.placement import StagePlacements
+    from ..core.schedule import EdgeTables, Schedule
     from ..core.throughput import AllocationTable
 
 #: named workload variants: the paper's fixed workload plus the scaling
@@ -140,19 +141,23 @@ class ScenarioBuild:
         return self.package.engine(0)
 
     def schedule(self,
-                 allocations: "AllocationTable | None" = None) -> "Schedule":
+                 allocations: "AllocationTable | None" = None,
+                 placements: "StagePlacements | None" = None,
+                 edges: "EdgeTables | None" = None) -> "Schedule":
         """Run the throughput matcher on the materialized hardware.
 
-        ``allocations`` is the caller's table of Algorithm 1 allocations,
-        passed on to :meth:`~repro.core.ThroughputMatcher.run` (``None``
-        allocates this build's own).
+        ``allocations``, ``placements`` and ``edges`` are the caller's
+        tables of Algorithm 1 allocations, stage placements and priced
+        NoP edges, passed on to :meth:`~repro.core.ThroughputMatcher.run`
+        (``None`` gives this build tables of its own).
         """
         from ..core.throughput import ThroughputMatcher
         return ThroughputMatcher(
             self.workload, self.package,
             tolerance=self.scenario.tolerance,
             dram=self.dram,
-            dram_bytes_per_frame=self.dram_bytes_per_frame).run(allocations)
+            dram_bytes_per_frame=self.dram_bytes_per_frame).run(
+                allocations, placements, edges)
 
 
 @dataclass(frozen=True)

@@ -206,11 +206,6 @@ class Layer:
         return words
 
     @property
-    def out_plane(self) -> int:
-        """Number of output pixels/tokens in the 2D output face."""
-        return self.out_h * self.out_w
-
-    @property
     def macs(self) -> int:
         """Multiply-accumulate count (zero-insertion for DECONV)."""
         return self._operand_words[0]

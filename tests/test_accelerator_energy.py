@@ -1,22 +1,26 @@
 """Unit tests for accelerator configs and energy tables."""
 
+import dataclasses
+
 import pytest
 
+from repro.arch import transfer_cost
 from repro.cost import (
     ENERGY_28NM,
     AcceleratorConfig,
-    EnergyTable,
     monolithic,
     nvdla_chiplet,
     shidiannao_chiplet,
     simba_chiplet,
 )
+from repro.workloads import BYTES_PER_WORD
 
 
 class TestEnergyTable:
     def test_nop_word_energy(self):
-        table = EnergyTable(nop_pj_bit=2.04)
-        assert table.nop_pj_word == pytest.approx(2.04 * 16)
+        # The paper's 2.04 pJ/bit: one fp16 word over one hop.
+        word = transfer_cost(BYTES_PER_WORD, 1)
+        assert word.energy_j == pytest.approx(2.04 * 16 * 1e-12)
 
     def test_scaled_uniform(self):
         half = ENERGY_28NM.scaled(0.5)
@@ -36,17 +40,24 @@ class TestAcceleratorConfig:
         assert accel.frequency_hz == 2.0e9  # Sec. III: 2 GHz
         assert accel.native_tile == (16, 16)
 
-    def test_peak_throughput(self):
-        accel = simba_chiplet()
-        assert accel.peak_macs_per_s == 256 * 2.0e9
+    def test_peak_throughput(self, schedule36):
+        # Utilization is the schedule's MACs over the package's peak in
+        # one pipe window: 36 chiplets of 256 PEs, each busy every cycle
+        # at 2 GHz.
+        peak_macs_per_s = 36 * 256 * 2.0e9
+        assert schedule36.utilization == pytest.approx(
+            schedule36.workload.total_macs
+            / (peak_macs_per_s * schedule36.pipe_latency_s))
 
     def test_dataflow_presets(self):
         assert shidiannao_chiplet().dataflow == "os"
         assert nvdla_chiplet().dataflow == "ws"
 
     def test_with_dataflow_swaps_style(self):
-        ws = shidiannao_chiplet().with_dataflow("ws")
+        os_accel = shidiannao_chiplet()
+        ws = os_accel.with_overrides(dataflow="ws")
         assert ws.dataflow == "ws"
+        assert ws == dataclasses.replace(os_accel, dataflow="ws")
 
     def test_unknown_dataflow_rejected(self):
         with pytest.raises(ValueError):

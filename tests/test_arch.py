@@ -21,7 +21,7 @@ class TestPackage:
         pkg = simba_package()
         assert len(pkg) == 36
         assert pkg.total_pes == 9216  # paper: matches the Tesla NPU budget
-        assert pkg.quadrant_count == 4
+        assert len(pkg.grid.quadrants) == 4
 
     def test_quadrants_are_3x3(self):
         pkg = simba_package()
@@ -38,7 +38,7 @@ class TestPackage:
     def test_dual_npu_package(self):
         pkg = simba_package(npus=2)
         assert len(pkg) == 72
-        assert pkg.quadrant_count == 8
+        assert len(pkg.grid.quadrants) == 8
         assert pkg.at(6, 0).quadrant == 4  # second module's first quadrant
 
     def test_hop_distance_is_manhattan(self):
@@ -117,8 +117,8 @@ class TestChipletGrid:
         ref = _reference_chiplets(topo, npus)
         assert [(c.chiplet_id, c.x, c.y, c.quadrant)
                 for c in pkg.chiplets] == ref
-        assert pkg.quadrant_count == max(q for *_, q in ref) + 1
-        for q in range(pkg.quadrant_count):
+        assert len(pkg.grid.quadrants) == max(q for *_, q in ref) + 1
+        for q in range(len(pkg.grid.quadrants)):
             assert [c.chiplet_id for c in pkg.quadrant(q)] == [
                 cid for cid, _, _, quad in ref if quad == q]
         assert pkg.grid.cells == tuple(topo.cell(x, y)
@@ -140,7 +140,7 @@ class TestChipletGrid:
         for *_, quad in ref:
             override = spec and spec.get(QUADRANT_NAMES[quad % 4])
             accels.append(override.apply(base) if override else base)
-        for q in range(pkg.quadrant_count):
+        for q in range(len(pkg.grid.quadrants)):
             members = [a for (*_, quad), a in zip(ref, accels) if quad == q]
             assert pkg.quadrant_capacity(q) == len(members)
             assert all(pkg.engine(q) == a for a in members)

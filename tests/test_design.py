@@ -520,14 +520,17 @@ class TestPackageKey:
             assert (pipe_s * 1e3, energy_j) \
                 == (candidate.proxy_pipe_ms, candidate.proxy_energy_j)
 
-    def test_perfbench_space_builds_each_package_once(self, monkeypatch):
+    def test_perfbench_space_builds_each_package_once(self, monkeypatch,
+                                                      nop_geometry_work):
         # perfbench's seed-0 design space: 768 candidates over 64
         # distinct packages on 4 chiplet grids, 3 workload variants and
         # 16 stage hardwares, so 48 (variant, stage hardware) pairs.
         # Ranking builds each package once and scores each pair once;
         # the 32 frontier rows find their packages in the search's run
         # tables, are the only scenarios scheduled, and come from 4
-        # allocations on 2 chiplet grids, so they place 8 times.  Only
+        # allocations on 2 chiplet grids, so they place 8 times from 16
+        # stage placements and price 120 of the 480 NoP edges they look
+        # up.  Only
         # the grid memo carries over between runs: a second cold run
         # builds no grid and counts the rest the same.
         import repro.core.throughput as throughput_module
@@ -562,6 +565,7 @@ class TestPackageKey:
         for grids in (4, 0):
             _cold()
             calls.update(dict.fromkeys(calls, 0))
+            nop_geometry_work.update(dict.fromkeys(nop_geometry_work, 0))
             before = chiplet_grid.cache_info().misses
             result = DesignSearch(space, DesignTargets(pipe_ms=200.0)).run()
             assert chiplet_grid.cache_info().misses - before == grids
@@ -579,6 +583,10 @@ class TestPackageKey:
             assert counted == {"simba_package": 64, "proxy_objectives": 48,
                                "place": 8, "match": 32,
                                "workload_dram_bytes": 1}
+            assert nop_geometry_work == {
+                "stages": 32, "stages_placed": 16,
+                "edges": 480, "edges_priced": 120,
+                "internal": 48, "internal_priced": 12}
 
 
 class TestPricingWork:

@@ -72,7 +72,8 @@ class TestShardingInvariants:
         if n > limit:
             return
         shards = [split_plane(layer, n, i) for i in range(n)]
-        assert sum(s.out_plane for s in shards) == layer.out_plane
+        assert sum(s.out_h * s.out_w for s in shards) \
+            == layer.out_h * layer.out_w
         assert sum(s.macs for s in shards) == layer.macs
 
     @given(rows=st.integers(min_value=16, max_value=200),

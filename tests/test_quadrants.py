@@ -163,7 +163,7 @@ class TestPackageMaterialization:
         # Every module's copy of a local quadrant runs one config object.
         pkg = QuadrantOverrides.parse(text).apply(simba_package(npus=npus))
         assert all(pkg.engine(q) is pkg.engine(q % 4)
-                   for q in range(pkg.quadrant_count))
+                   for q in range(len(pkg.grid.quadrants)))
         assert pkg.grid is simba_package(npus=npus).grid
 
     def test_quadrant_names_cover_the_standard_tiling(self):
@@ -174,7 +174,7 @@ class TestPackageMaterialization:
             for npus in (1, 2):
                 pkg = QuadrantOverrides.parse(f"{name}:ws").apply(
                     simba_package(npus=npus))
-                assert [q for q in range(pkg.quadrant_count)
+                assert [q for q in range(len(pkg.grid.quadrants))
                         if pkg.engine(q).dataflow == "ws"] \
                     == [local + 4 * m for m in range(npus)]
 

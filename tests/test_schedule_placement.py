@@ -77,6 +77,39 @@ class TestPlacement:
         with pytest.raises(ValueError):
             place(workload, pkg, alloc, quadrants, colocated={})
 
+    def test_stage_table_keys_by_the_anchoring_chiplets(
+            self, cross_stage_workload):
+        # A stage places from the chiplets that anchor it: the previous
+        # stage's, and those of a producer stages back (OCC_TR reads
+        # S_KV_PROJ across T_FUSE).  Allocations that differ only there
+        # place every stage through one table exactly as alone, and
+        # share the stages they place alike.
+        from repro.arch import simba_package
+        from repro.core import ThroughputMatcher
+        workload = cross_stage_workload
+        pkg = simba_package(npus=2)
+        groups = ThroughputMatcher(workload, pkg).run().groups
+        colocated = {name: gs.host for name, gs in groups.items()
+                     if gs.host is not None}
+        alloc = {name: gs.plan.n_chiplets for name, gs in groups.items()
+                 if gs.host is None}
+        spatial = alloc["S_KV_PROJ"] + alloc["S_FFN"]
+        allocs = (alloc,
+                  dict(alloc, FE_BFPN=4),
+                  dict(alloc, S_KV_PROJ=2, S_FFN=spatial - 2))
+        quadrants = default_stage_quadrants(workload, pkg)
+        table: dict = {}
+        placed = [place(workload, pkg, a, quadrants, colocated, table)
+                  for a in allocs]
+        assert placed == [place(workload, pkg, a, quadrants, colocated)
+                          for a in allocs]
+        # Fewer FE chiplets move every spatial group; fewer S_KV_PROJ
+        # chiplets move the trunk groups, but not T_FUSE.
+        assert placed[1]["S_ATTN"] != placed[0]["S_ATTN"]
+        assert placed[2]["T_FFN"] == placed[0]["T_FFN"]
+        assert placed[2]["OCC_TR"] != placed[0]["OCC_TR"]
+        assert len(table) < 4 * len(allocs)
+
     def test_placement_prefers_proximity_to_producers(self, schedule36):
         # The consumer of the biggest fusion tensors (S_ATTN) must sit
         # adjacent to at least one of its KV producer chiplets.

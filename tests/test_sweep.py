@@ -475,6 +475,28 @@ TWIN_GRID = scenario_grid(nop_gbps=(None, 25.0, 50.0),
                           heteros=(None, "trunk:ws"))
 
 
+#: every key hazard of the run tables' NoP edges.  Variants share group
+#: names but not payloads (input size, camera count, queue depth), and
+#: the camera count and queue depth leave some edges on the same
+#: chiplets and pipeline a trunk group into another number of segments;
+#: both dataflows on npus 1/2/4 move the pipelined groups' segments; then
+#: both topologies, DRAM twins and a second link.
+HAZARD_GRID = (
+    scenario_grid(workloads=("default", "lores", "hires", "quad-camera",
+                             "deep-queue"),
+                  npus=(1, 2, 4), dataflows=(None, "ws"),
+                  topologies=(None, "torus"))
+    + scenario_grid(workloads=("default", "quad-camera"), npus=(1, 2, 4),
+                    nop_gbps=(None, 25.0), dram_gbps=(6.0,)))
+
+#: scenarios of the cross-stage workload (the ``cross_stage_workload``
+#: fixture).  A spatial-quadrant override moves the skipped-over
+#: producer while the stage between it and its consumer places alike.
+CROSS_STAGE_GRID = scenario_grid(workloads=("full-context",),
+                                 npus=(1, 2, 4),
+                                 heteros=(None, "spatial:ws"))
+
+
 class TestScheduleSharing:
     """A run schedules each distinct hardware once and allocates each
     distinct allocation input once."""
@@ -507,6 +529,26 @@ class TestScheduleSharing:
         # Unsorted dumps lock the key order as well as the bytes.
         assert json.dumps(rows) == json.dumps(lone)
 
+    def test_shared_tables_rows_equal_lone_rows(self, cross_stage_workload):
+        # Stage placements and priced NoP edges are shared by every
+        # allocation of a run, keyed by what each reads; a key that
+        # dropped a payload, an anchoring chiplet or a segment count
+        # would serve some row of this grid another's geometry.  The
+        # cross-stage workload rides in the workload table under its
+        # variant's config, so both sides price it.
+        from repro.sweep.runner import RunTables
+        config = WORKLOAD_VARIANTS["full-context"]
+        grid = HAZARD_GRID + CROSS_STAGE_GRID
+        assert len(grid) == 60 + 12 + 6
+        tables = RunTables(workloads={config: cross_stage_workload})
+        shared = [run_scenario(s, tables) for s in grid]
+        lone = [run_scenario(
+            s, RunTables(workloads={config: cross_stage_workload}))
+            for s in grid]
+        assert json.dumps(shared) == json.dumps(lone)
+        assert len(tables.placements) < 4 * sum(
+            len(a.assignments) for a in tables.allocations.values())
+
     def test_serial_sweep_schedules_each_hardware_once(self, monkeypatch):
         grid = scenario_grid(workloads=("default", "lores"),
                              het_ws_budgets=(None, 2),
@@ -519,13 +561,15 @@ class TestScheduleSharing:
         assert len(allocations) == 2
 
     def test_perfbench_grid_builds_each_package_once(self, monkeypatch,
-                                                     tmp_path):
+                                                     tmp_path,
+                                                     nop_geometry_work):
         # perfbench's seed-0 sweep grid: 192 scenarios on 96 hardware
         # points, over 12 distinct packages (npus x dataflow x topology).
         # A cold serial run builds each package once and hands it to
         # every scenario of its package key, builds, schedules and
-        # places each hardware point once, and runs the trunk DSE once
-        # per Het(4) hardware point.  A run that checkpoints into a
+        # places each hardware point once (from stage placements and
+        # NoP edges shared across allocations), and runs the trunk DSE
+        # once per Het(4) hardware point.  A run that checkpoints into a
         # fresh journal does the same work.  Nothing downstream mutates
         # a package, so each still equals a fresh build afterwards.
         import repro.core.throughput as throughput_module
@@ -558,11 +602,19 @@ class TestScheduleSharing:
         for journal in (None, tmp_path / "journal"):
             built.clear()
             calls.update(dict.fromkeys(calls, 0))
+            nop_geometry_work.update(dict.fromkeys(nop_geometry_work, 0))
             TestWorkloadSharing._cold()
             summary = ScenarioSweep(grid, workers=1,
                                     journal=journal).run().summary()
             assert len(built) == len({s.package_key() for s in grid}) == 12
             assert calls == {"build": 96, "place": 96, "search": 48}
+            # Allocations share stage placements and priced NoP edges:
+            # each place() call looks up its 4 stages, and each
+            # schedule each of its edges once.
+            assert nop_geometry_work == {
+                "stages": 384, "stages_placed": 116,
+                "edges": 1440, "edges_priced": 545,
+                "internal": 114, "internal_priced": 30}
             plans = summary["plan_cache"]
             layers = summary["layer_cost_cache"]
             assert (plans["hits"], plans["misses"]) == (5822, 1335)

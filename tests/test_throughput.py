@@ -159,20 +159,23 @@ class TestAllocationTable:
     def test_table_served_schedules_equal_fresh_ones(self):
         # Rows alone would not catch a key that drops the tolerance: it
         # changes the trace but no row field.  Schedules served one
-        # allocation share its placement, and with it each NoP edge's
-        # hops, across NoP bandwidths and DRAM budgets; each topology
-        # gets its own.
+        # allocation share its placement across NoP bandwidths and DRAM
+        # budgets, and each topology gets its own; stage placements and
+        # NoP edges come from tables shared by every allocation.
         table: dict = {}
+        placements: dict = {}
+        edges: dict = {}
         workloads: dict = {}
         for scenario in ALLOCATION_GRID:
             built = scenario.build(workloads)
-            assert schedule_view(built.schedule(table)) \
+            assert schedule_view(built.schedule(table, placements, edges)) \
                 == schedule_view(built.schedule()), scenario.key
         # 2 tolerances x 2 package sizes x 2 trunk accelerators, plus the
         # 8x8 grid's larger quadrants at each tolerance; one placement
         # per topology of each.
         assert len(table) == 10 < len(ALLOCATION_GRID)
-        assert sum(len(a.placements) for a in table.values()) == 2 * 8 + 2
+        assert sum(len(a.assignments) for a in table.values()) == 2 * 8 + 2
+        assert len(placements) < 4 * (2 * 8 + 2)
 
     def test_each_cell_and_quadrant_keys_a_placement(self):
         # Placement reads the package's chiplet grid (every chiplet's
@@ -197,7 +200,7 @@ class TestAllocationTable:
                 ThroughputMatcher(workload, package).run(table)) \
                 == schedule_view(ThroughputMatcher(workload, package).run())
         (allocation,) = table.values()
-        assert list(allocation.placements) == [base.grid, torus.grid]
+        assert list(allocation.assignments) == [base.grid, torus.grid]
 
     def test_schedules_served_one_allocation_own_their_traces(self):
         table: dict = {}
@@ -212,28 +215,33 @@ class TestAllocationTable:
 
 
     def test_dram_twins_share_their_nop_edges(self):
-        # An edge reads only the allocation, the placement and the link,
-        # so the placement keeps one edge table per NoP config: schedules
-        # that differ only in DRAM share every NoPEdge object, the
-        # pipelined FE group's internal edge included (two NPUs), and a
-        # slower link prices edges of its own.
+        # An edge reads the source's payload, both groups' chiplets, the
+        # grid and the link, so the caller's edge tables hold one table
+        # per (grid, link): schedules that differ only in DRAM share
+        # every NoPEdge object, the pipelined FE group's internal edge
+        # included (two NPUs), and a slower link prices edges of its own.
         from repro.sweep.runner import RunTables, run_scenario
         scenarios = [Scenario(npus=2), Scenario(npus=2, dram_gbps=6.0),
                      Scenario(npus=2, nop_gbps=25.0)]
-        table: dict = {}
-        workloads: dict = {}
-        plain, dram, slower = (s.build(workloads).schedule(table)
-                               for s in scenarios)
+        tables = RunTables()
+        plain, dram, slower = (
+            s.build(tables.workloads).schedule(
+                tables.allocations, tables.placements, tables.edges)
+            for s in scenarios)
         assert plain.dram is None and dram.dram is not None
         edges = plain.nop_edges()
         assert any(e.src_group == e.dst_group for e in edges)
         assert all(a is b for a, b in zip(edges, dram.nop_edges()))
         assert not any(a is b for a, b in zip(edges, slower.nop_edges()))
-        (allocation,) = table.values()
-        (placement,) = allocation.placements.values()
-        assert list(placement.edges) == [plain.package.nop,
-                                         slower.package.nop]
-        # A schedule copied outside the matcher prices its own edges.
+        grid = plain.package.grid
+        assert list(tables.edges) == [(grid, plain.package.nop),
+                                      (grid, slower.package.nop)]
+        # A schedule built without the tables, or copied outside the
+        # matcher, prices its own edges.
+        alone = scenarios[1].build(tables.workloads).schedule(
+            tables.allocations, tables.placements)
+        assert not any(a is b for a, b in zip(edges, alone.nop_edges()))
+        assert alone.nop_edges() == edges
         moved = dataclasses.replace(plain, package=slower.package)
         assert moved.edges is not plain.edges
         assert moved.nop_latency_s == slower.nop_latency_s \

@@ -194,13 +194,13 @@ class TestPackageTopology:
         b = pkg.at(5, 5).chiplet_id
         assert pkg.hops(a, b) == 2
         # same chiplet grid and quadrant tiling as the mesh
-        assert len(pkg) == 36 and pkg.quadrant_count == 4
+        assert len(pkg) == 36 and len(pkg.grid.quadrants) == 4
         assert "torus" in pkg.name
 
     def test_explicit_grid_package(self):
         pkg = simba_package(topology="mesh-8x8")
         assert len(pkg) == 64
-        assert pkg.quadrant_count == 4
+        assert len(pkg.grid.quadrants) == 4
         assert all(pkg.quadrant_capacity(q) == 16 for q in range(4))
         assert pkg.at(0, 0).quadrant == 0
         assert pkg.at(4, 0).quadrant == 1
@@ -222,7 +222,7 @@ class TestPackageTopology:
             simba_package(npus=2, topology=NoPTopology("torus", 8, 8))
         # valid non-standard instances still build
         pkg = simba_package(topology=NoPTopology("torus", 8, 8))
-        assert len(pkg) == 64 and pkg.quadrant_count == 4
+        assert len(pkg) == 64 and len(pkg.grid.quadrants) == 4
 
 
 class TestTopologySchedules:
