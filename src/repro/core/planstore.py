@@ -15,7 +15,7 @@ without locks:
   topology or package composition: a plan prices compute only, so every
   topology shares one entry.  Entries that older stores wrote under a
   topology or hetero context are never looked up; they stay harmless
-  orphans, which ``compact()`` keeps.
+  orphans.
 * **Entries are exact.**  Values are ``plan_to_record`` dumps of the
   computed :class:`~repro.core.sharding.GroupPlan` (or ``null`` for
   infeasible probes, which the cache memoizes too).  JSON floats round-trip
@@ -70,16 +70,27 @@ def _accel_fragment(accel: "AcceleratorConfig") -> str:
                       separators=(",", ":"))
 
 
-def _compose_key_text(group_json: str, n: int, accel_json: str,
-                      mode: str) -> str:
-    """The canonical key payload, composed from pre-serialized fragments.
+def _key_prefix(group_json: str, accel_json: str, mode: str):
+    """SHA-256 state of a key's text up to its trailing chiplet count.
 
-    Equivalent to ``json.dumps({"accel": ..., "group": ..., "mode": ...,
-    "n": ...}, sort_keys=True, separators=(",", ":"))`` — the field names
-    are already in sorted order here.
+    The key payload is ``json.dumps({"accel": ..., "group": ...,
+    "mode": ..., "n": ...}, sort_keys=True, separators=(",", ":"))``,
+    composed here from pre-serialized fragments (the field names are
+    already in sorted order).  Keys of one (group, accel, mode) differ
+    only in the ``<n>}`` that :func:`_finish_key` appends, so a caller
+    hashes this prefix once and copies it per key; the returned state is
+    only ever copied, never updated.
     """
-    return (f'{{"accel":{accel_json},"group":{group_json},'
-            f'"mode":{json.dumps(mode)},"n":{n}}}')
+    return hashlib.sha256(
+        f'{{"accel":{accel_json},"group":{group_json},'
+        f'"mode":{json.dumps(mode)},"n":'.encode("utf-8"))
+
+
+def _finish_key(prefix, n: int) -> str:
+    """The key hash for ``n`` chiplets from its :func:`_key_prefix`."""
+    state = prefix.copy()
+    state.update(b"%d}" % n)
+    return state.hexdigest()
 
 
 def plan_key_hash(group: "LayerGroup", n: int, accel: "AcceleratorConfig",
@@ -97,9 +108,8 @@ def plan_key_hash(group: "LayerGroup", n: int, accel: "AcceleratorConfig",
     # Imports inside the serialize helpers are lazy: repro.io.serialize
     # imports from repro.core, so a module-level import would cycle
     # during package initialization.
-    text = _compose_key_text(_group_fragment(group), n,
-                             _accel_fragment(accel), mode)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _finish_key(_key_prefix(_group_fragment(group),
+                                   _accel_fragment(accel), mode), n)
 
 
 class PlanStore:
@@ -107,10 +117,10 @@ class PlanStore:
 
     Safe for concurrent use by independent processes: loads only see
     complete shards, flushes never overwrite foreign data, and no file is
-    ever modified in place.  One instance additionally memoizes key hashes
-    per ``(group, n, accel, mode)`` tuple, and one canonical JSON
-    fragment per group/accel object, so repeated lookups of the same
-    structural key hash the payload once.
+    ever modified in place.  One instance additionally keeps one
+    canonical JSON fragment per group/accel object and one hashed key
+    prefix per ``(group, accel, mode)``, so each key hashes only its
+    chiplet count.
     """
 
     def __init__(self, path: str | pathlib.Path,
@@ -121,18 +131,17 @@ class PlanStore:
         #: files ignored by the last load(): list of (path, reason) pairs,
         #: reason in {"corrupt", "schema"}.
         self.skipped_files: list[tuple[pathlib.Path, str]] = []
-        self._hash_memo: dict = {}
-        # Fragment memos: a group/accel serializes once per store, not
-        # once per (n, mode) key that references it.
+        # A group/accel serializes once per store, not once per key that
+        # references it, and a (group, accel, mode) hashes its prefix once.
         self._group_fragments: dict = {}
         self._accel_fragments: dict = {}
+        self._prefixes: dict = {}
 
     def key_hash(self, group: "LayerGroup", n: int,
                  accel: "AcceleratorConfig", mode: str) -> str:
-        """Memoized :func:`plan_key_hash` for this store."""
-        memo_key = (group, n, accel, mode)
-        cached = self._hash_memo.get(memo_key)
-        if cached is None:
+        """:func:`plan_key_hash`, from this store's hashed key prefixes."""
+        prefix = self._prefixes.get((group, accel, mode))
+        if prefix is None:
             group_json = self._group_fragments.get(group)
             if group_json is None:
                 group_json = _group_fragment(group)
@@ -141,10 +150,9 @@ class PlanStore:
             if accel_json is None:
                 accel_json = _accel_fragment(accel)
                 self._accel_fragments[accel] = accel_json
-            text = _compose_key_text(group_json, n, accel_json, mode)
-            cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            self._hash_memo[memo_key] = cached
-        return cached
+            prefix = _key_prefix(group_json, accel_json, mode)
+            self._prefixes[(group, accel, mode)] = prefix
+        return _finish_key(prefix, n)
 
     def shard_files(self) -> list[pathlib.Path]:
         """All shard files currently in the store, sorted by name."""
@@ -222,25 +230,3 @@ class PlanStore:
         tmp.write_text(text)
         os.replace(tmp, shard)
         return shard
-
-    def compact(self) -> pathlib.Path | None:
-        """Merge every valid shard into one and remove the merged sources.
-
-        Bounds the file count after many incremental flushes.  Concurrent
-        readers are safe (the merged shard lands atomically before the
-        sources disappear, and duplicate entries are identical by key);
-        invalid files are left in place for inspection.
-        """
-        sources = self.shard_files()
-        entries = self.load()
-        if not entries:
-            return None
-        skipped = {path for path, _ in self.skipped_files}
-        merged = self.flush(entries)
-        for shard in sources:
-            if shard != merged and shard not in skipped:
-                try:
-                    shard.unlink()
-                except OSError:  # pragma: no cover - concurrent compaction
-                    pass
-        return merged

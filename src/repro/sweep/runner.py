@@ -26,7 +26,9 @@ points across worker processes and merges the results deterministically:
 * ``store_path`` layers a :class:`~repro.core.planstore.PlanStore` under
   every worker's plan cache: workers warm-start from disk and flush their
   newly computed plans back after each scenario, so plan pricing amortizes
-  across processes *and* runs;
+  across processes *and* runs.  A run loads the store once, before
+  journal replay, and reports that load's skipped shards: merge reads
+  nothing back;
 * each worker process owns its own process-wide
   :class:`~repro.core.plancache.PlanCache` and layer-cost memos
   (``evaluate`` and ``evaluate_shape``, counted as one); per-scenario
@@ -305,8 +307,10 @@ SweepItem = Union[SweepOutcome, SweepFailure]
 def _attach_store(store_path) -> bool:
     """Attach a plan-store directory to this process's plan cache.
 
-    Idempotent for the same directory; refuses to silently serve (and
-    flush) a different store than the one requested.
+    Attaching loads the store; the attached store's ``skipped_files``
+    then lists the shards that load ignored.  Idempotent for the same
+    directory (no second load); refuses to silently serve (and flush) a
+    different store than the one requested.
     """
     cache = get_plan_cache()
     if store_path is None:
@@ -396,8 +400,9 @@ class SweepResult:
     workers: int
     #: quarantined scenarios (grid order); empty for a complete result.
     failures: list[SweepFailure] = field(default_factory=list)
-    #: plan-store shard files ignored as corrupt/stale, as
-    #: ``{"file", "reason"}`` records (empty without a store).
+    #: plan-store shard files the run's one store load ignored as
+    #: corrupt/stale, as ``{"file", "reason"}`` records (empty without a
+    #: store).
     store_skipped: list[dict] = field(default_factory=list)
     #: journal records ignored as corrupt/stale on resume, as
     #: ``{"file", "reason"}`` records (empty without a journal).
@@ -506,7 +511,8 @@ class ScenarioSweep:
             self.retry = RetryPolicy()
         if self.clock is None:
             self.clock = RealClock()
-        #: what the last run_iter's journal load skipped.
+        #: what the last run_iter's store and journal loads skipped.
+        self._store_skipped: list[dict] = []
         self._journal_skipped: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -525,44 +531,56 @@ class ScenarioSweep:
                   if self.faults is not None else None)
         if faults is not None and self.store_path is not None:
             faults.corrupt_store(self.store_path)
-        journal = None
-        remaining = self.scenarios
-        if self.journal is not None:
-            from .journal import SweepJournal
-            journal = SweepJournal(self.journal)
-            replayed = journal.load()
-            self._journal_skipped = [
-                {"file": record.name, "reason": reason}
-                for record, reason in journal.skipped_files]
-            remaining = []
-            for scenario in self.scenarios:
-                done = replayed.get(scenario.key)
-                if done is not None:
-                    yield done
-                else:
-                    remaining.append(scenario)
-        if not remaining:
-            return
-        if self.workers == 1:
-            yield from self._serial_iter(remaining, faults, journal)
-        else:
-            yield from self._parallel_iter(remaining, faults, journal)
+        # The run's one store load, before journal replay so a replayed
+        # run reports its skips too: a serial run attaches the store, and
+        # a pooled run's parent loads it because workers cannot report
+        # what their own loads skip.  Merge reads nothing back.
+        attached, self._store_skipped = False, []
+        if self.store_path is not None:
+            if self.workers == 1:
+                attached = _attach_store(self.store_path)
+                store = get_plan_cache().store
+            else:
+                store = PlanStore(self.store_path)
+                store.load()
+            self._store_skipped = store.skipped_manifest()
+        try:
+            journal = None
+            remaining = self.scenarios
+            if self.journal is not None:
+                from .journal import SweepJournal
+                journal = SweepJournal(self.journal)
+                replayed = journal.load()
+                self._journal_skipped = [
+                    {"file": record.name, "reason": reason}
+                    for record, reason in journal.skipped_files]
+                remaining = []
+                for scenario in self.scenarios:
+                    done = replayed.get(scenario.key)
+                    if done is not None:
+                        yield done
+                    else:
+                        remaining.append(scenario)
+            if not remaining:
+                return
+            if self.workers == 1:
+                yield from self._serial_iter(remaining, faults, journal)
+            else:
+                yield from self._parallel_iter(remaining, faults, journal)
+        finally:
+            if attached:
+                get_plan_cache().detach_store()
 
     # -- serial path ---------------------------------------------------
 
     def _serial_iter(self, scenarios: list[Scenario],
                      faults: FaultPlan | None,
                      journal: SweepJournal | None) -> Iterator[SweepItem]:
-        attached = _attach_store(self.store_path)
         tables = RunTables()  # shared by the whole run
-        try:
-            for scenario in scenarios:
-                item = self._price_with_retries(scenario, faults, tables)
-                self._checkpoint(journal, item)
-                yield item
-        finally:
-            if attached:
-                get_plan_cache().detach_store()
+        for scenario in scenarios:
+            item = self._price_with_retries(scenario, faults, tables)
+            self._checkpoint(journal, item)
+            yield item
 
     def _price_with_retries(self, scenario: Scenario,
                             faults: FaultPlan | None,
@@ -766,21 +784,9 @@ class ScenarioSweep:
             parallel=self.workers > 1,
             workers=self.workers,
             failures=quarantined,
-            store_skipped=self._store_skipped(),
+            store_skipped=self._store_skipped,
             journal_skipped=self._journal_skipped,
         )
-
-    def _store_skipped(self) -> list[dict]:
-        """Corrupt/stale shard records of the attached store, if any.
-
-        Probed from the parent with a fresh load so the parallel path —
-        where only workers ever read the store — reports shard loss too.
-        """
-        if self.store_path is None:
-            return []
-        probe = PlanStore(self.store_path)
-        probe.load()
-        return probe.skipped_manifest()
 
     def run(self) -> SweepResult:
         """Execute the grid and merge results in canonical order."""

@@ -1,5 +1,6 @@
 """Tests for the disk-backed plan store and its cache layering."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,12 @@ from repro.core import (
     plan_key_hash,
 )
 from repro.core.plancache import MODE_BEST
-from repro.io import plan_from_record, plan_to_record
+from repro.io import (
+    accel_to_dict,
+    group_to_dict,
+    plan_from_record,
+    plan_to_record,
+)
 from repro.workloads import build_perception_workload
 
 
@@ -49,15 +55,26 @@ class TestKeyHash:
         assert plan_key_hash(g, 2, os_accel, "rows") != base
         assert plan_key_hash(groups[1], 2, os_accel, MODE_BEST) != base
 
-    def test_store_memoized_hash_matches_pure_function(self, tmp_path,
-                                                       groups, os_accel):
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 36, 100, 1000])
+    @pytest.mark.parametrize("mode", [MODE_BEST, "rows"])
+    @pytest.mark.parametrize("engine", ["os_accel", "ws_accel"])
+    def test_store_memoized_hash_matches_pure_function(
+            self, request, tmp_path, groups, n, mode, engine):
+        # The store hashes each (group, accel, mode) prefix once and
+        # appends "<n>}" per key; multi-digit counts exercise the suffix.
+        accel = request.getfixturevalue(engine)
         store = PlanStore(tmp_path / "store")
         g = groups[0]
-        assert store.key_hash(g, 2, os_accel, MODE_BEST) == \
-            plan_key_hash(g, 2, os_accel, MODE_BEST)
-        # memoized second call returns the same string
-        assert store.key_hash(g, 2, os_accel, MODE_BEST) == \
-            plan_key_hash(g, 2, os_accel, MODE_BEST)
+        text = json.dumps(
+            {"accel": accel_to_dict(accel), "group": group_to_dict(g),
+             "mode": mode, "n": n}, sort_keys=True, separators=(",", ":"))
+        expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert plan_key_hash(g, n, accel, mode) == expected
+        assert store.key_hash(g, n, accel, mode) == expected
+        # a repeat call copies the same prefix state, never updates it
+        assert store.key_hash(g, n, accel, mode) == expected
+        assert store.key_hash(g, n + 1, accel, mode) == \
+            plan_key_hash(g, n + 1, accel, mode)
 
 
 class TestPlanRecordRoundTrip:
@@ -142,17 +159,6 @@ class TestPlanStore:
         assert fresh.load() == _plans(groups, os_accel)
         reasons = sorted(reason for _, reason in fresh.skipped_files)
         assert reasons == ["corrupt", "corrupt", "schema"]
-
-    def test_compact_merges_shards(self, tmp_path, groups, os_accel):
-        store = PlanStore(tmp_path / "store")
-        entries = _plans(groups, os_accel)
-        items = list(entries.items())
-        store.flush(dict(items[:3]))
-        store.flush(dict(items[3:]))
-        assert len(store.shard_files()) == 2
-        store.compact()
-        assert len(store.shard_files()) == 1
-        assert PlanStore(tmp_path / "store").load() == entries
 
 
 class TestHeteroStoreSharing:

@@ -553,19 +553,46 @@ class TestCorruptShardDegradation:
         clear_cache()
         clear_plan_cache()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_corrupt_shard_is_survived_and_reported(self, grid, reference,
-                                                    tmp_path):
+                                                    tmp_path, workers):
+        # A serial run reports what its attach skipped; a pooled run's
+        # parent loads the store once before dispatch, since the workers'
+        # own loads cannot report back.
         store = tmp_path / "store"
         self._cold()
         ScenarioSweep(list(grid), store_path=store).run()
         self._cold()
-        result = ScenarioSweep(list(grid), store_path=store,
+        result = ScenarioSweep(list(grid), workers=workers,
+                               store_path=store,
                                faults=FaultPlan.parse("corrupt-shard:0"),
                                clock=NullClock()).run()
         assert result.rows_json() == reference.rows_json()
         assert result.store_skipped
         assert result.store_skipped[0]["reason"] == "corrupt"
         assert result.summary()["store_skipped"] == result.store_skipped
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replayed_run_reports_corrupt_shard(
+            self, grid, reference, tmp_path, workers):
+        # The store is loaded before journal replay, so a resume that
+        # prices nothing still reports the shard its load skipped.
+        from repro.core import PlanStore, get_plan_cache
+        store, journal = tmp_path / "store", tmp_path / "journal"
+        self._cold()
+        ScenarioSweep(list(grid), store_path=store, journal=journal).run()
+        shards = PlanStore(store).shard_files()
+        self._cold()
+        result = ScenarioSweep(list(grid), workers=workers,
+                               store_path=store, journal=journal,
+                               faults=FaultPlan.parse("corrupt-shard:0"),
+                               clock=NullClock()).run()
+        assert result.rows_json() == reference.rows_json()
+        # nothing was priced again, so nothing was flushed
+        assert PlanStore(store).shard_files() == shards
+        assert result.store_skipped == [{"file": shards[0].name,
+                                         "reason": "corrupt"}]
+        assert get_plan_cache().store is None
 
     def test_healthy_store_reports_no_skips(self, grid, tmp_path):
         store = tmp_path / "store"

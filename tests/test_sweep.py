@@ -313,6 +313,33 @@ class TestStoreBackedSweep:
             "the sweep wrote no plan-store shard"
         assert [name for name in unused if name in loaded] == []
 
+    def test_perfbench_grid_loads_its_store_once(self, monkeypatch,
+                                                 tmp_path):
+        # A cold serial run of perfbench's seed-0 grid into a fresh store
+        # loads it once, when it attaches it, and flushes one shard per
+        # scenario that priced new plans; merge reports that load's
+        # skipped shards and reads nothing back.
+        from repro.core import PlanStore
+        store = tmp_path / "store"
+        load = PlanStore.load
+        loads: list = []
+
+        def counting_load(plan_store):
+            loads.append(plan_store.path)
+            return load(plan_store)
+
+        monkeypatch.setattr(PlanStore, "load", counting_load)
+        self._cold()
+        sweep = ScenarioSweep(scenario_grid(**PERFBENCH_GRID), workers=1,
+                              store_path=store)
+        items = list(sweep.run_iter())
+        assert loads == [store]
+        result = sweep.merge(items)
+        assert loads == [store]
+        assert result.store_skipped == []
+        assert result.cache_stats.misses == 1335
+        assert len(list(store.glob("plans-*.json"))) == 52
+
     def test_serial_run_detaches_the_global_cache(self, grid, tmp_path):
         from repro.core import get_plan_cache
         self._cold()
