@@ -34,12 +34,12 @@ layer-cost-cache hit/miss statistics, so cache-effectiveness regressions
 are visible alongside the metrics.
 
 Sweeps are fault-tolerant (see ``docs/RESILIENCE.md``): transient
-failures retry on a deterministic backoff schedule (``--retries`` caps
-the attempts), ``--journal DIR`` checkpoints every outcome so a rerun of
-the same command resumes instead of re-pricing, ``--keep-going``
-finishes a grid with quarantined scenarios as a partial result (exit
-status 2, failures listed in the report), and the dev-only
-``--inject-faults`` flag scripts reproducible failures::
+failures retry at once (``--retries`` caps the attempts), ``--journal
+DIR`` checkpoints every outcome so a rerun of the same command resumes
+instead of re-pricing, ``--keep-going`` finishes a grid with quarantined
+scenarios as a partial result (exit status 2, failures listed in the
+report), and the dev-only ``--inject-faults`` flag scripts reproducible
+failures::
 
     chiplet-npu sweep --npus 1,2,4 --workers 4 --retries 5 \\
         --journal results/journal --keep-going
@@ -151,10 +151,10 @@ def _sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stream", action="store_true",
                         help="print each scenario's row as it finishes "
                              "(completion order) before the merged report")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+    parser.add_argument("--retries", type=int, default=3, metavar="N",
                         help="max attempts per scenario on transient "
                              "failures (default 3; 1 = no retries); "
-                             "backoff is deterministic per scenario key")
+                             "a retry runs at once")
     parser.add_argument("--keep-going", action="store_true",
                         help="quarantine scenarios that exhaust their "
                              "retries and finish with a partial result "
@@ -168,7 +168,7 @@ def _sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--inject-faults", default=None, metavar="SCRIPT",
                         help="dev-only deterministic fault script: "
                              "';'-joined KIND:TARGET[@ATTEMPTS] tokens "
-                             "with KIND in fail/crash/hang/corrupt-shard "
+                             "with KIND in fail/crash/corrupt-shard "
                              "and TARGET a grid index (shard index for "
                              "corrupt-shard); see docs/RESILIENCE.md")
     parser.add_argument("--json", action="store_true",
@@ -185,7 +185,6 @@ def _run_sweep(argv: list[str]) -> int:
     from .sim.metrics import format_table
     from .sweep import (
         FaultPlan,
-        RetryPolicy,
         ScenarioSweep,
         SweepFailure,
         SweepQuarantineError,
@@ -195,14 +194,12 @@ def _run_sweep(argv: list[str]) -> int:
 
     try:
         grid = scenario_grid(**parse_grid_axes(axis_texts(args)))
-        retry = (RetryPolicy(max_attempts=args.retries)
-                 if args.retries is not None else None)
         faults = (FaultPlan.parse(args.inject_faults)
                   if args.inject_faults else None)
         sweep = ScenarioSweep(grid, workers=args.workers,
                               store_path=args.store,
                               strict=not args.keep_going,
-                              retry=retry,
+                              max_attempts=args.retries,
                               journal=args.journal,
                               faults=faults)
     except (ValueError, KeyError) as exc:

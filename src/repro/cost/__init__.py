@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from .energy import ENERGY_28NM, EnergyTable
     from .model import (
         LayerCost,
-        chain_cycles,
         chain_energy_j,
         chain_latency_s,
         evaluate,
@@ -39,8 +38,8 @@ __getattr__, __dir__ = lazy_exports(
                  "shidiannao_chiplet", "simba_chiplet"),
     dataflow=("MappingAnalysis", "map_layer"),
     energy=("ENERGY_28NM", "EnergyTable"),
-    model=("LayerCost", "chain_cycles", "chain_energy_j",
-           "chain_latency_s", "evaluate", "evaluate_shape"),
+    model=("LayerCost", "chain_energy_j", "chain_latency_s", "evaluate",
+           "evaluate_shape"),
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "ENERGY_28NM",
     "EnergyTable",
     "LayerCost",
-    "chain_cycles",
     "chain_energy_j",
     "chain_latency_s",
     "clear_cache",

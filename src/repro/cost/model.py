@@ -167,12 +167,6 @@ def chain_energy_j(layers: Iterable[Layer],
     return total
 
 
-def chain_cycles(layers: Iterable[Layer],
-                 accel: AcceleratorConfig) -> int:
-    """Serial cycle count of a layer chain on one engine."""
-    return sum(evaluate(layer, accel).cycles for layer in layers)
-
-
 def clear_cache() -> None:
     """Drop both memoized cost tables (mainly for tests/ablations)."""
     evaluate.cache_clear()

@@ -35,10 +35,8 @@ _R1_BANNED = {
     ("time", "time"), ("time", "time_ns"),
     ("time", "monotonic"), ("time", "monotonic_ns"),
     ("time", "perf_counter"), ("time", "perf_counter_ns"),
-    # Sleeping is wall-clock coupling too: retry backoff must compute
-    # durations deterministically and wait through the injectable
-    # repro.sweep.resilience.Clock (RealClock owns the one sanctioned
-    # time.sleep call site).
+    # Sleeping is wall-clock coupling too; a sweep retries at once, so
+    # no call site is sanctioned.
     ("time", "sleep"),
     ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
     ("date", "today"),

@@ -21,16 +21,11 @@ if TYPE_CHECKING:
     )
     from .journal import JOURNAL_SCHEMA_VERSION, SweepJournal
     from .resilience import (
-        Clock,
-        NullClock,
-        RealClock,
-        RetryPolicy,
         SweepFailure,
         SweepQuarantineError,
         TransientError,
         WorkerCrashError,
         error_class,
-        key_fraction,
     )
     from .runner import (
         RunTables,
@@ -56,9 +51,8 @@ __getattr__, __dir__ = lazy_exports(
     faults=("CRASH_EXIT_CODE", "FAULT_KINDS", "FaultPlan", "FaultSpec",
             "InjectedFault"),
     journal=("JOURNAL_SCHEMA_VERSION", "SweepJournal"),
-    resilience=("Clock", "NullClock", "RealClock", "RetryPolicy",
-                "SweepFailure", "SweepQuarantineError", "TransientError",
-                "WorkerCrashError", "error_class", "key_fraction"),
+    resilience=("SweepFailure", "SweepQuarantineError", "TransientError",
+                "WorkerCrashError", "error_class"),
     runner=("RunTables", "ScenarioSweep", "SweepItem", "SweepOutcome",
             "SweepResult", "layer_cost_cache_stats", "run_scenario"),
     scenario=("WORKLOAD_VARIANTS", "Scenario", "ScenarioBuild",
@@ -78,16 +72,11 @@ __all__ = [
     "InjectedFault",
     "JOURNAL_SCHEMA_VERSION",
     "SweepJournal",
-    "Clock",
-    "NullClock",
-    "RealClock",
-    "RetryPolicy",
     "SweepFailure",
     "SweepQuarantineError",
     "TransientError",
     "WorkerCrashError",
     "error_class",
-    "key_fraction",
     "RunTables",
     "ScenarioSweep",
     "SweepItem",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the sweep engine (dev/test only).
 
 Fleet-scale execution meets partial failure as the *normal* case: a
-worker OOMs mid-chunk, a shared plan-store shard is truncated by a dying
+worker OOMs mid-scenario, a shared plan-store shard is truncated by a dying
 host, a scenario trips a transient I/O error.  Reproducing those faults
 on demand is what makes the resilience layer testable — a flaky test
 that kills a worker "sometimes" proves nothing.
@@ -23,9 +23,6 @@ Fault kinds:
     kill the worker process the way a segfault/OOM would (``os._exit``,
     no cleanup) — the parent observes a ``BrokenProcessPool`` and must
     respawn and re-dispatch.
-``hang``
-    block the worker for ``hang_s`` — long enough to trip the runner's
-    chunk watchdog, which kills the pool and re-dispatches.
 ``corrupt-shard``
     truncate the N-th shard file of the attached plan store before the
     sweep starts, exercising the store's corrupt-shard tolerance and the
@@ -39,13 +36,13 @@ import pathlib
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-from .resilience import Clock, RealClock, TransientError
+from .resilience import TransientError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .scenario import Scenario
 
 #: the injectable failure modes, in documentation order.
-FAULT_KINDS = ("fail", "crash", "hang", "corrupt-shard")
+FAULT_KINDS = ("fail", "crash", "corrupt-shard")
 
 #: exit status of a ``crash`` fault — distinctive in worker core dumps.
 CRASH_EXIT_CODE = 86
@@ -64,15 +61,13 @@ class FaultSpec:
     scenario key; for ``corrupt-shard`` it is the index into the store's
     sorted shard list.  ``attempts`` lists the attempt numbers on which
     a per-scenario fault fires — ``(1,)`` injects one transient failure,
-    ``(1, 2, 3)`` makes the scenario a poison pill for a 3-attempt
-    policy.
+    ``(1, 2, 3)`` makes the scenario a poison pill for the default 3
+    attempts.
     """
 
     kind: str
     target: int | str
     attempts: tuple[int, ...] = (1,)
-    #: how long a ``hang`` fault blocks its worker.
-    hang_s: float = 300.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -84,8 +79,6 @@ class FaultSpec:
                                for a in attempts):
             raise ValueError("attempts must be positive attempt numbers")
         object.__setattr__(self, "attempts", attempts)
-        if self.hang_s <= 0:
-            raise ValueError("hang_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -164,13 +157,12 @@ class FaultPlan:
                 return spec
         return None
 
-    def fire(self, key: str, attempt: int,
-             clock: Clock | None = None) -> None:
+    def fire(self, key: str, attempt: int) -> None:
         """Trigger the scripted fault for ``(key, attempt)``, if any.
 
         ``fail`` raises :class:`InjectedFault`; ``crash`` kills this
         process without cleanup, exactly like a segfault or the OOM
-        killer; ``hang`` blocks on the (injectable) clock.
+        killer.
         """
         spec = self.spec_for(key, attempt)
         if spec is None:
@@ -180,8 +172,6 @@ class FaultPlan:
                 f"injected failure for {key} (attempt {attempt})")
         if spec.kind == "crash":
             os._exit(CRASH_EXIT_CODE)
-        if spec.kind == "hang":
-            (clock or RealClock()).sleep(spec.hang_s)
 
     # ------------------------------------------------------------------
     # store faults (fired once, before the run)

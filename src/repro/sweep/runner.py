@@ -6,15 +6,16 @@ points across worker processes and merges the results deterministically:
 * every scenario is priced by :func:`run_scenario`, a pure function of the
   scenario (the schedulers and cost model are deterministic), so the same
   grid produces identical rows whether it runs serially or on N workers;
-* a serial run, and each worker chunk, owns one :class:`RunTables`: it
-  builds each distinct workload variant (and, on a DRAM axis, its
-  per-frame DRAM bytes) and each distinct package once, runs Algorithm
-  1's allocation once per distinct allocation input (and places it once
-  per package chiplet grid, from stage placements and priced NoP edges
-  shared by every allocation that agrees on them), schedules and
-  summarizes once per distinct hardware, so scenarios that differ only
-  in their Het(k) budget share one schedule, and runs the trunk DSE once
-  per distinct trunk input;
+* a serial run owns one :class:`RunTables` (a pool task prices its one
+  scenario with tables of its own): it builds each distinct workload
+  variant (and, on a DRAM axis, its per-frame DRAM bytes) and each
+  distinct package once, runs Algorithm 1's allocation once per
+  distinct allocation input (and places it once per package chiplet
+  grid, from stage placements and priced NoP edges shared by every
+  allocation that agrees on them), schedules and summarizes once per
+  distinct hardware, so scenarios that differ only in their Het(k)
+  budget share one schedule, and runs the trunk DSE once per distinct
+  trunk input;
 * workers return :class:`SweepOutcome` records that are merged by scenario
   key, then emitted in the grid's canonical order — completion order never
   leaks into the output, which is what makes the serial, parallel, and
@@ -38,15 +39,15 @@ points across worker processes and merges the results deterministically:
   which scenario first and is intentionally excluded from the
   deterministic row payload).
 
-Execution is fault-tolerant (see :mod:`repro.sweep.resilience`): failures
-inside a worker are shipped back per scenario and retried on the
-:class:`RetryPolicy`'s deterministic schedule; a dead worker
-(``BrokenProcessPool``) or a hung pool (the ``chunk_timeout_s`` watchdog)
-costs only the in-flight chunks, which are re-dispatched as singletons so
-a poison scenario quarantines alone; a ``journal`` directory replays the
-keys it already holds instead of re-pricing them and checkpoints every new
-outcome; and ``strict=False`` merges a partially failed grid into a partial
-result carrying a deterministic ``failures`` manifest.
+Execution is fault-tolerant (see :mod:`repro.sweep.resilience`): a
+failed attempt comes back as data and a transient one is retried at once,
+up to ``max_attempts``; a dead worker (``BrokenProcessPool``) costs only
+the in-flight scenarios, each settled as a ``WorkerCrashError``, so a
+scenario that kills its worker on every attempt quarantines alone; a
+``journal`` directory replays the keys it already holds instead of
+re-pricing them and checkpoints every new outcome; and ``strict=False``
+merges a partially failed grid into a partial result carrying a
+deterministic ``failures`` manifest.
 """
 
 from __future__ import annotations
@@ -70,9 +71,7 @@ from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import STAGE_TR
 from .faults import FaultPlan
 from .resilience import (
-    Clock,
-    RealClock,
-    RetryPolicy,
+    RETRYABLE,
     SweepFailure,
     SweepQuarantineError,
     WorkerCrashError,
@@ -138,14 +137,13 @@ class _ScheduledRow:
 
 @dataclass
 class RunTables:
-    """What one serial run, worker chunk or design search builds once
-    and shares.
+    """What one serial run or design search builds once and shares.
 
     Each table is keyed by exactly what its entries read, so sharing
     changes how often work runs, never a row.  Each is owned by its run
     and dies with it; no process-wide memo holds them, so every run
-    starts cold.  A lone :func:`run_scenario` call gets tables of its
-    own.
+    starts cold.  A lone :func:`run_scenario` call, and so a pool task,
+    gets tables of its own.
     """
 
     #: built workloads by config (:meth:`Scenario.build`)
@@ -333,11 +331,15 @@ def _worker_init(store_path) -> None:
 
 
 def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
-             attempt: int = 1, clock: Clock | None = None,
-             tables: RunTables | None = None) -> SweepOutcome:
-    """Price one scenario and capture both memo layers' deltas.
+             attempt: int = 1, tables: RunTables | None = None,
+             ) -> SweepOutcome | Exception:
+    """One attempt at one scenario: its outcome with both memo layers'
+    deltas, or the exception the attempt raised.
 
-    Any scripted fault for ``(scenario.key, attempt)`` fires first, so
+    The serial loop's step and the pool's task.  A failure comes back as
+    data, so it costs neither the worker process nor the rest of the
+    run: :meth:`ScenarioSweep._settle` picks retry or quarantine.  Any
+    scripted fault for ``(scenario.key, attempt)`` fires first, so
     injected failures land exactly where a real one would: before the
     outcome exists.  When a store is attached, the plans this scenario
     introduced are flushed immediately — an atomic shard write that
@@ -345,43 +347,25 @@ def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
     so even a crashed or cancelled sweep leaves its completed work warm
     on disk.
     """
-    if faults is not None:
-        faults.fire(scenario.key, attempt, clock)
-    plan_before = plan_cache_stats()
-    layer_before = layer_cost_cache_stats()
-    row = run_scenario(scenario, tables)
-    # The counter delta is this scenario's; entries reflect the worker's
-    # table after the run (CacheStats.__sub__ keeps the minuend's).
-    outcome = SweepOutcome(
-        key=scenario.key,
-        row=row,
-        plan_cache=plan_cache_stats() - plan_before,
-        layer_cache=layer_cost_cache_stats() - layer_before,
-    )
-    get_plan_cache().flush_to_store()
+    try:
+        if faults is not None:
+            faults.fire(scenario.key, attempt)
+        plan_before = plan_cache_stats()
+        layer_before = layer_cost_cache_stats()
+        row = run_scenario(scenario, tables)
+        # The counter delta is this scenario's; entries reflect the
+        # worker's table after the run (CacheStats.__sub__ keeps the
+        # minuend's).
+        outcome = SweepOutcome(
+            key=scenario.key,
+            row=row,
+            plan_cache=plan_cache_stats() - plan_before,
+            layer_cache=layer_cost_cache_stats() - layer_before,
+        )
+        get_plan_cache().flush_to_store()
+    except Exception as error:
+        return error
     return outcome
-
-
-def _run_chunk(items: list[tuple[Scenario, int]],
-               faults: FaultPlan | None = None) -> list[tuple]:
-    """Worker entry point: price a chunk of ``(scenario, attempt)`` pairs.
-
-    Failures are caught *per scenario* and shipped back as data, so one
-    raising scenario costs neither its chunk-mates' finished work nor the
-    worker process — the parent decides retry vs quarantine.  Entries are
-    ``("ok", outcome)`` or ``("err", scenario, attempt, exception)``.
-    The chunk shares one :class:`RunTables` across its scenarios.
-    """
-    entries: list[tuple] = []
-    tables = RunTables()
-    for scenario, attempt in items:
-        try:
-            entries.append(("ok", _run_one(scenario, faults=faults,
-                                           attempt=attempt,
-                                           tables=tables)))
-        except Exception as error:
-            entries.append(("err", scenario, attempt, error))
-    return entries
 
 
 @dataclass
@@ -473,23 +457,19 @@ class ScenarioSweep:
 
     scenarios: list[Scenario]
     workers: int = 1
-    #: scenarios shipped per worker task (streaming granularity).
-    chunksize: int = field(default=1)
     #: optional shared plan-store directory (:class:`PlanStore`);
     #: workers warm-start from it and flush newly computed plans back.
     store_path: str | pathlib.Path | None = None
     #: strict merges raise on any quarantined scenario; ``strict=False``
     #: returns a partial result carrying the failures manifest instead.
     strict: bool = True
-    #: retry schedule for transient failures (None = the default policy).
-    retry: RetryPolicy | None = None
+    #: total tries per scenario on transient failures (1 = no retries).
+    max_attempts: int = 3
     #: optional journal directory: keys it already holds are replayed
     #: instead of re-priced, and every new outcome checkpoints there.
     journal: str | pathlib.Path | None = None
     #: dev/test-only deterministic fault script (``--inject-faults``).
     faults: FaultPlan | None = None
-    #: where retry backoff waits; inject a NullClock in tests.
-    clock: Clock | None = None
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -502,15 +482,11 @@ class ScenarioSweep:
                 f"plan stores are directories; got the URL "
                 f"{self.store_path!r} (the networked memo server was "
                 f"removed)")
-        if self.chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         keys = [s.key for s in self.scenarios]
         if len(set(keys)) != len(keys):
             raise ValueError("scenario keys must be unique")
-        if self.retry is None:
-            self.retry = RetryPolicy()
-        if self.clock is None:
-            self.clock = RealClock()
         #: what the last run_iter's store and journal loads skipped.
         self._store_skipped: list[dict] = []
         self._journal_skipped: list[dict] = []
@@ -578,29 +554,26 @@ class ScenarioSweep:
                      journal: SweepJournal | None) -> Iterator[SweepItem]:
         tables = RunTables()  # shared by the whole run
         for scenario in scenarios:
-            item = self._price_with_retries(scenario, faults, tables)
+            attempt = 0
+            item: SweepItem | None = None
+            while item is None:
+                attempt += 1
+                item = self._settle(scenario, attempt, _run_one(
+                    scenario, faults=faults, attempt=attempt,
+                    tables=tables))
             self._checkpoint(journal, item)
             yield item
 
-    def _price_with_retries(self, scenario: Scenario,
-                            faults: FaultPlan | None,
-                            tables: RunTables) -> SweepItem:
-        """One scenario through the retry loop (serial path)."""
-        attempt = 1
-        while True:
-            if attempt > 1:
-                self.clock.sleep(self.retry.backoff_s(scenario.key, attempt))
-            try:
-                return _run_one(scenario, faults=faults, attempt=attempt,
-                                clock=self.clock, tables=tables)
-            except Exception as error:
-                if (self.retry.is_retryable(error)
-                        and attempt < self.retry.max_attempts):
-                    attempt += 1
-                    continue
-                return SweepFailure(key=scenario.key,
-                                    error=error_class(error),
-                                    attempts=attempt, detail=str(error))
+    def _settle(self, scenario: Scenario, attempt: int,
+                result: SweepOutcome | Exception) -> SweepItem | None:
+        """What one attempt's result makes of its scenario: the outcome,
+        ``None`` to retry at ``attempt + 1``, or the quarantine record."""
+        if isinstance(result, SweepOutcome):
+            return result
+        if isinstance(result, RETRYABLE) and attempt < self.max_attempts:
+            return None
+        return SweepFailure(key=scenario.key, error=error_class(result),
+                            attempts=attempt, detail=str(result))
 
     # -- parallel path -------------------------------------------------
 
@@ -611,45 +584,6 @@ class ScenarioSweep:
             initializer=_worker_init,
             initargs=(self.store_path,))
 
-    def _lost_unit(self, unit: list[tuple[Scenario, int]],
-                   pending: deque) -> list[SweepFailure]:
-        """Requeue a unit whose worker died/hung; quarantine the spent.
-
-        Lost scenarios re-dispatch as *singletons* at the next attempt,
-        so on repeat the guilty scenario crashes alone and quarantines
-        alone — chunk-mates that were merely collateral recover.
-        """
-        failures = []
-        for scenario, attempt in unit:
-            if attempt < self.retry.max_attempts:
-                pending.append([(scenario, attempt + 1)])
-            else:
-                failures.append(SweepFailure(
-                    key=scenario.key,
-                    error=error_class(WorkerCrashError()),
-                    attempts=attempt,
-                    detail="worker process died or hung mid-chunk"))
-        return failures
-
-    def _settle_entries(self, entries: list[tuple],
-                        pending: deque) -> list[SweepItem]:
-        """Sort worker chunk entries into yields, retries, quarantines."""
-        items: list[SweepItem] = []
-        for entry in entries:
-            if entry[0] == "ok":
-                items.append(entry[1])
-                continue
-            _, scenario, attempt, error = entry
-            if (self.retry.is_retryable(error)
-                    and attempt < self.retry.max_attempts):
-                pending.append([(scenario, attempt + 1)])
-            else:
-                items.append(SweepFailure(key=scenario.key,
-                                          error=error_class(error),
-                                          attempts=attempt,
-                                          detail=str(error)))
-        return items
-
     def _parallel_iter(self, scenarios: list[Scenario],
                        faults: FaultPlan | None,
                        journal: SweepJournal | None) -> Iterator[SweepItem]:
@@ -658,61 +592,49 @@ class ScenarioSweep:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        pending: deque = deque(
-            [(s, 1) for s in scenarios[i:i + self.chunksize]]
-            for i in range(0, len(scenarios), self.chunksize))
+        lost = WorkerCrashError("worker process died")
+        pending: deque = deque((s, 1) for s in scenarios)
         pool = self._spawn_pool()
         inflight: dict = {}
         try:
             while pending or inflight:
+                settled: list[tuple] = []
                 respawn = False
                 while pending and not respawn:
-                    unit = pending.popleft()
-                    for scenario, attempt in unit:
-                        if attempt > 1:
-                            self.clock.sleep(
-                                self.retry.backoff_s(scenario.key, attempt))
+                    scenario, attempt = task = pending.popleft()
                     try:
-                        inflight[pool.submit(_run_chunk, unit,
-                                             faults)] = unit
+                        inflight[pool.submit(_run_one, scenario, faults,
+                                             attempt)] = task
                     except BrokenProcessPool:
-                        pending.appendleft(unit)
+                        pending.appendleft(task)
                         respawn = True
                 if inflight and not respawn:
-                    done, _ = wait(inflight,
-                                   timeout=self.retry.chunk_timeout_s,
-                                   return_when=FIRST_COMPLETED)
-                    if not done:
-                        # Watchdog: nothing completed within the window;
-                        # the pool is presumed hung and every in-flight
-                        # chunk is treated as lost.
-                        respawn = True
+                    done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                     for future in done:
-                        unit = inflight.pop(future)
+                        task = inflight.pop(future)
                         try:
-                            entries = future.result()
+                            settled.append((task, future.result()))
                         except (BrokenProcessPool, OSError):
-                            # The worker died mid-chunk (segfault, OOM
+                            # The worker died mid-scenario (segfault, OOM
                             # kill, injected crash): nothing came back.
                             respawn = True
-                            items = self._lost_unit(unit, pending)
-                        else:
-                            items = self._settle_entries(entries, pending)
-                        for item in items:
-                            self._checkpoint(journal, item)
-                            yield item
+                            settled.append((task, lost))
                 if respawn:
-                    for unit in inflight.values():
-                        for item in self._lost_unit(unit, pending):
-                            self._checkpoint(journal, item)
-                            yield item
+                    settled += [(task, lost) for task in inflight.values()]
                     inflight.clear()
                     _kill_pool(pool)
                     pool = self._spawn_pool()
+                for (scenario, attempt), result in settled:
+                    item = self._settle(scenario, attempt, result)
+                    if item is None:
+                        pending.append((scenario, attempt + 1))
+                    else:
+                        self._checkpoint(journal, item)
+                        yield item
         finally:
             # A consumer that abandons the stream (or a fatal error) must
             # not block on the rest of the grid: drop every not-yet-started
-            # chunk before waiting out the in-flight ones.
+            # task before waiting out the in-flight ones.
             pool.shutdown(wait=True, cancel_futures=True)
 
     # -- checkpointing -------------------------------------------------
@@ -794,10 +716,10 @@ class ScenarioSweep:
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a broken or hung pool without waiting on its work.
+    """Tear down a broken pool without waiting on its work.
 
-    A hung worker never returns, so ``shutdown(wait=True)`` would block
-    forever — terminate the worker processes first, then reap them.
+    Its surviving workers may still be pricing tasks the pool has lost,
+    so terminate the worker processes first, then reap them.
     """
     for proc in list((getattr(pool, "_processes", None) or {}).values()):
         proc.terminate()

@@ -10,7 +10,6 @@ if TYPE_CHECKING:
         BYTES_PER_WORD,
         Layer,
         LayerKind,
-        ShardAxis,
         concat,
         conv,
         deconv,
@@ -41,9 +40,9 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(
     __name__,
     graph=("LayerGroup", "PerceptionWorkload", "Stage"),
-    layers=("BYTES_PER_WORD", "Layer", "LayerKind", "ShardAxis", "concat",
-            "conv", "deconv", "dense", "dwconv", "eltwise", "matmul",
-            "move", "pool", "softmax", "total_macs"),
+    layers=("BYTES_PER_WORD", "Layer", "LayerKind", "concat", "conv",
+            "deconv", "dense", "dwconv", "eltwise", "matmul", "move",
+            "pool", "softmax", "total_macs"),
     pipeline=("STAGE_FE", "STAGE_ORDER", "STAGE_S", "STAGE_T", "STAGE_TR",
               "PipelineConfig", "build_perception_workload"),
     trunks=("build_detection_layers", "build_lane_layers",
@@ -54,7 +53,6 @@ __all__ = [
     "BYTES_PER_WORD",
     "Layer",
     "LayerKind",
-    "ShardAxis",
     "LayerGroup",
     "PerceptionWorkload",
     "Stage",

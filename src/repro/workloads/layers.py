@@ -125,14 +125,6 @@ def operand_words(shape: LayerShape) -> OperandWords:
             inputs, output)
 
 
-class ShardAxis(enum.Enum):
-    """Axes along which the scheduler may shard a layer group (Sec. IV)."""
-
-    INSTANCE = "instance"   # independent model/source copies (cameras, frames)
-    ROW = "row"             # output-plane rows (convs, grid-token layers)
-    PIPELINE = "pipeline"   # split a deep serial chain into pipeline segments
-
-
 @dataclass(frozen=True)
 class Layer:
     """A single operator instance with everything the cost model needs.

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.cost import (
-    chain_cycles,
     chain_energy_j,
     chain_latency_s,
     evaluate,
@@ -85,8 +84,6 @@ class TestChains:
             sum(evaluate(l, os_accel).latency_s for l in layers))
         assert chain_energy_j(layers, os_accel) == pytest.approx(
             sum(evaluate(l, os_accel).energy_j for l in layers))
-        assert chain_cycles(layers, os_accel) == sum(
-            evaluate(l, os_accel).cycles for l in layers)
 
     def test_evaluation_is_memoized(self, os_accel):
         layer = conv("memo", (32, 32), 32, 32)

@@ -1,13 +1,14 @@
 """Tests for fault-tolerant sweep execution (resilience, faults, journal).
 
 The contract under test: every failure mode the resilience layer handles
-— injected failures, worker crashes, hung pools, corrupted shards,
-interrupted runs — must leave the deterministic row payload untouched.
+— injected failures, worker crashes, corrupted shards, interrupted
+runs — must leave the deterministic row payload untouched.
 ``rows_json()`` is compared byte-for-byte against an undisturbed serial
 run throughout.
 """
 
 import json
+import time
 
 import pytest
 
@@ -16,8 +17,6 @@ from repro.sweep import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    NullClock,
-    RetryPolicy,
     Scenario,
     ScenarioSweep,
     SweepFailure,
@@ -27,9 +26,9 @@ from repro.sweep import (
     TransientError,
     WorkerCrashError,
     error_class,
-    key_fraction,
     scenario_grid,
 )
+from repro.sweep.resilience import RETRYABLE
 
 
 #: fields older journals carry that this version neither writes nor
@@ -68,58 +67,38 @@ def twin_reference(twin_grid):
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy: deterministic backoff
+# Retry policy: what retries, how often, and that it never waits
 # ----------------------------------------------------------------------
 
 class TestRetryPolicy:
-    def test_backoff_is_a_pure_function(self):
-        policy = RetryPolicy()
-        first = [policy.backoff_s("tol=1.0", a) for a in range(1, 6)]
-        again = [policy.backoff_s("tol=1.0", a) for a in range(1, 6)]
-        assert first == again
-
-    def test_first_attempt_never_waits(self):
-        assert RetryPolicy().backoff_s("anything", 1) == 0.0
-
-    def test_backoff_grows_then_caps(self):
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.3)
-        waits = [policy.backoff_s("k", a) for a in (2, 3, 4, 5, 6)]
-        assert waits[0] < waits[1]
-        assert waits == sorted(waits)
-        assert waits[-1] == 0.3
-
-    def test_key_jitter_separates_scenarios(self):
-        policy = RetryPolicy()
-        assert (policy.backoff_s("tol=1.0", 2)
-                != policy.backoff_s("tol=1.05", 2))
-
-    def test_key_fraction_is_stable_and_bounded(self):
-        for key in ("", "a", "tol=1.0|npus=2", "x" * 500):
-            frac = key_fraction(key)
-            assert 0.0 <= frac < 1.0
-            assert frac == key_fraction(key)
-
     def test_retryable_classification(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(TransientError("x"))
-        assert policy.is_retryable(WorkerCrashError("x"))
-        assert policy.is_retryable(InjectedFault("x"))
-        assert policy.is_retryable(OSError("x"))
-        assert not policy.is_retryable(ValueError("deterministic"))
+        for error in (TransientError("x"), WorkerCrashError("x"),
+                      InjectedFault("x"), OSError("x")):
+            assert isinstance(error, RETRYABLE)
+        assert not isinstance(ValueError("deterministic"), RETRYABLE)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(chunk_timeout_s=0.0)
+    def test_validation(self, grid, capsys):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            ScenarioSweep(list(grid), max_attempts=0)
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--retries", "0"])
+        assert exit_info.value.code == 2
+        assert "max_attempts must be >= 1" in capsys.readouterr().err
 
-    def test_null_clock_records_instead_of_waiting(self):
-        clock = NullClock()
-        clock.sleep(0.25)
-        clock.sleep(0.5)
-        assert clock.slept == [0.25, 0.5]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_retry_runs_at_once(self, grid, reference, monkeypatch,
+                                  workers):
+        # Nothing a sweep retries waits on an outside resource, so no
+        # retry may sleep: two serial retries, or one on the pool.
+        def no_wait(seconds):
+            raise AssertionError(f"a retry waited {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_wait)
+        script = "fail:0@1,2" if workers == 1 else "fail:3"
+        result = ScenarioSweep(list(grid), workers=workers,
+                               faults=FaultPlan.parse(script)).run()
+        assert result.rows_json() == reference.rows_json()
 
 
 class TestFailureRecords:
@@ -149,15 +128,16 @@ class TestFailureRecords:
 
 class TestFaultPlan:
     def test_parse_round_trips_the_grammar(self):
-        plan = FaultPlan.parse("fail:0; crash:1@2 ;hang:2@1,3;"
+        plan = FaultPlan.parse("fail:0; crash:1@2 ;fail:2@1,3;"
                                "corrupt-shard:0")
         kinds = [s.kind for s in plan.specs]
-        assert kinds == ["fail", "crash", "hang", "corrupt-shard"]
+        assert kinds == ["fail", "crash", "fail", "corrupt-shard"]
         assert plan.specs[1].attempts == (2,)
         assert plan.specs[2].attempts == (1, 3)
 
     @pytest.mark.parametrize("text", [
         "", "fail", "fail:", "fail:x", "explode:0", "fail:0@", "fail:0@0",
+        "hang:0",
     ])
     def test_parse_rejects_malformed_scripts(self, text):
         with pytest.raises(ValueError):
@@ -169,7 +149,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultSpec(kind="fail", target=0, attempts=())
         with pytest.raises(ValueError):
-            FaultSpec(kind="hang", target=0, hang_s=0.0)
+            FaultSpec(kind="crash", target=0, attempts=(0,))
 
     def test_resolved_maps_indices_to_keys(self, grid):
         plan = FaultPlan.parse("fail:1").resolved(grid)
@@ -189,14 +169,6 @@ class TestFaultPlan:
         plan.fire(grid[0].key, 2)  # not armed for attempt 2
         assert issubclass(InjectedFault, TransientError)
 
-    def test_hang_fires_through_the_injectable_clock(self, grid):
-        plan = FaultPlan(specs=(
-            FaultSpec(kind="hang", target=0, hang_s=123.0),
-        )).resolved(grid)
-        clock = NullClock()
-        plan.fire(grid[0].key, 1, clock)
-        assert clock.slept == [123.0]
-
     def test_crash_exit_code_is_distinctive(self):
         assert CRASH_EXIT_CODE == 86
 
@@ -205,22 +177,36 @@ class TestFaultPlan:
 # Serial retries and quarantine
 # ----------------------------------------------------------------------
 
+@pytest.fixture
+def attempts(monkeypatch):
+    """Every ``(key, attempt)`` a serial sweep prices, in order."""
+    from repro.sweep import runner
+    seen: list[tuple[str, int]] = []
+    run_one = runner._run_one
+
+    def counting(scenario, **kwargs):
+        seen.append((scenario.key, kwargs["attempt"]))
+        return run_one(scenario, **kwargs)
+
+    monkeypatch.setattr(runner, "_run_one", counting)
+    return seen
+
+
 class TestSerialRetries:
     def test_transient_failure_retries_to_identical_rows(self, grid,
-                                                         reference):
-        clock = NullClock()
-        result = ScenarioSweep(list(grid), faults=FaultPlan.parse("fail:0"),
-                               clock=clock).run()
+                                                         reference,
+                                                         attempts):
+        result = ScenarioSweep(list(grid),
+                               faults=FaultPlan.parse("fail:0")).run()
         assert result.rows_json() == reference.rows_json()
         assert result.complete
-        # exactly one retry happened, on the deterministic schedule
-        assert clock.slept == [
-            RetryPolicy().backoff_s(grid[0].key, 2)]
+        # exactly one retry happened, before the next scenario
+        assert attempts[:3] == [(grid[0].key, 1), (grid[0].key, 2),
+                                (grid[1].key, 1)]
 
     def test_poison_scenario_quarantines_strict(self, grid):
         sweep = ScenarioSweep(list(grid),
-                              faults=FaultPlan.parse("fail:1@1,2,3"),
-                              clock=NullClock())
+                              faults=FaultPlan.parse("fail:1@1,2,3"))
         with pytest.raises(SweepQuarantineError) as err:
             sweep.run()
         assert [f.key for f in err.value.failures] == [grid[1].key]
@@ -230,7 +216,7 @@ class TestSerialRetries:
                                                       reference):
         sweep = ScenarioSweep(list(grid),
                               faults=FaultPlan.parse("fail:1@1,2,3"),
-                              strict=False, clock=NullClock())
+                              strict=False)
         result = sweep.run()
         assert not result.complete
         assert len(result.rows) == len(grid) - 1
@@ -246,32 +232,28 @@ class TestSerialRetries:
         def manifest():
             return json.dumps(ScenarioSweep(
                 list(grid), faults=FaultPlan.parse("fail:0@1,2,3"),
-                strict=False, clock=NullClock()).run().summary()["failures"],
+                strict=False).run().summary()["failures"],
                 sort_keys=True)
         assert manifest() == manifest()
 
-    def test_deterministic_error_is_not_retried(self):
+    def test_deterministic_error_is_not_retried(self, attempts):
         # A het budget beyond the trunk quadrant capacity raises
         # ValueError at pricing time: re-running a pure function cannot
         # change the answer, so quarantine happens on attempt 1.
         bad = scenario_grid(tolerances=(1.0,), het_ws_budgets=(64,))
-        clock = NullClock()
-        result = ScenarioSweep(list(bad), strict=False,
-                               clock=clock).run()
+        result = ScenarioSweep(list(bad), strict=False).run()
         assert result.rows == []
         assert result.failures_manifest() == [{
             "key": bad[0].key, "error": "ValueError", "attempts": 1}]
-        assert clock.slept == []  # no backoff was ever scheduled
+        assert attempts == [(bad[0].key, 1)]
 
-    def test_custom_attempt_budget_is_honored(self, grid):
-        clock = NullClock()
-        sweep = ScenarioSweep(list(grid),
-                              retry=RetryPolicy(max_attempts=5),
-                              faults=FaultPlan.parse("fail:0@1,2,3,4"),
-                              clock=clock)
+    def test_custom_attempt_budget_is_honored(self, grid, attempts):
+        sweep = ScenarioSweep(list(grid), max_attempts=5,
+                              faults=FaultPlan.parse("fail:0@1,2,3,4"))
         result = sweep.run()
         assert result.complete  # succeeded on the fifth attempt
-        assert len(clock.slept) == 4
+        assert attempts[:6] == [(grid[0].key, a) for a in range(1, 6)] \
+            + [(grid[1].key, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +348,7 @@ class TestJournal:
         journal_dir = tmp_path / "journal"
         ScenarioSweep(list(grid), journal=journal_dir,
                       faults=FaultPlan.parse("fail:0@1,2,3"),
-                      strict=False, clock=NullClock()).run()
+                      strict=False).run()
         journal = SweepJournal(journal_dir)
         outcome_file = journal.outcome_files()[0]
         outcome = json.loads(outcome_file.read_text())
@@ -405,10 +387,9 @@ class TestJournal:
         assert (f"journal: skipped 1 corrupt/stale record(s): "
                 f"{record.name}") in capsys.readouterr().out
 
-    def test_changed_grid_keeps_every_key(self, tmp_path, monkeypatch):
+    def test_changed_grid_keeps_every_key(self, tmp_path, attempts):
         # Grid B reorders and extends grid A; journaling B's new outcome
         # must not overwrite a record of A's, so A then replays in full.
-        from repro.sweep import runner
         journal_dir = tmp_path / "journal"
         grid_a = scenario_grid(tolerances=(1.0, 1.05))
         grid_b = scenario_grid(tolerances=(1.05, 1.02, 1.0))
@@ -416,16 +397,9 @@ class TestJournal:
         ScenarioSweep(grid_b, journal=journal_dir).run()
         assert set(SweepJournal(journal_dir).load()) \
             == {s.key for s in grid_b}
-        priced: list[str] = []
-        run_one = runner._run_one
-
-        def counting(scenario, **kwargs):
-            priced.append(scenario.key)
-            return run_one(scenario, **kwargs)
-
-        monkeypatch.setattr(runner, "_run_one", counting)
+        attempts.clear()
         again = ScenarioSweep(grid_a, journal=journal_dir).run()
-        assert priced == []
+        assert attempts == []
         assert again.rows_json() == first.rows_json()
 
     def test_journaling_adds_no_builds(self, twin_grid, tmp_path,
@@ -452,7 +426,7 @@ class TestJournal:
         journal_dir = tmp_path / "journal"
         ScenarioSweep(list(grid), journal=journal_dir,
                       faults=FaultPlan.parse("fail:0@1,2,3"),
-                      strict=False, clock=NullClock()).run()
+                      strict=False).run()
         journal = SweepJournal(journal_dir)
         failures = [json.loads(record.read_text())
                     for record in journal_dir.glob("failure-*.json")]
@@ -478,24 +452,23 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# Parallel recovery: crashes, hangs, in-worker retries
+# Parallel recovery: crashes and in-worker retries
 # ----------------------------------------------------------------------
 
 class TestParallelRecovery:
     def test_worker_crash_recovers_byte_identical(self, grid, reference):
-        result = ScenarioSweep(list(grid), workers=2, chunksize=2,
-                               faults=FaultPlan.parse("crash:1"),
-                               clock=NullClock()).run()
+        result = ScenarioSweep(list(grid), workers=2,
+                               faults=FaultPlan.parse("crash:1")).run()
         assert result.rows_json() == reference.rows_json()
         assert result.complete
 
     def test_worker_crash_amid_twin_chunks_recovers(self, twin_grid,
                                                     twin_reference):
-        # Chunks of 2 hold twin pairs; crash:1 kills the first pair's
-        # worker at its second twin.
-        result = ScenarioSweep(list(twin_grid), workers=2, chunksize=2,
-                               faults=FaultPlan.parse("crash:1"),
-                               clock=NullClock()).run()
+        # crash:1 kills the worker pricing the first pair's second
+        # twin; rows still match the serial run, where twins share one
+        # schedule.
+        result = ScenarioSweep(list(twin_grid), workers=2,
+                               faults=FaultPlan.parse("crash:1")).run()
         assert result.rows_json() == twin_reference.rows_json()
         assert result.complete
 
@@ -505,24 +478,15 @@ class TestParallelRecovery:
         victim = [grid[0]]
         result = ScenarioSweep(victim, workers=2,
                                faults=FaultPlan.parse("crash:0@1,2,3"),
-                               strict=False, clock=NullClock()).run()
+                               strict=False).run()
         assert result.rows == []
         assert result.failures_manifest() == [{
             "key": grid[0].key, "error": "WorkerCrashError",
             "attempts": 3}]
 
-    def test_hung_worker_trips_the_watchdog(self, grid, reference):
-        result = ScenarioSweep(
-            list(grid), workers=2, chunksize=2,
-            retry=RetryPolicy(chunk_timeout_s=1.0),
-            faults=FaultPlan.parse("hang:0"),
-            clock=NullClock()).run()
-        assert result.rows_json() == reference.rows_json()
-
     def test_in_worker_transient_failure_retries(self, grid, reference):
         result = ScenarioSweep(list(grid), workers=2,
-                               faults=FaultPlan.parse("fail:3"),
-                               clock=NullClock()).run()
+                               faults=FaultPlan.parse("fail:3")).run()
         assert result.rows_json() == reference.rows_json()
 
     def test_parallel_journal_matches_serial_journal_rows(self, grid,
@@ -530,8 +494,7 @@ class TestParallelRecovery:
         serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
         ScenarioSweep(list(grid), journal=serial_dir).run()
         ScenarioSweep(list(grid), workers=2, journal=parallel_dir,
-                      faults=FaultPlan.parse("crash:1"),
-                      clock=NullClock()).run()
+                      faults=FaultPlan.parse("crash:1")).run()
         serial_rows = {k: o.row
                        for k, o in SweepJournal(serial_dir).load().items()}
         parallel_rows = {
@@ -565,8 +528,7 @@ class TestCorruptShardDegradation:
         self._cold()
         result = ScenarioSweep(list(grid), workers=workers,
                                store_path=store,
-                               faults=FaultPlan.parse("corrupt-shard:0"),
-                               clock=NullClock()).run()
+                               faults=FaultPlan.parse("corrupt-shard:0")).run()
         assert result.rows_json() == reference.rows_json()
         assert result.store_skipped
         assert result.store_skipped[0]["reason"] == "corrupt"
@@ -585,8 +547,7 @@ class TestCorruptShardDegradation:
         self._cold()
         result = ScenarioSweep(list(grid), workers=workers,
                                store_path=store, journal=journal,
-                               faults=FaultPlan.parse("corrupt-shard:0"),
-                               clock=NullClock()).run()
+                               faults=FaultPlan.parse("corrupt-shard:0")).run()
         assert result.rows_json() == reference.rows_json()
         # nothing was priced again, so nothing was flushed
         assert PlanStore(store).shard_files() == shards

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import multiprocessing
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,10 +218,22 @@ class TestStreaming:
         with pytest.raises(RuntimeError):
             sweep.merge(outcomes)
 
-    def test_chunked_dispatch_matches(self, grid):
+    def test_chunked_dispatch_matches(self, grid, monkeypatch):
+        # A pool task is one scenario: the pool is handed each scenario
+        # once, in grid order.
+        from concurrent.futures import ProcessPoolExecutor
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording(pool, fn, scenario, *args):
+            submitted.append(scenario.key)
+            return submit(pool, fn, scenario, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
         batch = ScenarioSweep(grid, workers=1).run()
-        chunked = ScenarioSweep(grid, workers=2, chunksize=2).run()
-        assert chunked.rows_json() == batch.rows_json()
+        pooled = ScenarioSweep(grid, workers=2).run()
+        assert submitted == [s.key for s in grid]
+        assert pooled.rows_json() == batch.rows_json()
 
     def test_merge_tolerates_byte_identical_duplicates(self, grid):
         # Retries and journal resume can legitimately price a scenario
@@ -369,14 +380,14 @@ class TestStoreBackedSweep:
         stream = sweep.run_iter()
         first = next(stream)
         assert first.row["pipe_ms"] > 0
-        stream.close()  # must cancel queued chunks, not run them all
+        stream.close()  # must cancel queued tasks, not run them all
         # the engine stays usable afterwards
         assert len(ScenarioSweep(grid[:1], workers=1).run().rows) == 1
 
     def test_abandoned_stream_leaves_flushed_plans_warm(self, grid,
                                                         tmp_path):
         # The cancel_futures contract: breaking out of run_iter mid-grid
-        # drops queued chunks, but every *completed* scenario has already
+        # drops queued tasks, but every *completed* scenario has already
         # flushed its plans — the store stays warm for the next run.
         from repro.core import PlanStore
         store = tmp_path / "store"
@@ -397,8 +408,6 @@ class TestWorkloadSharing:
 
     @pytest.fixture(scope="class")
     def grid(self):
-        # grid order alternates variants, so each 3-scenario chunk of a
-        # pooled run repeats one
         return scenario_grid(tolerances=(1.0, 1.05, 1.1),
                              workloads=("default", "lores"))
 
@@ -437,30 +446,6 @@ class TestWorkloadSharing:
         run_scenario(Scenario(tolerance=1.0))
         run_scenario(Scenario(tolerance=1.0))
         assert len(built) == 2
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers see the build wrapper only when "
-                               "forked")
-    def test_pooled_chunks_build_each_variant_once(self, grid, monkeypatch,
-                                                  tmp_path):
-        # Forked workers inherit the wrapper; each build appends a line.
-        log = tmp_path / "builds.log"
-
-        def record(_workload):
-            with open(log, "a") as handle:
-                handle.write("build\n")
-
-        self._on_build(monkeypatch, record)
-        serial = ScenarioSweep(grid, workers=1).run()
-        log.unlink()
-        chunksize = 3
-        pooled = ScenarioSweep(grid, workers=2, chunksize=chunksize).run()
-        chunks = [grid[i:i + chunksize]
-                  for i in range(0, len(grid), chunksize)]
-        bound = sum(len({s.workload for s in chunk}) for chunk in chunks)
-        assert bound < len(grid)
-        assert 0 < len(log.read_text().splitlines()) <= bound
-        assert pooled.rows_json() == serial.rows_json()
 
     def test_sweep_never_mutates_a_shared_workload(self, monkeypatch):
         # Stands in for freezing Stage and PerceptionWorkload: the
