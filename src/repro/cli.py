@@ -34,16 +34,14 @@ layer-cost-cache hit/miss statistics, so cache-effectiveness regressions
 are visible alongside the metrics.
 
 Sweeps are fault-tolerant (see ``docs/RESILIENCE.md``): transient
-failures retry at once (``--retries`` caps the attempts), ``--journal
-DIR`` checkpoints every outcome so a rerun of the same command resumes
-instead of re-pricing, ``--keep-going`` finishes a grid with quarantined
+failures retry at once, up to three attempts, ``--journal DIR``
+checkpoints every outcome so a rerun of the same command resumes instead
+of re-pricing, and ``--keep-going`` finishes a grid with quarantined
 scenarios as a partial result (exit status 2, failures listed in the
-report), and the dev-only ``--inject-faults`` flag scripts reproducible
-failures::
+report)::
 
-    chiplet-npu sweep --npus 1,2,4 --workers 4 --retries 5 \\
+    chiplet-npu sweep --npus 1,2,4 --workers 4 \\
         --journal results/journal --keep-going
-    chiplet-npu sweep --npus 1,2 --inject-faults 'fail:0;crash:1'
 
 ``design`` closes the DSE loop (see ``docs/DESIGN.md``): declare a
 joint package-design space over the same axes (including per-quadrant
@@ -151,10 +149,6 @@ def _sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stream", action="store_true",
                         help="print each scenario's row as it finishes "
                              "(completion order) before the merged report")
-    parser.add_argument("--retries", type=int, default=3, metavar="N",
-                        help="max attempts per scenario on transient "
-                             "failures (default 3; 1 = no retries); "
-                             "a retry runs at once")
     parser.add_argument("--keep-going", action="store_true",
                         help="quarantine scenarios that exhaust their "
                              "retries and finish with a partial result "
@@ -165,12 +159,6 @@ def _sweep_parser() -> argparse.ArgumentParser:
                              "directory and resume from it: scenarios "
                              "already journaled are replayed, not "
                              "re-priced (byte-identical rows)")
-    parser.add_argument("--inject-faults", default=None, metavar="SCRIPT",
-                        help="dev-only deterministic fault script: "
-                             "';'-joined KIND:TARGET[@ATTEMPTS] tokens "
-                             "with KIND in fail/crash/corrupt-shard "
-                             "and TARGET a grid index (shard index for "
-                             "corrupt-shard); see docs/RESILIENCE.md")
     parser.add_argument("--json", action="store_true",
                         help="emit structured JSON instead of a table")
     parser.add_argument("--output", default=None,
@@ -184,7 +172,6 @@ def _run_sweep(argv: list[str]) -> int:
     # Imported once the arguments parse, so --help loads no runner.
     from .sim.metrics import format_table
     from .sweep import (
-        FaultPlan,
         ScenarioSweep,
         SweepFailure,
         SweepQuarantineError,
@@ -194,14 +181,10 @@ def _run_sweep(argv: list[str]) -> int:
 
     try:
         grid = scenario_grid(**parse_grid_axes(axis_texts(args)))
-        faults = (FaultPlan.parse(args.inject_faults)
-                  if args.inject_faults else None)
         sweep = ScenarioSweep(grid, workers=args.workers,
                               store_path=args.store,
                               strict=not args.keep_going,
-                              max_attempts=args.retries,
-                              journal=args.journal,
-                              faults=faults)
+                              journal=args.journal)
     except (ValueError, KeyError) as exc:
         # str(KeyError) wraps the message in repr quotes; unwrap it.
         parser.error(exc.args[0] if exc.args else str(exc))

@@ -12,18 +12,10 @@ if TYPE_CHECKING:
         parse_grid_axes,
         parse_tile,
     )
-    from .faults import (
-        CRASH_EXIT_CODE,
-        FAULT_KINDS,
-        FaultPlan,
-        FaultSpec,
-        InjectedFault,
-    )
     from .journal import JOURNAL_SCHEMA_VERSION, SweepJournal
     from .resilience import (
         SweepFailure,
         SweepQuarantineError,
-        TransientError,
         WorkerCrashError,
         error_class,
     )
@@ -48,11 +40,9 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     axes=("AXIS_SPECS", "AxisSpec", "parse_axis", "parse_grid_axes",
           "parse_tile"),
-    faults=("CRASH_EXIT_CODE", "FAULT_KINDS", "FaultPlan", "FaultSpec",
-            "InjectedFault"),
     journal=("JOURNAL_SCHEMA_VERSION", "SweepJournal"),
-    resilience=("SweepFailure", "SweepQuarantineError", "TransientError",
-                "WorkerCrashError", "error_class"),
+    resilience=("SweepFailure", "SweepQuarantineError", "WorkerCrashError",
+                "error_class"),
     runner=("RunTables", "ScenarioSweep", "SweepItem", "SweepOutcome",
             "SweepResult", "layer_cost_cache_stats", "run_scenario"),
     scenario=("WORKLOAD_VARIANTS", "Scenario", "ScenarioBuild",
@@ -65,16 +55,10 @@ __all__ = [
     "parse_axis",
     "parse_grid_axes",
     "parse_tile",
-    "CRASH_EXIT_CODE",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
     "JOURNAL_SCHEMA_VERSION",
     "SweepJournal",
     "SweepFailure",
     "SweepQuarantineError",
-    "TransientError",
     "WorkerCrashError",
     "error_class",
     "RunTables",

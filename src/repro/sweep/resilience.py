@@ -5,14 +5,14 @@ The sweep engine prices pure functions of frozen scenarios, but the
 (``BrokenProcessPool``), shared stores lose shards.  This module is the
 policy layer the runner consults when that happens:
 
-* :data:`RETRYABLE` names the failures worth retrying (injected faults,
-  worker crashes, I/O hiccups); deterministic errors — a ``ValueError``
-  from a scenario that can never price — are quarantined on the first
-  attempt, because re-running a pure function cannot change its answer.
-  ``ScenarioSweep.max_attempts`` bounds the attempts per scenario, and a
-  retry runs at once: nothing the sweep retries waits on an outside
-  resource (the store is a local directory written atomically, and a
-  crashed worker's pool is respawned), so there is no wait to schedule.
+* :data:`RETRYABLE` names the failures worth retrying (worker crashes,
+  I/O hiccups); deterministic errors — a ``ValueError`` from a scenario
+  that can never price — are quarantined on the first attempt, because
+  re-running a pure function cannot change its answer.
+  :data:`MAX_ATTEMPTS` bounds the attempts per scenario, and a retry
+  runs at once: nothing the sweep retries waits on an outside resource
+  (the store is a local directory written atomically, and a crashed
+  worker's pool is respawned), so there is no wait to schedule.
 * :class:`SweepFailure` is the quarantine record: the scenario key, a
   rule-stable error class (the exception type name — never a memory
   address or timestamp), and the attempts spent.  Strict merges raise
@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class TransientError(RuntimeError):
-    """Base class for failures the retry layer treats as transient."""
-
-
-class WorkerCrashError(TransientError):
+class WorkerCrashError(RuntimeError):
     """A worker process died mid-scenario.
 
     Synthesized by the runner when a ``BrokenProcessPool`` loses
@@ -39,9 +35,12 @@ class WorkerCrashError(TransientError):
 
 
 #: exception types worth retrying; anything else is deterministic and
-#: quarantines on the first failure.
-RETRYABLE = (TransientError, TimeoutError, ConnectionError, EOFError,
-             OSError, MemoryError)
+#: quarantines on the first failure.  ``OSError`` covers
+#: ``TimeoutError`` and ``ConnectionError``.
+RETRYABLE = (WorkerCrashError, OSError, EOFError, MemoryError)
+
+#: total tries per scenario on retryable failures, the first included.
+MAX_ATTEMPTS = 3
 
 
 def error_class(error: BaseException) -> str:

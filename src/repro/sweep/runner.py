@@ -41,9 +41,9 @@ points across worker processes and merges the results deterministically:
 
 Execution is fault-tolerant (see :mod:`repro.sweep.resilience`): a
 failed attempt comes back as data and a transient one is retried at once,
-up to ``max_attempts``; a dead worker (``BrokenProcessPool``) costs only
-the in-flight scenarios, each settled as a ``WorkerCrashError``, so a
-scenario that kills its worker on every attempt quarantines alone; a
+up to ``MAX_ATTEMPTS`` tries; a dead worker (``BrokenProcessPool``) costs
+only the in-flight scenarios, each settled as a ``WorkerCrashError``, so
+a scenario that kills its worker on every attempt quarantines alone; a
 ``journal`` directory replays the keys it already holds instead of
 re-pricing them and checkpoints every new outcome; and ``strict=False``
 merges a partially failed grid into a partial result carrying a
@@ -69,8 +69,8 @@ from ..core.throughput import AllocationTable
 from ..cost.model import evaluate, evaluate_shape
 from ..workloads.graph import PerceptionWorkload
 from ..workloads.pipeline import STAGE_TR
-from .faults import FaultPlan
 from .resilience import (
+    MAX_ATTEMPTS,
     RETRYABLE,
     SweepFailure,
     SweepQuarantineError,
@@ -325,31 +325,20 @@ def _attach_store(store_path) -> bool:
     return True
 
 
-def _worker_init(store_path) -> None:
-    """Pool initializer: warm-start the worker's plan cache from disk."""
-    _attach_store(store_path)
-
-
-def _run_one(scenario: Scenario, faults: FaultPlan | None = None,
-             attempt: int = 1, tables: RunTables | None = None,
+def _run_one(scenario: Scenario, tables: RunTables | None = None,
              ) -> SweepOutcome | Exception:
     """One attempt at one scenario: its outcome with both memo layers'
     deltas, or the exception the attempt raised.
 
     The serial loop's step and the pool's task.  A failure comes back as
     data, so it costs neither the worker process nor the rest of the
-    run: :meth:`ScenarioSweep._settle` picks retry or quarantine.  Any
-    scripted fault for ``(scenario.key, attempt)`` fires first, so
-    injected failures land exactly where a real one would: before the
-    outcome exists.  When a store is attached, the plans this scenario
-    introduced are flushed immediately — an atomic shard write that
-    concurrent workers sharing the directory tolerate without locks —
-    so even a crashed or cancelled sweep leaves its completed work warm
-    on disk.
+    run: :meth:`ScenarioSweep._settle` picks retry or quarantine.  When
+    a store is attached, the plans this scenario introduced are flushed
+    immediately — an atomic shard write that concurrent workers sharing
+    the directory tolerate without locks — so even a crashed or
+    cancelled sweep leaves its completed work warm on disk.
     """
     try:
-        if faults is not None:
-            faults.fire(scenario.key, attempt)
         plan_before = plan_cache_stats()
         layer_before = layer_cost_cache_stats()
         row = run_scenario(scenario, tables)
@@ -463,13 +452,9 @@ class ScenarioSweep:
     #: strict merges raise on any quarantined scenario; ``strict=False``
     #: returns a partial result carrying the failures manifest instead.
     strict: bool = True
-    #: total tries per scenario on transient failures (1 = no retries).
-    max_attempts: int = 3
     #: optional journal directory: keys it already holds are replayed
     #: instead of re-priced, and every new outcome checkpoints there.
     journal: str | pathlib.Path | None = None
-    #: dev/test-only deterministic fault script (``--inject-faults``).
-    faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -482,8 +467,6 @@ class ScenarioSweep:
                 f"plan stores are directories; got the URL "
                 f"{self.store_path!r} (the networked memo server was "
                 f"removed)")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         keys = [s.key for s in self.scenarios]
         if len(set(keys)) != len(keys):
             raise ValueError("scenario keys must be unique")
@@ -495,18 +478,14 @@ class ScenarioSweep:
 
     def run_iter(self) -> Iterator[SweepItem]:
         """Yield one :class:`SweepOutcome` per scenario as each finishes
-        (or a :class:`SweepFailure` for a scenario that exhausted its
-        retries — only possible once faults or real failures occur).
+        (or a :class:`SweepFailure` for a scenario that failed
+        deterministically or exhausted its retries).
 
         Serial runs yield in grid order; parallel runs yield in completion
         order over worker futures.  Feed the collected items to
         :meth:`merge` for the canonical result — byte-identical to
         :meth:`run`, which is implemented exactly that way.
         """
-        faults = (self.faults.resolved(self.scenarios)
-                  if self.faults is not None else None)
-        if faults is not None and self.store_path is not None:
-            faults.corrupt_store(self.store_path)
         # The run's one store load, before journal replay so a replayed
         # run reports its skips too: a serial run attaches the store, and
         # a pooled run's parent loads it because workers cannot report
@@ -540,9 +519,9 @@ class ScenarioSweep:
             if not remaining:
                 return
             if self.workers == 1:
-                yield from self._serial_iter(remaining, faults, journal)
+                yield from self._serial_iter(remaining, journal)
             else:
-                yield from self._parallel_iter(remaining, faults, journal)
+                yield from self._parallel_iter(remaining, journal)
         finally:
             if attached:
                 get_plan_cache().detach_store()
@@ -550,7 +529,6 @@ class ScenarioSweep:
     # -- serial path ---------------------------------------------------
 
     def _serial_iter(self, scenarios: list[Scenario],
-                     faults: FaultPlan | None,
                      journal: SweepJournal | None) -> Iterator[SweepItem]:
         tables = RunTables()  # shared by the whole run
         for scenario in scenarios:
@@ -558,9 +536,8 @@ class ScenarioSweep:
             item: SweepItem | None = None
             while item is None:
                 attempt += 1
-                item = self._settle(scenario, attempt, _run_one(
-                    scenario, faults=faults, attempt=attempt,
-                    tables=tables))
+                item = self._settle(scenario, attempt,
+                                    _run_one(scenario, tables=tables))
             self._checkpoint(journal, item)
             yield item
 
@@ -570,7 +547,7 @@ class ScenarioSweep:
         ``None`` to retry at ``attempt + 1``, or the quarantine record."""
         if isinstance(result, SweepOutcome):
             return result
-        if isinstance(result, RETRYABLE) and attempt < self.max_attempts:
+        if isinstance(result, RETRYABLE) and attempt < MAX_ATTEMPTS:
             return None
         return SweepFailure(key=scenario.key, error=error_class(result),
                             attempts=attempt, detail=str(result))
@@ -581,11 +558,10 @@ class ScenarioSweep:
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            initializer=_worker_init,
+            initializer=_attach_store,
             initargs=(self.store_path,))
 
     def _parallel_iter(self, scenarios: list[Scenario],
-                       faults: FaultPlan | None,
                        journal: SweepJournal | None) -> Iterator[SweepItem]:
         # Only the pool path loads the pool: a serial run never pays for
         # importing concurrent.futures and multiprocessing.
@@ -603,8 +579,7 @@ class ScenarioSweep:
                 while pending and not respawn:
                     scenario, attempt = task = pending.popleft()
                     try:
-                        inflight[pool.submit(_run_one, scenario, faults,
-                                             attempt)] = task
+                        inflight[pool.submit(_run_one, scenario)] = task
                     except BrokenProcessPool:
                         pending.appendleft(task)
                         respawn = True
@@ -615,8 +590,8 @@ class ScenarioSweep:
                         try:
                             settled.append((task, future.result()))
                         except (BrokenProcessPool, OSError):
-                            # The worker died mid-scenario (segfault, OOM
-                            # kill, injected crash): nothing came back.
+                            # The worker died mid-scenario (segfault or
+                            # OOM kill): nothing came back.
                             respawn = True
                             settled.append((task, lost))
                 if respawn:

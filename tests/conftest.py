@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
@@ -98,3 +99,46 @@ def nop_geometry_work(monkeypatch):
                         counting_internal)
     monkeypatch.setattr(schedule, "NoPEdge", counting_nop_edge)
     return counts
+
+
+@pytest.fixture
+def scripted_faults(monkeypatch, tmp_path_factory):
+    """Script failures of ``run_scenario`` by scenario key.
+
+    ``arm(key, times=1, crash=False)`` makes the first ``times`` attempts
+    at ``key`` raise ``OSError`` before pricing or, with ``crash``,
+    ``os._exit`` the process pricing it: arm a crash on pooled sweeps
+    only, since a serial sweep prices in this process.  Each firing
+    creates one ``O_EXCL`` marker file, so forked pool workers share the
+    count.  At teardown every armed fault must have fired exactly
+    ``times`` times: a pool that did not fork from this patched process
+    would otherwise pass without one fault firing.
+    """
+    from repro.sweep import runner
+    markers = tmp_path_factory.mktemp("faults")
+    armed: dict[str, tuple[int, int, bool]] = {}
+    run_scenario = runner.run_scenario
+
+    def scripted(scenario, tables=None):
+        if scenario.key in armed:
+            index, times, crash = armed[scenario.key]
+            for firing in range(times):
+                try:
+                    os.close(os.open(markers / f"{index}-{firing}",
+                                     os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    continue
+                if crash:
+                    os._exit(86)
+                raise OSError(f"scripted failure of {scenario.key}")
+        return run_scenario(scenario, tables)
+
+    def arm(key, times=1, crash=False):
+        armed[key] = (len(armed), times, crash)
+
+    monkeypatch.setattr(runner, "run_scenario", scripted)
+    yield arm
+    for key, (index, times, _) in armed.items():
+        fired = len(list(markers.glob(f"{index}-*")))
+        if fired != times:
+            pytest.fail(f"fault at {key} fired {fired} of {times} times")

@@ -384,45 +384,40 @@ class TestDesignCli:
 
 
 class TestResilienceCli:
-    def test_injected_fault_retries_transparently(self, capsys):
-        assert main(["sweep", "--tolerances", "1.0,1.1",
-                     "--inject-faults", "fail:0", "--json"]) == 0
+    @pytest.fixture
+    def keys(self):
+        """Scenario keys of ``sweep --tolerances 1.0,1.1``, grid order."""
+        from repro.sweep import scenario_grid
+        return [s.key for s in scenario_grid(tolerances=(1.0, 1.1))]
+
+    def test_injected_fault_retries_transparently(self, capsys, keys,
+                                                  scripted_faults):
+        scripted_faults(keys[0])
+        assert main(["sweep", "--tolerances", "1.0,1.1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["scenarios"] == 2
         assert "failures" not in payload["summary"]
 
-    def test_keep_going_exits_2_with_manifest(self, capsys):
+    def test_keep_going_exits_2_with_manifest(self, capsys, keys,
+                                              scripted_faults):
+        scripted_faults(keys[1], times=3)
         code = main(["sweep", "--tolerances", "1.0,1.1",
-                     "--inject-faults", "fail:1@1,2,3",
                      "--keep-going", "--json"])
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["scenarios"] == 1
         manifest = payload["summary"]["failures"]
-        assert manifest[0]["error"] == "InjectedFault"
+        assert manifest[0]["error"] == "OSError"
         assert manifest[0]["attempts"] == 3
 
-    def test_strict_quarantine_errors_out(self, capsys):
+    def test_strict_quarantine_errors_out(self, capsys, keys,
+                                          scripted_faults):
+        scripted_faults(keys[1], times=3)
         with pytest.raises(SystemExit):
-            main(["sweep", "--tolerances", "1.0,1.1",
-                  "--inject-faults", "fail:1@1,2,3"])
+            main(["sweep", "--tolerances", "1.0,1.1"])
         err = capsys.readouterr().err
         assert "quarantined" in err
         assert "--keep-going" in err
-
-    def test_retries_flag_bounds_attempts(self, capsys):
-        code = main(["sweep", "--tolerances", "1.0",
-                     "--inject-faults", "fail:0@1,2",
-                     "--retries", "1", "--keep-going", "--json"])
-        assert code == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["failures"][0]["attempts"] == 1
-
-    def test_malformed_fault_script_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--tolerances", "1.0",
-                  "--inject-faults", "explode:0"])
-        assert "fault" in capsys.readouterr().err
 
     def test_journal_flag_checkpoints_and_resumes(self, tmp_path, capsys):
         journal = tmp_path / "journal"
@@ -436,9 +431,11 @@ class TestResilienceCli:
         second = json.loads(capsys.readouterr().out)
         assert second["rows"] == first["rows"]
 
-    def test_stream_reports_quarantined_scenarios(self, capsys):
+    def test_stream_reports_quarantined_scenarios(self, capsys, keys,
+                                                  scripted_faults):
+        scripted_faults(keys[0], times=3)
         code = main(["sweep", "--tolerances", "1.0,1.1", "--stream",
-                     "--inject-faults", "fail:0@1,2,3", "--keep-going"])
+                     "--keep-going"])
         assert code == 2
         out = capsys.readouterr().out
         assert "QUARANTINED" in out

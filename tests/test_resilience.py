@@ -1,7 +1,7 @@
-"""Tests for fault-tolerant sweep execution (resilience, faults, journal).
+"""Tests for fault-tolerant sweep execution (resilience and journal).
 
 The contract under test: every failure mode the resilience layer handles
-— injected failures, worker crashes, corrupted shards, interrupted
+— scripted failures, worker crashes, corrupted shards, interrupted
 runs — must leave the deterministic row payload untouched.
 ``rows_json()`` is compared byte-for-byte against an undisturbed serial
 run throughout.
@@ -13,17 +13,12 @@ import time
 import pytest
 
 from repro.sweep import (
-    CRASH_EXIT_CODE,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
     Scenario,
     ScenarioSweep,
     SweepFailure,
     SweepJournal,
     SweepOutcome,
     SweepQuarantineError,
-    TransientError,
     WorkerCrashError,
     error_class,
     scenario_grid,
@@ -72,32 +67,41 @@ def twin_reference(twin_grid):
 
 class TestRetryPolicy:
     def test_retryable_classification(self):
-        for error in (TransientError("x"), WorkerCrashError("x"),
-                      InjectedFault("x"), OSError("x")):
+        for error in (WorkerCrashError("x"), OSError("x"),
+                      TimeoutError("x"), ConnectionError("x"),
+                      EOFError("x"), MemoryError("x")):
             assert isinstance(error, RETRYABLE)
         assert not isinstance(ValueError("deterministic"), RETRYABLE)
 
-    def test_validation(self, grid, capsys):
-        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
-            ScenarioSweep(list(grid), max_attempts=0)
+    @pytest.mark.parametrize("flag,kwargs", [
+        ("--retries 5", {"max_attempts": 5}),
+        ("--inject-faults fail:0", {"faults": None}),
+    ], ids=["retries", "inject-faults"])
+    def test_validation(self, grid, capsys, flag, kwargs):
+        # The attempt budget is a constant and tests script their own
+        # faults: neither the flag nor its sweep field exists.
+        with pytest.raises(TypeError):
+            ScenarioSweep(list(grid), **kwargs)
         from repro.cli import main
         with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--retries", "0"])
+            main(["sweep", *flag.split()])
         assert exit_info.value.code == 2
-        assert "max_attempts must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_retry_runs_at_once(self, grid, reference, monkeypatch,
-                                  workers):
+                                  scripted_faults, workers):
         # Nothing a sweep retries waits on an outside resource, so no
         # retry may sleep: two serial retries, or one on the pool.
         def no_wait(seconds):
             raise AssertionError(f"a retry waited {seconds} s")
 
         monkeypatch.setattr(time, "sleep", no_wait)
-        script = "fail:0@1,2" if workers == 1 else "fail:3"
-        result = ScenarioSweep(list(grid), workers=workers,
-                               faults=FaultPlan.parse(script)).run()
+        if workers == 1:
+            scripted_faults(grid[0].key, times=2)
+        else:
+            scripted_faults(grid[3].key)
+        result = ScenarioSweep(list(grid), workers=workers).run()
         assert result.rows_json() == reference.rows_json()
 
 
@@ -105,7 +109,7 @@ class TestFailureRecords:
     def test_error_class_is_rule_stable(self):
         assert error_class(ValueError("path /tmp/x at 0x7f..")) \
             == "ValueError"
-        assert error_class(InjectedFault("n")) == "InjectedFault"
+        assert error_class(OSError("n")) == "OSError"
 
     def test_manifest_excludes_the_free_text_detail(self):
         failure = SweepFailure(key="k", error="ValueError", attempts=2,
@@ -115,62 +119,11 @@ class TestFailureRecords:
 
     def test_quarantine_error_lists_every_key(self):
         exc = SweepQuarantineError([
-            SweepFailure(key="a", error="InjectedFault", attempts=3),
+            SweepFailure(key="a", error="OSError", attempts=3),
             SweepFailure(key="b", error="ValueError", attempts=1),
         ])
         assert "a" in str(exc) and "b" in str(exc)
         assert "strict=False" in str(exc)
-
-
-# ----------------------------------------------------------------------
-# FaultPlan: the deterministic failure script
-# ----------------------------------------------------------------------
-
-class TestFaultPlan:
-    def test_parse_round_trips_the_grammar(self):
-        plan = FaultPlan.parse("fail:0; crash:1@2 ;fail:2@1,3;"
-                               "corrupt-shard:0")
-        kinds = [s.kind for s in plan.specs]
-        assert kinds == ["fail", "crash", "fail", "corrupt-shard"]
-        assert plan.specs[1].attempts == (2,)
-        assert plan.specs[2].attempts == (1, 3)
-
-    @pytest.mark.parametrize("text", [
-        "", "fail", "fail:", "fail:x", "explode:0", "fail:0@", "fail:0@0",
-        "hang:0",
-    ])
-    def test_parse_rejects_malformed_scripts(self, text):
-        with pytest.raises(ValueError):
-            FaultPlan.parse(text)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(kind="nope", target=0)
-        with pytest.raises(ValueError):
-            FaultSpec(kind="fail", target=0, attempts=())
-        with pytest.raises(ValueError):
-            FaultSpec(kind="crash", target=0, attempts=(0,))
-
-    def test_resolved_maps_indices_to_keys(self, grid):
-        plan = FaultPlan.parse("fail:1").resolved(grid)
-        assert plan.specs[0].target == grid[1].key
-        assert plan.spec_for(grid[1].key, 1) is not None
-        assert plan.spec_for(grid[1].key, 2) is None
-        assert plan.spec_for(grid[0].key, 1) is None
-
-    def test_resolved_rejects_out_of_grid_targets(self, grid):
-        with pytest.raises(ValueError, match="outside"):
-            FaultPlan.parse(f"fail:{len(grid)}").resolved(grid)
-
-    def test_fire_raises_a_retryable_fault(self, grid):
-        plan = FaultPlan.parse("fail:0").resolved(grid)
-        with pytest.raises(InjectedFault):
-            plan.fire(grid[0].key, 1)
-        plan.fire(grid[0].key, 2)  # not armed for attempt 2
-        assert issubclass(InjectedFault, TransientError)
-
-    def test_crash_exit_code_is_distinctive(self):
-        assert CRASH_EXIT_CODE == 86
 
 
 # ----------------------------------------------------------------------
@@ -184,55 +137,57 @@ def attempts(monkeypatch):
     seen: list[tuple[str, int]] = []
     run_one = runner._run_one
 
-    def counting(scenario, **kwargs):
-        seen.append((scenario.key, kwargs["attempt"]))
-        return run_one(scenario, **kwargs)
+    def counting(scenario, *args, **kwargs):
+        attempt = 1 + sum(key == scenario.key for key, _ in seen)
+        seen.append((scenario.key, attempt))
+        return run_one(scenario, *args, **kwargs)
 
     monkeypatch.setattr(runner, "_run_one", counting)
     return seen
 
 
 class TestSerialRetries:
-    def test_transient_failure_retries_to_identical_rows(self, grid,
-                                                         reference,
-                                                         attempts):
-        result = ScenarioSweep(list(grid),
-                               faults=FaultPlan.parse("fail:0")).run()
+    def test_transient_failure_retries_to_identical_rows(
+            self, grid, reference, attempts, scripted_faults):
+        scripted_faults(grid[0].key)
+        result = ScenarioSweep(list(grid)).run()
         assert result.rows_json() == reference.rows_json()
         assert result.complete
         # exactly one retry happened, before the next scenario
         assert attempts[:3] == [(grid[0].key, 1), (grid[0].key, 2),
                                 (grid[1].key, 1)]
 
-    def test_poison_scenario_quarantines_strict(self, grid):
-        sweep = ScenarioSweep(list(grid),
-                              faults=FaultPlan.parse("fail:1@1,2,3"))
+    def test_poison_scenario_quarantines_strict(self, grid,
+                                                scripted_faults):
+        scripted_faults(grid[1].key, times=3)
         with pytest.raises(SweepQuarantineError) as err:
-            sweep.run()
+            ScenarioSweep(list(grid)).run()
         assert [f.key for f in err.value.failures] == [grid[1].key]
         assert err.value.failures[0].attempts == 3
 
     def test_keep_going_returns_partial_with_manifest(self, grid,
-                                                      reference):
-        sweep = ScenarioSweep(list(grid),
-                              faults=FaultPlan.parse("fail:1@1,2,3"),
-                              strict=False)
-        result = sweep.run()
+                                                      reference,
+                                                      scripted_faults):
+        scripted_faults(grid[1].key, times=3)
+        result = ScenarioSweep(list(grid), strict=False).run()
         assert not result.complete
         assert len(result.rows) == len(grid) - 1
         assert result.failures_manifest() == [{
-            "key": grid[1].key, "error": "InjectedFault", "attempts": 3}]
+            "key": grid[1].key, "error": "OSError", "attempts": 3}]
         assert result.summary()["failures"] == result.failures_manifest()
         # the surviving rows are the reference rows, minus the victim
         surviving = [r for r in reference.rows if r["key"] != grid[1].key]
         assert result.rows == surviving
 
-    def test_failure_manifest_bytes_are_deterministic(self, grid):
-        # The CLI's --json summary carries the manifest.
+    def test_failure_manifest_bytes_are_deterministic(self, grid,
+                                                      scripted_faults):
+        # The CLI's --json summary carries the manifest.  Each of the two
+        # runs fails grid[0] on all three of its attempts.
+        scripted_faults(grid[0].key, times=6)
+
         def manifest():
             return json.dumps(ScenarioSweep(
-                list(grid), faults=FaultPlan.parse("fail:0@1,2,3"),
-                strict=False).run().summary()["failures"],
+                list(grid), strict=False).run().summary()["failures"],
                 sort_keys=True)
         assert manifest() == manifest()
 
@@ -246,14 +201,6 @@ class TestSerialRetries:
         assert result.failures_manifest() == [{
             "key": bad[0].key, "error": "ValueError", "attempts": 1}]
         assert attempts == [(bad[0].key, 1)]
-
-    def test_custom_attempt_budget_is_honored(self, grid, attempts):
-        sweep = ScenarioSweep(list(grid), max_attempts=5,
-                              faults=FaultPlan.parse("fail:0@1,2,3,4"))
-        result = sweep.run()
-        assert result.complete  # succeeded on the fifth attempt
-        assert attempts[:6] == [(grid[0].key, a) for a in range(1, 6)] \
-            + [(grid[1].key, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -342,13 +289,13 @@ class TestJournal:
         assert resumed.rows_json() == reference.rows_json()
 
     @pytest.mark.parametrize("number", ["null", '"x"', "1e400"])
-    def test_damaged_numbers_skip_as_corrupt(self, grid, tmp_path, number):
+    def test_damaged_numbers_skip_as_corrupt(self, grid, tmp_path, number,
+                                             scripted_faults):
         # int() raises on each of these; the record is skipped, not the
         # whole load.
         journal_dir = tmp_path / "journal"
-        ScenarioSweep(list(grid), journal=journal_dir,
-                      faults=FaultPlan.parse("fail:0@1,2,3"),
-                      strict=False).run()
+        scripted_faults(grid[0].key, times=3)
+        ScenarioSweep(list(grid), journal=journal_dir, strict=False).run()
         journal = SweepJournal(journal_dir)
         outcome_file = journal.outcome_files()[0]
         outcome = json.loads(outcome_file.read_text())
@@ -422,15 +369,15 @@ class TestJournal:
         assert len(plain) == len(twin_grid) // 2
 
     def test_failures_are_journaled_but_never_replayed(self, grid,
-                                                       tmp_path):
+                                                       tmp_path,
+                                                       scripted_faults):
         journal_dir = tmp_path / "journal"
-        ScenarioSweep(list(grid), journal=journal_dir,
-                      faults=FaultPlan.parse("fail:0@1,2,3"),
-                      strict=False).run()
+        scripted_faults(grid[0].key, times=3)
+        ScenarioSweep(list(grid), journal=journal_dir, strict=False).run()
         journal = SweepJournal(journal_dir)
         failures = [json.loads(record.read_text())
                     for record in journal_dir.glob("failure-*.json")]
-        assert [f["error"] for f in failures] == ["InjectedFault"]
+        assert [f["error"] for f in failures] == ["OSError"]
         # the failed key is absent from the replay map, so a resumed run
         # re-attempts it from scratch (the fault may have been transient)
         assert grid[0].key not in journal.load()
@@ -456,45 +403,46 @@ class TestJournal:
 # ----------------------------------------------------------------------
 
 class TestParallelRecovery:
-    def test_worker_crash_recovers_byte_identical(self, grid, reference):
-        result = ScenarioSweep(list(grid), workers=2,
-                               faults=FaultPlan.parse("crash:1")).run()
+    def test_worker_crash_recovers_byte_identical(self, grid, reference,
+                                                  scripted_faults):
+        scripted_faults(grid[1].key, crash=True)
+        result = ScenarioSweep(list(grid), workers=2).run()
         assert result.rows_json() == reference.rows_json()
         assert result.complete
 
     def test_worker_crash_amid_twin_chunks_recovers(self, twin_grid,
-                                                    twin_reference):
-        # crash:1 kills the worker pricing the first pair's second
-        # twin; rows still match the serial run, where twins share one
-        # schedule.
-        result = ScenarioSweep(list(twin_grid), workers=2,
-                               faults=FaultPlan.parse("crash:1")).run()
+                                                    twin_reference,
+                                                    scripted_faults):
+        # Kill the worker pricing the first pair's second twin; rows
+        # still match the serial run, where twins share one schedule.
+        scripted_faults(twin_grid[1].key, crash=True)
+        result = ScenarioSweep(list(twin_grid), workers=2).run()
         assert result.rows_json() == twin_reference.rows_json()
         assert result.complete
 
-    def test_crash_always_quarantines_as_worker_crash(self, grid):
+    def test_crash_always_quarantines_as_worker_crash(self, grid,
+                                                      scripted_faults):
         # A single-scenario grid keeps the test deterministic: nothing
         # else can be collaterally re-dispatched by the pool deaths.
-        victim = [grid[0]]
-        result = ScenarioSweep(victim, workers=2,
-                               faults=FaultPlan.parse("crash:0@1,2,3"),
-                               strict=False).run()
+        scripted_faults(grid[0].key, times=3, crash=True)
+        result = ScenarioSweep([grid[0]], workers=2, strict=False).run()
         assert result.rows == []
         assert result.failures_manifest() == [{
             "key": grid[0].key, "error": "WorkerCrashError",
             "attempts": 3}]
 
-    def test_in_worker_transient_failure_retries(self, grid, reference):
-        result = ScenarioSweep(list(grid), workers=2,
-                               faults=FaultPlan.parse("fail:3")).run()
+    def test_in_worker_transient_failure_retries(self, grid, reference,
+                                                 scripted_faults):
+        scripted_faults(grid[3].key)
+        result = ScenarioSweep(list(grid), workers=2).run()
         assert result.rows_json() == reference.rows_json()
 
-    def test_parallel_journal_matches_serial_journal_rows(self, grid,
-                                                          tmp_path):
+    def test_parallel_journal_matches_serial_journal_rows(
+            self, grid, tmp_path, scripted_faults):
         serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
         ScenarioSweep(list(grid), journal=serial_dir).run()
-        ScenarioSweep(list(grid), workers=2, journal=parallel_dir,
-                      faults=FaultPlan.parse("crash:1")).run()
+        scripted_faults(grid[1].key, crash=True)
+        ScenarioSweep(list(grid), workers=2, journal=parallel_dir).run()
         serial_rows = {k: o.row
                        for k, o in SweepJournal(serial_dir).load().items()}
         parallel_rows = {
@@ -516,6 +464,13 @@ class TestCorruptShardDegradation:
         clear_cache()
         clear_plan_cache()
 
+    @staticmethod
+    def _truncate_first_shard(store):
+        # Its first half is invalid JSON, so the store's load skips it.
+        from repro.core import PlanStore
+        shard = PlanStore(store).shard_files()[0]
+        shard.write_text(shard.read_text()[:shard.stat().st_size // 2])
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_corrupt_shard_is_survived_and_reported(self, grid, reference,
                                                     tmp_path, workers):
@@ -526,9 +481,9 @@ class TestCorruptShardDegradation:
         self._cold()
         ScenarioSweep(list(grid), store_path=store).run()
         self._cold()
+        self._truncate_first_shard(store)
         result = ScenarioSweep(list(grid), workers=workers,
-                               store_path=store,
-                               faults=FaultPlan.parse("corrupt-shard:0")).run()
+                               store_path=store).run()
         assert result.rows_json() == reference.rows_json()
         assert result.store_skipped
         assert result.store_skipped[0]["reason"] == "corrupt"
@@ -545,9 +500,9 @@ class TestCorruptShardDegradation:
         ScenarioSweep(list(grid), store_path=store, journal=journal).run()
         shards = PlanStore(store).shard_files()
         self._cold()
+        self._truncate_first_shard(store)
         result = ScenarioSweep(list(grid), workers=workers,
-                               store_path=store, journal=journal,
-                               faults=FaultPlan.parse("corrupt-shard:0")).run()
+                               store_path=store, journal=journal).run()
         assert result.rows_json() == reference.rows_json()
         # nothing was priced again, so nothing was flushed
         assert PlanStore(store).shard_files() == shards
