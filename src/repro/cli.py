@@ -150,10 +150,11 @@ def _sweep_parser() -> argparse.ArgumentParser:
                         help="print each scenario's row as it finishes "
                              "(completion order) before the merged report")
     parser.add_argument("--keep-going", action="store_true",
-                        help="quarantine scenarios that exhaust their "
-                             "retries and finish with a partial result "
-                             "(exit status 2) instead of failing the "
-                             "whole sweep")
+                        help="quarantine scenarios that fail (a "
+                             "deterministic error at once, a transient one "
+                             "after its retries) and finish with a partial "
+                             "result (exit status 2) instead of failing "
+                             "the whole sweep")
     parser.add_argument("--journal", default=None, metavar="DIR",
                         help="checkpoint every outcome to this journal "
                              "directory and resume from it: scenarios "

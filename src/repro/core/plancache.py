@@ -198,13 +198,23 @@ class PlanCache:
         return store
 
     def flush_to_store(self) -> int:
-        """Persist entries computed since the last flush; returns count."""
+        """Persist entries computed since the last flush; returns count.
+
+        A write that raises leaves its entries staged, so the next flush
+        writes them.
+        """
         with self._lock:
             store, dirty = self._store, self._dirty
             if store is None or not dirty:
                 return 0
             self._dirty = {}
-        store.flush(dirty)
+        try:
+            store.flush(dirty)
+        except BaseException:
+            with self._lock:
+                # Entries staged meanwhile hold the same plans.
+                self._dirty = {**dirty, **self._dirty}
+            raise
         with self._lock:
             self._loaded.update(dirty)
         return len(dirty)

@@ -11,8 +11,9 @@ policy layer the runner consults when that happens:
   re-running a pure function cannot change its answer.
   :data:`MAX_ATTEMPTS` bounds the attempts per scenario, and a retry
   runs at once: nothing the sweep retries waits on an outside resource
-  (the store is a local directory written atomically, and a crashed
-  worker's pool is respawned), so there is no wait to schedule.
+  (a serial attempt does no I/O, a pool task writes its plans to a local
+  directory atomically, and a crashed worker's pool is respawned), so
+  there is no wait to schedule.
 * :class:`SweepFailure` is the quarantine record: the scenario key, a
   rule-stable error class (the exception type name — never a memory
   address or timestamp), and the attempts spent.  Strict merges raise
@@ -85,6 +86,7 @@ class SweepQuarantineError(RuntimeError):
             for f in self.failures)
         noun = "scenario" if len(self.failures) == 1 else "scenarios"
         super().__init__(
-            f"{len(self.failures)} {noun} quarantined after exhausted "
-            f"retries (pass strict=False / --keep-going for a partial "
-            f"result): {listing}")
+            f"{len(self.failures)} {noun} quarantined after a "
+            f"deterministic error or exhausted retries (pass "
+            f"strict=False / --keep-going for a partial result): "
+            f"{listing}")

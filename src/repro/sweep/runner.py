@@ -25,11 +25,13 @@ points across worker processes and merges the results deterministically:
   :meth:`ScenarioSweep.run` is literally ``merge(run_iter())``, which
   is why the batch artifact and the collected stream are the same bytes;
 * ``store_path`` layers a :class:`~repro.core.planstore.PlanStore` under
-  every worker's plan cache: workers warm-start from disk and flush their
-  newly computed plans back after each scenario, so plan pricing amortizes
-  across processes *and* runs.  A run loads the store once, before
-  journal replay, and reports that load's skipped shards: merge reads
-  nothing back;
+  the run's plan cache: a run warm-starts from disk and writes the plans
+  it computed back, so plan pricing amortizes across processes *and*
+  runs.  A serial run writes them as one shard when its stream ends,
+  whether it finished, was closed or raised; a pool worker has no end of
+  run, so each pool task writes its own.  A run loads the store once,
+  before journal replay, and reports that load's skipped shards: merge
+  reads nothing back;
 * each worker process owns its own process-wide
   :class:`~repro.core.plancache.PlanCache` and layer-cost memos
   (``evaluate`` and ``evaluate_shape``, counted as one); per-scenario
@@ -41,13 +43,14 @@ points across worker processes and merges the results deterministically:
 
 Execution is fault-tolerant (see :mod:`repro.sweep.resilience`): a
 failed attempt comes back as data and a transient one is retried at once,
-up to ``MAX_ATTEMPTS`` tries; a dead worker (``BrokenProcessPool``) costs
-only the in-flight scenarios, each settled as a ``WorkerCrashError``, so
-a scenario that kills its worker on every attempt quarantines alone; a
-``journal`` directory replays the keys it already holds instead of
-re-pricing them and checkpoints every new outcome; and ``strict=False``
-merges a partially failed grid into a partial result carrying a
-deterministic ``failures`` manifest.
+up to ``MAX_ATTEMPTS`` tries (a serial attempt does no I/O, so a serial
+run's store write error is raised once, never retried); a dead worker
+(``BrokenProcessPool``) costs only the in-flight scenarios, each settled
+as a ``WorkerCrashError``, so a scenario that kills its worker on every
+attempt quarantines alone; a ``journal`` directory replays the keys it
+already holds instead of re-pricing them and checkpoints every new
+outcome; and ``strict=False`` merges a partially failed grid into a
+partial result carrying a deterministic ``failures`` manifest.
 """
 
 from __future__ import annotations
@@ -298,7 +301,8 @@ class SweepOutcome:
 
 
 #: what :meth:`ScenarioSweep.run_iter` yields: a priced scenario, or the
-#: quarantine record of one that exhausted its retries.
+#: quarantine record of one that failed deterministically on its first
+#: attempt or failed transiently on every attempt.
 SweepItem = Union[SweepOutcome, SweepFailure]
 
 
@@ -330,13 +334,12 @@ def _run_one(scenario: Scenario, tables: RunTables | None = None,
     """One attempt at one scenario: its outcome with both memo layers'
     deltas, or the exception the attempt raised.
 
-    The serial loop's step and the pool's task.  A failure comes back as
-    data, so it costs neither the worker process nor the rest of the
-    run: :meth:`ScenarioSweep._settle` picks retry or quarantine.  When
-    a store is attached, the plans this scenario introduced are flushed
-    immediately — an atomic shard write that concurrent workers sharing
-    the directory tolerate without locks — so even a crashed or
-    cancelled sweep leaves its completed work warm on disk.
+    The serial loop's step and the body of the pool's task.  A failure
+    comes back as data, so it costs neither the worker process nor the
+    rest of the run: :meth:`ScenarioSweep._settle` picks retry or
+    quarantine.  It prices and does no I/O: the plans it computes stay
+    staged in the plan cache until the run, or the pool task, writes
+    them to an attached store.
     """
     try:
         plan_before = plan_cache_stats()
@@ -345,16 +348,32 @@ def _run_one(scenario: Scenario, tables: RunTables | None = None,
         # The counter delta is this scenario's; entries reflect the
         # worker's table after the run (CacheStats.__sub__ keeps the
         # minuend's).
-        outcome = SweepOutcome(
+        return SweepOutcome(
             key=scenario.key,
             row=row,
             plan_cache=plan_cache_stats() - plan_before,
             layer_cache=layer_cost_cache_stats() - layer_before,
         )
-        get_plan_cache().flush_to_store()
     except Exception as error:
         return error
-    return outcome
+
+
+def _pool_task(scenario: Scenario) -> SweepOutcome | Exception:
+    """The pool's task: one attempt, then a write of the plans it staged.
+
+    A worker has no end of run, so each task that priced writes its own
+    shard: an atomic write that workers sharing the directory tolerate
+    without locks, so even a crashed or cancelled pooled sweep leaves
+    its completed work warm on disk.  A write error comes back as data,
+    like any failed attempt, and its plans stay staged for the retry.
+    """
+    result = _run_one(scenario)
+    if isinstance(result, SweepOutcome):
+        try:
+            get_plan_cache().flush_to_store()
+        except Exception as error:
+            return error
+    return result
 
 
 @dataclass
@@ -446,8 +465,8 @@ class ScenarioSweep:
 
     scenarios: list[Scenario]
     workers: int = 1
-    #: optional shared plan-store directory (:class:`PlanStore`);
-    #: workers warm-start from it and flush newly computed plans back.
+    #: optional shared plan-store directory (:class:`PlanStore`): the
+    #: run warm-starts from it and writes newly computed plans back.
     store_path: str | pathlib.Path | None = None
     #: strict merges raise on any quarantined scenario; ``strict=False``
     #: returns a partial result carrying the failures manifest instead.
@@ -485,15 +504,20 @@ class ScenarioSweep:
         order over worker futures.  Feed the collected items to
         :meth:`merge` for the canonical result — byte-identical to
         :meth:`run`, which is implemented exactly that way.
+
+        With a ``store_path``, a serial run writes every plan it priced
+        as one shard when the stream ends, whether it finished, was
+        closed or raised; a write error is raised then, once.
         """
         # The run's one store load, before journal replay so a replayed
         # run reports its skips too: a serial run attaches the store, and
         # a pooled run's parent loads it because workers cannot report
         # what their own loads skip.  Merge reads nothing back.
-        attached, self._store_skipped = False, []
+        attached, flush, self._store_skipped = False, False, []
         if self.store_path is not None:
             if self.workers == 1:
                 attached = _attach_store(self.store_path)
+                flush = True
                 store = get_plan_cache().store
             else:
                 store = PlanStore(self.store_path)
@@ -523,8 +547,14 @@ class ScenarioSweep:
             else:
                 yield from self._parallel_iter(remaining, journal)
         finally:
-            if attached:
-                get_plan_cache().detach_store()
+            # Detach only a store this run attached, after the write.
+            cache = get_plan_cache()
+            try:
+                if flush:
+                    cache.flush_to_store()
+            finally:
+                if attached:
+                    cache.detach_store()
 
     # -- serial path ---------------------------------------------------
 
@@ -579,7 +609,7 @@ class ScenarioSweep:
                 while pending and not respawn:
                     scenario, attempt = task = pending.popleft()
                     try:
-                        inflight[pool.submit(_run_one, scenario)] = task
+                        inflight[pool.submit(_pool_task, scenario)] = task
                     except BrokenProcessPool:
                         pending.appendleft(task)
                         respawn = True

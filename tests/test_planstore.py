@@ -250,6 +250,29 @@ class TestCacheStoreLayering:
         loaded = PlanStore(tmp_path / "store").load()
         assert list(loaded.values()) == [computed]
 
+    def test_failed_flush_keeps_its_plans_staged(self, tmp_path, groups,
+                                                 os_accel, monkeypatch):
+        g = groups[0]
+        store = PlanStore(tmp_path / "store")
+        cache = PlanCache()
+        cache.attach_store(store)
+        computed = cache.get_or_compute(
+            g, 2, os_accel, MODE_BEST,
+            lambda: plan_group(g, 2, os_accel))
+        flush = PlanStore.flush
+
+        def fail_once(plan_store, entries):
+            monkeypatch.setattr(PlanStore, "flush", flush)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(PlanStore, "flush", fail_once)
+        with pytest.raises(OSError, match="disk full"):
+            cache.flush_to_store()
+        assert store.shard_files() == []
+        assert cache.flush_to_store() == 1
+        loaded = PlanStore(tmp_path / "store").load()
+        assert list(loaded.values()) == [computed]
+
     def test_detach_restores_plain_cache(self, tmp_path, groups, os_accel):
         cache = PlanCache()
         store = PlanStore(tmp_path / "store")

@@ -327,29 +327,37 @@ class TestStoreBackedSweep:
     def test_perfbench_grid_loads_its_store_once(self, monkeypatch,
                                                  tmp_path):
         # A cold serial run of perfbench's seed-0 grid into a fresh store
-        # loads it once, when it attaches it, and flushes one shard per
-        # scenario that priced new plans; merge reports that load's
-        # skipped shards and reads nothing back.
+        # loads it once, when it attaches it, and writes every plan it
+        # priced as one shard when the stream ends; merge reports that
+        # load's skipped shards and reads nothing back.
         from repro.core import PlanStore
         store = tmp_path / "store"
-        load = PlanStore.load
+        load, flush = PlanStore.load, PlanStore.flush
         loads: list = []
+        flushes: list = []
 
         def counting_load(plan_store):
             loads.append(plan_store.path)
             return load(plan_store)
 
+        def counting_flush(plan_store, entries):
+            flushes.append(len(entries))
+            return flush(plan_store, entries)
+
         monkeypatch.setattr(PlanStore, "load", counting_load)
+        monkeypatch.setattr(PlanStore, "flush", counting_flush)
         self._cold()
         sweep = ScenarioSweep(scenario_grid(**PERFBENCH_GRID), workers=1,
                               store_path=store)
         items = list(sweep.run_iter())
         assert loads == [store]
+        assert flushes == [1335]
         result = sweep.merge(items)
         assert loads == [store]
         assert result.store_skipped == []
         assert result.cache_stats.misses == 1335
-        assert len(list(store.glob("plans-*.json"))) == 52
+        assert len(list(store.glob("plans-*.json"))) == 1
+        assert len(load(PlanStore(store))) == 1335
 
     def test_serial_run_detaches_the_global_cache(self, grid, tmp_path):
         from repro.core import get_plan_cache
@@ -401,6 +409,50 @@ class TestStoreBackedSweep:
         self._cold()
         warm = ScenarioSweep(grid, workers=1, store_path=store).run()
         assert warm.cache_stats.store_hits > 0
+
+    def test_abandoned_serial_stream_leaves_flushed_plans_warm(
+            self, grid, tmp_path):
+        # A serial run writes its plans when the stream ends: closing it
+        # after the first item still writes that scenario's plans.
+        from repro.core import PlanStore
+        store = tmp_path / "store"
+        self._cold()
+        stream = ScenarioSweep(grid, workers=1, store_path=store).run_iter()
+        try:
+            first = next(stream)
+            assert PlanStore(store).shard_files() == []
+        finally:
+            stream.close()
+        assert len(PlanStore(store).shard_files()) == 1
+        self._cold()
+        warm = ScenarioSweep(grid[:1], workers=1, store_path=store).run()
+        assert warm.cache_stats.misses == 0
+        assert warm.rows == [first.row]
+
+    def test_serial_store_write_error_is_raised_once(self, grid, tmp_path,
+                                                     monkeypatch):
+        # A serial attempt does no I/O: the run's one write raises, after
+        # each scenario priced once, and the store is still detached.
+        from repro.core import PlanStore, get_plan_cache
+        from repro.sweep import runner
+        run_one = runner._run_one
+        priced: list = []
+
+        def counting(scenario, *args, **kwargs):
+            priced.append(scenario.key)
+            return run_one(scenario, *args, **kwargs)
+
+        def failing_flush(plan_store, entries):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner, "_run_one", counting)
+        monkeypatch.setattr(PlanStore, "flush", failing_flush)
+        self._cold()
+        sweep = ScenarioSweep(grid, workers=1, store_path=tmp_path / "store")
+        with pytest.raises(OSError, match="disk full"):
+            sweep.run()
+        assert priced == [s.key for s in grid]
+        assert get_plan_cache().store is None
 
 
 class TestWorkloadSharing:
