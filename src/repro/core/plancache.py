@@ -2,27 +2,28 @@
 
 Every layer of the search stack re-prices ``(group, n_chiplets, accel)``
 candidates: :func:`~repro.core.sharding.plan_group` inside the throughput
-matcher's inner loop, :func:`~repro.core.sharding.next_shard_step` while
+matcher's inner loop, :func:`~repro.core.sharding.shard_step` while
 probing shard counts, and :class:`~repro.core.dse.TrunkDSE` while
 brute-forcing Table I.  Until PR 1 each of those kept (at best) a private
 cache, so a design-space sweep re-computed identical plans once per caller.
 
-:class:`PlanCache` is the single shared table.  Keys are
-``(group, n, accel, mode)`` — all frozen dataclasses or strings, so
-hashing is structural: two scenarios that price the same group on the
-same accelerator hit the same entry even across independent
-``ThroughputMatcher``/``TrunkDSE`` instances.  ``mode`` distinguishes the
-"best over all shard modes" entry produced by ``plan_group`` (``"best"``)
-from any future mode-pinned lookups.  The key holds nothing about the
-package around the chiplets: a plan prices compute only, and the NoP is
-priced after the plan is fixed, so mesh and torus scenarios — and a
-heterogeneous package's untouched quadrants — share entries.  An
-overridden quadrant keys by its own accelerator config.
+:class:`PlanCache` is the single shared table.  It keeps one
+:class:`PlanFamily` per ``(group, accel)`` pair — both frozen
+dataclasses, so the pairing is structural: two scenarios that price the
+same group on the same accelerator share one family even across
+independent ``ThroughputMatcher``/``TrunkDSE`` instances — and a family
+keys its plans by chiplet count.  Algorithm 1 resolves a group's family
+once and then probes successive counts through it, so a probe costs one
+small-int dict lookup.  Nothing about the package around the chiplets
+picks a family: a plan prices compute only, and the NoP is priced after
+the plan is fixed, so mesh and torus scenarios — and a heterogeneous
+package's untouched quadrants — share plans.  An overridden quadrant
+has a family of its own accelerator config.
 
-Beside the plans, the cache holds one cost table per interned
-``(group, accel)`` pair (:class:`~repro.core.sharding.GroupCosts`),
-built on the first plan miss for that pair: every chiplet count's plan
-reads it instead of pricing the group's chain again.
+Beside its plans, a family holds the pair's cost table
+(:class:`~repro.core.sharding.GroupCosts`), built on its first plan
+miss: every chiplet count's plan reads it instead of pricing the
+group's chain again.
 
 The cache also keeps hit/miss counters.  Sweep reports surface them next to
 ``Schedule.summary()`` metrics so cache-effectiveness regressions in the
@@ -31,20 +32,21 @@ hot path show up in benchmark artifacts, not just in wall time.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, TypeVar
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..cost import AcceleratorConfig
     from ..workloads.graph import LayerGroup
     from .planstore import PlanStore
-    from .sharding import GroupPlan
+    from .sharding import GroupCosts, GroupPlan
 
-#: cache key mode for "best plan over all shard modes" (plan_group output)
+#: the ``mode`` text of every store key: ``plan_group``'s best plan over
+#: all shard modes
 MODE_BEST = "best"
 
-_Costs = TypeVar("_Costs")
+#: an empty plan slot (``None`` is a cached infeasible plan)
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -106,14 +108,35 @@ class CacheStats:
                           store_hits=self.store_hits + other.store_hits)
 
 
-class PlanCache:
-    """Memoized ``(group, n, accel, mode) -> GroupPlan | None`` table.
+@dataclass(eq=False)
+class PlanFamily:
+    """One ``(group, accel)`` pair's cost table and plans.
 
-    ``None`` results (no shard mode can use ``n`` chiplets) are cached too:
-    infeasible probes are exactly what ``next_shard_step`` produces in bulk.
-    A lock keeps the counters coherent if callers ever share a cache across
-    threads; the computation itself runs outside the lock, so a rare
-    duplicate compute is possible but results are identical by construction.
+    Holds the group and accelerator the cache first saw for the pair:
+    structurally equal objects share one family, so a plan (and a store
+    key) is the same whichever of them asked.
+    """
+
+    group: "LayerGroup"
+    accel: "AcceleratorConfig"
+    #: the pair's :class:`~repro.core.sharding.GroupCosts`, built on the
+    #: family's first miss
+    costs: Optional["GroupCosts"] = None
+    #: chiplet count -> plan, ``None`` where no shard mode fits; a dict,
+    #: not a list, so a probe at a large count allocates no slots below it
+    plans: dict[int, Optional["GroupPlan"]] = field(default_factory=dict)
+
+
+class PlanCache:
+    """Memoized ``(group, accel) -> n -> GroupPlan | None`` tables.
+
+    One :class:`PlanFamily` per structurally distinct ``(group, accel)``
+    pair, reached through :meth:`family`; :meth:`plan` serves a family's
+    plan for one chiplet count.  ``None`` results (no shard mode can use
+    ``n`` chiplets) are cached too: infeasible probes are exactly what
+    ``shard_step`` produces in bulk.  No code path shares a cache
+    between threads (a serial run and each pool worker process own
+    one), so it takes no lock.
 
     A :class:`~repro.core.planstore.PlanStore` can be layered underneath
     with :meth:`attach_store`: in-memory misses then consult the store's
@@ -124,50 +147,81 @@ class PlanCache:
     """
 
     def __init__(self) -> None:
-        self._table: dict = {}
-        self._lock = threading.Lock()
+        #: (group, accel) -> family, keyed structurally
+        self._families: dict = {}
+        #: (id(group), id(accel)) -> (group, accel, family): the fast path
+        self._by_id: dict = {}
         self._hits = 0
         self._misses = 0
+        #: plan slots filled, computed or served from the store
+        self._entries = 0
         self._store: Optional["PlanStore"] = None
         #: content-hash -> plan entries loaded from the attached store
         self._loaded: dict = {}
         #: entries computed since the last flush, keyed by content hash
         self._dirty: dict = {}
         self._store_hits = 0
-        # Interning tables: every group/accel object is swapped for one
-        # canonical instance before keying the table, so key-tuple
-        # comparisons inside dict probes short-circuit on identity
-        # instead of deep-comparing whole layer chains.  The by-id level
-        # makes repeat lookups with the same object O(1).
-        self._intern: dict = {}
-        self._intern_by_id: dict = {}
-        #: (canonical group, canonical accel) -> cost table
-        self._costs: dict = {}
 
-    def __len__(self) -> int:
-        return len(self._table)
+    #: cap on the by-id fast-path map: one entry per *object pair*
+    #: probed, so unbounded sweeps would otherwise pin every scenario's
+    #: dead groups.
+    _BY_ID_CAP = 8192
 
-    #: cap on the by-id fast-path map: one entry per *object* probed, so
-    #: unbounded sweeps would otherwise pin every scenario's dead groups.
-    _INTERN_BY_ID_CAP = 8192
+    def family(self, group: "LayerGroup",
+               accel: "AcceleratorConfig") -> PlanFamily:
+        """The family of every group and accelerator equal to these.
 
-    def _canonical(self, obj):
-        """One canonical instance per structurally-equal object.
-
-        Caller must hold the lock.  The by-id fast path keeps a strong
-        reference to the seen object, so its id cannot be recycled while
-        the entry exists; the map is cleared when it hits its cap (the
-        structural ``_intern`` table — bounded by distinct content —
-        re-seeds it at one deep comparison per live object).
+        Repeat calls with the same objects take the by-id fast path,
+        which keeps a strong reference to them, so their ids cannot be
+        recycled while the entry exists; the map is cleared when it hits
+        its cap (the structural table re-seeds it at one deep comparison
+        per live pair).
         """
-        entry = self._intern_by_id.get(id(obj))
-        if entry is not None and entry[0] is obj:
-            return entry[1]
-        canonical = self._intern.setdefault(obj, obj)
-        if len(self._intern_by_id) >= self._INTERN_BY_ID_CAP:
-            self._intern_by_id.clear()
-        self._intern_by_id[id(obj)] = (obj, canonical)
-        return canonical
+        entry = self._by_id.get((id(group), id(accel)))
+        if entry is not None and entry[0] is group and entry[1] is accel:
+            return entry[2]
+        family = self._families.get((group, accel))
+        if family is None:
+            family = self._families[(group, accel)] = PlanFamily(group, accel)
+        if len(self._by_id) >= self._BY_ID_CAP:
+            self._by_id.clear()
+        self._by_id[(id(group), id(accel))] = (group, accel, family)
+        return family
+
+    def plan(self, family: PlanFamily, n: int) -> Optional["GroupPlan"]:
+        """The family's plan on ``n`` chiplets, computed on first use.
+
+        Counts one hit or one miss.
+        """
+        plan = family.plans.get(n, _MISSING)
+        if plan is not _MISSING:
+            self._hits += 1
+            return plan
+        return self._fill(family, n)
+
+    def _fill(self, family: PlanFamily, n: int) -> Optional["GroupPlan"]:
+        """Serve an empty slot from the store, else compute and stage it."""
+        # Imported here: the sharding module imports this one.
+        from .sharding import GroupCosts, _compute_plan_group
+        store = self._store
+        key_hash = None
+        if store is not None:
+            key_hash = store.key_hash(family.group, n, family.accel,
+                                      MODE_BEST)
+            if key_hash in self._loaded:
+                plan = family.plans[n] = self._loaded[key_hash]
+                self._entries += 1
+                self._hits += 1
+                self._store_hits += 1
+                return plan
+        self._misses += 1
+        if family.costs is None:
+            family.costs = GroupCosts.price(family.group, family.accel)
+        plan = family.plans[n] = _compute_plan_group(family.costs, n)
+        self._entries += 1
+        if key_hash is not None:
+            self._dirty[key_hash] = plan
+        return plan
 
     @property
     def store(self) -> Optional["PlanStore"]:
@@ -182,19 +236,16 @@ class PlanCache:
         same plans by construction); only plans computed *after* attaching
         are staged for :meth:`flush_to_store`.
         """
-        entries = store.load()
-        with self._lock:
-            self._store = store
-            self._loaded = entries
-            self._dirty = {}
-        return len(entries)
+        self._loaded = store.load()
+        self._store = store
+        self._dirty = {}
+        return len(self._loaded)
 
     def detach_store(self) -> Optional["PlanStore"]:
         """Drop the store layer (unflushed entries are discarded)."""
-        with self._lock:
-            store, self._store = self._store, None
-            self._loaded = {}
-            self._dirty = {}
+        store, self._store = self._store, None
+        self._loaded = {}
+        self._dirty = {}
         return store
 
     def flush_to_store(self) -> int:
@@ -203,105 +254,36 @@ class PlanCache:
         A write that raises leaves its entries staged, so the next flush
         writes them.
         """
-        with self._lock:
-            store, dirty = self._store, self._dirty
-            if store is None or not dirty:
-                return 0
-            self._dirty = {}
-        try:
-            store.flush(dirty)
-        except BaseException:
-            with self._lock:
-                # Entries staged meanwhile hold the same plans.
-                self._dirty = {**dirty, **self._dirty}
-            raise
-        with self._lock:
-            self._loaded.update(dirty)
+        dirty = self._dirty
+        if self._store is None or not dirty:
+            return 0
+        self._store.flush(dirty)
+        self._loaded.update(dirty)
+        self._dirty = {}
         return len(dirty)
 
-    def get_or_compute(
-            self,
-            group: "LayerGroup",
-            n: int,
-            accel: "AcceleratorConfig",
-            mode: str,
-            compute: Callable[[], Optional["GroupPlan"]],
-    ) -> Optional["GroupPlan"]:
-        """Return the cached plan for the key, computing it on first use."""
-        with self._lock:
-            group = self._canonical(group)
-            accel = self._canonical(accel)
-            key = (group, n, accel, mode)
-            if key in self._table:
-                self._hits += 1
-                return self._table[key]
-            store = self._store
-        # Hash outside the lock (pure CPU); only needed with a store.
-        key_hash = (store.key_hash(group, n, accel, mode)
-                    if store is not None else None)
-        with self._lock:
-            if key in self._table:  # raced with another thread
-                self._hits += 1
-                return self._table[key]
-            if key_hash is not None and key_hash in self._loaded:
-                plan = self._loaded[key_hash]
-                self._table[key] = plan
-                self._hits += 1
-                self._store_hits += 1
-                return plan
-            self._misses += 1
-        plan = compute()
-        with self._lock:
-            self._table[key] = plan
-            if key_hash is not None:
-                self._dirty[key_hash] = plan
-        return plan
-
-    def group_costs(
-            self,
-            group: "LayerGroup",
-            accel: "AcceleratorConfig",
-            build: Callable[["LayerGroup", "AcceleratorConfig"], _Costs],
-    ) -> _Costs:
-        """The ``(group, accel)`` cost table, built by ``build`` on first use.
-
-        Keyed by the interned pair, so structurally-equal groups share
-        one table; :meth:`clear` drops them with the plans.
-        """
-        with self._lock:
-            key = (self._canonical(group), self._canonical(accel))
-            costs = self._costs.get(key)
-        if costs is None:
-            costs = build(*key)
-            with self._lock:
-                costs = self._costs.setdefault(key, costs)
-        return costs
-
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses,
-                              entries=len(self._table),
-                              store_hits=self._store_hits)
+        return CacheStats(hits=self._hits, misses=self._misses,
+                          entries=self._entries,
+                          store_hits=self._store_hits)
 
     def clear(self) -> None:
-        """Drop all entries and cost tables and reset the counters.
+        """Drop every family and reset the counters.
 
         An attached store stays attached with its loaded entries intact
         (they mirror immutable disk state); staged-but-unflushed entries
-        are dropped along with the table.
+        are dropped along with the families.
         """
-        with self._lock:
-            self._table.clear()
-            self._dirty.clear()
-            self._costs.clear()
-            self._intern.clear()
-            self._intern_by_id.clear()
-            self._hits = 0
-            self._misses = 0
-            self._store_hits = 0
+        self._families.clear()
+        self._by_id.clear()
+        self._dirty.clear()
+        self._hits = 0
+        self._misses = 0
+        self._entries = 0
+        self._store_hits = 0
 
 
-#: the process-wide cache shared by plan_group / next_shard_step /
+#: the process-wide cache shared by plan_group / shard_step /
 #: ThroughputMatcher / TrunkDSE (one per worker process in a sweep).
 _GLOBAL_CACHE = PlanCache()
 

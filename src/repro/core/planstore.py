@@ -25,7 +25,9 @@ without locks:
   entries to one shard, writes it to a temp file in the store directory,
   and ``os.replace``-renames it to ``plans-<digest>.json``.  Readers never
   observe a partial shard; two workers flushing identical content collide
-  on the same name with the same bytes, which is harmless.
+  on the same name with the same bytes, which is harmless.  A flush
+  skips the write only when that name already holds its exact bytes, so
+  a damaged shard is rewritten by the next run that prices its plans.
 * **A schema version stamps every shard.**  Bump :data:`SCHEMA_VERSION`
   whenever the cost model, the ``GroupPlan`` fields, or the key payload
   change meaning; ``load`` then ignores stale shards (and corrupted or
@@ -116,11 +118,11 @@ class PlanStore:
     """A directory of atomic, content-addressed plan shards.
 
     Safe for concurrent use by independent processes: loads only see
-    complete shards, flushes never overwrite foreign data, and no file is
-    ever modified in place.  One instance additionally keeps one
-    canonical JSON fragment per group/accel object and one hashed key
-    prefix per ``(group, accel, mode)``, so each key hashes only its
-    chiplet count.
+    complete shards, a flush replaces only a damaged shard of its own
+    name, never foreign data, and no file is ever modified in place.
+    One instance additionally keeps one canonical JSON fragment per
+    group/accel object and one hashed key prefix per
+    ``(group, accel, mode)``, so each key hashes only its chiplet count.
     """
 
     def __init__(self, path: str | pathlib.Path,
@@ -207,7 +209,10 @@ class PlanStore:
 
         Returns the shard path, or None when there is nothing to write.
         The shard name is a digest of its content, so concurrent flushes
-        of the same entries from different workers are idempotent.
+        of the same entries from different workers are idempotent.  A
+        shard of that name is kept only if it holds exactly these bytes:
+        a damaged one (truncated, say, so ``load`` skipped it) is
+        rewritten.
         """
         from ..io.serialize import plan_to_record
         if not entries:
@@ -217,16 +222,19 @@ class PlanStore:
             "entries": {key: None if plan is None else plan_to_record(plan)
                         for key, plan in entries.items()},
         }
-        text = json.dumps(payload, sort_keys=True)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        data = json.dumps(payload, sort_keys=True).encode("utf-8")
+        digest = hashlib.sha256(data).hexdigest()[:16]
         shard = self.path / f"{_SHARD_PREFIX}{digest}{_SHARD_SUFFIX}"
-        if shard.exists():
-            return shard  # identical content already persisted
+        try:
+            if shard.read_bytes() == data:
+                return shard  # identical content already persisted
+        except OSError:
+            pass  # no readable shard of that name: write it
         # PID + UUID only name the *temp* file (uniqueness under
         # concurrent flushes); the shard name and content stay pure
         # functions of the entries.
         unique = f"{os.getpid()}.{uuid.uuid4().hex}"  # repro-lint: disable=R1
         tmp = self.path / f".{_SHARD_PREFIX}{digest}.{unique}.tmp"
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, shard)
         return shard

@@ -17,9 +17,12 @@ mirror the paper's moves:
 
 ``plan_group`` evaluates the best mode for a given chiplet count and
 returns a :class:`GroupPlan` with per-chiplet busy times (pipe-latency
-contributions), the single-frame span, and energy.  Every count it tries
-reads one :class:`GroupCosts` table per (group, accelerator), priced by
-shape on the first plan miss for that pair and held by the plan cache.
+contributions), the single-frame span, and energy.  Plans live in the
+plan cache, one family per (group, accelerator) keyed by chiplet count;
+every count a family computes reads its one :class:`GroupCosts` table,
+priced by shape on the family's first miss.  The matcher resolves each
+group's family once per allocation and probes counts through it
+(:func:`shard_step`).
 
 Every float sum here is an explicit left fold (an inline loop, never
 ``sum()``): from Python 3.12 on ``sum()`` of floats is compensated, and
@@ -34,7 +37,7 @@ from typing import Sequence
 from ..cost import AcceleratorConfig, evaluate_shape
 from ..workloads.graph import LayerGroup
 from ..workloads.layers import Layer, LayerShape
-from .plancache import MODE_BEST, get_plan_cache
+from .plancache import PlanFamily, get_plan_cache
 
 #: shard mode identifiers
 MODE_SINGLE = "single"
@@ -69,10 +72,10 @@ class GroupPlan:
 class GroupCosts:
     """One group's layer chain priced once on one accelerator.
 
-    :class:`~repro.core.plancache.PlanCache` builds it on the first plan
-    miss for a ``(group, accel)`` pair and serves it to every later miss,
-    so each chiplet count's plan reads these instead of pricing the chain
-    again.  Layers are priced by shape, so equal shapes share one cost.
+    A :class:`~repro.core.plancache.PlanFamily` builds it on its first
+    plan miss and serves it to every later miss, so each chiplet count's
+    plan reads these instead of pricing the chain again.  Layers are
+    priced by shape, so equal shapes share one cost.
     """
 
     group: LayerGroup
@@ -325,7 +328,7 @@ def _plan_pipeline(costs: GroupCosts, n: int) -> GroupPlan | None:
 
 
 def _compute_plan_group(costs: GroupCosts, n: int) -> GroupPlan | None:
-    """Uncached best-plan computation (the cache's compute callback)."""
+    """Uncached best-plan computation (a plan family's miss)."""
     if n == 1:
         return _plan_single(costs)
     candidates = [
@@ -346,16 +349,14 @@ def plan_group(group: LayerGroup, n: int,
 
     Returns None when no shard mode can use ``n`` chiplets.  Results are
     served from the process-wide :class:`~repro.core.plancache.PlanCache`,
-    so every caller (matcher, DSE, sweeps) shares one memo table; a miss
-    reads the cache's :class:`GroupCosts` for ``(group, accel)``.
+    so every caller (matcher, DSE, sweeps) shares one memo table; it reads
+    the ``(group, accel)`` pair's family, whose :class:`GroupCosts` every
+    miss reads.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     cache = get_plan_cache()
-    return cache.get_or_compute(
-        group, n, accel, MODE_BEST,
-        lambda: _compute_plan_group(
-            cache.group_costs(group, accel, GroupCosts.price), n))
+    return cache.plan(cache.family(group, accel), n)
 
 
 def next_shard_step(group: LayerGroup, n: int, max_n: int,
@@ -382,8 +383,20 @@ def next_shard_step(group: LayerGroup, n: int, max_n: int,
             f"{current.n_chiplets} chiplets, not {group.name!r} on {n}")
     if current is None:
         return None
-    for n_next in range(n + 1, max_n + 1):
-        plan = plan_group(group, n_next, accel)
-        if plan is not None and plan.pipe_latency_s < current.pipe_latency_s:
+    return shard_step(get_plan_cache().family(group, accel), current, max_n)
+
+
+def shard_step(family: PlanFamily, current: GroupPlan,
+               max_n: int) -> GroupPlan | None:
+    """:func:`next_shard_step` from a plan family the caller resolved.
+
+    ``current`` is the family's plan on ``current.n_chiplets`` chiplets;
+    each count above it, up to ``max_n``, is one lookup in the family.
+    """
+    cache = get_plan_cache()
+    pipe = current.pipe_latency_s
+    for n_next in range(current.n_chiplets + 1, max_n + 1):
+        plan = cache.plan(family, n_next)
+        if plan is not None and plan.pipe_latency_s < pipe:
             return plan
     return None

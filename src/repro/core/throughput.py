@@ -50,8 +50,9 @@ from ..cost import AcceleratorConfig
 from ..workloads.graph import LayerGroup, PerceptionWorkload
 from ..workloads.pipeline import build_perception_workload
 from .placement import StagePlacements, default_stage_quadrants, place
+from .plancache import PlanFamily, get_plan_cache
 from .schedule import EdgeTables, GroupSchedule, Schedule, TraceStep
-from .sharding import GroupPlan, next_shard_step, plan_group
+from .sharding import GroupPlan, plan_group, shard_step
 
 #: hard cap on algorithm iterations (safety against pathological configs)
 _MAX_STEPS = 1000
@@ -67,7 +68,9 @@ class _State:
     trace step read them instead of rescanning the workload.
     """
 
-    accel_of: dict[str, AcceleratorConfig]
+    #: each allocatable group's plan family on its stage's accelerator,
+    #: resolved once per allocation for every shard step's probes
+    families: dict[str, PlanFamily]
     #: starts with the colocated groups' fixed 1-chiplet plans only
     plans: dict[str, GroupPlan]
     colocated: dict[str, str]
@@ -263,8 +266,11 @@ class ThroughputMatcher:
     def _initial_state(self, accel_of: dict[str, AcceleratorConfig],
                        capacity: dict[str, int]) -> _State:
         colocated = self._find_colocated(accel_of)
+        cache = get_plan_cache()
         state = _State(
-            accel_of=accel_of,
+            families={g.name: cache.family(g, accel_of[g.stage])
+                      for g in self.workload.all_groups()
+                      if g.name not in colocated},
             plans={g.name: plan_group(g, 1, accel_of[g.stage])
                    for g in self.workload.all_groups()
                    if g.name in colocated},
@@ -336,11 +342,9 @@ class ThroughputMatcher:
     def _shard_once(self, state: _State, group: LayerGroup,
                     phase: str) -> bool:
         """Try one sharding step of ``group``; returns True on success."""
-        stage_name = group.stage
         current = state.plans[group.name]
-        max_n = current.n_chiplets + state.budget_left(stage_name)
-        plan = next_shard_step(group, current.n_chiplets, max_n,
-                               state.accel_of[stage_name], current=current)
+        max_n = current.n_chiplets + state.budget_left(group.stage)
+        plan = shard_step(state.families[group.name], current, max_n)
         if plan is None:
             return False
         state.set_plan(group, plan)

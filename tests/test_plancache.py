@@ -1,8 +1,12 @@
 """Tests for the process-wide plan cache."""
 
+import dataclasses
+
 import pytest
 
+import repro.core.sharding as sharding
 from repro.core import (
+    GroupPlan,
     PlanCache,
     TrunkDSE,
     clear_plan_cache,
@@ -11,6 +15,7 @@ from repro.core import (
     plan_cache_stats,
     plan_group,
 )
+from repro.core.sharding import GroupCosts, _compute_plan_group
 
 
 @pytest.fixture
@@ -19,27 +24,40 @@ def group(workload):
 
 
 class TestPlanCache:
-    def test_hit_and_miss_counting(self):
-        cache = PlanCache()
+    def test_hit_and_miss_counting(self, group, os_accel, monkeypatch):
+        compute = sharding._compute_plan_group
         calls = []
 
-        def compute():
-            calls.append(1)
-            return None
+        def counting(costs, n):
+            calls.append(n)
+            return compute(costs, n)
 
-        assert cache.get_or_compute("g", 1, "a", "best", compute) is None
-        assert cache.get_or_compute("g", 1, "a", "best", compute) is None
-        assert len(calls) == 1  # second lookup served from cache
+        monkeypatch.setattr(sharding, "_compute_plan_group", counting)
+        cache = PlanCache()
+        family = cache.family(group, os_accel)
+        n_bad = 10_000  # no shard mode can use this many chiplets
+        assert cache.plan(family, n_bad) is None
+        assert cache.plan(family, n_bad) is None
+        assert calls == [n_bad]  # second lookup served from the family
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
         assert stats.hit_rate == 0.5
+        # an equal group object reaches the same family
+        twin = dataclasses.replace(group)
+        assert twin is not group
+        assert cache.family(twin, os_accel) is family
 
-    def test_clear_resets_everything(self):
+    def test_clear_resets_everything(self, group, os_accel):
         cache = PlanCache()
-        cache.get_or_compute("g", 1, "a", "best", lambda: 42)
+        family = cache.family(group, os_accel)
+        cache.plan(family, 2)
         cache.clear()
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
+        # the families go too, so the same objects reach an empty one
+        fresh = cache.family(group, os_accel)
+        assert fresh is not family
+        assert (fresh.costs, fresh.plans) == (None, {})
 
     def test_stats_delta_and_merge(self):
         from repro.core import CacheStats
@@ -68,6 +86,24 @@ class TestSharedPlanGroupCache:
         before = plan_cache_stats()
         assert plan_group(group, n_bad, os_accel) is None
         assert plan_cache_stats().hits == before.hits + 1
+
+    def test_a_count_below_the_largest_probed_is_a_miss(self, group,
+                                                        os_accel):
+        # A family keys its plans by count: planning 8 chiplets fills no
+        # slot below it, so 3 is computed on its own first lookup.
+        clear_plan_cache()
+        plan_group(group, 8, os_accel)
+        before = plan_cache_stats()
+        plan = plan_group(group, 3, os_accel)
+        after = plan_cache_stats()
+        assert (after.hits, after.misses) == (before.hits,
+                                              before.misses + 1)
+        assert after.entries == before.entries + 1
+        expected = _compute_plan_group(GroupCosts.price(group, os_accel), 3)
+        assert plan is not None
+        for field in dataclasses.fields(GroupPlan):
+            assert (getattr(plan, field.name)
+                    == getattr(expected, field.name)), field.name
 
     def test_trunk_dse_shares_cache_across_instances(self):
         clear_plan_cache()

@@ -145,6 +145,37 @@ class TestPlanStore:
         assert stale.load() == {}
         assert [reason for _, reason in stale.skipped_files] == ["schema"]
 
+    def test_damaged_shard_is_rewritten(self, tmp_path):
+        # A shard is named by its content's digest, so a cold rerun that
+        # prices the same plans flushes to the damaged shard's name; the
+        # flush replaces those bytes instead of trusting the name.
+        from repro.core import clear_plan_cache
+        from repro.cost import clear_cache
+        from repro.sweep import ScenarioSweep, scenario_grid
+        grid = scenario_grid(tolerances=(1.0, 1.05),
+                             het_ws_budgets=(None, 2))
+        store = tmp_path / "store"
+
+        def cold_run():
+            clear_cache()
+            clear_plan_cache()
+            return ScenarioSweep(grid, store_path=store).run()
+
+        first = cold_run()
+        (shard,) = PlanStore(store).shard_files()
+        data = shard.read_bytes()
+        shard.write_bytes(data[:len(data) // 2])
+        rerun = cold_run()
+        assert rerun.store_skipped == [{"file": shard.name,
+                                        "reason": "corrupt"}]
+        assert rerun.cache_stats.misses == first.cache_stats.misses > 0
+        assert PlanStore(store).shard_files() == [shard]
+        assert shard.read_bytes() == data
+        warm = cold_run()
+        assert warm.cache_stats.misses == 0
+        assert warm.store_skipped == []
+        assert warm.rows_json() == rerun.rows_json() == first.rows_json()
+
     def test_corrupted_and_truncated_files_skipped(self, tmp_path, groups,
                                                    os_accel):
         store = PlanStore(tmp_path / "store")
@@ -215,7 +246,9 @@ class TestHeteroStoreSharing:
 
 
 class TestCacheStoreLayering:
-    def test_store_hit_skips_compute(self, tmp_path, groups, os_accel):
+    def test_store_hit_skips_compute(self, tmp_path, groups, os_accel,
+                                     monkeypatch):
+        import repro.core.sharding as sharding
         g = groups[0]
         plan = plan_group(g, 2, os_accel)
         store = PlanStore(tmp_path / "store")
@@ -224,15 +257,18 @@ class TestCacheStoreLayering:
         cache = PlanCache()
         assert cache.attach_store(PlanStore(tmp_path / "store")) == 1
 
-        def explode():
+        def explode(costs, n):
             raise AssertionError("compute ran despite a store entry")
 
-        served = cache.get_or_compute(g, 2, os_accel, MODE_BEST, explode)
+        monkeypatch.setattr(sharding, "_compute_plan_group", explode)
+        family = cache.family(g, os_accel)
+        served = cache.plan(family, 2)
         assert served == plan
+        assert family.costs is None  # the chain was never priced
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.store_hits) == (1, 0, 1)
-        # promoted to the in-memory table: second hit is not a store hit
-        cache.get_or_compute(g, 2, os_accel, MODE_BEST, explode)
+        # promoted to the family: second hit is not a store hit
+        cache.plan(family, 2)
         assert cache.stats().store_hits == 1
         assert cache.stats().hits == 2
 
@@ -241,14 +277,13 @@ class TestCacheStoreLayering:
         g = groups[0]
         cache = PlanCache()
         cache.attach_store(PlanStore(tmp_path / "store"))
-        computed = cache.get_or_compute(
-            g, 2, os_accel, MODE_BEST,
-            lambda: plan_group(g, 2, os_accel))
+        computed = cache.plan(cache.family(g, os_accel), 2)
         assert cache.stats().misses == 1
         assert cache.flush_to_store() == 1
         assert cache.flush_to_store() == 0  # nothing new since
         loaded = PlanStore(tmp_path / "store").load()
-        assert list(loaded.values()) == [computed]
+        # staged under the plan's store key
+        assert loaded == {plan_key_hash(g, 2, os_accel, MODE_BEST): computed}
 
     def test_failed_flush_keeps_its_plans_staged(self, tmp_path, groups,
                                                  os_accel, monkeypatch):
@@ -256,9 +291,7 @@ class TestCacheStoreLayering:
         store = PlanStore(tmp_path / "store")
         cache = PlanCache()
         cache.attach_store(store)
-        computed = cache.get_or_compute(
-            g, 2, os_accel, MODE_BEST,
-            lambda: plan_group(g, 2, os_accel))
+        computed = cache.plan(cache.family(g, os_accel), 2)
         flush = PlanStore.flush
 
         def fail_once(plan_store, entries):
@@ -279,10 +312,10 @@ class TestCacheStoreLayering:
         cache.attach_store(store)
         assert cache.detach_store() is store
         assert cache.store is None
-        calls = []
-        cache.get_or_compute(groups[0], 2, os_accel, MODE_BEST,
-                             lambda: calls.append(1))
-        assert calls == [1]
+        cache.plan(cache.family(groups[0], os_accel), 2)
+        assert cache.stats().misses == 1
+        assert cache.flush_to_store() == 0  # nothing staged without one
+        assert store.shard_files() == []
 
     def test_stats_arithmetic_with_store_hits(self):
         from repro.core import CacheStats
